@@ -2,8 +2,7 @@
 benchmark the allocator, and emit plot-ready reports.
 
 Exit codes: 0 success, 1 runtime error or bound violation, 2 usage/config
-error. The environment variable SEA_ALLOC_THREADS caps internal parallelism
-(0 = serial).
+error.
 """
 
 from __future__ import annotations
@@ -12,6 +11,8 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +41,8 @@ def _load_config(path: str, seed_override: int | None) -> RunConfig:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
-    doc = json.loads(p.read_text())
-    if seed_override is not None:
-        doc["run_seed"] = seed_override
-    return RunConfig.from_json(doc)
+    config = RunConfig.from_json(json.loads(p.read_text()))
+    return config if seed_override is None else replace(config, run_seed=seed_override)
 
 
 def _write_outputs(driver: LoopDriver, report, out_dir: Path) -> None:
@@ -57,13 +56,12 @@ def _write_outputs(driver: LoopDriver, report, out_dir: Path) -> None:
 
 def cmd_run(args) -> int:
     config = _load_config(args.config, args.seed)
-    oracle = SyntheticOracle(config.oracle_spec)
-    if args.record_trace:
-        oracle = TraceRecordingOracle(oracle, args.record_trace)
-    driver = LoopDriver(config, oracle=oracle)
-    report = driver.run_full()
-    if args.record_trace:
-        oracle.close()
+    inner = SyntheticOracle(config.oracle_spec)
+    recording = TraceRecordingOracle(inner, args.record_trace) if args.record_trace else nullcontext(inner)
+    # The trace is closed, and so flushed, even when the run raises.
+    with recording as oracle:
+        driver = LoopDriver(config, oracle=oracle)
+        report = driver.run_full()
     _write_outputs(driver, report, Path(args.out))
     if not args.quiet:
         print(f"final value {report.final_value:.4f}  budget {report.budget_used:.6f}  t_c {report.t_c}")

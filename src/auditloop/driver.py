@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -26,7 +24,6 @@ _STREAM_BASELINE = 0xBA5E
 
 # Total loop training steps per few-shot supervision level.
 SHOTS_TOTAL_STEPS = {1: 6000, 5: 8000, 10: 12000}
-THREADS_ENV_VAR = "SEA_ALLOC_THREADS"
 
 
 @dataclass(frozen=True)
@@ -58,8 +55,10 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, doc: dict | str | Path) -> "RunConfig":
-        if not isinstance(doc, dict):
+        if isinstance(doc, (str, Path)):
             doc = json.loads(Path(doc).read_text())
+        if not isinstance(doc, dict):
+            raise InvalidParams(f"run config must be a JSON object, not {type(doc).__name__}")
         try:
             space_doc = doc.get("space")
             space = default_space() if space_doc in (None, "default") else AuditSpace.from_json(space_doc)
@@ -83,7 +82,7 @@ class RunConfig:
                 run_seed=int(doc.get("run_seed", 0)),
                 window=int(doc.get("window", 5)),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InvalidParams(f"malformed run config: {exc}") from exc
 
     def to_json(self) -> dict:
@@ -138,20 +137,15 @@ class RunReport:
         }
 
 
-def _resolve_threads() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
 class LoopDriver:
     """Runs the online selection loop against an evaluation oracle.
 
     All randomness is derived from (run_seed, cycle) for the sampler and from
-    (oracle seed, call index) for evaluations, so parallel and serial audit
-    schedules produce byte-identical event logs.
+    (oracle seed, call index) for evaluations, so a run's event log is a
+    deterministic function of its config.
+
+    `scores` and `probe_counts` hold each unit's robust score and audit count
+    as of its latest audit; a unit's score changes only when it is audited.
     """
 
     def __init__(self, config: RunConfig, oracle=None):
@@ -165,49 +159,34 @@ class LoopDriver:
         self.training = self.oracle.fresh_state()
         self.eval_count = 0
         self.records: list[dict] = []
-        self.threads = _resolve_threads()
+        self.scores = np.zeros(n, dtype=float)
+        self.probe_counts = np.zeros(n, dtype=np.int64)
 
     # -- helpers -----------------------------------------------------------
 
     def _probe_counts(self) -> np.ndarray:
-        return np.array([t.probe_count for t in self.trackers], dtype=np.int64)
+        return self.probe_counts.copy()
 
     def _scores(self) -> tuple[np.ndarray, np.ndarray]:
         """(scores, eligible): robust scores where audited, 0.0 placeholders
         elsewhere; never-audited units are ineligible for allocation."""
-        n = self.space.n_units
-        eligible = self._probe_counts() >= 1
-        scores = np.zeros(n, dtype=float)
-        for i in np.flatnonzero(eligible):
-            scores[i] = self.trackers[i].robust_score(self.config.smoothing)
-        return scores, eligible
+        return self.scores.copy(), self.probe_counts >= 1
 
     def _audit_utilities(self, batch: Sequence[int]) -> tuple[float, list[float]]:
         """One shared full-configuration evaluation plus one toggle per unit.
 
         An active unit is toggled off (its removal marginal); an inactive one
-        is toggled on (its activation marginal). Call indices are assigned up
-        front so any execution schedule reproduces the same scores.
+        is toggled on (its activation marginal). The full configuration takes
+        call index `eval_count` and the toggle at batch position p takes
+        `eval_count + 1 + p`.
         """
-        base_index = self.eval_count
-        full = self.oracle.evaluate(self.training, self.gates, call_index=base_index)
-
-        def one_toggle(pos_unit: tuple[int, int]) -> float:
-            pos, unit = pos_unit
-            toggled = self.gates.copy()
-            toggled[unit] = not toggled[unit]
-            return self.oracle.evaluate(self.training, toggled, call_index=base_index + 1 + pos)
-
-        jobs = list(enumerate(batch))
-        if self.threads > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                toggle_scores = list(pool.map(one_toggle, jobs))
-        else:
-            toggle_scores = [one_toggle(j) for j in jobs]
-        self.eval_count += 1 + len(jobs)
+        full, toggle_scores = self.oracle.evaluate_toggles(
+            self.training, self.gates, batch, self.eval_count
+        )
+        self.eval_count += 1 + len(batch)
 
         utilities: list[float] = []
-        for (_, unit), toggled_score in zip(jobs, toggle_scores):
+        for unit, toggled_score in zip(batch, toggle_scores):
             if self.gates[unit]:
                 delta = full - toggled_score
             else:
@@ -233,7 +212,10 @@ class LoopDriver:
         audit_events = []
         for unit, u_raw in zip(batch, utilities):
             self.trackers[unit].record_audit(u_raw, cfg.smoothing, cycle)
-            audit_events.append(self.trackers[unit].event(u_raw, cfg.smoothing, cycle))
+            ev = self.trackers[unit].event(u_raw, cfg.smoothing, cycle)
+            self.scores[unit] = ev["score"]
+            self.probe_counts[unit] = ev["probe_count"]
+            audit_events.append(ev)
 
         # Allocate: greedy proposal, hysteresis, FSM commit.
         scores, eligible = self._scores()

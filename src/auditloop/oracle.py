@@ -5,13 +5,20 @@ from per-unit saturating learning curves, concave redundancy groups, and
 seeded Gaussian evaluation noise. A replay oracle serves scores recorded
 from a previous run, and an exhaustive optimum supports regret accounting on
 small spaces.
+
+Every oracle answers `evaluate_toggles(state, gates, units,
+first_call_index)`, the audit step's one query per cycle: the score of the
+full configuration plus the score of each one-unit toggle of it, under call
+indices `first_call_index, first_call_index + 1, ...`. It returns exactly
+what the matching sequence of `evaluate` calls would. This is the seam where
+an external evaluator may parallelise the toggles on its own side; the
+engine itself audits on one thread.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -151,10 +158,13 @@ class SyntheticOracle:
     def __init__(self, spec: OracleSpec):
         self.spec = spec
         self.calls = 0
-        self._lock = threading.Lock()
         self._mu_inf = np.array(spec.mu_inf, dtype=float)
         self._kappa = np.array(spec.kappa, dtype=float)
         self._groups = spec.full_groups()
+        self._members = [np.array(g, dtype=np.intp) for g, _ in self._groups]
+        self._group_of = np.empty(self.n_units, dtype=np.intp)
+        for k, members in enumerate(self._members):
+            self._group_of[members] = k
         # Group capacity: positive asymptote mass, the value a fully trained
         # group realizes exactly under its concave aggregation.
         self._capacity = [float(np.maximum(self._mu_inf[list(g)], 0.0).sum()) for g, _ in self._groups]
@@ -171,42 +181,80 @@ class SyntheticOracle:
         learned = np.maximum(learned, self.spec.warm_floor)
         return (self._mu_inf + state.drift_offsets) * learned
 
-    def true_value(self, state: TrainingState, gates) -> float:
-        """Noise-free score of a configuration; does not count as an evaluation."""
+    def _check_gates(self, gates) -> np.ndarray:
         gates = np.asarray(gates, dtype=bool)
         if gates.size != self.n_units:
             raise LengthMismatch("gate vector length must match the unit count")
-        mu = self._unit_utilities(state)
+        return gates
+
+    def _group_term(self, mu: np.ndarray, k: int, gates: np.ndarray) -> float:
+        """Value of group k's active members under `gates`."""
+        members = self._members[k]
+        s = float(mu[members[gates[members]]].sum())
+        return _group_value(s, self._groups[k][1], self._capacity[k])
+
+    def _total(self, terms) -> float:
+        """Base score plus the group terms, added in group order, clamped."""
         total = self.spec.base_score
-        for (members, gamma), cap in zip(self._groups, self._capacity):
-            s = float(mu[[i for i in members if gates[i]]].sum()) if members else 0.0
-            total += _group_value(s, gamma, cap)
+        for t in terms:
+            total += t
         return float(min(1.0, max(0.0, total)))
 
-    def evaluate(self, state: TrainingState, gates, call_index: int | None = None) -> float:
-        """Noisy evaluation: true value plus Gaussian noise, clamped to [0, 1].
+    def _noisy(self, value: float, call_index: int) -> float:
+        """Add the noise draw of one call index and clamp to [0, 1].
 
         Noise is drawn from a stream seeded by (spec.seed, call_index), so a
         fixed call-index assignment reproduces identical scores under any
         execution schedule.
         """
-        with self._lock:
-            if call_index is None:
-                call_index = self.calls
-            self.calls += 1
-        v = self.true_value(state, gates)
         if self.spec.sigma_val > 0.0:
             rng = np.random.default_rng([self.spec.seed, _NOISE_TAG, int(call_index)])
-            v += self.spec.sigma_val * rng.standard_normal()
-        return float(min(1.0, max(0.0, v)))
+            value += self.spec.sigma_val * rng.standard_normal()
+        return float(min(1.0, max(0.0, value)))
+
+    def true_value(self, state: TrainingState, gates) -> float:
+        """Noise-free score of a configuration; does not count as an evaluation."""
+        gates = self._check_gates(gates)
+        mu = self._unit_utilities(state)
+        return self._total([self._group_term(mu, k, gates) for k in range(len(self._groups))])
+
+    def evaluate(self, state: TrainingState, gates, call_index: int | None = None) -> float:
+        """Noisy evaluation: true value plus Gaussian noise, clamped to [0, 1]."""
+        if call_index is None:
+            call_index = self.calls
+        self.calls += 1
+        return self._noisy(self.true_value(state, gates), call_index)
+
+    def evaluate_toggles(
+        self, state: TrainingState, gates, units, first_call_index: int
+    ) -> tuple[float, list[float]]:
+        """Scores of `gates` and of each one-unit toggle of it, bit-identical
+        to `evaluate` at call indices first_call_index, first_call_index + 1, ...
+
+        The group terms of the full configuration are computed once; a toggle
+        recomputes only its unit's group and re-adds the terms in order.
+        """
+        gates = self._check_gates(gates)
+        mu = self._unit_utilities(state)
+        terms = [self._group_term(mu, k, gates) for k in range(len(self._groups))]
+        full = self._noisy(self._total(terms), first_call_index)
+        flipped = gates.copy()
+        toggled = []
+        for pos, unit in enumerate(units):
+            k = int(self._group_of[unit])
+            flipped[unit] = not flipped[unit]
+            term = self._group_term(mu, k, flipped)
+            flipped[unit] = gates[unit]
+            value = self._total(terms[:k] + [term] + terms[k + 1 :])
+            toggled.append(self._noisy(value, first_call_index + 1 + pos))
+        self.calls += 1 + len(toggled)
+        return full, toggled
 
     def train_step(self, state: TrainingState, gates, k: int) -> TrainingState:
         """Advance active units by k steps; inactive units are untouched."""
         if k < 1:
             raise InvalidParams("k must be at least 1")
-        gates = np.asarray(gates, dtype=bool)
-        if gates.size != self.n_units:
-            raise LengthMismatch("gate vector length must match the unit count")
+        gates = self._check_gates(gates)
         steps = state.steps.copy()
         steps[gates] += float(k)
         offsets = state.drift_offsets
@@ -290,6 +338,15 @@ def gates_to_bits(gates) -> str:
     return "".join("1" if g else "0" for g in np.asarray(gates, dtype=bool))
 
 
+def _toggles(gates, units):
+    """Each one-unit toggle of `gates`, in the order of `units`."""
+    gates = np.asarray(gates, dtype=bool)
+    for unit in units:
+        toggled = gates.copy()
+        toggled[unit] = not toggled[unit]
+        yield toggled
+
+
 class TraceRecordingOracle:
     """Wraps an oracle and appends every query to a JSONL trace.
 
@@ -324,6 +381,15 @@ class TraceRecordingOracle:
         self._record(gates, score, int(call_index) if call_index is not None else self.inner.calls - 1)
         return score
 
+    def evaluate_toggles(self, state, gates, units, first_call_index: int) -> tuple[float, list[float]]:
+        """Records the full configuration, then each toggle, exactly as the
+        matching sequence of `evaluate` calls would."""
+        full, toggled = self.inner.evaluate_toggles(state, gates, units, first_call_index)
+        self._record(gates, full, int(first_call_index))
+        for pos, (flipped, score) in enumerate(zip(_toggles(gates, units), toggled)):
+            self._record(flipped, score, int(first_call_index) + 1 + pos)
+        return full, toggled
+
     def true_value(self, state, gates) -> float:
         score = self.inner.true_value(state, gates)
         self._record(gates, score, -1)
@@ -355,7 +421,6 @@ class ReplayOracle:
         self._true = {k: list(v) for k, v in true.items()}
         self._n_units = n_units
         self.calls = 0
-        self._lock = threading.Lock()
 
     @property
     def n_units(self) -> int:
@@ -374,13 +439,16 @@ class ReplayOracle:
         return queue.pop(0)
 
     def evaluate(self, state, gates, call_index: int | None = None) -> float:
-        with self._lock:
-            self.calls += 1
-            return self._pop(self._noisy, gates, "evaluation")
+        self.calls += 1
+        return self._pop(self._noisy, gates, "evaluation")
+
+    def evaluate_toggles(self, state, gates, units, first_call_index: int) -> tuple[float, list[float]]:
+        """Pops the full configuration's score, then each toggle's, in order."""
+        full = self.evaluate(state, gates)
+        return full, [self.evaluate(state, flipped) for flipped in _toggles(gates, units)]
 
     def true_value(self, state, gates) -> float:
-        with self._lock:
-            return self._pop(self._true, gates, "value query")
+        return self._pop(self._true, gates, "value query")
 
     def train_step(self, state, gates, k: int) -> TrainingState:
         return state  # training dynamics live behind the recorded scores

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from auditloop import cli
 from auditloop.cli import main
 from auditloop.driver import DIAGNOSTIC_COLUMNS
+from auditloop.oracle import SyntheticOracle, TraceRecordingOracle
 
 
 @pytest.fixture()
@@ -57,6 +59,52 @@ def test_bad_json_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"cycles": "x", "steps_per_cycle": 10},
+        {"cycles": 2, "steps_per_cycle": 10, "oracle": [1]},
+        [1, 2],
+    ],
+    ids=["non-integer-cycles", "non-object-oracle", "top-level-array"],
+)
+@pytest.mark.parametrize("seed", [None, "3"])
+def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, doc, seed):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["run", "--config", str(bad), "--out", str(tmp_path / "o"), "--quiet"]
+    assert main(argv + (["--seed", seed] if seed else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_run_that_raises_leaves_closed_parseable_trace(tmp_path, config_path, monkeypatch):
+    class FailingOracle(SyntheticOracle):
+        def evaluate_toggles(self, state, gates, units, first_call_index):
+            if first_call_index > 0:
+                raise RuntimeError("evaluator died")
+            return super().evaluate_toggles(state, gates, units, first_call_index)
+
+    opened = []
+
+    class TrackedRecording(TraceRecordingOracle):
+        def __enter__(self):
+            opened.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(cli, "SyntheticOracle", FailingOracle)
+    monkeypatch.setattr(cli, "TraceRecordingOracle", TrackedRecording)
+    trace = tmp_path / "trace.jsonl"
+    argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "o"), "--record-trace", str(trace)]
+    with pytest.raises(RuntimeError, match="evaluator died"):
+        main(argv + ["--quiet"])
+    assert len(opened) == 1 and opened[0]._fh.closed
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    batch = json.loads(config_path.read_text())["sampler"]["batch_size"]
+    # the first cycle's audit, then its noise-free value query
+    assert [r["noise_seed"] for r in records] == list(range(1 + batch)) + [-1]
 
 
 def test_run_deterministic_checksums(tmp_path, config_path):

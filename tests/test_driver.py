@@ -115,6 +115,21 @@ def test_parallel_schedule_byte_identical(tmp_path):
     assert ps.read_bytes() == pp.read_bytes()
 
 
+def test_kept_scores_equal_fresh_robust_scores():
+    cfg = tiny_config(cycles=15)
+    driver = LoopDriver(cfg)
+    for cycle in range(cfg.cycles):
+        driver.run_cycle(cycle)
+        scores, eligible = driver._scores()
+        probes = np.array([t.probe_count for t in driver.trackers])
+        fresh = np.array(
+            [t.robust_score(cfg.smoothing) if t.probe_count else 0.0 for t in driver.trackers]
+        )
+        assert np.array_equal(driver._probe_counts(), probes)
+        assert np.array_equal(eligible, probes >= 1)
+        assert np.array_equal(scores, fresh)
+
+
 def test_audit_utility_sign_conventions():
     # full config 0.80, toggled 0.75, cost 0.002: utility 25.0
     cfg = tiny_config()

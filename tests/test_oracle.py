@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auditloop import OracleSpec, SyntheticOracle, TraceRecordingOracle, TrainingState, replay_trace
 from auditloop.errors import (
@@ -300,3 +302,97 @@ def test_record_then_replay_reproduces_scores(tmp_path):
     out = [replayed.evaluate(state2, [True, True, False]) for _ in range(5)]
     out.append(replayed.true_value(state2, [True, True, False]))
     assert out == recorded
+
+
+# -- batched toggle audit --------------------------------------------------------
+
+
+def per_call_toggles(oracle, state, gates, units, first_call_index):
+    """The audit as separate `evaluate` calls: the full configuration, then
+    each one-unit toggle, at consecutive call indices."""
+    full = oracle.evaluate(state, gates, call_index=first_call_index)
+    toggled = []
+    for pos, unit in enumerate(units):
+        flipped = np.array(gates, dtype=bool)
+        flipped[unit] = not flipped[unit]
+        toggled.append(oracle.evaluate(state, flipped, call_index=first_call_index + 1 + pos))
+    return full, toggled
+
+
+@st.composite
+def toggle_cases(draw):
+    """A random spec (one group of at least 8 members, so group sums take
+    numpy's pairwise path), a trained state, gates and toggled units."""
+    n = draw(st.integers(8, 24))
+    perm = draw(st.permutations(range(n)))
+    big = draw(st.integers(8, n))
+    groups = [tuple(perm[:big])]
+    rest = list(perm[big:])
+    while rest:
+        k = draw(st.integers(1, len(rest)))
+        groups.append(tuple(rest[:k]))
+        rest = rest[k:]
+    listed = groups[: draw(st.integers(1, len(groups)))]  # the rest become implicit singletons
+    unit_floats = st.floats(-0.2, 0.3, allow_nan=False, allow_infinity=False)
+    spec = OracleSpec(
+        base_score=draw(st.floats(0.0, 1.0)),
+        mu_inf=draw(st.lists(unit_floats, min_size=n, max_size=n)),
+        kappa=draw(st.lists(st.floats(10.0, 1000.0), min_size=n, max_size=n)),
+        sigma_val=draw(st.sampled_from([0.0, 0.05])),
+        groups=listed,
+        gammas=draw(st.lists(st.floats(0.05, 1.0), min_size=len(listed), max_size=len(listed))),
+        warm_floor=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    trained_gates = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    steps = draw(st.integers(1, 2000))
+    gates = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        gates[list(groups[0])] = True
+    units = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    first_call_index = draw(st.integers(0, 10**6))
+    return spec, trained_gates, steps, gates, units, first_call_index
+
+
+@settings(max_examples=150, deadline=None)
+@given(toggle_cases())
+def test_evaluate_toggles_matches_per_call_evaluate(case):
+    spec, trained_gates, steps, gates, units, first_call_index = case
+    batched, per_call = SyntheticOracle(spec), SyntheticOracle(spec)
+    state = batched.train_step(batched.fresh_state(), trained_gates, steps)
+    got = batched.evaluate_toggles(state, gates, units, first_call_index)
+    want = per_call_toggles(per_call, state, gates, units, first_call_index)
+    assert got == want  # bit for bit: float == on every score
+    assert batched.calls == per_call.calls == 1 + len(units)
+
+
+def test_evaluate_toggles_checks_gate_length():
+    oracle = SyntheticOracle(simple_spec())
+    with pytest.raises(LengthMismatch):
+        oracle.evaluate_toggles(oracle.fresh_state(), [True, False], [0], 0)
+
+
+def test_trace_identical_through_toggles_and_per_call(tmp_path):
+    spec = simple_spec(sigma_val=0.03, groups=((0, 1),), gammas=(0.5,))
+    gates = np.array([True, False, True])
+    units = [2, 0, 1]
+    paths = {}
+    for name in ("per_call", "toggles"):
+        paths[name] = tmp_path / f"{name}.jsonl"
+        with TraceRecordingOracle(SyntheticOracle(spec), paths[name]) as rec:
+            state = rec.train_step(rec.fresh_state(), gates, 300)
+            for first in (0, 4):
+                if name == "per_call":
+                    per_call_toggles(rec, state, gates, units, first)
+                else:
+                    rec.evaluate_toggles(state, gates, units, first)
+                rec.true_value(state, gates)
+    assert paths["per_call"].read_bytes() == paths["toggles"].read_bytes()
+
+    batched, per_call = replay_trace(paths["toggles"]), replay_trace(paths["toggles"])
+    for first in (0, 4):
+        state = batched.fresh_state()
+        assert batched.evaluate_toggles(state, gates, units, first) == per_call_toggles(
+            per_call, state, gates, units, first
+        )
+    assert batched.calls == per_call.calls == 8
