@@ -29,6 +29,7 @@ from .driver import (
     default_run_config,
     run_full,
     run_random_baseline,
+    sweep,
     write_diagnostics_csv,
 )
 from .fsm import FsmParams, FsmStabilizer
@@ -51,7 +52,6 @@ from .space import (
     Slot,
     Template,
     Topology,
-    adapter_forward,
     build_audit_space,
     default_backbone,
     default_space,
@@ -84,7 +84,6 @@ __all__ = [
     "TraceRecordingOracle",
     "TrainingState",
     "UtilityTracker",
-    "adapter_forward",
     "apply_hysteresis",
     "brute_force_optimum",
     "build_audit_space",
@@ -105,5 +104,6 @@ __all__ = [
     "run_full",
     "run_random_baseline",
     "sample_audit_batch",
+    "sweep",
     "write_diagnostics_csv",
 ]

@@ -190,40 +190,42 @@ def final_resolve(scores, costs, eligible, p_max: float) -> AllocationProposal:
     return _proposal(gates, scores, costs)
 
 
-def brute_force_optimum(scores, costs, eligible, p_max: float) -> AllocationProposal:
-    """Exhaustive maximum of the selected-score sum under the budget.
+def subset_sums(n_bits: int, terms) -> np.ndarray:
+    """Sum over each of the 2^n_bits subsets, shared with the synthetic
+    oracle's exact optimum: entry `mask` adds the value of every (bit, value)
+    pair in `terms` whose bit is set in `mask`, in the order of `terms`."""
+    out = np.zeros(1 << n_bits)
+    for b, value in terms:
+        out.reshape(-1, 1 << (b + 1))[:, 1 << b :] += value
+    return out
 
-    Ties break to lower total cost, then to the lexicographically smallest
-    gate tuple. Capped at 20 eligible units.
-    """
+
+def best_subset(sub_scores, sub_costs, p_max: float, ids, n: int) -> tuple[np.ndarray, float]:
+    """Gate vector and score of the best subset within the budget; bit b of a
+    subset index stands for unit `ids[b]` of `n`. Ties break to lower total
+    cost, then to the lexicographically smallest gate tuple."""
+    feasible = np.flatnonzero(sub_costs <= p_max)  # always non-empty: the empty set
+    cand = feasible[sub_scores[feasible] == sub_scores[feasible].max()]
+    cand = cand[sub_costs[cand] == sub_costs[cand].min()]
+
+    def to_gates(mask: int) -> tuple[bool, ...]:
+        g = np.zeros(n, dtype=bool)
+        for b, unit in enumerate(ids):
+            g[unit] = bool(mask >> b & 1)
+        return tuple(g)
+
+    winner = min((int(c) for c in cand), key=to_gates)
+    return np.array(to_gates(winner), dtype=bool), float(sub_scores[winner])
+
+
+def brute_force_optimum(scores, costs, eligible, p_max: float) -> AllocationProposal:
+    """Exhaustive maximum of the selected-score sum under the budget; ties
+    break as in `best_subset`. Capped at 20 eligible units."""
     scores, costs, eligible = _validate(scores, costs, eligible)
     idx = np.flatnonzero(eligible)
     if idx.size > 20:
         raise TooLarge(f"{idx.size} eligible units exceed the 2^20 enumeration cap")
-
-    m = idx.size
-    n_sub = 1 << m
-    sub_scores = np.zeros(n_sub)
-    sub_costs = np.zeros(n_sub)
-    for b in range(m):
-        step = 1 << (b + 1)
-        half = 1 << b
-        sub_scores.reshape(-1, step)[:, half:] += scores[idx[b]]
-        sub_costs.reshape(-1, step)[:, half:] += costs[idx[b]]
-
-    feasible = np.flatnonzero(sub_costs <= p_max)  # always non-empty: the empty set
-    best_score = sub_scores[feasible].max()
-    cand = feasible[sub_scores[feasible] >= best_score - 0.0]
-    cand = cand[sub_scores[cand] == sub_scores[cand].max()]
-    cand = cand[sub_costs[cand] == sub_costs[cand].min()]
-
-    def to_gates(mask_int: int) -> np.ndarray:
-        g = np.zeros(scores.size, dtype=bool)
-        for b in range(m):
-            if mask_int >> b & 1:
-                g[idx[b]] = True
-        return g
-
-    winner = min((tuple(to_gates(int(c))) for c in cand))
-    gates = np.array(winner, dtype=bool)
+    sub_scores = subset_sums(idx.size, enumerate(scores[idx]))
+    sub_costs = subset_sums(idx.size, enumerate(costs[idx]))
+    gates, _ = best_subset(sub_scores, sub_costs, p_max, idx, scores.size)
     return _proposal(gates, scores, costs)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -17,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .allocator import brute_force_optimum, final_resolve
+from . import __version__, checks
 from .driver import (
     LoopDriver,
     RunConfig,
@@ -27,10 +25,7 @@ from .driver import (
     write_diagnostics_csv,
 )
 from .errors import AuditLoopError, InvalidParams
-from .fsm import FsmStabilizer
 from .oracle import SyntheticOracle, TraceRecordingOracle, replay_trace
-from .sampler import SamplerParams, coverage_lower_bound, sample_audit_batch
-from .tracker import SmoothingParams, UtilityTracker
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -98,81 +93,21 @@ def cmd_baseline(args) -> int:
     return EXIT_OK
 
 
-def _check_ema_variance(beta: float, replicas: int, audits: int, seed: int) -> tuple[float, float]:
-    """Empirical EMA variance across replicas under unit-variance noise."""
-    rng = np.random.default_rng(seed)
-    params = SmoothingParams(beta=beta, lambda_s=0.5)
-    noise = rng.standard_normal((replicas, audits))
-    ema = noise[:, 0].copy()
-    for t in range(1, audits):
-        ema = (1.0 - beta) * noise[:, t] + beta * ema
-    bound = (1.0 - beta) / (1.0 + beta)
-    # Spot-check that the vectorized recursion matches the tracker.
-    tr = UtilityTracker(0)
-    for t in range(audits):
-        tr.record_audit(noise[0, t], params, t)
-    if not math.isclose(tr.ema, ema[0], rel_tol=0, abs_tol=1e-12):
-        raise AuditLoopError("tracker EMA disagrees with the vectorized recursion")
-    return float(ema.var()), bound
-
-
-def _check_drift_bias(beta: float, delta: float, audits: int) -> tuple[float, float]:
-    params = SmoothingParams(beta=beta)
-    tr = UtilityTracker(0)
-    mu = 0.0
-    for t in range(audits):
-        mu = delta * t
-        tr.record_audit(mu, params, t)
-    return abs(tr.ema - mu), delta * beta / (1.0 - beta)
-
-
-def _check_fsm_bound(max_t: int = 12) -> tuple[int, bool]:
-    violations = 0
-    for tau in (1, 2, 3):
-        for mask in range(1 << max_t):
-            fsm = FsmStabilizer(1, tau_act=tau)
-            gates = np.array([False])
-            for t in range(max_t):
-                proposed = np.array([bool(mask >> t & 1)])
-                gates = fsm.filter_proposals(gates, proposed)
-            if fsm.unit_flips[0] > max_t // tau:
-                violations += 1
-    return violations, violations == 0
-
-
-def _check_coverage(n: int, m: int, eps: float, cycles: int, seeds: int) -> tuple[float, float, bool]:
-    rho = coverage_lower_bound(n, m, eps)
-    bound = rho * cycles - 4.0 * math.sqrt(rho * (1.0 - rho) * cycles)
-    params = SamplerParams(batch_size=m, epsilon=eps)
-    worst = math.inf
-    for seed in range(seeds):
-        gates = np.zeros(n, dtype=bool)
-        gates[: n // 3] = True  # frozen gate vector
-        probes = np.zeros(n, dtype=np.int64)
-        for cycle in range(cycles):
-            rng = np.random.default_rng([seed, cycle])
-            batch, _ = sample_audit_batch(gates, probes, params, rng)
-            for u in batch:
-                probes[u] += 1
-        worst = min(worst, int(probes.min()))
-    return worst, bound, worst >= bound
-
-
 def cmd_verify_bounds(args) -> int:
     rows = []
 
     for beta in (0.5, 0.9):
-        measured, bound = _check_ema_variance(beta, args.replicas, 200, seed=0)
+        measured, bound = checks.ema_variance(beta, args.replicas, 200, seed=0)
         rows.append((f"ema-variance beta={beta}", bound, measured, measured <= 1.1 * bound))
 
-    measured, bound = _check_drift_bias(0.9, 0.01, 500)
+    measured, bound = checks.drift_bias(0.9, 0.01, 500)
     rows.append(("ema-drift-bias beta=0.9 delta=0.01", bound, measured, measured <= 1.05 * bound))
 
-    violations, ok = _check_fsm_bound()
-    rows.append(("fsm-chatter exhaustive T=12", 0.0, float(violations), ok))
+    violations = checks.fsm_chatter_exhaustive(12)
+    rows.append(("fsm-chatter exhaustive T=12", 0.0, float(violations), violations == 0))
 
-    worst, bound, ok = _check_coverage(60, 6, 0.3, args.cycles, seeds=5)
-    rows.append(("coverage N=60 M=6 eps=0.3", bound, float(worst), ok))
+    worst, bound = checks.coverage_min(60, 6, 0.3, args.cycles, seeds=5)
+    rows.append(("coverage N=60 M=6 eps=0.3", bound, float(worst), worst >= bound))
 
     all_ok = all(r[3] for r in rows)
     if not args.quiet:
@@ -185,18 +120,7 @@ def cmd_verify_bounds(args) -> int:
 def cmd_bench_alloc(args) -> int:
     if args.n_max > 20:
         raise InvalidParams("n-max above the exhaustive enumeration cap of 20")
-    rng = np.random.default_rng(args.seed)
-    ratios = []
-    for _ in range(args.instances):
-        n = int(rng.integers(1, args.n_max + 1))
-        scores = rng.uniform(0.0, 1.0, n)
-        costs = np.exp(rng.uniform(np.log(1e-4), np.log(5e-3), n))
-        p_max = float(rng.uniform(costs.min(), costs.sum()))
-        eligible = np.ones(n, dtype=bool)
-        approx = final_resolve(scores, costs, eligible, p_max)
-        exact = brute_force_optimum(scores, costs, eligible, p_max)
-        ratios.append(1.0 if exact.total_score <= 0.0 else approx.total_score / exact.total_score)
-    ratios = np.array(ratios)
+    ratios = checks.allocator_ratios(args.instances, args.n_max, args.seed)
     stats = {
         "min": float(ratios.min()),
         "p10": float(np.quantile(ratios, 0.10)),

@@ -46,6 +46,8 @@ class RunConfig:
             raise InvalidParams("cycles and steps_per_cycle must be at least 1")
         if self.refinetune_steps < 0:
             raise InvalidParams("refinetune_steps must be non-negative")
+        if self.shots < 1:
+            raise InvalidParams("shots must be at least 1")
         if self.oracle_spec.n_units != self.space.n_units:
             raise InvalidParams("oracle spec and audit space disagree on the unit count")
 
@@ -74,7 +76,9 @@ class RunConfig:
                 sampler=SamplerParams(**doc.get("sampler", {"batch_size": 6})),
                 smoothing=SmoothingParams(**doc.get("smoothing", {})),
                 allocator=AllocatorParams(**doc.get("allocator", {})),
-                fsm=FsmParams(**doc.get("fsm", {})),
+                # Older configs may carry tau_rank, the threshold of a
+                # rank-change vote this engine does not have; ignore it.
+                fsm=FsmParams(**{k: v for k, v in doc.get("fsm", {}).items() if k != "tau_rank"}),
                 cycles=int(doc["cycles"]),
                 steps_per_cycle=int(doc["steps_per_cycle"]),
                 refinetune_steps=int(doc.get("refinetune_steps", doc["cycles"] * doc["steps_per_cycle"])),
@@ -96,7 +100,7 @@ class RunConfig:
             },
             "smoothing": {"beta": self.smoothing.beta, "lambda_s": self.smoothing.lambda_s},
             "allocator": {"p_max": self.allocator.p_max, "mu_eff": self.allocator.mu_eff},
-            "fsm": {"tau_act": self.fsm.tau_act, "tau_rank": self.fsm.tau_rank},
+            "fsm": {"tau_act": self.fsm.tau_act},
             "cycles": self.cycles,
             "steps_per_cycle": self.steps_per_cycle,
             "refinetune_steps": self.refinetune_steps,
@@ -118,7 +122,6 @@ class RunReport:
     value_curve: list[float]
     regret_curve: list[float] | None
     eval_count: int
-    events_path: str | None = None
 
     def to_json(self) -> dict:
         return {
@@ -133,7 +136,6 @@ class RunReport:
             "value_curve": self.value_curve,
             "regret_curve": self.regret_curve,
             "eval_count": self.eval_count,
-            "events_path": self.events_path,
         }
 
 
@@ -146,6 +148,8 @@ class LoopDriver:
 
     `scores` and `probe_counts` hold each unit's robust score and audit count
     as of its latest audit; a unit's score changes only when it is audited.
+    Never-audited units keep a 0.0 placeholder and are ineligible for
+    allocation.
     """
 
     def __init__(self, config: RunConfig, oracle=None):
@@ -155,7 +159,7 @@ class LoopDriver:
         n = self.space.n_units
         self.gates = self.space.initial_gates()
         self.trackers = [UtilityTracker(i, config.window) for i in range(n)]
-        self.fsm = FsmStabilizer(n, config.fsm.tau_act, config.fsm.tau_rank)
+        self.fsm = FsmStabilizer(n, config.fsm.tau_act)
         self.training = self.oracle.fresh_state()
         self.eval_count = 0
         self.records: list[dict] = []
@@ -163,14 +167,6 @@ class LoopDriver:
         self.probe_counts = np.zeros(n, dtype=np.int64)
 
     # -- helpers -----------------------------------------------------------
-
-    def _probe_counts(self) -> np.ndarray:
-        return self.probe_counts.copy()
-
-    def _scores(self) -> tuple[np.ndarray, np.ndarray]:
-        """(scores, eligible): robust scores where audited, 0.0 placeholders
-        elsewhere; never-audited units are ineligible for allocation."""
-        return self.scores.copy(), self.probe_counts >= 1
 
     def _audit_utilities(self, batch: Sequence[int]) -> tuple[float, list[float]]:
         """One shared full-configuration evaluation plus one toggle per unit.
@@ -207,7 +203,7 @@ class LoopDriver:
 
         # Audit: sample, toggle, record.
         rng = np.random.default_rng([cfg.run_seed, _STREAM_SAMPLER, cycle])
-        batch, exploration = sample_audit_batch(self.gates, self._probe_counts(), cfg.sampler, rng)
+        batch, exploration = sample_audit_batch(self.gates, self.probe_counts, cfg.sampler, rng)
         full_value, utilities = self._audit_utilities(batch)
         audit_events = []
         for unit, u_raw in zip(batch, utilities):
@@ -218,7 +214,7 @@ class LoopDriver:
             audit_events.append(ev)
 
         # Allocate: greedy proposal, hysteresis, FSM commit.
-        scores, eligible = self._scores()
+        scores, eligible = self.scores, self.probe_counts >= 1
         proposal = greedy_allocate(scores, costs, eligible, p_max)
         guarded = apply_hysteresis(self.gates, proposal, scores, costs, p_max, cfg.allocator.mu_eff)
         committed = self.fsm.filter_proposals(
@@ -264,8 +260,7 @@ class LoopDriver:
         for cycle in range(cfg.cycles):
             self.run_cycle(cycle)
 
-        scores, eligible = self._scores()
-        final = final_resolve(scores, self.space.costs, eligible, cfg.allocator.p_max)
+        final = final_resolve(self.scores, self.space.costs, self.probe_counts >= 1, cfg.allocator.p_max)
 
         # Re-finetune from scratch: the final value carries no exploratory state.
         self.training = self.oracle.fresh_state()
@@ -302,7 +297,7 @@ class LoopDriver:
             budget_used=final.total_cost,
             t_c=self.fsm.change_cycles,
             max_unit_flips=int(self.fsm.unit_flips.max()),
-            probe_counts=self._probe_counts(),
+            probe_counts=self.probe_counts.copy(),
             value_curve=value_curve,
             regret_curve=regret_curve,
             eval_count=self.eval_count,
@@ -350,20 +345,35 @@ def run_random_baseline(config: RunConfig, n_samples: int, oracle=None) -> np.nd
     return values
 
 
+def sweep(shots_levels: Sequence[int], seeds: Sequence[int], random_samples: int) -> dict:
+    """Per shots level, arrays over the default instances of `seeds`: final
+    values of the full engine ("full"), the no-FSM (tau_act = 1) and no-IQR
+    (lambda_s = 0) ablations ("nofsm", "noiqr"), the median of
+    `random_samples` random budget-filling configurations ("rand"), and the
+    full engine's committed-change count ("t_c")."""
+    results = {}
+    for shots in shots_levels:
+        rows: dict[str, list] = {k: [] for k in ("full", "nofsm", "noiqr", "rand", "t_c")}
+        for seed in seeds:
+            cfg = default_run_config(shots=shots, run_seed=seed)
+            report, _ = run_full(cfg)
+            rows["full"].append(report.final_value)
+            rows["t_c"].append(report.t_c)
+            rows["nofsm"].append(run_full(replace(cfg, fsm=FsmParams(tau_act=1)))[0].final_value)
+            no_iqr = replace(cfg, smoothing=replace(cfg.smoothing, lambda_s=0.0))
+            rows["noiqr"].append(run_full(no_iqr)[0].final_value)
+            rows["rand"].append(float(np.median(run_random_baseline(cfg, random_samples))))
+        results[shots] = {k: np.array(v) for k, v in rows.items()}
+    return results
+
+
 DIAGNOSTIC_COLUMNS = ("cycle", "value", "regret", "t_c", "coverage_min")
 
 
-def compute_diagnostics(
-    records: list[dict] | str | Path,
-    *,
-    n_units: int | None = None,
-    optimum_value: float | None = None,
-) -> dict:
+def compute_diagnostics(records: list[dict] | str | Path, *, n_units: int | None = None) -> dict:
     """Coverage, chatter count, regret curve and evaluation totals from a log.
 
-    Regret is measured against `optimum_value` when given (exact comparator,
-    exhaustively computable for small spaces) and against the best noise-free
-    value seen during the run otherwise.
+    Regret is measured against the best noise-free value seen during the run.
     """
     if not isinstance(records, list):
         path = Path(records)
@@ -392,8 +402,8 @@ def compute_diagnostics(
     except (KeyError, TypeError, IndexError) as exc:
         raise MalformedLog(f"event log record missing field: {exc}") from exc
 
-    comparator = optimum_value if optimum_value is not None else max(values)
-    regret = [comparator - v for v in values]
+    best = max(values)
+    regret = [best - v for v in values]
     return {
         "coverage": coverage,
         "t_c": t_c_curve[-1],
@@ -438,6 +448,8 @@ def default_oracle_spec(space: AuditSpace, shots: int = 1, seed: int = 0) -> Ora
     stay noisy enough at every shots level that robust smoothing and vote
     hysteresis have work to do.
     """
+    if shots < 1:
+        raise InvalidParams("shots must be at least 1")
     rng = np.random.default_rng([seed, 0x5EED])
     n = space.n_units
 

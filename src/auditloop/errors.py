@@ -9,16 +9,12 @@ class InvalidParams(AuditLoopError):
     """A parameter violates its documented range or consistency rule."""
 
 
-class IncompatibleTemplate(AuditLoopError):
+class IncompatibleTemplate(InvalidParams):
     """An adapter template names a slot its family cannot attach to."""
 
 
-class EmptySpace(AuditLoopError):
+class EmptySpace(InvalidParams):
     """Audit-space construction produced zero units."""
-
-
-class ShapeMismatch(AuditLoopError):
-    """Vector or weight-matrix dimensions are inconsistent."""
 
 
 class NonFiniteUtility(AuditLoopError):
@@ -39,10 +35,6 @@ class NonPositiveCost(AuditLoopError):
 
 class TooLarge(AuditLoopError):
     """Exhaustive enumeration was requested above the instance-size cap."""
-
-
-class UnknownSibling(AuditLoopError):
-    """A size change targets a unit that does not exist in the audit space."""
 
 
 class InactiveUnit(AuditLoopError):

@@ -3,23 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .allocator import gate_cost
 from .errors import InvalidParams, LengthMismatch
-from .space import AuditSpace, Family
 
 
 @dataclass(frozen=True)
 class FsmParams:
     tau_act: int = 3
-    tau_rank: int = 3
 
     def __post_init__(self) -> None:
-        if self.tau_act < 1 or self.tau_rank < 1:
-            raise InvalidParams("vote thresholds must be at least 1")
+        if self.tau_act < 1:
+            raise InvalidParams("vote threshold must be at least 1")
 
 
 class FsmStabilizer:
@@ -30,19 +27,16 @@ class FsmStabilizer:
     `unit_flips` tracks committed gate changes per unit.
     """
 
-    def __init__(self, n_units: int, tau_act: int = 3, tau_rank: int = 3):
+    def __init__(self, n_units: int, tau_act: int = 3):
         if n_units < 1:
             raise InvalidParams("need at least one unit")
-        if tau_act < 1 or tau_rank < 1:
-            raise InvalidParams("vote thresholds must be at least 1")
+        if tau_act < 1:
+            raise InvalidParams("vote threshold must be at least 1")
         self.n_units = n_units
         self.tau_act = tau_act
-        self.tau_rank = tau_rank
         self._counts = [0] * n_units
         self._pending = [-1] * n_units  # -1 none, else 0/1
         self._flips = [0] * n_units
-        self.rank_counts: dict[int, int] = {}
-        self.rank_pending: dict[int, int] = {}
         self.change_cycles = 0
 
     @property
@@ -129,68 +123,6 @@ class FsmStabilizer:
         if committed_ids:
             self.change_cycles += 1
         return committed
-
-    def filter_rank_proposals(
-        self,
-        space: AuditSpace,
-        gates: np.ndarray,
-        proposed_sizes: Mapping[int, int],
-        *,
-        costs: np.ndarray | None = None,
-        p_max: float | None = None,
-    ) -> np.ndarray:
-        """Vote on size changes for active units; a commit swaps the unit for
-        its same-site sibling of the new size, subject to the budget."""
-        gates = np.asarray(gates, dtype=bool).copy()
-        if gates.size != self.n_units:
-            raise LengthMismatch("gate vector must have the tracked unit count")
-
-        # Validate every target size up front (UnknownSibling on a bad one).
-        sibling_of = {
-            uid: space.sibling(uid, size)
-            for uid, size in sorted(proposed_sizes.items())
-            if space.units[uid].kind.size != size
-        }
-        for uid in proposed_sizes:
-            if space.units[uid].kind.family is Family.AFFINE_LN:
-                raise InvalidParams("AffineLN units have no size to change")
-
-        committed_any = False
-        for uid in sorted(proposed_sizes):
-            new_size = int(proposed_sizes[uid])
-            if space.units[uid].kind.size == new_size:
-                self.rank_counts.pop(uid, None)
-                self.rank_pending.pop(uid, None)
-                continue
-            if self.rank_pending.get(uid) == new_size:
-                self.rank_counts[uid] = self.rank_counts.get(uid, 0) + 1
-            else:
-                self.rank_pending[uid] = new_size
-                self.rank_counts[uid] = 1
-            if self.rank_counts[uid] < self.tau_rank:
-                continue
-            sib = sibling_of[uid]
-            trial = gates.copy()
-            trial[uid] = False
-            trial[sib] = True
-            feasible = costs is None or p_max is None or gate_cost(trial, costs) <= p_max
-            if feasible:
-                gates = trial
-                self._flips[uid] += 1
-                self._flips[sib] += 1
-                committed_any = True
-            self.rank_counts.pop(uid, None)
-            self.rank_pending.pop(uid, None)
-
-        # A vote sequence must be consecutive: absent proposals reset it.
-        for uid in list(self.rank_counts):
-            if uid not in proposed_sizes:
-                self.rank_counts.pop(uid, None)
-                self.rank_pending.pop(uid, None)
-
-        if committed_any:
-            self.change_cycles += 1
-        return gates
 
     def vote_summary(self) -> list[dict]:
         """Non-zero activity votes as log records: {unit, counter, pending}."""

@@ -18,12 +18,12 @@ engine itself audits on one thread.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .allocator import best_subset, subset_sums
 from .errors import (
     InactiveUnit,
     InvalidParams,
@@ -35,9 +35,6 @@ from .errors import (
 
 _NOISE_TAG = 0x0E11
 _DRIFT_TAG = 0xD21F
-
-# Nested-power scale for SeedSequence streams; keeps noise, drift and caller
-# streams statistically independent for any non-negative tag/index pair.
 
 
 @dataclass(frozen=True)
@@ -281,36 +278,14 @@ class SyntheticOracle:
         if costs.size != n:
             raise LengthMismatch("cost vector length must match the unit count")
 
-        n_sub = 1 << n
-        sub_cost = np.zeros(n_sub)
-        for b in range(n):
-            sub_cost.reshape(-1, 1 << (b + 1))[:, (1 << b):] += costs[b]
-
+        sub_cost = subset_sums(n, enumerate(costs))
         mu = self._unit_utilities(state)
-        values = np.full(n_sub, self.spec.base_score)
-        group_sum = np.empty(n_sub)
+        values = np.full(1 << n, self.spec.base_score)
         for (members, gamma), cap in zip(self._groups, self._capacity):
-            group_sum[:] = 0.0
-            for i in members:
-                group_sum.reshape(-1, 1 << (i + 1))[:, (1 << i):] += mu[i]
+            group_sum = subset_sums(n, ((i, mu[i]) for i in members))
             values += _group_value_array(group_sum, gamma, cap)
         np.clip(values, 0.0, 1.0, out=values)
-
-        feasible = np.flatnonzero(sub_cost <= p_max)
-        best_value = values[feasible].max()
-        cand = feasible[values[feasible] == best_value]
-        cand = cand[sub_cost[cand] == sub_cost[cand].min()]
-
-        def to_gates(mask_int: int) -> np.ndarray:
-            g = np.zeros(n, dtype=bool)
-            for b in range(n):
-                if mask_int >> b & 1:
-                    g[b] = True
-            return g
-
-        winner = min(tuple(to_gates(int(c))) for c in cand)
-        gates = np.array(winner, dtype=bool)
-        return gates, float(best_value)
+        return best_subset(values, sub_cost, p_max, range(n), n)
 
 
 def _group_value(s: float, gamma: float, cap: float) -> float:

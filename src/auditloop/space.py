@@ -1,4 +1,4 @@
-"""Audit-space construction: unit enumeration, parameter costs, reference forwards.
+"""Audit-space construction: unit enumeration and parameter costs.
 
 The audit space is the fixed library of candidate adapter units (family x
 topology x size x insertion site) that the selection loop gates on and off.
@@ -12,17 +12,11 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptySpace,
-    IncompatibleTemplate,
-    InvalidParams,
-    ShapeMismatch,
-    UnknownSibling,
-)
+from .errors import EmptySpace, IncompatibleTemplate, InvalidParams
 
 
 class Family(Enum):
@@ -100,16 +94,11 @@ class AdapterUnit:
 
 @dataclass(frozen=True)
 class BackboneDesc:
-    """Shape summary of the frozen backbone the space attaches to.
-
-    `norm_params_per_layer` is descriptive metadata (the backbone's own norm
-    parameter count); unit costs are always derived from `raw_param_count`.
-    """
+    """Shape summary of the frozen backbone the space attaches to."""
 
     num_layers: int
     hidden_dims: tuple[int, ...]
     backbone_param_count: int
-    norm_params_per_layer: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
@@ -121,8 +110,6 @@ class BackboneDesc:
             raise InvalidParams("hidden dims must be positive")
         if self.backbone_param_count < 1:
             raise InvalidParams("backbone_param_count must be positive")
-        if self.norm_params_per_layer is not None and self.norm_params_per_layer < 1:
-            raise InvalidParams("norm_params_per_layer must be positive when given")
 
 
 def raw_param_count(kind: AdapterKind, hidden_dim: int, *, sapa_shared_weights: bool = False) -> int:
@@ -141,48 +128,6 @@ def raw_param_count(kind: AdapterKind, hidden_dim: int, *, sapa_shared_weights: 
     if kind.topology is Topology.SAPA and not sapa_shared_weights:
         return 2 * per_pair
     return per_pair
-
-
-def _branch(v: np.ndarray, w_down: np.ndarray, w_up: np.ndarray) -> np.ndarray:
-    d_model = v.shape[0]
-    w_down = np.asarray(w_down, dtype=float)
-    w_up = np.asarray(w_up, dtype=float)
-    if w_down.ndim != 2 or w_up.ndim != 2:
-        raise ShapeMismatch("branch weights must be 2-D matrices")
-    if w_down.shape[0] != d_model or w_up.shape[1] != d_model:
-        raise ShapeMismatch(
-            f"branch weights {w_down.shape}x{w_up.shape} do not map dimension {d_model} to itself"
-        )
-    if w_down.shape[1] != w_up.shape[0]:
-        raise ShapeMismatch("down-projection width must match up-projection height")
-    return np.maximum(v @ w_down, 0.0) @ w_up
-
-
-def adapter_forward(topology: Topology, x, f_x, weights) -> np.ndarray:
-    """Reference numeric forward of one adapter on a single feature vector.
-
-    `x` is the layer input, `f_x` the frozen layer's output, both length D.
-    `weights` is one (w_down, w_up) pair for SA/PA. For SAPA it is either a
-    pair of pairs ((serial), (parallel)) or a single shared pair applied to
-    both branches. Serial reads f_x, parallel reads x, and the composite sums
-    the two branch outputs.
-    """
-    x = np.asarray(x, dtype=float)
-    f_x = np.asarray(f_x, dtype=float)
-    if x.ndim != 1 or x.shape != f_x.shape:
-        raise ShapeMismatch("x and f_x must be 1-D vectors of equal length")
-    if topology is Topology.SA:
-        return _branch(f_x, *weights)
-    if topology is Topology.PA:
-        return _branch(x, *weights)
-    if topology is Topology.SAPA:
-        first = weights[0]
-        if isinstance(first, np.ndarray) or not isinstance(first, (tuple, list)):
-            sa_pair = pa_pair = weights  # shared pair, both branches
-        else:
-            sa_pair, pa_pair = weights
-        return _branch(f_x, *sa_pair) + _branch(x, *pa_pair)
-    raise InvalidParams(f"topology {topology} has no forward")
 
 
 def _check_template(tpl: Template) -> AdapterKind:
@@ -224,8 +169,6 @@ def build_audit_space(
             )
             keyed.append((key, layer, tpl, kind, d))
     keyed.sort(key=lambda item: item[0])
-    if not keyed:
-        raise EmptySpace("no units generated")
 
     units: list[AdapterUnit] = []
     for uid, (_, layer, tpl, kind, d) in enumerate(keyed):
@@ -270,15 +213,10 @@ class AuditSpace:
         if not self.units:
             raise EmptySpace("audit space has no units")
         self.costs = np.array([u.cost for u in self.units], dtype=float)
+        if [u.id for u in self.units] != list(range(len(self.units))):
+            raise InvalidParams("unit ids must run 0..N-1 in list order")
         if np.any(self.costs <= 0.0):
             raise InvalidParams("every unit must have positive cost")
-        self._size_groups: dict[tuple, dict[int, int]] = {}
-        for u in self.units:
-            key = (u.layer, u.slot, u.kind.family, u.kind.topology)
-            self._size_groups.setdefault(key, {})[u.kind.size] = u.id
-
-    def __len__(self) -> int:
-        return len(self.units)
 
     @property
     def n_units(self) -> int:
@@ -286,21 +224,6 @@ class AuditSpace:
 
     def initial_gates(self) -> np.ndarray:
         return np.array([u.gate for u in self.units], dtype=bool)
-
-    def group_key(self, unit_id: int) -> tuple:
-        u = self.units[unit_id]
-        return (u.layer, u.slot, u.kind.family, u.kind.topology)
-
-    def sibling(self, unit_id: int, size: int) -> int:
-        """Id of the same-site unit carrying `size` instead of the current one."""
-        group = self._size_groups[self.group_key(unit_id)]
-        if size not in group:
-            u = self.units[unit_id]
-            raise UnknownSibling(
-                f"no size-{size} sibling for unit {unit_id} "
-                f"({u.kind.family.value}/{u.kind.topology.value} at layer {u.layer})"
-            )
-        return group[size]
 
     @classmethod
     def build(
@@ -324,8 +247,8 @@ class AuditSpace:
         """Load a schema document {"backbone": ..., "templates": [...]} or a
         previously dumped space {"backbone": ..., "units": [...]}.
 
-        Backbone keys: layers, hidden_dims, param_count, optional
-        norm_params_per_layer. Template keys: family, topology, size, slot.
+        Backbone keys: layers, hidden_dims, param_count. Template keys:
+        family, topology, size, slot.
         Optional schema flag: sapa_shared_weights.
         """
         if not isinstance(doc, dict):
@@ -336,9 +259,6 @@ class AuditSpace:
                 num_layers=int(bb["layers"]),
                 hidden_dims=tuple(int(d) for d in bb["hidden_dims"]),
                 backbone_param_count=int(bb["param_count"]),
-                norm_params_per_layer=(
-                    int(bb["norm_params_per_layer"]) if "norm_params_per_layer" in bb else None
-                ),
             )
             if "units" in doc:
                 units = [
@@ -375,11 +295,6 @@ class AuditSpace:
                 "layers": self.backbone.num_layers,
                 "hidden_dims": list(self.backbone.hidden_dims),
                 "param_count": self.backbone.backbone_param_count,
-                **(
-                    {"norm_params_per_layer": self.backbone.norm_params_per_layer}
-                    if self.backbone.norm_params_per_layer is not None
-                    else {}
-                ),
             },
             "units": [
                 {
@@ -404,7 +319,6 @@ def default_backbone() -> BackboneDesc:
         num_layers=2,
         hidden_dims=(48, 96),
         backbone_param_count=1_500_000,
-        norm_params_per_layer=192,
     )
 
 

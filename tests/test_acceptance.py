@@ -14,20 +14,13 @@ import numpy as np
 import pytest
 
 from auditloop import (
-    FsmParams,
-    FsmStabilizer,
     LoopDriver,
-    SamplerParams,
-    SmoothingParams,
     SyntheticOracle,
-    UtilityTracker,
-    brute_force_optimum,
+    checks,
     coverage_lower_bound,
     default_run_config,
-    final_resolve,
     run_full,
-    run_random_baseline,
-    sample_audit_batch,
+    sweep,
 )
 
 SHOTS_LEVELS = (1, 5, 10)
@@ -43,28 +36,8 @@ def report(name: str, ok: bool, detail: str, elapsed: float, budget: float) -> N
 
 def test_c1_fsm_chatter_bound():
     t0 = time.perf_counter()
-    violations = 0
-    t_len = 12
-    for tau in (1, 2, 3):
-        for mask in range(1 << t_len):
-            fsm = FsmStabilizer(1, tau_act=tau)
-            gates = np.array([False])
-            for t in range(t_len):
-                gates = fsm.filter_proposals(gates, np.array([bool(mask >> t & 1)]))
-            if fsm.unit_flips[0] > t_len // tau:
-                violations += 1
-    fuzz_t = 10_000
-    for run in range(100):
-        rng = np.random.default_rng(run)
-        tau = int(rng.integers(1, 4))
-        n = int(rng.integers(1, 5))
-        fsm = FsmStabilizer(n, tau_act=tau)
-        gates = np.zeros(n, dtype=bool)
-        proposals = rng.random((fuzz_t, n)) < 0.5
-        for t in range(fuzz_t):
-            gates = fsm.filter_proposals(gates, proposals[t])
-        if int(fsm.unit_flips.max()) > fuzz_t // tau:
-            violations += 1
+    violations = checks.fsm_chatter_exhaustive(12, taus=(1, 2, 3))
+    violations += checks.fsm_chatter_fuzz(runs=100, t_len=10_000)
     report(
         "C1 fsm-chatter-bound",
         violations == 0,
@@ -76,23 +49,12 @@ def test_c1_fsm_chatter_bound():
 
 def test_c2_ema_variance_bound():
     t0 = time.perf_counter()
-    replicas, audits = 10_000, 200
     worst_ratio = 0.0
     details = []
     for beta in (0.5, 0.9):
-        params = SmoothingParams(beta=beta)
-        rng = np.random.default_rng(123)
-        noise = rng.standard_normal((replicas, audits))
-        ema = noise[:, 0].copy()
-        for t in range(1, audits):
-            ema = (1.0 - beta) * noise[:, t] + beta * ema
-        # the vectorized recursion must agree with the tracker itself
-        tracker = UtilityTracker(0)
-        for t in range(audits):
-            tracker.record_audit(noise[0, t], params, t)
-        assert math.isclose(tracker.ema, ema[0], abs_tol=1e-12)
+        # raises if the vectorized recursion disagrees with the tracker itself
+        measured, _ = checks.ema_variance(beta, replicas=10_000, audits=200, seed=123)
         bound = (1.0 - beta) / (1.0 + beta)
-        measured = float(ema.var())
         worst_ratio = max(worst_ratio, measured / bound)
         details.append(f"beta={beta}: var {measured:.4f} vs bound {bound:.4f}")
     report(
@@ -107,13 +69,7 @@ def test_c2_ema_variance_bound():
 def test_c3_ema_drift_bias_bound():
     t0 = time.perf_counter()
     beta, delta = 0.9, 0.01
-    params = SmoothingParams(beta=beta)
-    tracker = UtilityTracker(0)
-    mu = 0.0
-    for t in range(2000):
-        mu = delta * t
-        tracker.record_audit(mu, params, t)
-    bias = abs(tracker.ema - mu)
+    bias, _ = checks.drift_bias(beta, delta, audits=2000)
     limit = 1.05 * delta * beta / (1.0 - beta)
     report(
         "C3 ema-drift-bias-bound",
@@ -129,18 +85,7 @@ def test_c4_coverage_bound():
     n, m, eps, cycles = 60, 6, 0.3, 2000
     rho = coverage_lower_bound(n, m, eps)
     bound = rho * cycles - 4.0 * math.sqrt(rho * (1.0 - rho) * cycles)
-    params = SamplerParams(batch_size=m, epsilon=eps)
-    worst = math.inf
-    for seed in range(5):
-        gates = np.zeros(n, dtype=bool)
-        gates[:20] = True  # frozen gate vector
-        probes = np.zeros(n, dtype=np.int64)
-        for cycle in range(cycles):
-            rng = np.random.default_rng([seed, cycle])
-            batch, _ = sample_audit_batch(gates, probes, params, rng)
-            for u in batch:
-                probes[u] += 1
-        worst = min(worst, int(probes.min()))
+    worst, _ = checks.coverage_min(n, m, eps, cycles, seeds=5)
     report(
         "C4 coverage-bound",
         worst >= bound,
@@ -152,18 +97,7 @@ def test_c4_coverage_bound():
 
 def test_c5_allocator_quality():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(42)
-    ratios = []
-    for _ in range(500):
-        n = int(rng.integers(1, 16))
-        scores = rng.uniform(0.0, 1.0, n)
-        costs = np.exp(rng.uniform(np.log(1e-4), np.log(5e-3), n))
-        p_max = float(rng.uniform(costs.min(), costs.sum()))
-        eligible = np.ones(n, dtype=bool)
-        approx = final_resolve(scores, costs, eligible, p_max)
-        exact = brute_force_optimum(scores, costs, eligible, p_max)
-        ratios.append(1.0 if exact.total_score <= 0 else approx.total_score / exact.total_score)
-    ratios = np.array(ratios)
+    ratios = checks.allocator_ratios(instances=500, n_max=15, seed=42)
     ok = ratios.min() >= 0.5 and (ratios >= 0.95).mean() >= 0.90
     report(
         "C5 allocator-quality",
@@ -179,23 +113,7 @@ def comparative_sweep():
     """Final values of the full engine, both ablations, and the random
     baseline on the default synthetic environment: 20 seeds per shots level."""
     t0 = time.perf_counter()
-    results = {}
-    for shots in SHOTS_LEVELS:
-        full, nofsm, noiqr, rand = [], [], [], []
-        for seed in range(N_SEEDS):
-            cfg = default_run_config(shots=shots, run_seed=seed)
-            full.append(run_full(cfg)[0].final_value)
-            nofsm.append(run_full(replace(cfg, fsm=FsmParams(tau_act=1, tau_rank=1)))[0].final_value)
-            noiqr.append(
-                run_full(replace(cfg, smoothing=SmoothingParams(lambda_s=0.0)))[0].final_value
-            )
-            rand.append(float(np.median(run_random_baseline(cfg, 20))))
-        results[shots] = {
-            "full": np.array(full),
-            "nofsm": np.array(nofsm),
-            "noiqr": np.array(noiqr),
-            "rand": np.array(rand),
-        }
+    results = sweep(SHOTS_LEVELS, range(N_SEEDS), random_samples=20)
     results["elapsed"] = time.perf_counter() - t0
     return results
 

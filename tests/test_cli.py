@@ -61,14 +61,28 @@ def test_bad_json_config_exits_2(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+BACKBONE = {"layers": 1, "hidden_dims": [16], "param_count": 200_000}
+UNIT_5 = {"id": 5, "family": "LoRA", "topology": "SA", "size": 2, "layer": 0,
+          "slot": "Attention", "hidden_dim": 16, "cost": 0.0003}
+
+
 @pytest.mark.parametrize(
     "doc",
     [
         {"cycles": "x", "steps_per_cycle": 10},
         {"cycles": 2, "steps_per_cycle": 10, "oracle": [1]},
         [1, 2],
+        {"cycles": 2, "steps_per_cycle": 10, "shots": 0},
+        {"cycles": 2, "steps_per_cycle": 10, "shots": -1},
+        {"cycles": 2, "steps_per_cycle": 10, "space": {"backbone": BACKBONE, "templates": [
+            {"family": "LoRA", "topology": "SA", "size": 2, "slot": "Norm"}]}},
+        {"cycles": 2, "steps_per_cycle": 10, "space": {"backbone": BACKBONE, "templates": []}},
+        {"cycles": 2, "steps_per_cycle": 10, "space": {"backbone": BACKBONE, "units": [UNIT_5]}},
     ],
-    ids=["non-integer-cycles", "non-object-oracle", "top-level-array"],
+    ids=[
+        "non-integer-cycles", "non-object-oracle", "top-level-array", "zero-shots",
+        "negative-shots", "lora-on-norm", "no-templates", "unit-id-gap",
+    ],
 )
 @pytest.mark.parametrize("seed", [None, "3"])
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, doc, seed):
@@ -78,6 +92,17 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, doc, seed):
     assert main(argv + (["--seed", seed] if seed else [])) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_ignored_tau_rank_leaves_events_unchanged(tmp_path, config_path):
+    doc = json.loads(config_path.read_text())
+    logs = []
+    for name, fsm in (("without", {"tau_act": 3}), ("with", {"tau_act": 3, "tau_rank": 3})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc | {"fsm": fsm}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / name), "--quiet"]) == 0
+        logs.append((tmp_path / name / "events.jsonl").read_bytes())
+    assert logs[0] == logs[1]
 
 
 def test_run_that_raises_leaves_closed_parseable_trace(tmp_path, config_path, monkeypatch):

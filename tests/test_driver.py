@@ -120,14 +120,12 @@ def test_kept_scores_equal_fresh_robust_scores():
     driver = LoopDriver(cfg)
     for cycle in range(cfg.cycles):
         driver.run_cycle(cycle)
-        scores, eligible = driver._scores()
         probes = np.array([t.probe_count for t in driver.trackers])
         fresh = np.array(
             [t.robust_score(cfg.smoothing) if t.probe_count else 0.0 for t in driver.trackers]
         )
-        assert np.array_equal(driver._probe_counts(), probes)
-        assert np.array_equal(eligible, probes >= 1)
-        assert np.array_equal(scores, fresh)
+        assert np.array_equal(driver.probe_counts, probes)
+        assert np.array_equal(driver.scores, fresh)
 
 
 def test_audit_utility_sign_conventions():

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auditloop import BackboneDesc, Family, FsmParams, FsmStabilizer, Slot, Template, Topology
-from auditloop.errors import InvalidParams, LengthMismatch, UnknownSibling
-from auditloop.space import AuditSpace
+from auditloop import FsmParams, FsmStabilizer, checks
+from auditloop.errors import InvalidParams, LengthMismatch
 
 
 def run_single_unit(proposals, tau):
@@ -47,14 +46,7 @@ def test_params_validation():
 
 def test_chatter_bound_exhaustive_small():
     # every proposal sequence of length 8, per-unit flips <= floor(T / tau)
-    t_len = 8
-    for tau in (1, 2, 3):
-        for mask in range(1 << t_len):
-            fsm = FsmStabilizer(1, tau_act=tau)
-            gates = np.array([False])
-            for t in range(t_len):
-                gates = fsm.filter_proposals(gates, np.array([bool(mask >> t & 1)]))
-            assert fsm.unit_flips[0] <= t_len // tau
+    assert checks.fsm_chatter_exhaustive(8, taus=(1, 2, 3)) == 0
 
 
 def test_consistent_pressure_always_commits():
@@ -110,63 +102,6 @@ def test_chatter_bound_fuzz(tau, n, seed):
     for _ in range(t_len):
         gates = fsm.filter_proposals(gates, rng.random(n) < 0.5)
     assert int(fsm.unit_flips.max()) <= t_len // tau
-
-
-# -- rank votes ---------------------------------------------------------------
-
-
-def rank_space():
-    backbone = BackboneDesc(1, (16,), 100_000)
-    templates = [Template(Family.LORA, Topology.SA, r, Slot.ATTENTION) for r in (2, 4, 8, 16)]
-    return AuditSpace.build(backbone, templates)
-
-
-def test_rank_commit_swaps_sibling():
-    space = rank_space()
-    rank4 = next(u.id for u in space.units if u.kind.size == 4)
-    rank8 = space.sibling(rank4, 8)
-    fsm = FsmStabilizer(space.n_units, tau_rank=2)
-    gates = np.zeros(space.n_units, dtype=bool)
-    gates[rank4] = True
-    gates = fsm.filter_rank_proposals(space, gates, {rank4: 8})
-    assert gates[rank4] and not gates[rank8]  # one vote: no commit yet
-    gates = fsm.filter_rank_proposals(space, gates, {rank4: 8})
-    assert not gates[rank4] and gates[rank8]
-    assert fsm.change_cycles == 1
-
-
-def test_rank_alternating_proposals_never_commit():
-    space = rank_space()
-    rank4 = next(u.id for u in space.units if u.kind.size == 4)
-    fsm = FsmStabilizer(space.n_units, tau_rank=2)
-    gates = np.zeros(space.n_units, dtype=bool)
-    gates[rank4] = True
-    for size in (8, 16, 8):
-        gates = fsm.filter_rank_proposals(space, gates, {rank4: size})
-    assert gates[rank4]
-    assert fsm.change_cycles == 0
-
-
-def test_rank_budget_rejection_resets_counter():
-    space = rank_space()
-    rank2 = next(u.id for u in space.units if u.kind.size == 2)
-    fsm = FsmStabilizer(space.n_units, tau_rank=1)
-    gates = np.zeros(space.n_units, dtype=bool)
-    gates[rank2] = True
-    p_max = space.costs[rank2] * 1.5  # rank-16 sibling cannot fit
-    out = fsm.filter_rank_proposals(space, gates, {rank2: 16}, costs=space.costs, p_max=p_max)
-    assert list(out) == list(gates)
-    assert rank2 not in fsm.rank_counts
-
-
-def test_rank_unknown_sibling():
-    space = rank_space()
-    rank2 = next(u.id for u in space.units if u.kind.size == 2)
-    fsm = FsmStabilizer(space.n_units)
-    gates = np.zeros(space.n_units, dtype=bool)
-    gates[rank2] = True
-    with pytest.raises(UnknownSibling):
-        fsm.filter_rank_proposals(space, gates, {rank2: 3})
 
 
 def test_vote_summary_shape():

@@ -1,9 +1,8 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from auditloop import (
     AdapterKind,
@@ -13,20 +12,13 @@ from auditloop import (
     Slot,
     Template,
     Topology,
-    adapter_forward,
     build_audit_space,
     default_backbone,
     default_space,
     default_templates,
     raw_param_count,
 )
-from auditloop.errors import (
-    EmptySpace,
-    IncompatibleTemplate,
-    InvalidParams,
-    ShapeMismatch,
-    UnknownSibling,
-)
+from auditloop.errors import EmptySpace, IncompatibleTemplate, InvalidParams
 
 
 def test_default_schema_unit_count():
@@ -119,75 +111,7 @@ def test_id_order_lexicographic():
     assert slots == sorted(slots, key=lambda s: ["Attention", "FeedForward", "Norm"].index(s.value))
 
 
-# -- reference forwards ------------------------------------------------------
-
-W_DOWN = np.array([[1.0], [1.0]])
-W_UP = np.array([[1.0, 1.0]])
-
-
-def test_forward_hand_computed():
-    x = np.array([1.0, 0.0])
-    f_x = np.array([2.0, 0.0])
-    assert np.allclose(adapter_forward(Topology.SA, x, f_x, (W_DOWN, W_UP)), [2.0, 2.0])
-    assert np.allclose(adapter_forward(Topology.PA, x, f_x, (W_DOWN, W_UP)), [1.0, 1.0])
-    assert np.allclose(adapter_forward(Topology.SAPA, x, f_x, (W_DOWN, W_UP)), [3.0, 3.0])
-
-
-def test_forward_relu_kills_negative_preactivation():
-    x = np.array([1.0, -1.0])
-    f_x = np.array([2.0, -2.0])
-    for topo in (Topology.SA, Topology.PA, Topology.SAPA):
-        assert np.allclose(adapter_forward(topo, x, f_x, (W_DOWN, W_UP)), [0.0, 0.0])
-
-
-def test_forward_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        adapter_forward(Topology.SA, [1.0, 0.0], [1.0, 0.0, 0.0], (W_DOWN, W_UP))
-    with pytest.raises(ShapeMismatch):
-        adapter_forward(Topology.SA, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], (W_DOWN, W_UP))
-
-
-finite = st.floats(-10.0, 10.0, allow_nan=False)
-
-
-@given(st.lists(finite, min_size=3, max_size=3), st.lists(finite, min_size=3, max_size=3),
-       st.floats(0.01, 100.0))
-def test_forward_positive_homogeneity(x, f_x, t):
-    rng = np.random.default_rng(0)
-    w = (rng.normal(size=(3, 2)), rng.normal(size=(2, 3)))
-    x, f_x = np.array(x), np.array(f_x)
-    for topo in (Topology.SA, Topology.PA, Topology.SAPA):
-        direct = adapter_forward(topo, t * x, t * f_x, w)
-        scaled = t * adapter_forward(topo, x, f_x, w)
-        assert np.allclose(direct, scaled, atol=1e-9)
-
-
-@given(st.lists(finite, min_size=4, max_size=4), st.lists(finite, min_size=4, max_size=4),
-       st.integers(0, 2**32 - 1))
-def test_sapa_is_sum_of_branches(x, f_x, seed):
-    rng = np.random.default_rng(seed)
-    sa_pair = (rng.normal(size=(4, 2)), rng.normal(size=(2, 4)))
-    pa_pair = (rng.normal(size=(4, 2)), rng.normal(size=(2, 4)))
-    x, f_x = np.array(x), np.array(f_x)
-    combined = adapter_forward(Topology.SAPA, x, f_x, (sa_pair, pa_pair))
-    sa = adapter_forward(Topology.SA, x, f_x, sa_pair)
-    pa = adapter_forward(Topology.PA, x, f_x, pa_pair)
-    assert np.allclose(combined, sa + pa)
-
-
 # -- container / serialization ----------------------------------------------
-
-def test_sibling_lookup():
-    space = default_space()
-    unit = space.units[0]
-    assert unit.kind.family is Family.LORA and unit.kind.size == 2
-    sib = space.sibling(unit.id, 8)
-    sib_unit = space.units[sib]
-    assert sib_unit.kind.size == 8
-    assert space.group_key(sib) == space.group_key(unit.id)
-    with pytest.raises(UnknownSibling):
-        space.sibling(unit.id, 3)
-
 
 def test_json_roundtrip(tmp_path):
     space = default_space()
@@ -208,6 +132,13 @@ def test_json_roundtrip(tmp_path):
     dump = loaded.to_json()
     assert len(dump["units"]) == 74
     assert dump["units"][0]["id"] == 0
+
+
+@pytest.mark.parametrize("ids", [[5], [1, 0], [0, 0]], ids=["gap", "out-of-order", "repeat"])
+def test_unit_ids_must_run_in_order(ids):
+    units = [replace(default_space().units[0], id=i) for i in ids]
+    with pytest.raises(InvalidParams, match="unit ids"):
+        AuditSpace(default_backbone(), units)
 
 
 def test_malformed_schema_rejected():

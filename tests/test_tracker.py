@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auditloop import SmoothingParams, UtilityTracker
+from auditloop import SmoothingParams, UtilityTracker, checks
 from auditloop.errors import InvalidParams, NeverAudited, NonFiniteUtility
 
 P = SmoothingParams()
@@ -129,24 +129,14 @@ def test_variance_shrinks_below_raw_noise(beta, seed):
 def test_ema_variance_bound_quick():
     # stationary unit-variance noise: Var(ema) <= 1.1 * (1-b)/(1+b)
     beta = 0.9
-    replicas, audits = 3000, 150
-    rng = np.random.default_rng(7)
-    noise = rng.standard_normal((replicas, audits))
-    ema = noise[:, 0].copy()
-    for t in range(1, audits):
-        ema = (1 - beta) * noise[:, t] + beta * ema
-    assert ema.var() <= 1.1 * (1 - beta) / (1 + beta)
+    measured, _ = checks.ema_variance(beta, replicas=3000, audits=150, seed=7)
+    assert measured <= 1.1 * (1 - beta) / (1 + beta)
 
 
 def test_drift_bias_bound_quick():
     beta, delta = 0.9, 0.01
-    params = SmoothingParams(beta=beta)
-    tr = UtilityTracker(0)
-    mu = 0.0
-    for t in range(400):
-        mu = delta * t
-        tr.record_audit(mu, params, t)
-    assert abs(tr.ema - mu) <= 1.05 * delta * beta / (1 - beta)
+    bias, _ = checks.drift_bias(beta, delta, audits=400)
+    assert bias <= 1.05 * delta * beta / (1 - beta)
 
 
 def test_event_record_shape():
