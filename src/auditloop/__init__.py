@@ -58,7 +58,7 @@ from .space import (
     default_templates,
     raw_param_count,
 )
-from .tracker import SmoothingParams, UtilityTracker
+from .tracker import SmoothingParams, UtilityTable, UtilityTracker
 
 __all__ = [
     "AdapterKind",
@@ -83,6 +83,7 @@ __all__ = [
     "Topology",
     "TraceRecordingOracle",
     "TrainingState",
+    "UtilityTable",
     "UtilityTracker",
     "apply_hysteresis",
     "brute_force_optimum",

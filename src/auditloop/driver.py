@@ -17,7 +17,7 @@ from .fsm import FsmParams, FsmStabilizer
 from .oracle import OracleSpec, SyntheticOracle, gates_to_bits
 from .sampler import SamplerParams, sample_audit_batch
 from .space import AuditSpace, Family, default_space
-from .tracker import SmoothingParams, UtilityTracker
+from .tracker import SmoothingParams, UtilityTable
 
 _STREAM_SAMPLER = 0x5A17
 _STREAM_BASELINE = 0xBA5E
@@ -158,13 +158,19 @@ class LoopDriver:
         self.oracle = oracle if oracle is not None else SyntheticOracle(config.oracle_spec)
         n = self.space.n_units
         self.gates = self.space.initial_gates()
-        self.trackers = [UtilityTracker(i, config.window) for i in range(n)]
+        self.table = UtilityTable(n, config.window)
         self.fsm = FsmStabilizer(n, config.fsm.tau_act)
         self.training = self.oracle.fresh_state()
         self.eval_count = 0
         self.records: list[dict] = []
-        self.scores = np.zeros(n, dtype=float)
-        self.probe_counts = np.zeros(n, dtype=np.int64)
+
+    @property
+    def scores(self) -> np.ndarray:
+        return self.table.score
+
+    @property
+    def probe_counts(self) -> np.ndarray:
+        return self.table.probe_count
 
     # -- helpers -----------------------------------------------------------
 
@@ -205,13 +211,8 @@ class LoopDriver:
         rng = np.random.default_rng([cfg.run_seed, _STREAM_SAMPLER, cycle])
         batch, exploration = sample_audit_batch(self.gates, self.probe_counts, cfg.sampler, rng)
         full_value, utilities = self._audit_utilities(batch)
-        audit_events = []
-        for unit, u_raw in zip(batch, utilities):
-            self.trackers[unit].record_audit(u_raw, cfg.smoothing, cycle)
-            ev = self.trackers[unit].event(u_raw, cfg.smoothing, cycle)
-            self.scores[unit] = ev["score"]
-            self.probe_counts[unit] = ev["probe_count"]
-            audit_events.append(ev)
+        self.table.record(batch, utilities, cfg.smoothing)
+        audit_events = self.table.events(batch, utilities, cycle)
 
         # Allocate: greedy proposal, hysteresis, FSM commit.
         scores, eligible = self.scores, self.probe_counts >= 1

@@ -94,25 +94,22 @@ def sample_audit_batch(
 
     target = min(params.batch_size, n)
     chosen: list[int] = []
-    chosen_set: set[int] = set()
-    exploration: list[int] = []
-    quartile = [int(i) for i in least_probed_quartile(probe_counts)]
+    # The quartile minus the ids explored so far, in quartile order.
+    pool = least_probed_quartile(probe_counts).tolist()
 
     for _ in range(params.batch_size):
         if len(chosen) >= target:
             break
-        if rng.random() < params.epsilon:
-            pool = [u for u in quartile if u not in chosen_set]
-            if pool:
-                pick = pool[int(rng.integers(len(pool)))]
-                chosen.append(pick)
-                chosen_set.add(pick)
-                exploration.append(pick)
+        if rng.random() < params.epsilon and pool:
+            chosen.append(pool.pop(int(rng.integers(len(pool)))))
+    exploration = list(chosen)
 
     k = target - len(chosen)
     if k > 0:
-        active_pool = [i for i in range(n) if gates[i] and i not in chosen_set]
-        inactive_pool = [i for i in range(n) if not gates[i] and i not in chosen_set]
+        free = np.ones(n, dtype=bool)
+        free[chosen] = False
+        active_pool = np.flatnonzero(gates & free).tolist()
+        inactive_pool = np.flatnonzero(~gates & free).tolist()
         chosen.extend(stratified_fill(k, params.active_fraction, active_pool, inactive_pool, rng))
 
     return sorted(chosen), sorted(exploration)

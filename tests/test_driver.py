@@ -16,6 +16,7 @@ from auditloop import (
     SmoothingParams,
     SyntheticOracle,
     TraceRecordingOracle,
+    UtilityTracker,
     compute_diagnostics,
     default_run_config,
     replay_trace,
@@ -115,17 +116,24 @@ def test_parallel_schedule_byte_identical(tmp_path):
     assert ps.read_bytes() == pp.read_bytes()
 
 
-def test_kept_scores_equal_fresh_robust_scores():
+def test_table_equals_per_unit_tracker_replay():
+    # Replaying each cycle's audit records into one fresh UtilityTracker per
+    # unit must reproduce the driver's table bit for bit.
     cfg = tiny_config(cycles=15)
     driver = LoopDriver(cfg)
+    trackers = [UtilityTracker(i, cfg.window) for i in range(driver.space.n_units)]
     for cycle in range(cfg.cycles):
-        driver.run_cycle(cycle)
-        probes = np.array([t.probe_count for t in driver.trackers])
+        record = driver.run_cycle(cycle)
+        for ev in record["audit"]["audits"]:
+            trackers[ev["unit_id"]].record_audit(ev["u_raw"], cfg.smoothing, cycle)
+        probes = np.array([t.probe_count for t in trackers])
         fresh = np.array(
-            [t.robust_score(cfg.smoothing) if t.probe_count else 0.0 for t in driver.trackers]
+            [t.robust_score(cfg.smoothing) if t.probe_count else 0.0 for t in trackers]
         )
         assert np.array_equal(driver.probe_counts, probes)
         assert np.array_equal(driver.scores, fresh)
+        assert np.array_equal(driver.table.ema, [t.ema for t in trackers], equal_nan=True)
+    assert driver.probe_counts.max() > cfg.window  # the ring buffer wrapped
 
 
 def test_audit_utility_sign_conventions():

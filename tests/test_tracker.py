@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auditloop import SmoothingParams, UtilityTracker, checks
+from auditloop import SmoothingParams, UtilityTable, UtilityTracker, checks
 from auditloop.errors import InvalidParams, NeverAudited, NonFiniteUtility
 
 P = SmoothingParams()
@@ -54,10 +54,11 @@ def test_never_audited_is_an_error_not_zero():
 
 
 def test_window_bounds():
-    with pytest.raises(InvalidParams):
-        UtilityTracker(0, window=2)
-    with pytest.raises(InvalidParams):
-        UtilityTracker(0, window=6)
+    for window in (2, 6):
+        with pytest.raises(InvalidParams):
+            UtilityTracker(0, window=window)
+        with pytest.raises(InvalidParams):
+            UtilityTable(4, window=window)
 
 
 def test_smoothing_param_bounds():
@@ -151,3 +152,59 @@ def test_event_record_shape():
         "score": 1.5,
         "probe_count": 1,
     }
+
+
+def table_state(table):
+    return [a.copy() for a in (table.ema, table.hist, table.probe_count, table.score)]
+
+
+@pytest.mark.parametrize(
+    "units, u_raw, error",
+    [
+        ([2, 3, 1], [0.2, float("nan"), float("inf")], NonFiniteUtility),
+        ([1, 1], [0.1, 0.2], InvalidParams),
+        ([1, 2], [0.1], InvalidParams),
+        ([4], [0.1], InvalidParams),
+        ([-1], [0.1], InvalidParams),
+    ],
+    ids=["non-finite", "repeated-unit", "length-mismatch", "id-too-large", "negative-id"],
+)
+def test_table_rejects_bad_batch_and_changes_nothing(units, u_raw, error):
+    table = UtilityTable(4, window=3)
+    table.record([0, 1], [0.5, 1.0], P)
+    before = table_state(table)
+    with pytest.raises(error, match="unit 3" if error is NonFiniteUtility else None):
+        table.record(units, u_raw, P)
+    for old, new in zip(before, table_state(table)):
+        assert np.array_equal(old, new, equal_nan=True)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(3, 5),
+    st.floats(0.05, 0.95),
+    st.floats(0.0, 5.0),
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 5), st.floats(-100, 100)), unique_by=lambda a: a[0]),
+        max_size=12,
+    ),
+)
+def test_table_equals_per_unit_tracker_replays(window, beta, lambda_s, batches):
+    # Up to 12 batches of distinct units: every history length 1..12 occurs.
+    params = SmoothingParams(beta=beta, lambda_s=lambda_s)
+    table = UtilityTable(6, window)
+    trackers = [UtilityTracker(i, window) for i in range(6)]
+    for cycle, batch in enumerate(batches):
+        units = [unit for unit, _ in batch]
+        u_raw = [u for _, u in batch]
+        table.record(units, u_raw, params)
+        for unit, u in batch:
+            trackers[unit].record_audit(u, params, cycle)
+        assert table.events(units, u_raw, cycle) == [
+            trackers[unit].event(u, params, cycle) for unit, u in batch
+        ]
+        assert np.array_equal(table.probe_count, [t.probe_count for t in trackers])
+        assert np.array_equal(table.ema, [t.ema for t in trackers], equal_nan=True)
+        assert np.array_equal(
+            table.score, [t.robust_score(params) if t.probe_count else 0.0 for t in trackers]
+        )
