@@ -19,6 +19,7 @@ from .allocator import (
     final_resolve,
     gate_cost,
     greedy_allocate,
+    swap_resolve,
 )
 from .driver import (
     LoopDriver,
@@ -105,6 +106,7 @@ __all__ = [
     "run_full",
     "run_random_baseline",
     "sample_audit_batch",
+    "swap_resolve",
     "sweep",
     "write_diagnostics_csv",
 ]

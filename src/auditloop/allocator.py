@@ -1,8 +1,10 @@
 """Budgeted unit selection.
 
 Greedy density knapsack with a replacement-hysteresis guard for the online
-loop, a guard-free final re-solve (density greedy, best singleton, then
-best-improvement single swaps), and an exhaustive oracle for tests.
+loop, a guard-free final re-solve, and an exhaustive optimum. The final
+re-solve is exact while at most `EXACT_RESOLVE_MAX` eligible units have
+positive scores; above that it falls back to `swap_resolve` (density greedy,
+best singleton, then best-improvement single swaps).
 
 All budget checks sum costs over the gate mask in ascending-id order so that
 every module agrees bit-for-bit on feasibility.
@@ -150,9 +152,24 @@ def apply_hysteresis(
     return gates
 
 
+EXACT_RESOLVE_MAX = 20
+
+
 def final_resolve(scores, costs, eligible, p_max: float) -> AllocationProposal:
-    """Guard-free re-solve: density greedy vs. best feasible singleton, then
-    best-improvement single-swap passes until no swap raises the score."""
+    """Guard-free re-solve. With at most `EXACT_RESOLVE_MAX` eligible units of
+    positive score it returns `brute_force_optimum` over those units, whose
+    score never falls as the budget grows; above that, `swap_resolve`."""
+    scores, costs, eligible = _validate(scores, costs, eligible)
+    positive = eligible & (scores > 0.0)
+    if np.count_nonzero(positive) <= EXACT_RESOLVE_MAX:
+        return brute_force_optimum(scores, costs, positive, p_max)
+    return swap_resolve(scores, costs, eligible, p_max)
+
+
+def swap_resolve(scores, costs, eligible, p_max: float) -> AllocationProposal:
+    """Density greedy vs. best feasible singleton, then best-improvement
+    single-swap passes until no swap raises the score. At least half the
+    optimum, but not monotone in the budget."""
     scores, costs, eligible = _validate(scores, costs, eligible)
     best = greedy_allocate(scores, costs, eligible, p_max)
 

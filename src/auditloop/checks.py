@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .allocator import brute_force_optimum, final_resolve
+from .allocator import brute_force_optimum, swap_resolve
 from .errors import AuditLoopError
 from .fsm import FsmStabilizer
 from .sampler import SamplerParams, coverage_lower_bound, sample_audit_batch
@@ -101,7 +101,7 @@ def coverage_min(n: int, m: int, eps: float, cycles: int, seeds: int) -> tuple[i
 
 
 def allocator_ratios(instances: int, n_max: int, seed: int) -> np.ndarray:
-    """`final_resolve` score over the exhaustive optimum (1.0 where that is
+    """`swap_resolve` score over the exhaustive optimum (1.0 where that is
     not positive) on random instances: 1..n_max units, scores uniform in
     [0, 1), costs log-uniform in [1e-4, 5e-3], budget uniform between the
     cheapest unit and the total cost."""
@@ -113,7 +113,7 @@ def allocator_ratios(instances: int, n_max: int, seed: int) -> np.ndarray:
         costs = np.exp(rng.uniform(np.log(1e-4), np.log(5e-3), n))
         p_max = float(rng.uniform(costs.min(), costs.sum()))
         eligible = np.ones(n, dtype=bool)
-        approx = final_resolve(scores, costs, eligible, p_max)
+        approx = swap_resolve(scores, costs, eligible, p_max)
         exact = brute_force_optimum(scores, costs, eligible, p_max)
         ratios[k] = 1.0 if exact.total_score <= 0.0 else approx.total_score / exact.total_score
     return ratios

@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_verify_bounds)
 
-    p = sub.add_parser("bench-alloc", help="final re-solve vs. exhaustive optimum on random instances")
+    p = sub.add_parser("bench-alloc", help="swap re-solve (used above the exact cap) vs. exhaustive optimum on random instances")
     p.add_argument("--instances", type=int, default=500)
     p.add_argument("--n-max", type=int, default=15)
     p.add_argument("--seed", type=int, default=0)

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from auditloop import (
@@ -13,7 +13,9 @@ from auditloop import (
     final_resolve,
     gate_cost,
     greedy_allocate,
+    swap_resolve,
 )
+from auditloop.allocator import EXACT_RESOLVE_MAX
 from auditloop.errors import InvalidParams, LengthMismatch, NonPositiveCost, TooLarge
 
 E3 = 1e-3
@@ -176,9 +178,10 @@ def test_hysteresis_budget_safety_and_score_safety(n, seed):
 def test_final_resolve_swap_improves_over_greedy():
     r = np.array([8.0, 9.0])
     c = np.array([4 * E3, 5 * E3])
-    prop = final_resolve(r, c, all_true(2), 5 * E3)
-    assert list(prop.gates) == [False, True]
-    assert prop.total_score == 9.0
+    for resolve in (final_resolve, swap_resolve):
+        prop = resolve(r, c, all_true(2), 5 * E3)
+        assert list(prop.gates) == [False, True]
+        assert prop.total_score == 9.0
     exact = brute_force_optimum(r, c, all_true(2), 5 * E3)
     assert exact.total_score == prop.total_score
 
@@ -186,9 +189,10 @@ def test_final_resolve_swap_improves_over_greedy():
 def test_final_resolve_greedy_already_optimal():
     r = np.array([10.0, 6.0, 6.0])
     c = np.array([5 * E3, 3 * E3, 3 * E3])
-    prop = final_resolve(r, c, all_true(3), 6 * E3)
-    assert list(prop.gates) == [False, True, True]
-    assert prop.total_score == 12.0
+    for resolve in (final_resolve, swap_resolve):
+        prop = resolve(r, c, all_true(3), 6 * E3)
+        assert list(prop.gates) == [False, True, True]
+        assert prop.total_score == 12.0
     exact = brute_force_optimum(r, c, all_true(3), 6 * E3)
     assert exact.total_score == prop.total_score
 
@@ -197,8 +201,26 @@ def test_final_resolve_uses_best_singleton():
     # greedy by density picks the two cheap units (score 5), but one big unit scores 8
     r = np.array([8.0, 3.0, 2.0])
     c = np.array([5 * E3, 1 * E3, 1 * E3])
-    prop = final_resolve(r, c, all_true(3), 5 * E3)
-    assert prop.total_score >= 8.0
+    for resolve in (final_resolve, swap_resolve):
+        assert resolve(r, c, all_true(3), 5 * E3).total_score >= 8.0
+
+
+@pytest.mark.parametrize("n_positive", [EXACT_RESOLVE_MAX, EXACT_RESOLVE_MAX + 1])
+def test_final_resolve_exact_up_to_cap_then_swap(n_positive):
+    # the exact regime counts eligible units with positive scores only
+    rng = np.random.default_rng(n_positive)
+    scores = np.concatenate([rng.uniform(0.1, 1.0, n_positive), [0.0, -0.5, 0.7]])
+    costs = np.exp(rng.uniform(np.log(1e-4), np.log(5e-3), scores.size))
+    eligible = np.ones(scores.size, dtype=bool)
+    eligible[-1] = False
+    p_max = float(costs.sum() / 3)
+    prop = final_resolve(scores, costs, eligible, p_max)
+    if n_positive <= EXACT_RESOLVE_MAX:
+        ref = brute_force_optimum(scores, costs, eligible & (scores > 0.0), p_max)
+    else:
+        ref = swap_resolve(scores, costs, eligible, p_max)
+    assert np.array_equal(prop.gates, ref.gates)
+    assert not prop.gates[-3:].any()
 
 
 # -- brute force oracle -------------------------------------------------------
@@ -246,15 +268,18 @@ def test_half_approximation_guarantee(n, seed):
     scores = rng.uniform(0, 1, n)
     costs = np.exp(rng.uniform(np.log(1e-4), np.log(5e-3), n))
     p_max = float(rng.uniform(costs.min(), costs.sum()))
-    approx = final_resolve(scores, costs, all_true(n), p_max)
     exact = brute_force_optimum(scores, costs, all_true(n), p_max)
-    if exact.total_score > 0:
-        assert approx.total_score >= 0.5 * exact.total_score
-    assert gate_cost(approx.gates, costs) <= p_max
+    for resolve in (final_resolve, swap_resolve):
+        approx = resolve(scores, costs, all_true(n), p_max)
+        if exact.total_score > 0:
+            assert approx.total_score >= 0.5 * exact.total_score
+        assert gate_cost(approx.gates, costs) <= p_max
 
 
 @settings(deadline=None, max_examples=100)
 @given(n=st.integers(1, 10), seed=st.integers(0, 2**31 - 1))
+@example(n=10, seed=3633)
+@example(n=9, seed=8060126)
 def test_budget_monotonicity(n, seed):
     rng = np.random.default_rng(seed)
     scores = rng.uniform(0, 1, n)
@@ -274,6 +299,7 @@ def test_score_scale_invariance_of_selection(n, t, seed):
     base_g = greedy_allocate(scores, costs, all_true(n), p_max)
     scaled_g = greedy_allocate(scores * t, costs, all_true(n), p_max)
     assert np.array_equal(base_g.gates, scaled_g.gates)
-    base_f = final_resolve(scores, costs, all_true(n), p_max)
-    scaled_f = final_resolve(scores * t, costs, all_true(n), p_max)
-    assert np.array_equal(base_f.gates, scaled_f.gates)
+    for resolve in (final_resolve, swap_resolve):
+        base_f = resolve(scores, costs, all_true(n), p_max)
+        scaled_f = resolve(scores * t, costs, all_true(n), p_max)
+        assert np.array_equal(base_f.gates, scaled_f.gates)
