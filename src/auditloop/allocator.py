@@ -152,7 +152,9 @@ def apply_hysteresis(
     return gates
 
 
-EXACT_RESOLVE_MAX = 20
+# Exhaustive search takes about 3 ms at 16 units and 50 ms at 20 (2-core VM,
+# numpy 2.4), against about 0.1 s for a whole default run.
+EXACT_RESOLVE_MAX = 16
 
 
 def final_resolve(scores, costs, eligible, p_max: float) -> AllocationProposal:
@@ -217,13 +219,19 @@ def subset_sums(n_bits: int, terms) -> np.ndarray:
     return out
 
 
-def best_subset(sub_scores, sub_costs, p_max: float, ids, n: int) -> tuple[np.ndarray, float]:
+def best_subset(
+    sub_scores, sub_costs, costs, p_max: float, ids, n: int
+) -> tuple[np.ndarray, float]:
     """Gate vector and score of the best subset within the budget; bit b of a
     subset index stands for unit `ids[b]` of `n`. Ties break to lower total
-    cost, then to the lexicographically smallest gate tuple."""
-    feasible = np.flatnonzero(sub_costs <= p_max)  # always non-empty: the empty set
-    cand = feasible[sub_scores[feasible] == sub_scores[feasible].max()]
-    cand = cand[sub_costs[cand] == sub_costs[cand].min()]
+    cost, then to the lexicographically smallest gate tuple.
+
+    `sub_costs` adds the costs in another order than `gate_cost`, so it only
+    shortlists subsets; a subset fits when its `gate_cost` over `costs` does,
+    as in every other budget check."""
+    # Any order of summing k positive costs is within a relative (k - 1) * eps
+    # of the exact sum, so this slack keeps every subset that fits.
+    maybe = sub_costs <= p_max * (1.0 + 4 * len(ids) * np.finfo(float).eps)
 
     def to_gates(mask: int) -> tuple[bool, ...]:
         g = np.zeros(n, dtype=bool)
@@ -231,8 +239,16 @@ def best_subset(sub_scores, sub_costs, p_max: float, ids, n: int) -> tuple[np.nd
             g[unit] = bool(mask >> b & 1)
         return tuple(g)
 
-    winner = min((int(c) for c in cand), key=to_gates)
-    return np.array(to_gates(winner), dtype=bool), float(sub_scores[winner])
+    while True:
+        cand = np.flatnonzero(maybe)  # never empty: the empty set fits
+        cand = cand[sub_scores[cand] == sub_scores[cand].max()]
+        cand = cand[sub_costs[cand] == sub_costs[cand].min()]
+        fits = [(to_gates(c), c) for c in cand.tolist()]
+        fits = [(g, c) for g, c in fits if gate_cost(g, costs) <= p_max]
+        if fits:
+            gates, winner = min(fits)
+            return np.array(gates, dtype=bool), float(sub_scores[winner])
+        maybe[cand] = False
 
 
 def brute_force_optimum(scores, costs, eligible, p_max: float) -> AllocationProposal:
@@ -244,5 +260,5 @@ def brute_force_optimum(scores, costs, eligible, p_max: float) -> AllocationProp
         raise TooLarge(f"{idx.size} eligible units exceed the 2^20 enumeration cap")
     sub_scores = subset_sums(idx.size, enumerate(scores[idx]))
     sub_costs = subset_sums(idx.size, enumerate(costs[idx]))
-    gates, _ = best_subset(sub_scores, sub_costs, p_max, idx, scores.size)
+    gates, _ = best_subset(sub_scores, sub_costs, costs, p_max, idx, scores.size)
     return _proposal(gates, scores, costs)

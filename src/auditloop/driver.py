@@ -211,8 +211,7 @@ class LoopDriver:
         rng = np.random.default_rng([cfg.run_seed, _STREAM_SAMPLER, cycle])
         batch, exploration = sample_audit_batch(self.gates, self.probe_counts, cfg.sampler, rng)
         full_value, utilities = self._audit_utilities(batch)
-        self.table.record(batch, utilities, cfg.smoothing)
-        audit_events = self.table.events(batch, utilities, cycle)
+        audit_events = self.table.record(batch, utilities, cfg.smoothing, cycle)
 
         # Allocate: greedy proposal, hysteresis, FSM commit.
         scores, eligible = self.scores, self.probe_counts >= 1

@@ -285,7 +285,7 @@ class SyntheticOracle:
             group_sum = subset_sums(n, ((i, mu[i]) for i in members))
             values += _group_value_array(group_sum, gamma, cap)
         np.clip(values, 0.0, 1.0, out=values)
-        return best_subset(values, sub_cost, p_max, range(n), n)
+        return best_subset(values, sub_cost, costs, p_max, range(n), n)
 
 
 def _group_value(s: float, gamma: float, cap: float) -> float:

@@ -83,10 +83,13 @@ class UtilityTable:
         self.probe_count = np.zeros(n_units, dtype=np.int64)
         self.score = np.zeros(n_units)
 
-    def record(self, units: Sequence[int], u_raw: Sequence[float], params: SmoothingParams) -> None:
+    def record(
+        self, units: Sequence[int], u_raw: Sequence[float], params: SmoothingParams, cycle: int
+    ) -> list[dict]:
         """Fold one raw utility per unit into the EMA, history and score of
-        distinct `units`. A unit's first audit seeds its EMA directly (no
-        zero-init bias). Nothing changes unless the whole batch is valid."""
+        distinct `units` and return their audit records. A unit's first audit
+        seeds its EMA directly (no zero-init bias). Nothing changes unless the
+        whole batch is valid."""
         units = np.asarray(units, dtype=np.intp)
         u = np.asarray(u_raw, dtype=float)
         n = self.ema.size
@@ -112,18 +115,10 @@ class UtilityTable:
         for length in np.unique(lengths):
             rows = units[lengths == length]
             self.score[rows] = robust_scores(self.hist[rows, :length], params.lambda_s)
-
-    def events(self, units: Sequence[int], u_raw: Sequence[float], cycle: int) -> list[dict]:
-        """Audit records of `units` as of their latest audit."""
-        idx = np.asarray(units, dtype=np.intp)
         return [
-            audit_event(cycle, int(unit), raw, ema, score, count)
-            for unit, raw, ema, score, count in zip(
-                units,
-                u_raw,
-                self.ema[idx].tolist(),
-                self.score[idx].tolist(),
-                self.probe_count[idx].tolist(),
+            audit_event(cycle, *rec)
+            for rec in zip(
+                units.tolist(), u.tolist(), ema.tolist(), self.score[units].tolist(), count.tolist()
             )
         ]
 

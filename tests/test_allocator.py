@@ -223,6 +223,19 @@ def test_final_resolve_exact_up_to_cap_then_swap(n_positive):
     assert not prop.gates[-3:].any()
 
 
+def test_exact_resolve_decides_feasibility_by_gate_cost():
+    # eight costs of 0.1: the subset sums add them to 0.7999999999999999, the
+    # canonical budget check to 0.8, which exceeds this budget
+    costs = np.full(8, 0.1)
+    scores = np.linspace(1.0, 2.0, 8)
+    p_max = 0.7999999999999999
+    assert gate_cost(all_true(8), costs) > p_max
+    for resolve in (final_resolve, brute_force_optimum):
+        prop = resolve(scores, costs, all_true(8), p_max)
+        assert prop.total_cost == gate_cost(prop.gates, costs) <= p_max
+        assert list(prop.gates) == [False] + [True] * 7
+
+
 # -- brute force oracle -------------------------------------------------------
 
 

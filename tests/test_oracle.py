@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auditloop import OracleSpec, SyntheticOracle, TraceRecordingOracle, TrainingState, replay_trace
+from auditloop.allocator import gate_cost
 from auditloop.errors import (
     InactiveUnit,
     InvalidParams,
@@ -239,6 +240,18 @@ def test_oracle_optimum_redundancy_prefers_outsider():
     assert gates[2]
     assert gates[:2].sum() == 1
     assert math.isclose(value, 0.5 + math.sqrt(0.2 * 0.1) + 0.08, abs_tol=1e-6)
+
+
+def test_oracle_optimum_decides_feasibility_by_gate_cost():
+    # as in the allocator: 8 x 0.1 sums to 0.8 > p_max under the budget check
+    n = 8
+    spec = OracleSpec(base_score=0.0, mu_inf=(0.01,) * n, kappa=(1.0,) * n)
+    oracle = SyntheticOracle(spec)
+    state = trained(oracle, np.ones(n, bool), 10_000)
+    costs = np.full(n, 0.1)
+    gates, _ = oracle.oracle_optimum(state, costs, p_max=0.7999999999999999)
+    assert gates.sum() == 7
+    assert gate_cost(gates, costs) <= 0.7999999999999999
 
 
 def test_oracle_optimum_cap():

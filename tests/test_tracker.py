@@ -171,10 +171,10 @@ def table_state(table):
 )
 def test_table_rejects_bad_batch_and_changes_nothing(units, u_raw, error):
     table = UtilityTable(4, window=3)
-    table.record([0, 1], [0.5, 1.0], P)
+    table.record([0, 1], [0.5, 1.0], P, 0)
     before = table_state(table)
     with pytest.raises(error, match="unit 3" if error is NonFiniteUtility else None):
-        table.record(units, u_raw, P)
+        table.record(units, u_raw, P, 1)
     for old, new in zip(before, table_state(table)):
         assert np.array_equal(old, new, equal_nan=True)
 
@@ -197,10 +197,10 @@ def test_table_equals_per_unit_tracker_replays(window, beta, lambda_s, batches):
     for cycle, batch in enumerate(batches):
         units = [unit for unit, _ in batch]
         u_raw = [u for _, u in batch]
-        table.record(units, u_raw, params)
+        events = table.record(units, u_raw, params, cycle)
         for unit, u in batch:
             trackers[unit].record_audit(u, params, cycle)
-        assert table.events(units, u_raw, cycle) == [
+        assert events == [
             trackers[unit].event(u, params, cycle) for unit, u in batch
         ]
         assert np.array_equal(table.probe_count, [t.probe_count for t in trackers])
