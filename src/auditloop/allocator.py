@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, LengthMismatch, NonPositiveCost, TooLarge
+from .errors import InvalidParams, LengthMismatch, NonPositiveCost, TooLarge, check_finite
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,7 @@ class AllocatorParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.p_max <= 1.0:
             raise InvalidParams("p_max must lie in (0, 1]")
+        check_finite("mu_eff", self.mu_eff)
         if self.mu_eff < 0.0:
             raise InvalidParams("mu_eff must be non-negative")
 
@@ -152,6 +153,9 @@ def apply_hysteresis(
     return gates
 
 
+# Largest unit count any exhaustive 2^n enumeration accepts.
+ENUMERATION_MAX = 20
+
 # Exhaustive search takes about 3 ms at 16 units and 50 ms at 20 (2-core VM,
 # numpy 2.4), against about 0.1 s for a whole default run.
 EXACT_RESOLVE_MAX = 16
@@ -253,11 +257,11 @@ def best_subset(
 
 def brute_force_optimum(scores, costs, eligible, p_max: float) -> AllocationProposal:
     """Exhaustive maximum of the selected-score sum under the budget; ties
-    break as in `best_subset`. Capped at 20 eligible units."""
+    break as in `best_subset`. Capped at `ENUMERATION_MAX` eligible units."""
     scores, costs, eligible = _validate(scores, costs, eligible)
     idx = np.flatnonzero(eligible)
-    if idx.size > 20:
-        raise TooLarge(f"{idx.size} eligible units exceed the 2^20 enumeration cap")
+    if idx.size > ENUMERATION_MAX:
+        raise TooLarge(f"{idx.size} eligible units exceed the enumeration cap of {ENUMERATION_MAX}")
     sub_scores = subset_sums(idx.size, enumerate(scores[idx]))
     sub_costs = subset_sums(idx.size, enumerate(costs[idx]))
     gates, _ = best_subset(sub_scores, sub_costs, costs, p_max, idx, scores.size)

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, checks
+from .allocator import ENUMERATION_MAX
 from .driver import (
     LoopDriver,
     RunConfig,
@@ -118,8 +119,8 @@ def cmd_verify_bounds(args) -> int:
 
 
 def cmd_bench_alloc(args) -> int:
-    if args.n_max > 20:
-        raise InvalidParams("n-max above the exhaustive enumeration cap of 20")
+    if args.n_max > ENUMERATION_MAX:
+        raise InvalidParams(f"n-max above the enumeration cap of {ENUMERATION_MAX}")
     ratios = checks.allocator_ratios(args.instances, args.n_max, args.seed)
     stats = {
         "min": float(ratios.min()),
@@ -140,8 +141,12 @@ def cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_diagnostics_csv(diag, out_dir / "diagnostics.csv")
     if not args.quiet:
+        if diag["final_value"] is None:
+            final = f"no final record: log ends after cycle {diag['last_cycle']}"
+        else:
+            final = f"final value {diag['final_value']:.4f}"
         print(
-            f"cycles {len(diag['value_curve'])}  final value {diag['value_curve'][-1]:.4f}  "
+            f"cycles {len(diag['value_curve'])}  {final}  "
             f"t_c {diag['t_c']}  min coverage {int(diag['coverage'].min())}  "
             f"evaluations {diag['eval_count']}"
         )

@@ -11,8 +11,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocator import AllocatorParams, apply_hysteresis, final_resolve, gate_cost, greedy_allocate
-from .errors import BudgetViolation, InvalidParams, MalformedLog
+from .allocator import (
+    ENUMERATION_MAX,
+    AllocatorParams,
+    apply_hysteresis,
+    final_resolve,
+    gate_cost,
+    greedy_allocate,
+)
+from .errors import BudgetViolation, InvalidParams, MalformedLog, check_count
 from .fsm import FsmParams, FsmStabilizer
 from .oracle import OracleSpec, SyntheticOracle, gates_to_bits
 from .sampler import SamplerParams, sample_audit_batch
@@ -42,12 +49,10 @@ class RunConfig:
     window: int = 5
 
     def __post_init__(self) -> None:
-        if self.cycles < 1 or self.steps_per_cycle < 1:
-            raise InvalidParams("cycles and steps_per_cycle must be at least 1")
-        if self.refinetune_steps < 0:
-            raise InvalidParams("refinetune_steps must be non-negative")
-        if self.shots < 1:
-            raise InvalidParams("shots must be at least 1")
+        for name in ("cycles", "steps_per_cycle", "shots"):
+            check_count(name, getattr(self, name), 1)
+        for name in ("refinetune_steps", "run_seed"):
+            check_count(name, getattr(self, name), 0)
         if self.oracle_spec.n_units != self.space.n_units:
             raise InvalidParams("oracle spec and audit space disagree on the unit count")
 
@@ -64,13 +69,13 @@ class RunConfig:
         try:
             space_doc = doc.get("space")
             space = default_space() if space_doc in (None, "default") else AuditSpace.from_json(space_doc)
-            shots = int(doc.get("shots", 1))
+            shots = doc.get("shots", 1)
             oracle_doc = doc.get("oracle", {"kind": "default"})
             if oracle_doc.get("kind", "synthetic") == "default":
-                spec = default_oracle_spec(space, shots=shots, seed=int(oracle_doc.get("seed", 0)))
+                spec = default_oracle_spec(space, shots=shots, seed=oracle_doc.get("seed", 0))
             else:
                 spec = OracleSpec.from_json(oracle_doc)
-            return cls(
+            config = cls(
                 space=space,
                 oracle_spec=spec,
                 sampler=SamplerParams(**doc.get("sampler", {"batch_size": 6})),
@@ -79,15 +84,17 @@ class RunConfig:
                 # Older configs may carry tau_rank, the threshold of a
                 # rank-change vote this engine does not have; ignore it.
                 fsm=FsmParams(**{k: v for k, v in doc.get("fsm", {}).items() if k != "tau_rank"}),
-                cycles=int(doc["cycles"]),
-                steps_per_cycle=int(doc["steps_per_cycle"]),
-                refinetune_steps=int(doc.get("refinetune_steps", doc["cycles"] * doc["steps_per_cycle"])),
+                cycles=doc["cycles"],
+                steps_per_cycle=doc["steps_per_cycle"],
+                refinetune_steps=doc.get("refinetune_steps", 0),
                 shots=shots,
-                run_seed=int(doc.get("run_seed", 0)),
-                window=int(doc.get("window", 5)),
+                run_seed=doc.get("run_seed", 0),
+                window=doc.get("window", 5),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InvalidParams(f"malformed run config: {exc}") from exc
+        # By default the re-finetune gets the loop's whole step budget.
+        return config if "refinetune_steps" in doc else replace(config, refinetune_steps=config.total_loop_steps)
 
     def to_json(self) -> dict:
         return {
@@ -270,7 +277,7 @@ class LoopDriver:
 
         value_curve = [r["value"] for r in self.records]
         regret_curve = None
-        if self.space.n_units <= 20 and isinstance(self.oracle, SyntheticOracle):
+        if self.space.n_units <= ENUMERATION_MAX and isinstance(self.oracle, SyntheticOracle):
             horizon = self.oracle.fresh_state()
             horizon = self.oracle.train_step(
                 horizon, np.ones(self.space.n_units, dtype=bool), cfg.total_loop_steps + max(1, cfg.refinetune_steps)
@@ -371,7 +378,9 @@ DIAGNOSTIC_COLUMNS = ("cycle", "value", "regret", "t_c", "coverage_min")
 
 
 def compute_diagnostics(records: list[dict] | str | Path, *, n_units: int | None = None) -> dict:
-    """Coverage, chatter count, regret curve and evaluation totals from a log.
+    """Coverage, chatter count, regret curve and evaluation totals from a log,
+    plus the last cycle index and the final record's `final_value` (None
+    when the log has no final record).
 
     Regret is measured against the best noise-free value seen during the run.
     """
@@ -383,6 +392,7 @@ def compute_diagnostics(records: list[dict] | str | Path, *, n_units: int | None
             raise MalformedLog(f"cannot parse event log: {exc}") from exc
 
     cycles = [r for r in records if r.get("kind") == "cycle"]
+    finals = [r for r in records if r.get("kind") == "final"]
     if not cycles:
         raise MalformedLog("event log contains no cycle records")
     try:
@@ -399,7 +409,9 @@ def compute_diagnostics(records: list[dict] | str | Path, *, n_units: int | None
             t_c_curve.append(int(r["fsm"]["t_c"]))
             coverage_min.append(int(coverage.min()))
         eval_count = int(cycles[-1]["eval_count"])
-    except (KeyError, TypeError, IndexError) as exc:
+        last_cycle = max(int(r["cycle"]) for r in cycles)
+        final_value = float(finals[-1]["final_value"]) if finals else None
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise MalformedLog(f"event log record missing field: {exc}") from exc
 
     best = max(values)
@@ -412,6 +424,8 @@ def compute_diagnostics(records: list[dict] | str | Path, *, n_units: int | None
         "t_c_curve": t_c_curve,
         "coverage_min_curve": coverage_min,
         "eval_count": eval_count,
+        "last_cycle": last_cycle,
+        "final_value": final_value,
     }
 
 
@@ -448,8 +462,8 @@ def default_oracle_spec(space: AuditSpace, shots: int = 1, seed: int = 0) -> Ora
     stay noisy enough at every shots level that robust smoothing and vote
     hysteresis have work to do.
     """
-    if shots < 1:
-        raise InvalidParams("shots must be at least 1")
+    check_count("shots", shots, 1)
+    check_count("oracle seed", seed, 0)
     rng = np.random.default_rng([seed, 0x5EED])
     n = space.n_units
 
@@ -488,14 +502,11 @@ def default_oracle_spec(space: AuditSpace, shots: int = 1, seed: int = 0) -> Ora
     )
 
 
-def default_run_config(
-    shots: int = 1, run_seed: int = 0, oracle_seed: int | None = None
-) -> RunConfig:
+def default_run_config(shots: int = 1, run_seed: int = 0) -> RunConfig:
     """Desk-scale preset: 74-unit space, budget 0.2%, step budget per shots.
 
-    The synthetic ground truth is seeded from `run_seed` unless `oracle_seed`
-    pins a fixed instance, so a multi-seed sweep samples fresh problem
-    instances rather than replaying one.
+    The synthetic ground truth is seeded from `run_seed`, so a multi-seed
+    sweep samples fresh problem instances rather than replaying one.
     """
     if shots not in SHOTS_TOTAL_STEPS:
         raise InvalidParams(f"shots must be one of {sorted(SHOTS_TOTAL_STEPS)}")
@@ -504,9 +515,7 @@ def default_run_config(
     cycles = SHOTS_TOTAL_STEPS[shots] // steps_per_cycle
     return RunConfig(
         space=space,
-        oracle_spec=default_oracle_spec(
-            space, shots=shots, seed=run_seed if oracle_seed is None else oracle_seed
-        ),
+        oracle_spec=default_oracle_spec(space, shots=shots, seed=run_seed),
         sampler=SamplerParams(batch_size=10),
         smoothing=SmoothingParams(),
         allocator=AllocatorParams(),

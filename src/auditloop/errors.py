@@ -1,4 +1,8 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the two value checks
+that parameter constructors share."""
+
+import math
+import numbers
 
 
 class AuditLoopError(Exception):
@@ -55,3 +59,18 @@ class MalformedLog(AuditLoopError):
 
 class BudgetViolation(AuditLoopError):
     """A committed configuration exceeded the parameter budget."""
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise InvalidParams unless `value` is an integer, not a bool, of at
+    least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParams(f"{name} must be an integer, not {value!r}")
+    if value < minimum:
+        raise InvalidParams(f"{name} must be at least {minimum}")
+
+
+def check_finite(name: str, *values: float) -> None:
+    """Raise InvalidParams unless every value is finite."""
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidParams(f"{name} must be finite")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocator import gate_cost
-from .errors import InvalidParams, LengthMismatch
+from .errors import InvalidParams, LengthMismatch, check_count
 
 
 @dataclass(frozen=True)
@@ -15,8 +15,7 @@ class FsmParams:
     tau_act: int = 3
 
     def __post_init__(self) -> None:
-        if self.tau_act < 1:
-            raise InvalidParams("vote threshold must be at least 1")
+        check_count("tau_act", self.tau_act, 1)
 
 
 class FsmStabilizer:

@@ -2,17 +2,19 @@
 
 The synthetic oracle maps a gate vector to a scalar score in [0, 1] built
 from per-unit saturating learning curves, concave redundancy groups, and
-seeded Gaussian evaluation noise. A replay oracle serves scores recorded
-from a previous run, and an exhaustive optimum supports regret accounting on
-small spaces.
+seeded Gaussian evaluation noise. A replay oracle serves a recorded run's
+scores back in order, and an exhaustive optimum supports regret accounting
+on small spaces.
 
-Every oracle answers `evaluate_toggles(state, gates, units,
-first_call_index)`, the audit step's one query per cycle: the score of the
-full configuration plus the score of each one-unit toggle of it, under call
-indices `first_call_index, first_call_index + 1, ...`. It returns exactly
-what the matching sequence of `evaluate` calls would. This is the seam where
-an external evaluator may parallelise the toggles on its own side; the
-engine itself audits on one thread.
+The recording and replay wrappers implement only the driver's protocol:
+`n_units`, `fresh_state`, `train_step`, `true_value` and
+`evaluate_toggles(state, gates, units, first_call_index)`, the audit step's
+one query per cycle. It scores the full configuration and each one-unit
+toggle of it under call indices `first_call_index, first_call_index + 1,
+...`; only the driver assigns call indices. `SyntheticOracle.evaluate` is
+the per-call reference that `evaluate_toggles` matches bit for bit. The
+batched query is the seam where an external evaluator may parallelise the
+toggles on its own side; the engine itself audits on one thread.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocator import best_subset, subset_sums
+from .allocator import ENUMERATION_MAX, best_subset, subset_sums
 from .errors import (
     InactiveUnit,
     InvalidParams,
@@ -31,6 +33,8 @@ from .errors import (
     MalformedTrace,
     TooLarge,
     UnknownConfiguration,
+    check_count,
+    check_finite,
 )
 
 _NOISE_TAG = 0x0E11
@@ -67,6 +71,9 @@ class OracleSpec:
         n = len(self.mu_inf)
         if n < 1:
             raise InvalidParams("need at least one unit")
+        check_finite("mu_inf, kappa, drift and sigma_val",
+                     *self.mu_inf, *self.kappa, self.drift, self.sigma_val)
+        check_count("oracle seed", self.seed, 0)
         if not 0.0 <= self.base_score <= 1.0:
             raise InvalidParams("base_score must lie in [0, 1]")
         if len(self.kappa) != n:
@@ -113,7 +120,7 @@ class OracleSpec:
                 groups=tuple(tuple(g) for g in doc.get("groups", ())),
                 gammas=tuple(doc.get("gammas", ())),
                 warm_floor=float(doc.get("warm_floor", 0.0)),
-                seed=int(doc.get("seed", 0)),
+                seed=doc.get("seed", 0),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParams(f"malformed oracle spec: {exc}") from exc
@@ -154,7 +161,6 @@ class SyntheticOracle:
 
     def __init__(self, spec: OracleSpec):
         self.spec = spec
-        self.calls = 0
         self._mu_inf = np.array(spec.mu_inf, dtype=float)
         self._kappa = np.array(spec.kappa, dtype=float)
         self._groups = spec.full_groups()
@@ -215,11 +221,8 @@ class SyntheticOracle:
         mu = self._unit_utilities(state)
         return self._total([self._group_term(mu, k, gates) for k in range(len(self._groups))])
 
-    def evaluate(self, state: TrainingState, gates, call_index: int | None = None) -> float:
+    def evaluate(self, state: TrainingState, gates, call_index: int) -> float:
         """Noisy evaluation: true value plus Gaussian noise, clamped to [0, 1]."""
-        if call_index is None:
-            call_index = self.calls
-        self.calls += 1
         return self._noisy(self.true_value(state, gates), call_index)
 
     def evaluate_toggles(
@@ -244,7 +247,6 @@ class SyntheticOracle:
             flipped[unit] = gates[unit]
             value = self._total(terms[:k] + [term] + terms[k + 1 :])
             toggled.append(self._noisy(value, first_call_index + 1 + pos))
-        self.calls += 1 + len(toggled)
         return full, toggled
 
     def train_step(self, state: TrainingState, gates, k: int) -> TrainingState:
@@ -270,10 +272,11 @@ class SyntheticOracle:
         return self.true_value(state, gates) - self.true_value(state, without)
 
     def oracle_optimum(self, state: TrainingState, costs, p_max: float) -> tuple[np.ndarray, float]:
-        """Exact budget-constrained maximizer of the noise-free value (N <= 20)."""
+        """Exact budget-constrained maximizer of the noise-free value
+        (N <= `ENUMERATION_MAX`)."""
         n = self.n_units
-        if n > 20:
-            raise TooLarge(f"{n} units exceed the exhaustive cap of 20")
+        if n > ENUMERATION_MAX:
+            raise TooLarge(f"{n} units exceed the enumeration cap of {ENUMERATION_MAX}")
         costs = np.asarray(costs, dtype=float)
         if costs.size != n:
             raise LengthMismatch("cost vector length must match the unit count")
@@ -326,8 +329,8 @@ class TraceRecordingOracle:
     """Wraps an oracle and appends every query to a JSONL trace.
 
     Noisy evaluations record their call index under `noise_seed`; noise-free
-    value queries record noise_seed = -1 so that a replay can serve both
-    streams and reproduce the original event log exactly.
+    value queries record noise_seed = -1. A replay serves the records back in
+    file order and checks each query against both fields.
     """
 
     def __init__(self, inner, path: str | Path):
@@ -340,10 +343,6 @@ class TraceRecordingOracle:
     def n_units(self) -> int:
         return self.inner.n_units
 
-    @property
-    def calls(self) -> int:
-        return self.inner.calls
-
     def fresh_state(self) -> TrainingState:
         return self.inner.fresh_state()
 
@@ -351,14 +350,9 @@ class TraceRecordingOracle:
         rec = {"gates": gates_to_bits(gates), "score": score, "noise_seed": noise_seed}
         self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
-    def evaluate(self, state, gates, call_index: int | None = None) -> float:
-        score = self.inner.evaluate(state, gates, call_index)
-        self._record(gates, score, int(call_index) if call_index is not None else self.inner.calls - 1)
-        return score
-
     def evaluate_toggles(self, state, gates, units, first_call_index: int) -> tuple[float, list[float]]:
-        """Records the full configuration, then each toggle, exactly as the
-        matching sequence of `evaluate` calls would."""
+        """Records the full configuration, then each toggle, at consecutive
+        call indices."""
         full, toggled = self.inner.evaluate_toggles(state, gates, units, first_call_index)
         self._record(gates, full, int(first_call_index))
         for pos, (flipped, score) in enumerate(zip(_toggles(gates, units), toggled)):
@@ -384,18 +378,19 @@ class TraceRecordingOracle:
 
 
 class ReplayOracle:
-    """Serves recorded (gates -> score) pairs in first-recorded order.
+    """Serves a recorded trace back as one ordered stream.
 
-    Each configuration keeps separate FIFO queues for noisy evaluations and
-    noise-free value queries; querying an unrecorded configuration, or more
-    often than it was recorded, raises UnknownConfiguration.
+    Each query takes the next record, which must match it on the gates and on
+    `noise_seed`: the call index for an evaluation, -1 for a noise-free value
+    query. A mismatch, or a query past the last record, raises
+    UnknownConfiguration naming the record. Training is not recorded, so a
+    replay cannot tell a run that differs only in step counts.
     """
 
-    def __init__(self, noisy: dict[str, list[float]], true: dict[str, list[float]], n_units: int):
-        self._noisy = {k: list(v) for k, v in noisy.items()}
-        self._true = {k: list(v) for k, v in true.items()}
+    def __init__(self, records: list[tuple[str, int, float]], n_units: int):
+        self._records = records
         self._n_units = n_units
-        self.calls = 0
+        self._next = 0
 
     @property
     def n_units(self) -> int:
@@ -404,26 +399,32 @@ class ReplayOracle:
     def fresh_state(self) -> TrainingState:
         return TrainingState.fresh(self._n_units)
 
-    def _pop(self, table: dict[str, list[float]], gates, what: str) -> float:
-        key = gates_to_bits(gates)
-        if len(key) != self._n_units:
+    def _serve(self, gates, noise_seed: int) -> float:
+        """The next record's score, if the record is this query."""
+        bits = gates_to_bits(gates)
+        if len(bits) != self._n_units:
             raise LengthMismatch("gate vector length must match the trace unit count")
-        queue = table.get(key)
-        if not queue:
-            raise UnknownConfiguration(f"no remaining recorded {what} for gates {key}")
-        return queue.pop(0)
-
-    def evaluate(self, state, gates, call_index: int | None = None) -> float:
-        self.calls += 1
-        return self._pop(self._noisy, gates, "evaluation")
+        number = self._next + 1
+        if number > len(self._records):
+            raise UnknownConfiguration(f"replay query {number} runs past the {len(self._records)} trace records")
+        rec_bits, rec_seed, score = self._records[self._next]
+        if rec_seed != noise_seed:
+            raise UnknownConfiguration(
+                f"replay diverges at trace record {number}: recorded noise_seed {rec_seed}, queried {noise_seed}"
+            )
+        if rec_bits != bits:
+            raise UnknownConfiguration(f"replay diverges at trace record {number}: the queried gates differ")
+        self._next = number
+        return score
 
     def evaluate_toggles(self, state, gates, units, first_call_index: int) -> tuple[float, list[float]]:
-        """Pops the full configuration's score, then each toggle's, in order."""
-        full = self.evaluate(state, gates)
-        return full, [self.evaluate(state, flipped) for flipped in _toggles(gates, units)]
+        """Serves the full configuration's score, then each toggle's."""
+        full = self._serve(gates, first_call_index)
+        calls = enumerate(_toggles(gates, units), start=first_call_index + 1)
+        return full, [self._serve(flipped, call_index) for call_index, flipped in calls]
 
     def true_value(self, state, gates) -> float:
-        return self._pop(self._true, gates, "value query")
+        return self._serve(gates, -1)
 
     def train_step(self, state, gates, k: int) -> TrainingState:
         return state  # training dynamics live behind the recorded scores
@@ -432,9 +433,7 @@ class ReplayOracle:
 def replay_trace(path: str | Path) -> ReplayOracle:
     """Build a replay oracle from a JSONL trace of {gates, score, noise_seed}."""
     path = Path(path)
-    noisy: dict[str, list[float]] = {}
-    true: dict[str, list[float]] = {}
-    n_units: int | None = None
+    records: list[tuple[str, int, float]] = []
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
@@ -451,12 +450,9 @@ def replay_trace(path: str | Path) -> ReplayOracle:
             raise MalformedTrace(f"{path}:{lineno}: {exc}") from exc
         if not isinstance(bits, str) or set(bits) - {"0", "1"}:
             raise MalformedTrace(f"{path}:{lineno}: gates must be a 0/1 bitstring")
-        if n_units is None:
-            n_units = len(bits)
-        elif len(bits) != n_units:
+        if records and len(bits) != len(records[0][0]):
             raise MalformedTrace(f"{path}:{lineno}: inconsistent gate vector length")
-        table = true if noise_seed < 0 else noisy
-        table.setdefault(bits, []).append(score)
-    if n_units is None:
+        records.append((bits, noise_seed, score))
+    if not records:
         raise MalformedTrace(f"{path}: trace contains no records")
-    return ReplayOracle(noisy, true, n_units)
+    return ReplayOracle(records, len(records[0][0]))

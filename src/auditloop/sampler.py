@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, check_count
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,7 @@ class SamplerParams:
     epsilon: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise InvalidParams("batch_size must be at least 1")
+        check_count("batch_size", self.batch_size, 1)
         if not 0.0 <= self.active_fraction <= 1.0:
             raise InvalidParams("active_fraction must lie in [0, 1]")
         if not 0.0 < self.epsilon <= 1.0:

@@ -215,8 +215,8 @@ class AuditSpace:
         self.costs = np.array([u.cost for u in self.units], dtype=float)
         if [u.id for u in self.units] != list(range(len(self.units))):
             raise InvalidParams("unit ids must run 0..N-1 in list order")
-        if np.any(self.costs <= 0.0):
-            raise InvalidParams("every unit must have positive cost")
+        if not np.all(np.isfinite(self.costs) & (self.costs > 0.0)):
+            raise InvalidParams("every unit must have a positive finite cost")
 
     @property
     def n_units(self) -> int:

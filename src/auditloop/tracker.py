@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, NeverAudited, NonFiniteUtility
+from .errors import InvalidParams, NeverAudited, NonFiniteUtility, check_count, check_finite
 
 
 @dataclass(frozen=True)
@@ -28,12 +28,14 @@ class SmoothingParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
             raise InvalidParams("beta must lie in (0, 1)")
+        check_finite("lambda_s", self.lambda_s)
         if self.lambda_s < 0.0:
             raise InvalidParams("lambda_s must be non-negative")
 
 
 def _check_window(window: int) -> None:
-    if not 3 <= window <= 5:
+    check_count("history window", window, 3)
+    if window > 5:
         raise InvalidParams("history window must lie in [3, 5]")
 
 

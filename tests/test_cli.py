@@ -1,7 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auditloop import cli
 from auditloop.cli import main
@@ -64,6 +70,21 @@ def test_bad_json_config_exits_2(tmp_path):
 BACKBONE = {"layers": 1, "hidden_dims": [16], "param_count": 200_000}
 UNIT_5 = {"id": 5, "family": "LoRA", "topology": "SA", "size": 2, "layer": 0,
           "slot": "Attention", "hidden_dim": 16, "cost": 0.0003}
+NAN, INF = float("nan"), float("inf")
+# A six-unit space with a synthetic oracle over it.
+SMALL = {
+    "cycles": 2,
+    "steps_per_cycle": 10,
+    "space": {"backbone": BACKBONE, "templates": [
+        {"family": "LoRA", "topology": t, "size": r, "slot": "Attention"} for t in ("SA", "PA") for r in (2, 4, 8)
+    ]},
+    "oracle": {"kind": "synthetic", "base_score": 0.5, "mu_inf": [0.05] * 6, "kappa": [200.0] * 6,
+               "sigma_val": 0.02, "seed": 9},
+}
+
+
+def small_with_oracle(**fields):
+    return SMALL | {"oracle": SMALL["oracle"] | fields}
 
 
 @pytest.mark.parametrize(
@@ -80,10 +101,31 @@ UNIT_5 = {"id": 5, "family": "LoRA", "topology": "SA", "size": 2, "layer": 0,
         {"cycles": 2, "steps_per_cycle": 10, "space": {"backbone": BACKBONE, "units": [UNIT_5]}},
         {"cycles": 2, "steps_per_cycle": 10, "window": 7},
         {"cycles": 2, "steps_per_cycle": 10, "window": 2},
+        {"cycles": 2, "steps_per_cycle": 10, "window": 3.5},
+        {"cycles": 2.5, "steps_per_cycle": 10},
+        {"cycles": 2, "steps_per_cycle": 10, "run_seed": -1},
+        {"cycles": 2, "steps_per_cycle": 10, "oracle": {"kind": "default", "seed": -1}},
+        small_with_oracle(seed=-1),
+        {"cycles": 2, "steps_per_cycle": 10, "sampler": {"batch_size": 2.5}},
+        small_with_oracle(drift=INF),
+        {"cycles": 2, "steps_per_cycle": 10, "allocator": {"mu_eff": NAN}},
+        {"cycles": 2, "steps_per_cycle": 10, "allocator": {"mu_eff": INF}},
+        {"cycles": 2, "steps_per_cycle": 10, "fsm": {"tau_act": 2.5}},
+        small_with_oracle(kappa=[NAN] + [200.0] * 5),
+        small_with_oracle(kappa=[INF] + [200.0] * 5),
+        small_with_oracle(mu_inf=[NAN] + [0.05] * 5),
+        small_with_oracle(sigma_val=INF),
+        {"cycles": 2, "steps_per_cycle": 10, "space": {"backbone": BACKBONE, "units": [
+            UNIT_5 | {"id": 0, "cost": NAN}]}},
+        {"cycles": 2, "steps_per_cycle": 10, "smoothing": {"lambda_s": NAN}},
     ],
     ids=[
         "non-integer-cycles", "non-object-oracle", "top-level-array", "zero-shots",
         "negative-shots", "lora-on-norm", "no-templates", "unit-id-gap", "window-7", "window-2",
+        "fractional-window", "fractional-cycles", "negative-run-seed", "negative-default-oracle-seed",
+        "negative-oracle-seed", "fractional-batch-size", "infinite-drift", "nan-mu-eff", "infinite-mu-eff",
+        "fractional-tau-act", "nan-kappa", "infinite-kappa", "nan-mu-inf", "infinite-sigma-val",
+        "nan-unit-cost", "nan-lambda-s",
     ],
 )
 @pytest.mark.parametrize("seed", [None, "3"])
@@ -94,6 +136,52 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, doc, seed):
     assert main(argv + (["--seed", seed] if seed else [])) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_negative_seed_flag_exits_2_with_one_line(tmp_path, capsys, config_path):
+    argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "o"), "--quiet", "--seed", "-1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Any value, well-formed or not, for one field of a small valid document.
+FUZZ_FIELDS = [
+    ("cycles",), ("steps_per_cycle",), ("refinetune_steps",), ("shots",), ("run_seed",), ("window",),
+    ("sampler", "batch_size"), ("sampler", "active_fraction"), ("sampler", "epsilon"),
+    ("smoothing", "beta"), ("smoothing", "lambda_s"),
+    ("allocator", "p_max"), ("allocator", "mu_eff"),
+    ("fsm", "tau_act"), ("oracle", "seed"),
+]
+FUZZ_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(FUZZ_FIELDS), value=FUZZ_VALUES)
+def test_any_field_value_exits_0_or_2_with_one_line(field, value):
+    doc = {"cycles": 2, "steps_per_cycle": 10, "sampler": {"batch_size": 4},
+           "oracle": {"kind": "default", "seed": 0}}
+    if len(field) == 1:
+        doc[field[0]] = value
+    else:
+        doc[field[0]] = doc.get(field[0], {}) | {field[1]: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "o"), "--quiet"])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_ignored_tau_rank_leaves_events_unchanged(tmp_path, config_path):
@@ -187,6 +275,24 @@ def test_replay_with_wrong_config_exits_1(tmp_path, config_path):
                  "--out", str(tmp_path / "o2"), "--quiet"]) == 1
 
 
+def test_replay_with_fewer_cycles_exits_1_naming_the_record(tmp_path, capsys, config_path):
+    trace = tmp_path / "trace.jsonl"
+    main(["run", "--config", str(config_path), "--out", str(tmp_path / "o"),
+          "--record-trace", str(trace), "--quiet"])
+    doc = json.loads(config_path.read_text())
+    doc["cycles"] = 8  # the replay's final value query meets cycle 8's audit
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--config", str(other), "--trace", str(trace),
+                 "--out", str(tmp_path / "o2"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    # Each cycle records its audit's evaluations, then one value query.
+    evals = 8 * (1 + doc["sampler"]["batch_size"])
+    record = evals + 8 + 1
+    assert err == f"error: replay diverges at trace record {record}: recorded noise_seed {evals}, queried -1\n"
+
+
 def test_verify_bounds_quick():
     # At 400 cycles the coverage bound is -1.65, which any probe count meets;
     # at 800 it is 4.70.
@@ -207,6 +313,22 @@ def test_report_command(tmp_path, config_path):
     out2 = tmp_path / "rep"
     assert main(["report", "--events", str(out / "events.jsonl"), "--out", str(out2), "--quiet"]) == 0
     assert (out2 / "diagnostics.csv").read_text() == (out / "diagnostics.csv").read_text()
+
+
+def test_report_prints_the_final_record_or_where_the_log_ends(tmp_path, capsys, config_path):
+    out = tmp_path / "out"
+    main(["run", "--config", str(config_path), "--out", str(out), "--quiet"])
+    final_value = json.loads((out / "report.json").read_text())["final_value"]
+    capsys.readouterr()
+    assert main(["report", "--events", str(out / "events.jsonl"), "--out", str(tmp_path / "rep")]) == 0
+    assert f"final value {final_value:.4f} " in capsys.readouterr().out
+
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join((out / "events.jsonl").read_text().splitlines(keepends=True)[:-1]))
+    assert main(["report", "--events", str(cut), "--out", str(tmp_path / "cut")]) == 0
+    printed = capsys.readouterr().out
+    assert "no final record: log ends after cycle 11 " in printed and "final value" not in printed
+    assert (tmp_path / "cut" / "diagnostics.csv").exists()
 
 
 def test_unknown_subcommand_exits_2():

@@ -51,15 +51,15 @@ def test_spec_validation():
 def test_empty_configuration_returns_base():
     oracle = SyntheticOracle(simple_spec())
     state = oracle.fresh_state()
-    assert oracle.evaluate(state, [False, False, False]) == 0.5
+    assert oracle.evaluate(state, [False, False, False], call_index=0) == 0.5
     assert oracle.true_value(state, [False, False, False]) == 0.5
 
 
 def test_noise_free_determinism():
     oracle = SyntheticOracle(simple_spec())
     state = trained(oracle, np.array([True, True, False]), 500)
-    a = oracle.evaluate(state, [True, True, False])
-    b = oracle.evaluate(state, [True, True, False])
+    a = oracle.evaluate(state, [True, True, False], call_index=0)
+    b = oracle.evaluate(state, [True, True, False], call_index=1)
     assert a == b
 
 
@@ -170,15 +170,6 @@ def test_noise_calibration():
     assert abs(draws.var() - 0.04**2) < 0.05 * 0.04**2
 
 
-def test_evaluate_counts_calls_but_true_value_does_not():
-    oracle = SyntheticOracle(simple_spec())
-    state = oracle.fresh_state()
-    oracle.evaluate(state, [False] * 3)
-    oracle.true_value(state, [False] * 3)
-    oracle.evaluate(state, [False] * 3)
-    assert oracle.calls == 2
-
-
 def test_drift_walk_is_seeded_and_bounded():
     spec = simple_spec(drift=0.01)
     a, b = SyntheticOracle(spec), SyntheticOracle(spec)
@@ -270,11 +261,47 @@ def test_trace_lookup_and_exhaustion(tmp_path):
     path.write_text(json.dumps({"gates": "010", "score": 0.8, "noise_seed": 0}) + "\n")
     oracle = replay_trace(path)
     state = oracle.fresh_state()
-    assert oracle.evaluate(state, [False, True, False]) == 0.8
-    with pytest.raises(UnknownConfiguration):
-        oracle.evaluate(state, [False, True, False])
-    with pytest.raises(UnknownConfiguration):
-        oracle.evaluate(state, [True, False, False])
+    assert oracle.evaluate_toggles(state, [False, True, False], [], 0) == (0.8, [])
+    with pytest.raises(UnknownConfiguration, match="past the 1 trace records"):
+        oracle.evaluate_toggles(state, [False, True, False], [], 0)
+    with pytest.raises(UnknownConfiguration, match="record 1: the queried gates differ"):
+        replay_trace(path).evaluate_toggles(state, [True, False, False], [], 0)
+
+
+def write_trace(path, records):
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    return path
+
+
+def test_replay_rejects_a_call_index_other_than_the_recorded_one(tmp_path):
+    path = write_trace(tmp_path / "trace.jsonl", [
+        {"gates": "010", "score": 0.8, "noise_seed": 0},
+        {"gates": "010", "score": 0.7, "noise_seed": 1},
+    ])
+    oracle = replay_trace(path)
+    state = oracle.fresh_state()
+    assert oracle.evaluate_toggles(state, [False, True, False], [], 0) == (0.8, [])
+    with pytest.raises(UnknownConfiguration, match="record 2: recorded noise_seed 1, queried 5"):
+        oracle.evaluate_toggles(state, [False, True, False], [], 5)
+    with pytest.raises(UnknownConfiguration, match="record 1: recorded noise_seed 0, queried -1"):
+        replay_trace(path).true_value(state, [False, True, False])
+
+
+def test_replay_rejects_queries_out_of_order(tmp_path):
+    # Both queries are in the trace, but the second record is asked for first.
+    path = write_trace(tmp_path / "trace.jsonl", [
+        {"gates": "010", "score": 0.8, "noise_seed": 0},
+        {"gates": "110", "score": 0.6, "noise_seed": -1},
+        {"gates": "011", "score": 0.7, "noise_seed": 1},
+    ])
+    oracle = replay_trace(path)
+    state = oracle.fresh_state()
+    with pytest.raises(UnknownConfiguration, match="record 1"):
+        oracle.true_value(state, [True, True, False])
+    oracle = replay_trace(path)
+    assert oracle.evaluate_toggles(state, [False, True, False], [], 0) == (0.8, [])
+    with pytest.raises(UnknownConfiguration, match="record 2"):
+        oracle.evaluate_toggles(state, [False, True, True], [], 1)
 
 
 def test_malformed_traces(tmp_path):
@@ -308,11 +335,11 @@ def test_record_then_replay_reproduces_scores(tmp_path):
         state = rec.fresh_state()
         state = rec.train_step(state, [True, True, False], 100)
         for i in range(5):
-            recorded.append(rec.evaluate(state, [True, True, False], call_index=i))
+            recorded.append(rec.evaluate_toggles(state, [True, True, False], [], i))
         recorded.append(rec.true_value(state, [True, True, False]))
     replayed = replay_trace(path)
     state2 = replayed.fresh_state()
-    out = [replayed.evaluate(state2, [True, True, False]) for _ in range(5)]
+    out = [replayed.evaluate_toggles(state2, [True, True, False], [], i) for i in range(5)]
     out.append(replayed.true_value(state2, [True, True, False]))
     assert out == recorded
 
@@ -376,7 +403,6 @@ def test_evaluate_toggles_matches_per_call_evaluate(case):
     got = batched.evaluate_toggles(state, gates, units, first_call_index)
     want = per_call_toggles(per_call, state, gates, units, first_call_index)
     assert got == want  # bit for bit: float == on every score
-    assert batched.calls == per_call.calls == 1 + len(units)
 
 
 def test_evaluate_toggles_checks_gate_length():
@@ -389,23 +415,30 @@ def test_trace_identical_through_toggles_and_per_call(tmp_path):
     spec = simple_spec(sigma_val=0.03, groups=((0, 1),), gammas=(0.5,))
     gates = np.array([True, False, True])
     units = [2, 0, 1]
-    paths = {}
-    for name in ("per_call", "toggles"):
-        paths[name] = tmp_path / f"{name}.jsonl"
-        with TraceRecordingOracle(SyntheticOracle(spec), paths[name]) as rec:
-            state = rec.train_step(rec.fresh_state(), gates, 300)
-            for first in (0, 4):
-                if name == "per_call":
-                    per_call_toggles(rec, state, gates, units, first)
-                else:
-                    rec.evaluate_toggles(state, gates, units, first)
-                rec.true_value(state, gates)
-    assert paths["per_call"].read_bytes() == paths["toggles"].read_bytes()
+    path = tmp_path / "trace.jsonl"
+    with TraceRecordingOracle(SyntheticOracle(spec), path) as rec:
+        state = rec.train_step(rec.fresh_state(), gates, 300)
+        for first in (0, 4):
+            rec.evaluate_toggles(state, gates, units, first)
+            rec.true_value(state, gates)
 
-    batched, per_call = replay_trace(paths["toggles"]), replay_trace(paths["toggles"])
+    # The same records, built from per-call `evaluate` at the same indices.
+    oracle = SyntheticOracle(spec)
+    state = oracle.train_step(oracle.fresh_state(), gates, 300)
+    expected = []
     for first in (0, 4):
-        state = batched.fresh_state()
-        assert batched.evaluate_toggles(state, gates, units, first) == per_call_toggles(
-            per_call, state, gates, units, first
+        full, toggled = per_call_toggles(oracle, state, gates, units, first)
+        expected.append({"gates": "101", "score": full, "noise_seed": first})
+        for pos, (bits, score) in enumerate(zip(("100", "001", "111"), toggled)):
+            expected.append({"gates": bits, "score": score, "noise_seed": first + 1 + pos})
+        expected.append({"gates": "101", "score": oracle.true_value(state, gates), "noise_seed": -1})
+    assert path.read_bytes() == write_trace(tmp_path / "expected.jsonl", expected).read_bytes()
+
+    replayed = replay_trace(path)
+    for first in (0, 4):
+        assert replayed.evaluate_toggles(state, gates, units, first) == per_call_toggles(
+            oracle, state, gates, units, first
         )
-    assert batched.calls == per_call.calls == 8
+        assert replayed.true_value(state, gates) == oracle.true_value(state, gates)
+    with pytest.raises(UnknownConfiguration, match="past the 10 trace records"):
+        replayed.true_value(state, gates)
