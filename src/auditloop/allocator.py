@@ -6,8 +6,11 @@ re-solve is exact while at most `EXACT_RESOLVE_MAX` eligible units have
 positive scores; above that it falls back to `swap_resolve` (density greedy,
 best singleton, then best-improvement single swaps).
 
-All budget checks sum costs over the gate mask in ascending-id order so that
-every module agrees bit-for-bit on feasibility.
+`fill` is the one add-while-it-fits loop: the greedy knapsack, the FSM's
+commit of ready activations and the random baseline each pass it their own
+start mask and unit order. All budget checks sum costs over the gate mask in
+ascending-id order (`gate_cost`) so that every module agrees bit-for-bit on
+feasibility.
 """
 
 from __future__ import annotations
@@ -44,6 +47,20 @@ class AllocationProposal:
 def gate_cost(gates: np.ndarray, costs: np.ndarray) -> float:
     """Canonical cost of a gate vector (ascending-id summation order)."""
     return float(costs[np.asarray(gates, dtype=bool)].sum())
+
+
+def fill(gates, order, costs, p_max: float) -> tuple[np.ndarray, list[int]]:
+    """Switch on each unit of `order` in turn, keeping it only while
+    `gate_cost` stays within `p_max`. Returns a new gate vector and the units
+    of `order` that did not fit; `gates` itself is left as it is."""
+    gates = np.array(gates, dtype=bool)
+    rejected: list[int] = []
+    for i in np.asarray(order).tolist():  # Python ints index faster than numpy ones
+        gates[i] = True
+        if gate_cost(gates, costs) > p_max:
+            gates[i] = False
+            rejected.append(i)
+    return gates, rejected
 
 
 def _validate(scores, costs, eligible) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -83,13 +100,9 @@ def greedy_allocate(scores, costs, eligible, p_max: float) -> AllocationProposal
     objective.
     """
     scores, costs, eligible = _validate(scores, costs, eligible)
-    n = scores.size
-    gates = np.zeros(n, dtype=bool)
     candidates = np.flatnonzero(eligible & (scores > 0.0))
-    for i in _density_order(candidates, scores, costs):
-        gates[i] = True
-        if gate_cost(gates, costs) > p_max:
-            gates[i] = False
+    order = _density_order(candidates, scores, costs)
+    gates, _ = fill(np.zeros(scores.size, dtype=bool), order, costs, p_max)
     return _proposal(gates, scores, costs)
 
 

@@ -15,6 +15,7 @@ from .allocator import (
     ENUMERATION_MAX,
     AllocatorParams,
     apply_hysteresis,
+    fill,
     final_resolve,
     gate_cost,
     greedy_allocate,
@@ -334,17 +335,12 @@ def run_random_baseline(config: RunConfig, n_samples: int, oracle=None) -> np.nd
     if n_samples < 1:
         raise InvalidParams("n_samples must be at least 1")
     oracle = oracle if oracle is not None else SyntheticOracle(config.oracle_spec)
-    costs = config.space.costs
-    p_max = config.allocator.p_max
+    n, costs = config.space.n_units, config.space.costs
     total_steps = config.total_loop_steps + max(1, config.refinetune_steps)
     values = np.empty(n_samples)
     for s in range(n_samples):
         rng = np.random.default_rng([config.run_seed, _STREAM_BASELINE, s])
-        gates = np.zeros(config.space.n_units, dtype=bool)
-        for i in rng.permutation(config.space.n_units):
-            gates[i] = True
-            if gate_cost(gates, costs) > p_max:
-                gates[i] = False
+        gates, _ = fill(np.zeros(n, dtype=bool), rng.permutation(n), costs, config.allocator.p_max)
         state = oracle.fresh_state()
         if gates.any():
             state = oracle.train_step(state, gates, total_steps)
@@ -391,6 +387,8 @@ def compute_diagnostics(records: list[dict] | str | Path, *, n_units: int | None
         except (OSError, json.JSONDecodeError) as exc:
             raise MalformedLog(f"cannot parse event log: {exc}") from exc
 
+    if not all(isinstance(r, dict) for r in records):
+        raise MalformedLog("event log holds a line that is not a JSON object")
     cycles = [r for r in records if r.get("kind") == "cycle"]
     finals = [r for r in records if r.get("kind") == "final"]
     if not cycles:

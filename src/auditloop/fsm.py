@@ -1,4 +1,9 @@
-"""Vote-counter hysteresis gating structural changes between cycles."""
+"""Vote-counter hysteresis gating structural changes between cycles.
+
+The vote state of all N units lives in three int64 arrays (`act_counts`,
+`act_pending`, `unit_flips`) and one proposal updates it with array
+expressions; ready activations commit through `allocator.fill`.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import gate_cost
+from .allocator import _density_order, fill
 from .errors import InvalidParams, LengthMismatch, check_count
 
 
@@ -21,34 +26,22 @@ class FsmParams:
 class FsmStabilizer:
     """Per-unit vote counters; a change commits after tau consecutive votes.
 
-    With tau_act = 1 every proposal commits immediately. `change_cycles` (the
-    chatter count) increments by at most one per filtering call, and
-    `unit_flips` tracks committed gate changes per unit.
+    With tau_act = 1 every proposal commits immediately. `act_counts` holds
+    each unit's consecutive votes, `act_pending` the direction voted for (-1
+    none, 0 off, 1 on) and `unit_flips` its committed gate changes.
+    `change_cycles` (the chatter count) increments by at most one per
+    filtering call.
     """
 
     def __init__(self, n_units: int, tau_act: int = 3):
-        if n_units < 1:
-            raise InvalidParams("need at least one unit")
-        if tau_act < 1:
-            raise InvalidParams("vote threshold must be at least 1")
+        check_count("n_units", n_units, 1)
+        check_count("tau_act", tau_act, 1)
         self.n_units = n_units
         self.tau_act = tau_act
-        self._counts = [0] * n_units
-        self._pending = [-1] * n_units  # -1 none, else 0/1
-        self._flips = [0] * n_units
+        self.act_counts = np.zeros(n_units, dtype=np.int64)
+        self.act_pending = np.full(n_units, -1, dtype=np.int64)
+        self.unit_flips = np.zeros(n_units, dtype=np.int64)
         self.change_cycles = 0
-
-    @property
-    def act_counts(self) -> np.ndarray:
-        return np.array(self._counts, dtype=np.int64)
-
-    @property
-    def act_pending(self) -> np.ndarray:
-        return np.array(self._pending, dtype=np.int64)
-
-    @property
-    def unit_flips(self) -> np.ndarray:
-        return np.array(self._flips, dtype=np.int64)
 
     def filter_proposals(
         self,
@@ -62,71 +55,51 @@ class FsmStabilizer:
         """Update votes with one proposal vector and return the committed gates.
 
         Consistent votes accumulate; inconsistent or agreeing proposals reset
-        the counter. Ready deactivations always commit; ready activations
-        commit in descending density order while the budget holds (when
-        costs/p_max are supplied), and a budget-rejected activation resets its
-        counter.
+        the counter. Without a budget (`p_max` None) every ready change
+        commits. With one, ready deactivations commit, then ready activations
+        commit in descending density of `scores` over `costs` while they fit
+        `p_max`; an activation that does not fit resets its counter.
         """
         current = np.asarray(current, dtype=bool)
         proposed = np.asarray(proposed, dtype=bool)
         if current.shape != proposed.shape or current.size != self.n_units:
             raise LengthMismatch("gate vectors must have the tracked unit count")
+        if p_max is not None and (scores is None or costs is None):
+            raise InvalidParams("a budget needs scores and costs")
 
-        cur = current.tolist()
-        prop = proposed.tolist()
-        counts, pending = self._counts, self._pending
-        deactivations: list[int] = []
-        activations: list[int] = []
-        for i in range(self.n_units):
-            p = prop[i]
-            if p == cur[i]:
-                counts[i] = 0
-                pending[i] = -1
-                continue
-            vote = 1 if p else 0
-            if pending[i] == vote:
-                counts[i] += 1
-            else:
-                pending[i] = vote
-                counts[i] = 1
-            if counts[i] >= self.tau_act:
-                (activations if p else deactivations).append(i)
-
+        counts, pending = self.act_counts, self.act_pending
+        differs = proposed != current
+        # A vote that repeats the pending one adds to its count, a vote in a
+        # new direction starts at one, and no vote resets the count.
+        counts[(pending != proposed) | ~differs] = 0
+        counts += differs
+        pending[:] = -1
+        pending[differs] = proposed[differs]
+        ready = counts >= self.tau_act
         committed = current.copy()
-        committed_ids = deactivations[:]
-        for i in deactivations:
-            committed[i] = False
+        if not ready.any():
+            return committed
 
-        if activations:
-            if scores is not None and costs is not None:
-                s = np.asarray(scores, dtype=float)
-                c = np.asarray(costs, dtype=float)
-                activations.sort(key=lambda i: (-(s[i] / c[i]), i))
-            for i in activations:
-                if costs is not None and p_max is not None:
-                    trial = committed.copy()
-                    trial[i] = True
-                    if gate_cost(trial, costs) > p_max:
-                        counts[i] = 0
-                        pending[i] = -1
-                        continue
-                    committed = trial
-                else:
-                    committed[i] = True
-                committed_ids.append(i)
-
-        for i in committed_ids:
-            counts[i] = 0
-            pending[i] = -1
-            self._flips[i] += 1
-        if committed_ids:
+        # A ready vote is spent whether its change commits or does not fit.
+        counts[ready] = 0
+        pending[ready] = -1
+        committed[ready & ~proposed] = False
+        activations = np.flatnonzero(ready & proposed)
+        if p_max is None:
+            committed[activations] = True
+        else:
+            s, c = np.asarray(scores, dtype=float), np.asarray(costs, dtype=float)
+            committed, rejected = fill(committed, _density_order(activations, s, c), c, p_max)
+            ready[rejected] = False
+        self.unit_flips[ready] += 1
+        if ready.any():
             self.change_cycles += 1
         return committed
 
     def vote_summary(self) -> list[dict]:
         """Non-zero activity votes as log records: {unit, counter, pending}."""
+        units = np.flatnonzero(self.act_counts)
         return [
-            {"unit": i, "counter": self._counts[i], "pending": bool(self._pending[i])}
-            for i in range(self.n_units)
-            if self._counts[i] > 0
+            {"unit": i, "counter": n, "pending": bool(p)}
+            for i, n, p in zip(units.tolist(), self.act_counts[units].tolist(), self.act_pending[units].tolist())
         ]

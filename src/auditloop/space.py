@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptySpace, IncompatibleTemplate, InvalidParams
+from .errors import EmptySpace, IncompatibleTemplate, InvalidParams, check_count
 
 
 class Family(Enum):
@@ -55,6 +55,7 @@ class AdapterKind:
     size: int
 
     def __post_init__(self) -> None:
+        check_count("size", self.size, 0)
         if self.family is Family.AFFINE_LN:
             if self.topology is not Topology.NONE or self.size != 0:
                 raise InvalidParams("AffineLN kinds use topology None and size 0")
@@ -101,15 +102,13 @@ class BackboneDesc:
     backbone_param_count: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-        if self.num_layers < 1:
-            raise InvalidParams("backbone needs at least one layer")
+        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        check_count("layers", self.num_layers, 1)
         if len(self.hidden_dims) != self.num_layers:
             raise InvalidParams("hidden_dims length must equal num_layers")
-        if any(d < 1 for d in self.hidden_dims):
-            raise InvalidParams("hidden dims must be positive")
-        if self.backbone_param_count < 1:
-            raise InvalidParams("backbone_param_count must be positive")
+        for d in self.hidden_dims:
+            check_count("hidden dim", d, 1)
+        check_count("param_count", self.backbone_param_count, 1)
 
 
 def raw_param_count(kind: AdapterKind, hidden_dim: int, *, sapa_shared_weights: bool = False) -> int:
@@ -256,18 +255,21 @@ class AuditSpace:
         try:
             bb = doc["backbone"]
             backbone = BackboneDesc(
-                num_layers=int(bb["layers"]),
-                hidden_dims=tuple(int(d) for d in bb["hidden_dims"]),
-                backbone_param_count=int(bb["param_count"]),
+                num_layers=bb["layers"],
+                hidden_dims=tuple(bb["hidden_dims"]),
+                backbone_param_count=bb["param_count"],
             )
             if "units" in doc:
+                for u in doc["units"]:
+                    for key, minimum in (("id", 0), ("layer", 0), ("hidden_dim", 1)):
+                        check_count(f"unit {key}", u[key], minimum)
                 units = [
                     AdapterUnit(
-                        id=int(u["id"]),
-                        kind=AdapterKind(Family(u["family"]), Topology(u["topology"]), int(u["size"])),
-                        layer=int(u["layer"]),
+                        id=u["id"],
+                        kind=AdapterKind(Family(u["family"]), Topology(u["topology"]), u["size"]),
+                        layer=u["layer"],
                         slot=Slot(u["slot"]),
-                        hidden_dim=int(u["hidden_dim"]),
+                        hidden_dim=u["hidden_dim"],
                         cost=float(u["cost"]),
                         gate=bool(u.get("gate", False)),
                     )
@@ -278,7 +280,7 @@ class AuditSpace:
                 Template(
                     family=Family(t["family"]),
                     topology=Topology(t["topology"]),
-                    size=int(t["size"]),
+                    size=t["size"],
                     slot=Slot(t["slot"]),
                 )
                 for t in doc["templates"]

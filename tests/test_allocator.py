@@ -15,7 +15,7 @@ from auditloop import (
     greedy_allocate,
     swap_resolve,
 )
-from auditloop.allocator import EXACT_RESOLVE_MAX
+from auditloop.allocator import EXACT_RESOLVE_MAX, fill
 from auditloop.errors import InvalidParams, LengthMismatch, NonPositiveCost, TooLarge
 
 E3 = 1e-3
@@ -79,6 +79,35 @@ def test_greedy_errors():
 
 
 # -- hysteresis ---------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), n=st.integers(1, 12))
+def test_fill_is_the_plain_add_while_it_fits_loop(data, n):
+    # Costs with inexact sums; the budget is the cost of a drawn superset of
+    # the start mask, so units that fit exactly are common.
+    costs = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0]), min_size=n, max_size=n)))
+    start = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    target = start | np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    p_max = gate_cost(target, costs) + data.draw(st.sampled_from([0.0, 0.05, 0.5]))
+    order = [i for i in data.draw(st.permutations(range(n))) if not start[i]]
+
+    expected, expected_rejected = start.copy(), []
+    for i in order:
+        trial = expected.copy()
+        trial[i] = True
+        if gate_cost(trial, costs) <= p_max:
+            expected = trial
+        else:
+            expected_rejected.append(i)
+
+    before = start.copy()
+    gates, rejected = fill(start, np.array(order, dtype=np.int64), costs, p_max)
+    assert np.array_equal(start, before)
+    assert np.array_equal(gates, expected)
+    assert rejected == expected_rejected
+    assert gate_cost(gates, costs) <= p_max
+    assert set(rejected) == set(order) - set(np.flatnonzero(gates & ~start).tolist())
 
 
 def make_proposal(gates, scores, costs):

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -87,6 +88,25 @@ def small_with_oracle(**fields):
     return SMALL | {"oracle": SMALL["oracle"] | fields}
 
 
+def set_path(doc, path, value):
+    """Copy of `doc` with the entry at `path` (dict keys and list indices,
+    missing dicts created) set to `value`."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key] if isinstance(node, list) else node.setdefault(key, {})
+    node[path[-1]] = value
+    return doc
+
+
+def with_space(*path, value):
+    """A short run over a small space with one space field replaced: a
+    "units" path edits a dumped one-unit space, any other path the
+    six-template schema."""
+    space = {"backbone": BACKBONE, "units": [UNIT_5 | {"id": 0}]} if path[0] == "units" else SMALL["space"]
+    return set_path({"cycles": 2, "steps_per_cycle": 10, "space": space}, ("space",) + path, value)
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -118,6 +138,14 @@ def small_with_oracle(**fields):
         {"cycles": 2, "steps_per_cycle": 10, "space": {"backbone": BACKBONE, "units": [
             UNIT_5 | {"id": 0, "cost": NAN}]}},
         {"cycles": 2, "steps_per_cycle": 10, "smoothing": {"lambda_s": NAN}},
+        with_space("backbone", "layers", value=1.7),
+        with_space("backbone", "hidden_dims", 0, value=16.9),
+        with_space("backbone", "param_count", value=200_000.5),
+        with_space("templates", 0, "size", value=2.9),
+        with_space("units", 0, "id", value=0.5),
+        with_space("units", 0, "size", value=2.9),
+        with_space("units", 0, "layer", value=0.5),
+        with_space("units", 0, "hidden_dim", value=16.9),
     ],
     ids=[
         "non-integer-cycles", "non-object-oracle", "top-level-array", "zero-shots",
@@ -125,7 +153,9 @@ def small_with_oracle(**fields):
         "fractional-window", "fractional-cycles", "negative-run-seed", "negative-default-oracle-seed",
         "negative-oracle-seed", "fractional-batch-size", "infinite-drift", "nan-mu-eff", "infinite-mu-eff",
         "fractional-tau-act", "nan-kappa", "infinite-kappa", "nan-mu-inf", "infinite-sigma-val",
-        "nan-unit-cost", "nan-lambda-s",
+        "nan-unit-cost", "nan-lambda-s", "fractional-layers", "fractional-hidden-dim",
+        "fractional-param-count", "fractional-template-size", "fractional-unit-id", "fractional-unit-size",
+        "fractional-unit-layer", "fractional-unit-hidden-dim",
     ],
 )
 @pytest.mark.parametrize("seed", [None, "3"])
@@ -152,6 +182,8 @@ FUZZ_FIELDS = [
     ("smoothing", "beta"), ("smoothing", "lambda_s"),
     ("allocator", "p_max"), ("allocator", "mu_eff"),
     ("fsm", "tau_act"), ("oracle", "seed"),
+    ("space", "backbone", "layers"), ("space", "backbone", "hidden_dims", 0), ("space", "backbone", "param_count"),
+    ("space", "templates", 0, "size"),
 ]
 FUZZ_VALUES = st.one_of(
     st.integers(-3, 3),
@@ -168,11 +200,8 @@ FUZZ_VALUES = st.one_of(
 @given(field=st.sampled_from(FUZZ_FIELDS), value=FUZZ_VALUES)
 def test_any_field_value_exits_0_or_2_with_one_line(field, value):
     doc = {"cycles": 2, "steps_per_cycle": 10, "sampler": {"batch_size": 4},
-           "oracle": {"kind": "default", "seed": 0}}
-    if len(field) == 1:
-        doc[field[0]] = value
-    else:
-        doc[field[0]] = doc.get(field[0], {}) | {field[1]: value}
+           "oracle": {"kind": "default", "seed": 0}, "space": SMALL["space"]}
+    doc = set_path(doc, field, value)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(doc))
@@ -329,6 +358,17 @@ def test_report_prints_the_final_record_or_where_the_log_ends(tmp_path, capsys, 
     printed = capsys.readouterr().out
     assert "no final record: log ends after cycle 11 " in printed and "final value" not in printed
     assert (tmp_path / "cut" / "diagnostics.csv").exists()
+
+
+def test_report_of_a_log_with_a_non_object_line_exits_1_with_one_line(tmp_path, capsys, config_path):
+    out = tmp_path / "out"
+    main(["run", "--config", str(config_path), "--out", str(out), "--quiet"])
+    events = out / "events.jsonl"
+    events.write_text(events.read_text() + "[1]\n")
+    capsys.readouterr()
+    assert main(["report", "--events", str(events), "--out", str(tmp_path / "rep")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unknown_subcommand_exits_2():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auditloop import FsmParams, FsmStabilizer, checks
+from auditloop import FsmParams, FsmStabilizer, checks, gate_cost
 from auditloop.errors import InvalidParams, LengthMismatch
 
 
@@ -42,6 +42,13 @@ def test_params_validation():
         FsmStabilizer(0)
     with pytest.raises(LengthMismatch):
         FsmStabilizer(2).filter_proposals(np.array([True]), np.array([True]))
+
+
+def test_stabilizer_checks_tau_and_budget_arguments():
+    with pytest.raises(InvalidParams, match="tau_act"):
+        FsmStabilizer(2, tau_act=2.5)
+    with pytest.raises(InvalidParams, match="scores and costs"):
+        FsmStabilizer(2).filter_proposals(np.zeros(2, bool), np.zeros(2, bool), p_max=1.0)
 
 
 def test_chatter_bound_exhaustive_small():
@@ -109,3 +116,99 @@ def test_vote_summary_shape():
     gates = np.zeros(3, dtype=bool)
     fsm.filter_proposals(gates, np.array([True, False, False]))
     assert fsm.vote_summary() == [{"unit": 0, "counter": 1, "pending": True}]
+
+
+class ListFsm:
+    """Plain-Python reference: the vote counters as per-unit lists, walked
+    unit by unit. Ready activations sort by descending density, then lower
+    cost, then lower id, as `allocator._density_order` orders them."""
+
+    def __init__(self, n_units, tau_act):
+        self.n_units = n_units
+        self.tau_act = tau_act
+        self.counts = [0] * n_units
+        self.pending = [-1] * n_units  # -1 none, else 0/1
+        self.flips = [0] * n_units
+        self.change_cycles = 0
+
+    def filter_proposals(self, current, proposed, *, scores=None, costs=None, p_max=None):
+        cur = current.tolist()
+        prop = proposed.tolist()
+        counts, pending = self.counts, self.pending
+        deactivations, activations = [], []
+        for i in range(self.n_units):
+            p = prop[i]
+            if p == cur[i]:
+                counts[i] = 0
+                pending[i] = -1
+                continue
+            vote = 1 if p else 0
+            if pending[i] == vote:
+                counts[i] += 1
+            else:
+                pending[i] = vote
+                counts[i] = 1
+            if counts[i] >= self.tau_act:
+                (activations if p else deactivations).append(i)
+
+        committed = current.copy()
+        committed_ids = deactivations[:]
+        for i in deactivations:
+            committed[i] = False
+
+        if activations:
+            if scores is not None and costs is not None:
+                activations.sort(key=lambda i: (-(scores[i] / costs[i]), costs[i], i))
+            for i in activations:
+                if costs is not None and p_max is not None:
+                    trial = committed.copy()
+                    trial[i] = True
+                    if gate_cost(trial, costs) > p_max:
+                        counts[i] = 0
+                        pending[i] = -1
+                        continue
+                    committed = trial
+                else:
+                    committed[i] = True
+                committed_ids.append(i)
+
+        for i in committed_ids:
+            counts[i] = 0
+            pending[i] = -1
+            self.flips[i] += 1
+        if committed_ids:
+            self.change_cycles += 1
+        return committed
+
+    def vote_summary(self):
+        return [
+            {"unit": i, "counter": self.counts[i], "pending": bool(self.pending[i])}
+            for i in range(self.n_units)
+            if self.counts[i] > 0
+        ]
+
+
+def gate_lists(n):
+    return st.lists(st.booleans(), min_size=n, max_size=n).map(lambda g: np.array(g, dtype=bool))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), n=st.integers(1, 8), tau=st.integers(1, 3), budget=st.booleans())
+def test_array_fsm_matches_list_reference(data, n, tau, budget):
+    # Small value sets make density ties between units of different cost.
+    costs = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 1.0]), min_size=n, max_size=n)))
+    scores = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.1, 0.2, 0.5, 1.0]), min_size=n, max_size=n)))
+    p_max = data.draw(st.sampled_from([0.3, 0.6, 1.0, 2.0]))
+    kwargs = {"scores": scores, "costs": costs, "p_max": p_max} if budget else {}
+    fsm, ref = FsmStabilizer(n, tau_act=tau), ListFsm(n, tau)
+    gates = data.draw(gate_lists(n))
+    for proposed in data.draw(st.lists(gate_lists(n), min_size=1, max_size=25)):
+        out = fsm.filter_proposals(gates, proposed, **kwargs)
+        expected = ref.filter_proposals(gates, proposed, **kwargs)
+        assert np.array_equal(out, expected)
+        assert fsm.act_counts.tolist() == ref.counts
+        assert fsm.act_pending.tolist() == ref.pending
+        assert fsm.unit_flips.tolist() == ref.flips
+        assert fsm.change_cycles == ref.change_cycles
+        assert fsm.vote_summary() == ref.vote_summary()
+        gates = out
