@@ -10,7 +10,9 @@ best singleton, then best-improvement single swaps).
 commit of ready activations and the random baseline each pass it their own
 start mask and unit order. All budget checks sum costs over the gate mask in
 ascending-id order (`gate_cost`) so that every module agrees bit-for-bit on
-feasibility.
+feasibility. `fill` keeps a running total and calls `gate_cost` only when
+that total lies within `4·N·eps·p_max` of the budget, the band where the
+two sums could disagree, so it decides exactly as `gate_cost` does.
 """
 
 from __future__ import annotations
@@ -52,12 +54,29 @@ def gate_cost(gates: np.ndarray, costs: np.ndarray) -> float:
 def fill(gates, order, costs, p_max: float) -> tuple[np.ndarray, list[int]]:
     """Switch on each unit of `order` in turn, keeping it only while
     `gate_cost` stays within `p_max`. Returns a new gate vector and the units
-    of `order` that did not fit; `gates` itself is left as it is."""
+    of `order` that did not fit; `gates` itself is left as it is. Every unit
+    of `order` must be off in `gates` and appear once.
+
+    A running total decides the clear cases. Two sums of the same k positive
+    costs in different orders differ by less than 2·k·eps of their value, so
+    a total more than `4·N·eps·p_max` below or above `p_max` decides as
+    `gate_cost` would; only inside that band does `gate_cost` judge."""
     gates = np.array(gates, dtype=bool)
+    costs = np.asarray(costs, dtype=float)
+    order = np.asarray(order, dtype=np.intp)
+    band = 4 * costs.size * np.finfo(float).eps * p_max
+    total = gate_cost(gates, costs)
     rejected: list[int] = []
-    for i in np.asarray(order).tolist():  # Python ints index faster than numpy ones
+    for i, cost in zip(order.tolist(), costs[order].tolist()):  # Python scalars are faster here
+        if gates[i]:
+            raise InvalidParams(f"fill: unit {i} is already on")
         gates[i] = True
-        if gate_cost(gates, costs) > p_max:
+        trial = total + cost
+        if abs(trial - p_max) <= band:  # too close to call
+            trial = gate_cost(gates, costs)
+        if trial <= p_max:
+            total = trial
+        else:
             gates[i] = False
             rejected.append(i)
     return gates, rejected

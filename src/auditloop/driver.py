@@ -22,7 +22,7 @@ from .allocator import (
 )
 from .errors import BudgetViolation, InvalidParams, MalformedLog, check_count
 from .fsm import FsmParams, FsmStabilizer
-from .oracle import OracleSpec, SyntheticOracle, gates_to_bits
+from .oracle import KeyedStreams, OracleSpec, SyntheticOracle, gates_to_bits
 from .sampler import SamplerParams, sample_audit_batch
 from .space import AuditSpace, Family, default_space
 from .tracker import SmoothingParams, UtilityTable
@@ -171,6 +171,7 @@ class LoopDriver:
         self.training = self.oracle.fresh_state()
         self.eval_count = 0
         self.records: list[dict] = []
+        self._sampler_streams = KeyedStreams(config.run_seed, _STREAM_SAMPLER)
 
     @property
     def scores(self) -> np.ndarray:
@@ -216,7 +217,7 @@ class LoopDriver:
         active_before = [int(i) for i in np.flatnonzero(self.gates)]
 
         # Audit: sample, toggle, record.
-        rng = np.random.default_rng([cfg.run_seed, _STREAM_SAMPLER, cycle])
+        rng = self._sampler_streams(cycle)
         batch, exploration = sample_audit_batch(self.gates, self.probe_counts, cfg.sampler, rng)
         full_value, utilities = self._audit_utilities(batch)
         audit_events = self.table.record(batch, utilities, cfg.smoothing, cycle)
@@ -338,9 +339,9 @@ def run_random_baseline(config: RunConfig, n_samples: int, oracle=None) -> np.nd
     n, costs = config.space.n_units, config.space.costs
     total_steps = config.total_loop_steps + max(1, config.refinetune_steps)
     values = np.empty(n_samples)
+    streams = KeyedStreams(config.run_seed, _STREAM_BASELINE)
     for s in range(n_samples):
-        rng = np.random.default_rng([config.run_seed, _STREAM_BASELINE, s])
-        gates, _ = fill(np.zeros(n, dtype=bool), rng.permutation(n), costs, config.allocator.p_max)
+        gates, _ = fill(np.zeros(n, dtype=bool), streams(s).permutation(n), costs, config.allocator.p_max)
         state = oracle.fresh_state()
         if gates.any():
             state = oracle.train_step(state, gates, total_steps)

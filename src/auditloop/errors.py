@@ -1,5 +1,5 @@
-"""Exception types shared across the engine, and the two value checks
-that parameter constructors share."""
+"""Exception types shared across the engine, and the value checks that
+parameter constructors and config readers share."""
 
 import math
 import numbers
@@ -74,3 +74,16 @@ def check_finite(name: str, *values: float) -> None:
     """Raise InvalidParams unless every value is finite."""
     if not all(math.isfinite(v) for v in values):
         raise InvalidParams(f"{name} must be finite")
+
+
+def check_number(name: str, value) -> None:
+    """Raise InvalidParams unless `value` is a real number, not a bool or a
+    string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParams(f"{name} must be a number, not {value!r}")
+
+
+def check_flag(name: str, value) -> None:
+    """Raise InvalidParams unless `value` is a bool (a JSON true or false)."""
+    if not isinstance(value, bool):
+        raise InvalidParams(f"{name} must be true or false, not {value!r}")

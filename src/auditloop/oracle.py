@@ -15,6 +15,10 @@ toggle of it under call indices `first_call_index, first_call_index + 1,
 the per-call reference that `evaluate_toggles` matches bit for bit. The
 batched query is the seam where an external evaluator may parallelise the
 toggles on its own side; the engine itself audits on one thread.
+
+Every seeded stream in the engine comes from a `KeyedStreams`: its
+generator for key i is `np.random.default_rng([*prefix, i])`, draw for draw,
+built without `default_rng`'s per-call conversion of the seed list.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .allocator import ENUMERATION_MAX, best_subset, subset_sums
 from .errors import (
@@ -39,6 +44,28 @@ from .errors import (
 
 _NOISE_TAG = 0x0E11
 _DRIFT_TAG = 0xD21F
+
+
+def _words(key: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: little-endian 32-bit
+    words, with 0 as one word."""
+    if key < 0:
+        raise InvalidParams(f"stream keys must be non-negative, not {key}")
+    return [key >> shift & 0xFFFFFFFF for shift in range(0, max(key.bit_length(), 1), 32)]
+
+
+class KeyedStreams:
+    """Generators keyed by one int under a fixed prefix of non-negative ints:
+    `streams(i)` yields the stream of `np.random.default_rng([*prefix, i])`.
+    The prefix words are split once; each call builds
+    `Generator(PCG64(SeedSequence(words)))` from a uint32 array."""
+
+    def __init__(self, *prefix: int):
+        self._prefix = [w for key in prefix for w in _words(int(key))]
+
+    def __call__(self, key: int) -> Generator:
+        words = np.array(self._prefix + _words(int(key)), dtype=np.uint32)
+        return Generator(PCG64(SeedSequence(words)))
 
 
 @dataclass(frozen=True)
@@ -171,6 +198,8 @@ class SyntheticOracle:
         # Group capacity: positive asymptote mass, the value a fully trained
         # group realizes exactly under its concave aggregation.
         self._capacity = [float(np.maximum(self._mu_inf[list(g)], 0.0).sum()) for g, _ in self._groups]
+        self._noise = KeyedStreams(spec.seed, _NOISE_TAG)
+        self._drift = KeyedStreams(spec.seed, _DRIFT_TAG)
 
     @property
     def n_units(self) -> int:
@@ -211,8 +240,7 @@ class SyntheticOracle:
         execution schedule.
         """
         if self.spec.sigma_val > 0.0:
-            rng = np.random.default_rng([self.spec.seed, _NOISE_TAG, int(call_index)])
-            value += self.spec.sigma_val * rng.standard_normal()
+            value += self.spec.sigma_val * self._noise(call_index).standard_normal()
         return float(min(1.0, max(0.0, value)))
 
     def true_value(self, state: TrainingState, gates) -> float:
@@ -258,7 +286,7 @@ class SyntheticOracle:
         steps[gates] += float(k)
         offsets = state.drift_offsets
         if self.spec.drift > 0.0:
-            rng = np.random.default_rng([self.spec.seed, _DRIFT_TAG, state.n_train_calls])
+            rng = self._drift(state.n_train_calls)
             offsets = offsets + rng.uniform(-self.spec.drift, self.spec.drift, self.n_units)
         return TrainingState(steps=steps, drift_offsets=offsets, n_train_calls=state.n_train_calls + 1)
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptySpace, IncompatibleTemplate, InvalidParams, check_count
+from .errors import EmptySpace, IncompatibleTemplate, InvalidParams, check_count, check_flag, check_number
 
 
 class Family(Enum):
@@ -263,6 +263,8 @@ class AuditSpace:
                 for u in doc["units"]:
                     for key, minimum in (("id", 0), ("layer", 0), ("hidden_dim", 1)):
                         check_count(f"unit {key}", u[key], minimum)
+                    check_number("unit cost", u["cost"])
+                    check_flag("unit gate", u.get("gate", False))
                 units = [
                     AdapterUnit(
                         id=u["id"],
@@ -271,7 +273,7 @@ class AuditSpace:
                         slot=Slot(u["slot"]),
                         hidden_dim=u["hidden_dim"],
                         cost=float(u["cost"]),
-                        gate=bool(u.get("gate", False)),
+                        gate=u.get("gate", False),
                     )
                     for u in doc["units"]
                 ]
@@ -287,7 +289,8 @@ class AuditSpace:
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParams(f"malformed space schema: {exc}") from exc
-        shared = bool(doc.get("sapa_shared_weights", False))
+        shared = doc.get("sapa_shared_weights", False)
+        check_flag("sapa_shared_weights", shared)
         return cls.build(backbone, templates, sapa_shared_weights=shared)
 
     def to_json(self) -> dict:

@@ -4,6 +4,13 @@
 audit batch per call; the engine uses it. `UtilityTracker` is the same
 filter for one unit. Both go through `ema_step` and `robust_scores`, so they
 agree bit for bit.
+
+`robust_scores(h, lambda_s, lengths)` scores rows of different history
+lengths in one pass: row i holds `lengths[i]` values and NaN in its other
+slots. It sorts the rows once (NaN sorts last) and picks the median and the
+quartile neighbours from per-length index and weight tables, so it equals
+`np.median` and `np.quantile` (numpy's default 'linear' method, Hyndman &
+Fan 1996 method 7) on each row's values bit for bit.
 """
 
 from __future__ import annotations
@@ -33,10 +40,13 @@ class SmoothingParams:
             raise InvalidParams("lambda_s must be non-negative")
 
 
+_MAX_WINDOW = 5
+
+
 def _check_window(window: int) -> None:
     check_count("history window", window, 3)
-    if window > 5:
-        raise InvalidParams("history window must lie in [3, 5]")
+    if window > _MAX_WINDOW:
+        raise InvalidParams(f"history window must lie in [3, {_MAX_WINDOW}]")
 
 
 def ema_step(ema, u, beta: float):
@@ -44,15 +54,47 @@ def ema_step(ema, u, beta: float):
     return (1.0 - beta) * u + beta * ema
 
 
-def robust_scores(h: np.ndarray, lambda_s: float) -> np.ndarray:
-    """Per row of `h` (k histories of one length L): median - lambda_s * IQR,
-    with linearly interpolated quartiles; a one-value history scores itself.
-    Median and quartiles do not depend on the order within a row."""
-    if h.shape[1] == 1:
-        return h[:, 0].copy()
-    med = np.median(h, axis=1)
-    q25, q75 = np.quantile(h, [0.25, 0.75], axis=1)
-    return med - lambda_s * (q75 - q25)
+def _pick_tables(max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per history length n (row n; row 0 unused), as numpy places them:
+    the sorted positions of the median pair (columns 0-1) and, per quartile
+    q in (0.25, 0.75), of its neighbours a <= b and of the one it is read
+    from (columns 2-4 and 5-7), and each quartile's signed weight.
+
+    numpy's 'linear' quantile lerps a + (b - a)·t, or b - (b - a)·(1 - t)
+    when t >= 0.5; both are `from + (b - a)·weight` with the weight t or
+    -(1 - t), which is the same float operation."""
+    pos = np.zeros((max_len + 1, 8), dtype=np.intp)
+    weight = np.zeros((max_len + 1, 2))
+    for n in range(1, max_len + 1):
+        pos[n, :2] = ((n - 1) // 2, n // 2)
+        for j, q in enumerate((0.25, 0.75)):
+            virtual = (n - 1) * q
+            a = math.floor(virtual)
+            b = min(a + 1, n - 1)
+            t = virtual - a
+            pos[n, 2 + 3 * j : 5 + 3 * j] = (a, b, b if t >= 0.5 else a)
+            weight[n, j] = -(1 - t) if t >= 0.5 else t
+    return pos, weight
+
+
+_PICKS, _WEIGHTS = _pick_tables(_MAX_WINDOW)
+
+
+def robust_scores(h: np.ndarray, lambda_s: float, lengths=None) -> np.ndarray:
+    """Per row of `h`: median - lambda_s * IQR of the row's history, with
+    linearly interpolated quartiles; a one-value history scores itself.
+
+    Without `lengths` every row is a full history of `h.shape[1]` values.
+    With it, row i holds `lengths[i]` (1 to `h.shape[1]`) values and NaN in
+    its other slots. Rows have at most `_MAX_WINDOW` slots. Median and
+    quartiles do not depend on the order within a row."""
+    s = np.sort(h, axis=1)
+    n = np.full(len(s), s.shape[1]) if lengths is None else np.asarray(lengths)
+    v = s[np.arange(len(s))[:, None], _PICKS[n]]
+    # numpy's median of an even-length row is the mean of its middle pair.
+    med = np.where(n % 2 == 0, (v[:, 0] + v[:, 1]) / 2, v[:, 0])
+    q = v[:, 4::3] + (v[:, 3::3] - v[:, 2::3]) * _WEIGHTS[n]
+    return med - lambda_s * (q[:, 1] - q[:, 0])
 
 
 def audit_event(
@@ -113,10 +155,9 @@ class UtilityTable:
         count += 1
         self.probe_count[units] = count
 
-        lengths = np.minimum(count, self.window)
-        for length in np.unique(lengths):
-            rows = units[lengths == length]
-            self.score[rows] = robust_scores(self.hist[rows, :length], params.lambda_s)
+        self.score[units] = robust_scores(
+            self.hist[units], params.lambda_s, np.minimum(count, self.window)
+        )
         return [
             audit_event(cycle, *rec)
             for rec in zip(

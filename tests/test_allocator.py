@@ -110,6 +110,17 @@ def test_fill_is_the_plain_add_while_it_fits_loop(data, n):
     assert set(rejected) == set(order) - set(np.flatnonzero(gates & ~start).tolist())
 
 
+@pytest.mark.parametrize(
+    "start, order",
+    [([True, False, False], [1, 0]), ([False, False, False], [1, 2, 1])],
+    ids=["unit-already-on", "unit-repeated"],
+)
+def test_fill_requires_each_unit_of_order_off_and_once(start, order):
+    # The running total counts each unit of `order` once, from off.
+    with pytest.raises(InvalidParams):
+        fill(np.array(start), np.array(order), np.array([0.1, 0.2, 0.3]), 10.0)
+
+
 def make_proposal(gates, scores, costs):
     gates = np.asarray(gates, dtype=bool)
     return AllocationProposal(

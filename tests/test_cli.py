@@ -146,6 +146,9 @@ def with_space(*path, value):
         with_space("units", 0, "size", value=2.9),
         with_space("units", 0, "layer", value=0.5),
         with_space("units", 0, "hidden_dim", value=16.9),
+        with_space("sapa_shared_weights", value="false"),
+        with_space("units", 0, "gate", value="false"),
+        with_space("units", 0, "cost", value="0.0003"),
     ],
     ids=[
         "non-integer-cycles", "non-object-oracle", "top-level-array", "zero-shots",
@@ -155,7 +158,8 @@ def with_space(*path, value):
         "fractional-tau-act", "nan-kappa", "infinite-kappa", "nan-mu-inf", "infinite-sigma-val",
         "nan-unit-cost", "nan-lambda-s", "fractional-layers", "fractional-hidden-dim",
         "fractional-param-count", "fractional-template-size", "fractional-unit-id", "fractional-unit-size",
-        "fractional-unit-layer", "fractional-unit-hidden-dim",
+        "fractional-unit-layer", "fractional-unit-hidden-dim", "string-sapa-flag", "string-unit-gate",
+        "string-unit-cost",
     ],
 )
 @pytest.mark.parametrize("seed", [None, "3"])

@@ -16,6 +16,7 @@ from auditloop.errors import (
     TooLarge,
     UnknownConfiguration,
 )
+from auditloop.oracle import KeyedStreams
 
 
 def simple_spec(**overrides):
@@ -159,6 +160,22 @@ def test_noise_seeded_by_call_index():
     gates = [True, False, False]
     assert a.evaluate(state, gates, call_index=3) == b.evaluate(state, gates, call_index=3)
     assert a.evaluate(state, gates, call_index=4) != b.evaluate(state, gates, call_index=5)
+
+
+@pytest.mark.parametrize("prefix", [(), (7, 0x0E11), (2**32, 2**32 - 1)])
+@pytest.mark.parametrize("key", [0, 2**32 - 1, 2**32, 2**64 + 3])
+def test_keyed_streams_are_default_rng_streams(prefix, key):
+    # SeedSequence splits every int key into 32-bit words; the helper must
+    # split them the same way at each word boundary.
+    ours, reference = KeyedStreams(*prefix)(key), np.random.default_rng(list(prefix) + [key])
+    assert np.array_equal(ours.standard_normal(8), reference.standard_normal(8))
+    assert np.array_equal(ours.permutation(20), reference.permutation(20))
+    assert np.array_equal(ours.uniform(-1.0, 1.0, 5), reference.uniform(-1.0, 1.0, 5))
+
+
+def test_keyed_streams_reject_negative_keys():
+    with pytest.raises(InvalidParams):
+        KeyedStreams(1)(-1)
 
 
 def test_noise_calibration():

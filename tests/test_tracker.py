@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from auditloop import SmoothingParams, UtilityTable, UtilityTracker, checks
 from auditloop.errors import InvalidParams, NeverAudited, NonFiniteUtility
+from auditloop.tracker import robust_scores
 
 P = SmoothingParams()
 
@@ -88,6 +89,43 @@ def test_robust_score_constant_history():
     tr.history.extend([0.3, 0.3, 0.3, 0.3])
     tr.probe_count = 4
     assert math.isclose(tr.robust_score(SmoothingParams(lambda_s=3.0)), 0.3)
+
+
+# Plain floats, and rounded ones that tie often.
+history_values = st.one_of(
+    st.floats(-100, 100), st.floats(-3, 3).map(lambda x: round(x, 1)), st.integers(-2, 2).map(lambda k: k / 4)
+)
+
+
+@st.composite
+def padded_histories(draw):
+    """Rows of one window (3 to 5 slots), each with 1 to window values, some
+    constant, in random slots; NaN fills the others."""
+    window = draw(st.integers(3, 5))
+    rows, lengths = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.integers(1, window))
+        if draw(st.booleans()):
+            values = [draw(history_values)] * n
+        else:
+            values = draw(st.lists(history_values, min_size=n, max_size=n))
+        row = np.full(window, math.nan)
+        row[draw(st.permutations(range(window)))[:n]] = values
+        rows.append(row)
+        lengths.append(n)
+    return np.array(rows), lengths
+
+
+@settings(max_examples=300, deadline=None)
+@given(padded_histories(), st.one_of(st.just(0.0), st.just(0.5), st.floats(0, 5)))
+def test_robust_scores_equal_numpy_per_length(histories, lambda_s):
+    h, lengths = histories
+    expected = []
+    for row in h:
+        values = row[~np.isnan(row)][None, :]
+        q25, q75 = np.quantile(values, [0.25, 0.75], axis=1)
+        expected.append(float((np.median(values, axis=1) - lambda_s * (q75 - q25))[0]))
+    assert np.array_equal(robust_scores(h, lambda_s, lengths), expected)
 
 
 vals = st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=12)
