@@ -13,6 +13,7 @@ ascending-id order (`gate_cost`) so that every module agrees bit-for-bit on
 feasibility. `fill` keeps a running total and calls `gate_cost` only when
 that total lies within `4·N·eps·p_max` of the budget, the band where the
 two sums could disagree, so it decides exactly as `gate_cost` does.
+`apply_hysteresis` does the same with a band widened for its evictions.
 """
 
 from __future__ import annotations
@@ -161,25 +162,36 @@ def apply_hysteresis(
             evictable.append(int(j))
     evictable.sort(key=lambda j: (scores[j], j))
 
-    def fits(mask: np.ndarray) -> bool:
-        return gate_cost(mask, costs) <= p_max
+    # As in `fill`, a running total decides the clear cases. Every running
+    # sum here stems from one pairwise `gate_cost` followed by at most 2·N
+    # additions and subtractions of costs, each rounding by at most eps times
+    # the sum of all costs; `gate_cost` judges only inside that band.
+    band = 8 * costs.size * np.finfo(float).eps * float(costs.sum())
+    total = gate_cost(gates, costs)
 
-    for k in _density_order(adds, scores, costs):
+    def fits(mask: np.ndarray, running: float) -> tuple[bool, float]:
+        if abs(running - p_max) <= band:  # too close to call
+            running = gate_cost(mask, costs)
+        return running <= p_max, running
+
+    for k in _density_order(adds, scores, costs).tolist():
         trial = gates.copy()
         trial[k] = True
-        if fits(trial):
-            gates = trial
+        ok, running = fits(trial, total + costs[k])
+        if ok:
+            gates, total = trial, running
             continue
         needed: list[int] = []
         for j in evictable:
             needed.append(j)
             trial[j] = False
-            if fits(trial):
+            ok, running = fits(trial, running - costs[j])
+            if ok:
                 break
-        if not fits(trial):
+        if not ok:
             continue  # infeasible even after every allowed eviction
         if scores[k] - sum(scores[j] for j in needed) > mu_eff:
-            gates = trial
+            gates, total = trial, running
             for j in needed:
                 evictable.remove(j)
     return gates

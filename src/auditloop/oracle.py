@@ -17,8 +17,11 @@ batched query is the seam where an external evaluator may parallelise the
 toggles on its own side; the engine itself audits on one thread.
 
 Every seeded stream in the engine comes from a `KeyedStreams`: its
-generator for key i is `np.random.default_rng([*prefix, i])`, draw for draw,
-built without `default_rng`'s per-call conversion of the seed list.
+generator for key i is `np.random.default_rng([*prefix, i])`, draw for draw.
+Seeding one such stream through `SeedSequence` hashes its words in Python
+loops; `_seed_states` runs the same hash as array expressions over an
+aligned block of `SEED_BLOCK` keys at once, and each stream then starts from
+its precomputed row.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .allocator import ENUMERATION_MAX, best_subset, subset_sums
 from .errors import (
@@ -46,6 +50,74 @@ _NOISE_TAG = 0x0E11
 _DRIFT_TAG = 0xD21F
 
 
+# Keys per seed-state block: a `KeyedStreams` hashes the seeds of keys
+# b * SEED_BLOCK ... (b + 1) * SEED_BLOCK - 1 together.
+SEED_BLOCK = 1024
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+
+
+def _seed_states(entropy) -> np.ndarray:
+    """`SeedSequence(row).generate_state(4, np.uint64)` for every row of a
+    (K, L) array of 32-bit words, as one pass of array expressions.
+
+    This is numpy's `mix_entropy` followed by `generate_state`: the hash
+    constant runs the same sequence for every row, so it stays a Python int
+    and only the pool words are arrays. Rows shorter than the pool hash
+    zeros for the missing words; words past the pool mix into every pool
+    word."""
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    n_keys, n_words = entropy.shape
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return out ^ (out >> _XSHIFT)
+
+    zeros = np.zeros(n_keys, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < n_words else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, n_words):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    hash_const = _INIT_B
+    state = np.empty((n_keys, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> _XSHIFT)
+    # generate_state reads word pairs as little-endian uint64s.
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _BlockSeed(ISeedSequence):
+    """A seed sequence whose state was computed ahead by `_seed_states`.
+    `PCG64` asks it for exactly that state: 4 uint64 words."""
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self._state
+
+
 def _words(key: int) -> list[int]:
     """A non-negative int as SeedSequence reads it: little-endian 32-bit
     words, with 0 as one word."""
@@ -57,15 +129,31 @@ def _words(key: int) -> list[int]:
 class KeyedStreams:
     """Generators keyed by one int under a fixed prefix of non-negative ints:
     `streams(i)` yields the stream of `np.random.default_rng([*prefix, i])`.
-    The prefix words are split once; each call builds
-    `Generator(PCG64(SeedSequence(words)))` from a uint32 array."""
+
+    Keys are seeded in aligned blocks of `SEED_BLOCK`. Every key of a block
+    has the same words as the block's first key except the lowest, which
+    adds the key's offset, so the block's entropy is one broadcast and its
+    seed states one `_seed_states` call. Only the latest block is kept;
+    every caller asks for keys in increasing order, so each block is hashed
+    once per instance."""
 
     def __init__(self, *prefix: int):
         self._prefix = [w for key in prefix for w in _words(int(key))]
+        self._block: int | None = None
+        self._states: np.ndarray | None = None
 
     def __call__(self, key: int) -> Generator:
-        words = np.array(self._prefix + _words(int(key)), dtype=np.uint32)
-        return Generator(PCG64(SeedSequence(words)))
+        key = int(key)
+        block, offset = divmod(key, SEED_BLOCK)
+        if block != self._block:
+            words = np.array(self._prefix + _words(key), dtype=np.uint32)
+            low = len(self._prefix)
+            words[low] -= offset  # the block's first key: same words, low word aligned
+            entropy = np.tile(words, (SEED_BLOCK, 1))
+            entropy[:, low] += np.arange(SEED_BLOCK, dtype=np.uint32)
+            self._states = _seed_states(entropy)
+            self._block = block
+        return Generator(PCG64(_BlockSeed(self._states[offset])))
 
 
 @dataclass(frozen=True)
@@ -225,12 +313,20 @@ class SyntheticOracle:
         s = float(mu[members[gates[members]]].sum())
         return _group_value(s, self._groups[k][1], self._capacity[k])
 
-    def _total(self, terms) -> float:
-        """Base score plus the group terms, added in group order, clamped."""
-        total = self.spec.base_score
-        for t in terms:
-            total += t
-        return float(min(1.0, max(0.0, total)))
+    def _totals(self, terms: list[float], swaps=()) -> np.ndarray:
+        """Base score plus the group terms, added in group order from left to
+        right and clamped to [0, 1]. Row 0 totals `terms`; row r then totals
+        them with group k's term replaced by t, for the r-th (k, t) of
+        `swaps`. One accumulate along each row adds exactly as a Python loop
+        would; a row sum would add pairwise."""
+        rows = np.empty((1 + len(swaps), 1 + len(terms)))
+        rows[:, 0] = self.spec.base_score
+        rows[:, 1:] = terms
+        if swaps:
+            groups, values = zip(*swaps)
+            rows[np.arange(1, rows.shape[0]), 1 + np.array(groups)] = values
+        totals = np.add.accumulate(rows, axis=1)[:, -1]
+        return np.minimum(1.0, np.maximum(0.0, totals))
 
     def _noisy(self, value: float, call_index: int) -> float:
         """Add the noise draw of one call index and clamp to [0, 1].
@@ -247,7 +343,7 @@ class SyntheticOracle:
         """Noise-free score of a configuration; does not count as an evaluation."""
         gates = self._check_gates(gates)
         mu = self._unit_utilities(state)
-        return self._total([self._group_term(mu, k, gates) for k in range(len(self._groups))])
+        return float(self._totals([self._group_term(mu, k, gates) for k in range(len(self._groups))])[0])
 
     def evaluate(self, state: TrainingState, gates, call_index: int) -> float:
         """Noisy evaluation: true value plus Gaussian noise, clamped to [0, 1]."""
@@ -260,21 +356,23 @@ class SyntheticOracle:
         to `evaluate` at call indices first_call_index, first_call_index + 1, ...
 
         The group terms of the full configuration are computed once; a toggle
-        recomputes only its unit's group and re-adds the terms in order.
+        recomputes only its unit's group, and one `_totals` call adds up the
+        full configuration and every toggle.
         """
         gates = self._check_gates(gates)
         mu = self._unit_utilities(state)
         terms = [self._group_term(mu, k, gates) for k in range(len(self._groups))]
-        full = self._noisy(self._total(terms), first_call_index)
         flipped = gates.copy()
-        toggled = []
-        for pos, unit in enumerate(units):
+        swaps = []
+        for unit in units:
             k = int(self._group_of[unit])
             flipped[unit] = not flipped[unit]
-            term = self._group_term(mu, k, flipped)
+            swaps.append((k, self._group_term(mu, k, flipped)))
             flipped[unit] = gates[unit]
-            value = self._total(terms[:k] + [term] + terms[k + 1 :])
-            toggled.append(self._noisy(value, first_call_index + 1 + pos))
+        full, *toggled = (
+            self._noisy(value, first_call_index + pos)
+            for pos, value in enumerate(self._totals(terms, swaps).tolist())
+        )
         return full, toggled
 
     def train_step(self, state: TrainingState, gates, k: int) -> TrainingState:

@@ -212,6 +212,56 @@ def test_hysteresis_budget_safety_and_score_safety(n, seed):
     assert scores[out].sum() >= scores[current].sum() - 1e-12
 
 
+def plain_hysteresis(current, prop, scores, costs, p_max, mu_eff):
+    """The margin guard with `gate_cost` on every trial mask."""
+    gates = current.copy()
+    evictable = []
+    for j in np.flatnonzero(current & ~prop):
+        if scores[j] <= 0.0:
+            gates[j] = False
+        else:
+            evictable.append(int(j))
+    evictable.sort(key=lambda j: (scores[j], j))
+    adds = np.flatnonzero(prop & ~current)
+    dens = scores[adds] / costs[adds]
+    for k in adds[np.lexsort((adds, costs[adds], -dens))]:
+        trial = gates.copy()
+        trial[k] = True
+        if gate_cost(trial, costs) <= p_max:
+            gates = trial
+            continue
+        needed = []
+        for j in evictable:
+            needed.append(j)
+            trial[j] = False
+            if gate_cost(trial, costs) <= p_max:
+                break
+        if gate_cost(trial, costs) > p_max:
+            continue
+        if scores[k] - sum(scores[j] for j in needed) > mu_eff:
+            gates = trial
+            for j in needed:
+                evictable.remove(j)
+    return gates
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), n=st.integers(1, 12))
+def test_hysteresis_running_total_decides_as_gate_cost(data, n):
+    # Costs with inexact sums and a budget equal to the cost of a drawn
+    # mask, so trials that fit exactly, or miss by one rounding, are common.
+    def masks():
+        return st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+
+    costs = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0]), min_size=n, max_size=n)))
+    scores = np.array(data.draw(st.lists(st.sampled_from([-0.1, 0.0, 0.2, 0.3, 0.5, 1.0]), min_size=n, max_size=n)))
+    current, prop_gates = data.draw(masks()), data.draw(masks())
+    p_max = gate_cost(data.draw(masks()), costs) + data.draw(st.sampled_from([0.0, 1e-17, -1e-17, 0.05]))
+    mu_eff = data.draw(st.sampled_from([0.0, 0.1, 0.5]))
+    out = apply_hysteresis(current, make_proposal(prop_gates, scores, costs), scores, costs, p_max, mu_eff)
+    assert np.array_equal(out, plain_hysteresis(current, prop_gates, scores, costs, p_max, mu_eff))
+
+
 # -- final re-solve ----------------------------------------------------------
 
 

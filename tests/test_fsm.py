@@ -111,6 +111,28 @@ def test_chatter_bound_fuzz(tau, n, seed):
     assert int(fsm.unit_flips.max()) <= t_len // tau
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    tau=st.integers(1, 3),
+    widths=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    t_len=st.integers(1, 40),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_stacked_stabilizer_flips_equal_separate_runs(tau, widths, t_len, seed):
+    # The chatter checks run many budget-free runs as the column blocks of
+    # one stabilizer; that is sound only if no column sees another.
+    rng = np.random.default_rng(seed)
+    runs = [rng.random((t_len, w)) < 0.5 for w in widths]
+    separate = []
+    for proposals in runs:
+        fsm = FsmStabilizer(proposals.shape[1], tau_act=tau)
+        gates = np.zeros(proposals.shape[1], dtype=bool)
+        for proposed in proposals:
+            gates = fsm.filter_proposals(gates, proposed)
+        separate.append(fsm.unit_flips)
+    assert np.array_equal(checks._flips(tau, np.hstack(runs)), np.concatenate(separate))
+
+
 def test_vote_summary_shape():
     fsm = FsmStabilizer(3, tau_act=3)
     gates = np.zeros(3, dtype=bool)

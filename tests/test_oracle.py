@@ -16,7 +16,8 @@ from auditloop.errors import (
     TooLarge,
     UnknownConfiguration,
 )
-from auditloop.oracle import KeyedStreams
+from auditloop.driver import default_run_config
+from auditloop.oracle import SEED_BLOCK, KeyedStreams, _seed_states
 
 
 def simple_spec(**overrides):
@@ -176,6 +177,28 @@ def test_keyed_streams_are_default_rng_streams(prefix, key):
 def test_keyed_streams_reject_negative_keys():
     with pytest.raises(InvalidParams):
         KeyedStreams(1)(-1)
+
+
+@pytest.mark.parametrize("n_words", range(1, 7))
+def test_seed_states_equal_seed_sequence(n_words):
+    # Rows shorter than the 4-word pool hash zeros; longer ones mix the
+    # extra words into the pool.
+    rng = np.random.default_rng(n_words)
+    rows = rng.integers(0, 2**32, (40, n_words), dtype=np.uint64)
+    rows[0], rows[1] = 0, 2**32 - 1
+    want = np.array([np.random.SeedSequence(row).generate_state(4, np.uint64) for row in rows])
+    assert np.array_equal(_seed_states(rows), want)
+
+
+@pytest.mark.parametrize("prefix", [(), (7, 0x0E11), (2**32, 2**32 - 1)])
+def test_keyed_streams_out_of_order_across_blocks_and_words(prefix):
+    # One instance keeps one block; each query below leaves the cached one
+    # or crosses into a key with more 32-bit words.
+    streams = KeyedStreams(*prefix)
+    for key in (SEED_BLOCK - 1, SEED_BLOCK, 0, 2**32 - 1, 2**32, 2**64 + 3, 5):
+        ours, reference = streams(key), np.random.default_rng([*prefix, key])
+        assert np.array_equal(ours.standard_normal(8), reference.standard_normal(8))
+        assert np.array_equal(ours.permutation(20), reference.permutation(20))
 
 
 def test_noise_calibration():
@@ -420,6 +443,43 @@ def test_evaluate_toggles_matches_per_call_evaluate(case):
     got = batched.evaluate_toggles(state, gates, units, first_call_index)
     want = per_call_toggles(per_call, state, gates, units, first_call_index)
     assert got == want  # bit for bit: float == on every score
+
+
+def test_evaluate_toggles_matches_evaluate_on_the_default_groups():
+    # The default space has redundancy groups of 12 units, past numpy's
+    # 8-way unrolled summation; the call indices cross a seed-state block.
+    spec = default_run_config(10, 3).oracle_spec
+    assert max(len(g) for g in spec.groups) > 8
+    batched, per_call = SyntheticOracle(spec), SyntheticOracle(spec)
+    rng = np.random.default_rng(0)
+    state = batched.train_step(batched.fresh_state(), rng.random(spec.n_units) < 0.5, 200)
+    gates = rng.random(spec.n_units) < 0.3
+    units = list(rng.permutation(spec.n_units))
+    first = SEED_BLOCK - 30
+    assert batched.evaluate_toggles(state, gates, units, first) == per_call_toggles(
+        per_call, state, gates, units, first
+    )
+
+
+@pytest.mark.parametrize("base_score, mu, clamped", [(0.95, 0.2, 1.0), (0.05, -0.2, 0.0)])
+@pytest.mark.parametrize("sigma_val", [0.0, 0.05])
+def test_evaluate_toggles_matches_evaluate_where_totals_clamp(base_score, mu, clamped, sigma_val):
+    spec = simple_spec(base_score=base_score, mu_inf=(mu, mu, 0.01), sigma_val=sigma_val)
+    batched, per_call = SyntheticOracle(spec), SyntheticOracle(spec)
+    state = batched.train_step(batched.fresh_state(), np.ones(3, bool), 5000)
+    gates = np.array([True, False, False])
+    units = [0, 1, 2, 1]
+    got = batched.evaluate_toggles(state, gates, units, 11)
+    assert got == per_call_toggles(per_call, state, gates, units, 11)
+    assert batched.true_value(state, [True, True, False]) == clamped
+
+
+def test_evaluate_toggles_with_no_units_is_one_evaluate():
+    spec = simple_spec(sigma_val=0.05)
+    oracle = SyntheticOracle(spec)
+    state = oracle.train_step(oracle.fresh_state(), np.ones(3, bool), 300)
+    gates = [True, False, True]
+    assert oracle.evaluate_toggles(state, gates, [], 9) == (oracle.evaluate(state, gates, call_index=9), [])
 
 
 def test_evaluate_toggles_checks_gate_length():
