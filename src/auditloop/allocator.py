@@ -8,12 +8,17 @@ best singleton, then best-improvement single swaps).
 
 `fill` is the one add-while-it-fits loop: the greedy knapsack, the FSM's
 commit of ready activations and the random baseline each pass it their own
-start mask and unit order. All budget checks sum costs over the gate mask in
-ascending-id order (`gate_cost`) so that every module agrees bit-for-bit on
-feasibility. `fill` keeps a running total and calls `gate_cost` only when
-that total lies within `4·N·eps·p_max` of the budget, the band where the
-two sums could disagree, so it decides exactly as `gate_cost` does.
-`apply_hysteresis` does the same with a band widened for its evictions.
+start mask and unit order.
+
+A set fits the budget when `gate_cost`, its costs summed in ascending-id
+order, is at most `p_max`, so every module agrees bit-for-bit on
+feasibility. Every allocator step decides this through `_Budget.fits` from
+an approximate total: one `gate_cost` or subset sum, off by at most
+N·eps·sum(costs), plus at most 2·N cost additions and subtractions, each off
+by at most eps·sum(costs). The total and the candidate's own `gate_cost`
+thus differ by at most 4·N·eps·sum(costs), so a total more than the band
+`8·N·eps·sum(costs)` away from `p_max` decides as `gate_cost` would; only
+inside the band is `gate_cost` summed.
 """
 
 from __future__ import annotations
@@ -52,31 +57,47 @@ def gate_cost(gates: np.ndarray, costs: np.ndarray) -> float:
     return float(costs[np.asarray(gates, dtype=bool)].sum())
 
 
+class _Budget:
+    """The one budget decision for unit costs `costs` and budget `p_max`; the
+    module docstring argues its band."""
+
+    def __init__(self, costs: np.ndarray, p_max: float):
+        self.costs, self.p_max = costs, p_max
+        self.band = float(8 * costs.size * np.finfo(float).eps * costs.sum())  # a Python float is faster here
+
+    def fits(self, approx, mask_of):
+        """`approx <= p_max` for a float or per entry of a 1-D array, except
+        that within the band the `gate_cost` of `mask_of(i)`, candidate i's
+        gate vector, decides (i = 0 for a float)."""
+        if isinstance(approx, float):  # Python scalars are faster here
+            if abs(approx - self.p_max) > self.band:
+                return approx <= self.p_max
+            return gate_cost(mask_of(0), self.costs) <= self.p_max
+        ok = approx <= self.p_max
+        for i in np.flatnonzero(np.abs(approx - self.p_max) <= self.band).tolist():  # too close to call
+            ok[i] = gate_cost(mask_of(i), self.costs) <= self.p_max
+        return ok
+
+
 def fill(gates, order, costs, p_max: float) -> tuple[np.ndarray, list[int]]:
     """Switch on each unit of `order` in turn, keeping it only while
     `gate_cost` stays within `p_max`. Returns a new gate vector and the units
     of `order` that did not fit; `gates` itself is left as it is. Every unit
-    of `order` must be off in `gates` and appear once.
-
-    A running total decides the clear cases. Two sums of the same k positive
-    costs in different orders differ by less than 2·k·eps of their value, so
-    a total more than `4·N·eps·p_max` below or above `p_max` decides as
-    `gate_cost` would; only inside that band does `gate_cost` judge."""
+    of `order` must be off in `gates` and appear once. The approximate total
+    is a running one: `gate_cost` of `gates` plus each kept unit's cost."""
     gates = np.array(gates, dtype=bool)
     costs = np.asarray(costs, dtype=float)
     order = np.asarray(order, dtype=np.intp)
-    band = 4 * costs.size * np.finfo(float).eps * p_max
+    fits = _Budget(costs, p_max).fits
+    trial = lambda _: gates  # the unit under test is switched on in place
     total = gate_cost(gates, costs)
     rejected: list[int] = []
     for i, cost in zip(order.tolist(), costs[order].tolist()):  # Python scalars are faster here
         if gates[i]:
             raise InvalidParams(f"fill: unit {i} is already on")
         gates[i] = True
-        trial = total + cost
-        if abs(trial - p_max) <= band:  # too close to call
-            trial = gate_cost(gates, costs)
-        if trial <= p_max:
-            total = trial
+        if fits(total + cost, trial):
+            total += cost
         else:
             gates[i] = False
             rejected.append(i)
@@ -98,18 +119,12 @@ def _validate(scores, costs, eligible) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def _density_order(ids: np.ndarray, scores: np.ndarray, costs: np.ndarray) -> np.ndarray:
     """Descending score density; ties to lower cost, then lower id."""
-    if ids.size == 0:
-        return ids
     dens = scores[ids] / costs[ids]
     return ids[np.lexsort((ids, costs[ids], -dens))]
 
 
 def _proposal(gates: np.ndarray, scores: np.ndarray, costs: np.ndarray) -> AllocationProposal:
-    return AllocationProposal(
-        gates=gates,
-        total_cost=gate_cost(gates, costs),
-        total_score=float(scores[gates].sum()),
-    )
+    return AllocationProposal(gates, gate_cost(gates, costs), float(scores[gates].sum()))
 
 
 def greedy_allocate(scores, costs, eligible, p_max: float) -> AllocationProposal:
@@ -120,19 +135,13 @@ def greedy_allocate(scores, costs, eligible, p_max: float) -> AllocationProposal
     objective.
     """
     scores, costs, eligible = _validate(scores, costs, eligible)
-    candidates = np.flatnonzero(eligible & (scores > 0.0))
-    order = _density_order(candidates, scores, costs)
+    order = _density_order(np.flatnonzero(eligible & (scores > 0.0)), scores, costs)
     gates, _ = fill(np.zeros(scores.size, dtype=bool), order, costs, p_max)
     return _proposal(gates, scores, costs)
 
 
 def apply_hysteresis(
-    current,
-    proposal: AllocationProposal,
-    scores,
-    costs,
-    p_max: float,
-    mu_eff: float,
+    current, proposal: AllocationProposal, scores, costs, p_max: float, mu_eff: float
 ) -> np.ndarray:
     """Filter a fresh proposal against the currently committed gates.
 
@@ -162,22 +171,14 @@ def apply_hysteresis(
             evictable.append(int(j))
     evictable.sort(key=lambda j: (scores[j], j))
 
-    # As in `fill`, a running total decides the clear cases. Every running
-    # sum here stems from one pairwise `gate_cost` followed by at most 2·N
-    # additions and subtractions of costs, each rounding by at most eps times
-    # the sum of all costs; `gate_cost` judges only inside that band.
-    band = 8 * costs.size * np.finfo(float).eps * float(costs.sum())
+    # The approximate total: `gate_cost` of `gates` plus the adds and evictions since.
+    budget = _Budget(costs, p_max)
     total = gate_cost(gates, costs)
-
-    def fits(mask: np.ndarray, running: float) -> tuple[bool, float]:
-        if abs(running - p_max) <= band:  # too close to call
-            running = gate_cost(mask, costs)
-        return running <= p_max, running
-
     for k in _density_order(adds, scores, costs).tolist():
         trial = gates.copy()
         trial[k] = True
-        ok, running = fits(trial, total + costs[k])
+        running = total + costs[k]
+        ok = budget.fits(running, lambda _: trial)
         if ok:
             gates, total = trial, running
             continue
@@ -185,7 +186,8 @@ def apply_hysteresis(
         for j in evictable:
             needed.append(j)
             trial[j] = False
-            ok, running = fits(trial, running - costs[j])
+            running -= costs[j]
+            ok = budget.fits(running, lambda _: trial)
             if ok:
                 break
         if not ok:
@@ -219,41 +221,37 @@ def final_resolve(scores, costs, eligible, p_max: float) -> AllocationProposal:
 def swap_resolve(scores, costs, eligible, p_max: float) -> AllocationProposal:
     """Density greedy vs. best feasible singleton, then best-improvement
     single-swap passes until no swap raises the score. At least half the
-    optimum, but not monotone in the budget."""
-    scores, costs, eligible = _validate(scores, costs, eligible)
-    best = greedy_allocate(scores, costs, eligible, p_max)
+    optimum, but not monotone in the budget.
 
+    Each pass scores every (selected, outside) pair at once and swaps the
+    pair of largest gain that fits; among equal gains, the lowest selected
+    id, then the lowest outside id (`np.argmax` in row-major order)."""
+    scores, costs, eligible = _validate(scores, costs, eligible)
+    gates = greedy_allocate(scores, costs, eligible, p_max).gates
     singles = np.flatnonzero(eligible & (scores > 0.0) & (costs <= p_max))
     if singles.size:
-        order = np.lexsort((singles, costs[singles], -scores[singles]))
-        s = int(singles[order[0]])
-        single_gates = np.zeros_like(best.gates)
-        single_gates[s] = True
-        single = _proposal(single_gates, scores, costs)
-        if single.total_score > best.total_score:
-            best = single
+        s = singles[np.lexsort((singles, costs[singles], -scores[singles]))[0]]
+        if scores[s] > scores[gates].sum():
+            gates = np.arange(scores.size) == s
 
-    gates = best.gates.copy()
+    budget = _Budget(costs, p_max)
     while True:
         selected = np.flatnonzero(gates)
         outside = np.flatnonzero(eligible & ~gates)
-        best_gain = 0.0
-        best_pair: tuple[int, int] | None = None
-        for s in selected:
-            for u in outside:
-                gain = scores[u] - scores[s]
-                if gain <= best_gain:
-                    continue
-                trial = gates.copy()
-                trial[s] = False
-                trial[u] = True
-                if gate_cost(trial, costs) <= p_max:
-                    best_gain = gain
-                    best_pair = (int(s), int(u))
-        if best_pair is None:
+        gain = scores[outside] - scores[selected][:, None]
+        rows, cols = np.nonzero(gain > 0.0)
+        drop, add = selected[rows], outside[cols]
+
+        def swapped(i: int) -> np.ndarray:
+            trial = gates.copy()
+            trial[drop[i]], trial[add[i]] = False, True
+            return trial
+
+        ok = budget.fits(gate_cost(gates, costs) - costs[drop] + costs[add], swapped)
+        if not ok.any():
             break
-        gates[best_pair[0]] = False
-        gates[best_pair[1]] = True
+        best_pair = np.argmax(np.where(ok, gain[rows, cols], -np.inf))
+        gates[drop[best_pair]], gates[add[best_pair]] = False, True
     return _proposal(gates, scores, costs)
 
 
@@ -267,35 +265,29 @@ def subset_sums(n_bits: int, terms) -> np.ndarray:
     return out
 
 
-def best_subset(
-    sub_scores, sub_costs, costs, p_max: float, ids, n: int
-) -> tuple[np.ndarray, float]:
-    """Gate vector and score of the best subset within the budget; bit b of a
+def best_subset(sub_scores, sub_costs, costs, p_max: float, ids, n: int) -> np.ndarray:
+    """Gate vector of the best subset within the budget; bit b of a
     subset index stands for unit `ids[b]` of `n`. Ties break to lower total
     cost, then to the lexicographically smallest gate tuple.
 
-    `sub_costs` adds the costs in another order than `gate_cost`, so it only
-    shortlists subsets; a subset fits when its `gate_cost` over `costs` does,
-    as in every other budget check."""
-    # Any order of summing k positive costs is within a relative (k - 1) * eps
-    # of the exact sum, so this slack keeps every subset that fits.
-    maybe = sub_costs <= p_max * (1.0 + 4 * len(ids) * np.finfo(float).eps)
+    `sub_costs` adds the costs in another order than `gate_cost`, so it is the
+    approximate total: a subset more than the budget band over `p_max` never
+    fits, and `_Budget.fits` decides for the best of the rest."""
+    budget = _Budget(costs, p_max)
+    maybe = sub_costs <= p_max + budget.band
 
     def to_gates(mask: int) -> tuple[bool, ...]:
         g = np.zeros(n, dtype=bool)
-        for b, unit in enumerate(ids):
-            g[unit] = bool(mask >> b & 1)
+        g[ids] = mask >> np.arange(len(ids)) & 1
         return tuple(g)
 
     while True:
         cand = np.flatnonzero(maybe)  # never empty: the empty set fits
         cand = cand[sub_scores[cand] == sub_scores[cand].max()]
         cand = cand[sub_costs[cand] == sub_costs[cand].min()]
-        fits = [(to_gates(c), c) for c in cand.tolist()]
-        fits = [(g, c) for g, c in fits if gate_cost(g, costs) <= p_max]
-        if fits:
-            gates, winner = min(fits)
-            return np.array(gates, dtype=bool), float(sub_scores[winner])
+        fits = cand[budget.fits(sub_costs[cand], lambda i: to_gates(cand[i]))]
+        if fits.size:
+            return np.array(min(to_gates(c) for c in fits.tolist()), dtype=bool)
         maybe[cand] = False
 
 
@@ -308,5 +300,5 @@ def brute_force_optimum(scores, costs, eligible, p_max: float) -> AllocationProp
         raise TooLarge(f"{idx.size} eligible units exceed the enumeration cap of {ENUMERATION_MAX}")
     sub_scores = subset_sums(idx.size, enumerate(scores[idx]))
     sub_costs = subset_sums(idx.size, enumerate(costs[idx]))
-    gates, _ = best_subset(sub_scores, sub_costs, costs, p_max, idx, scores.size)
+    gates = best_subset(sub_scores, sub_costs, costs, p_max, idx, scores.size)
     return _proposal(gates, scores, costs)

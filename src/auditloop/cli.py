@@ -25,7 +25,7 @@ from .driver import (
     run_random_baseline,
     write_diagnostics_csv,
 )
-from .errors import AuditLoopError, InvalidParams
+from .errors import AuditLoopError, InvalidParams, check_count
 from .oracle import SyntheticOracle, TraceRecordingOracle, replay_trace
 
 EXIT_OK = 0
@@ -95,6 +95,9 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_verify_bounds(args) -> int:
+    # One replica has no variance and zero cycles no coverage bound to miss.
+    check_count("--replicas", args.replicas, 2)
+    check_count("--cycles", args.cycles, 1)
     rows = []
 
     for beta in (0.5, 0.9):
@@ -119,8 +122,11 @@ def cmd_verify_bounds(args) -> int:
 
 
 def cmd_bench_alloc(args) -> int:
+    check_count("--instances", args.instances, 1)
+    check_count("--n-max", args.n_max, 1)
     if args.n_max > ENUMERATION_MAX:
-        raise InvalidParams(f"n-max above the enumeration cap of {ENUMERATION_MAX}")
+        raise InvalidParams(f"--n-max must be at most the enumeration cap of {ENUMERATION_MAX}")
+    check_count("--seed", args.seed, 0)
     ratios = checks.allocator_ratios(args.instances, args.n_max, args.seed)
     stats = {
         "min": float(ratios.min()),

@@ -333,8 +333,7 @@ def run_random_baseline(config: RunConfig, n_samples: int, oracle=None) -> np.nd
     Each sample activates units in a random order while the budget holds and
     trains them for the engine's total step budget (loop plus re-finetune).
     """
-    if n_samples < 1:
-        raise InvalidParams("n_samples must be at least 1")
+    check_count("n_samples", n_samples, 1)
     oracle = oracle if oracle is not None else SyntheticOracle(config.oracle_spec)
     n, costs = config.space.n_units, config.space.costs
     total_steps = config.total_loop_steps + max(1, config.refinetune_steps)

@@ -399,7 +399,8 @@ class SyntheticOracle:
 
     def oracle_optimum(self, state: TrainingState, costs, p_max: float) -> tuple[np.ndarray, float]:
         """Exact budget-constrained maximizer of the noise-free value
-        (N <= `ENUMERATION_MAX`)."""
+        (N <= `ENUMERATION_MAX`) and its `true_value`, which the subset
+        values here, from `np.power`, can miss in the last bit."""
         n = self.n_units
         if n > ENUMERATION_MAX:
             raise TooLarge(f"{n} units exceed the enumeration cap of {ENUMERATION_MAX}")
@@ -414,7 +415,8 @@ class SyntheticOracle:
             group_sum = subset_sums(n, ((i, mu[i]) for i in members))
             values += _group_value_array(group_sum, gamma, cap)
         np.clip(values, 0.0, 1.0, out=values)
-        return best_subset(values, sub_cost, costs, p_max, range(n), n)
+        gates = best_subset(values, sub_cost, costs, p_max, range(n), n)
+        return gates, self.true_value(state, gates)
 
 
 def _group_value(s: float, gamma: float, cap: float) -> float:

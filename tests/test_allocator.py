@@ -313,6 +313,76 @@ def test_final_resolve_exact_up_to_cap_then_swap(n_positive):
     assert not prop.gates[-3:].any()
 
 
+def plain_swap_resolve(scores, costs, eligible, p_max):
+    """`swap_resolve` with the swap pass as a nested loop over (selected,
+    outside) pairs and `gate_cost` on every trial mask."""
+    gates = greedy_allocate(scores, costs, eligible, p_max).gates.copy()
+    singles = [i for i in range(scores.size) if eligible[i] and scores[i] > 0.0 and costs[i] <= p_max]
+    if singles:
+        s = min(singles, key=lambda i: (-scores[i], costs[i], i))
+        if scores[s] > scores[gates].sum():
+            gates = np.zeros_like(gates)
+            gates[s] = True
+    while True:
+        selected = np.flatnonzero(gates)
+        outside = np.flatnonzero(eligible & ~gates)
+        best_gain = 0.0
+        best_pair = None
+        for s in selected:
+            for u in outside:
+                gain = scores[u] - scores[s]
+                if gain <= best_gain:
+                    continue
+                trial = gates.copy()
+                trial[s] = False
+                trial[u] = True
+                if gate_cost(trial, costs) <= p_max:
+                    best_gain = gain
+                    best_pair = (s, u)
+        if best_pair is None:
+            return gates
+        gates[best_pair[0]] = False
+        gates[best_pair[1]] = True
+
+
+@st.composite
+def swap_instances(draw):
+    """Scores from a small set, so equal gains are common; ineligible units
+    with a high or a NaN score; a budget equal to the cost of a drawn mask,
+    so swaps that fit exactly, or miss by one rounding, are common."""
+    n = draw(st.integers(1, 12))
+
+    def draw_array(values):
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+
+    costs = draw_array([0.1, 0.2, 0.3, 0.7, 1.0])
+    eligible = draw_array([True, True, True, False])
+    scores = np.where(eligible, draw_array([-0.1, 0.0, 0.2, 0.3, 0.5, 1.0]), draw_array([np.nan, 5.0]))
+    p_max = gate_cost(draw_array([True, False]), costs) + draw(st.sampled_from([0.0, 1e-17, -1e-17]))
+    return scores, costs, eligible, p_max
+
+
+# Random instances rarely reach a tie that the order of the swap candidates
+# decides; in these two, breaking ties by outside id first ends elsewhere.
+@example(instance=(
+    np.array([0.3, 1.0, 0.0, 0.5, 1.0, 0.5, 1.0]),
+    np.array([0.1, 0.7, 1.0, 0.2, 0.7, 0.3, 0.7]),
+    np.ones(7, dtype=bool),
+    1.7999999999999998,
+))
+@example(instance=(
+    np.array([0.3, -0.1, 0.5, 0.5, 0.5, 0.0, np.nan, 0.5, 0.3, 0.5, np.nan]),
+    np.array([0.2, 1.0, 0.7, 0.1, 0.7, 0.2, 0.7, 1.0, 0.3, 0.7, 0.3]),
+    np.array([True] * 6 + [False] + [True] * 3 + [False]),
+    1.7999999999999998,
+))
+@settings(deadline=None, max_examples=300)
+@given(instance=swap_instances())
+def test_swap_resolve_matches_nested_loop_reference(instance):
+    prop = swap_resolve(*instance)
+    assert np.array_equal(prop.gates, plain_swap_resolve(*instance))
+
+
 def test_exact_resolve_decides_feasibility_by_gate_cost():
     # eight costs of 0.1: the subset sums add them to 0.7999999999999999, the
     # canonical budget check to 0.8, which exceeds this budget

@@ -340,6 +340,25 @@ def test_bench_alloc_cap_exits_2():
     assert main(["bench-alloc", "--instances", "5", "--n-max", "25", "--quiet"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench-alloc", "--instances", "0"],
+        ["bench-alloc", "--instances", "-1"],
+        ["bench-alloc", "--n-max", "0"],
+        ["bench-alloc", "--seed", "-1"],
+        ["verify-bounds", "--replicas", "0"],
+        ["verify-bounds", "--replicas", "1", "--cycles", "0"],
+        ["verify-bounds", "--cycles", "-5"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_out_of_range_count_flag_exits_2_with_one_line(capsys, argv):
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_report_command(tmp_path, config_path):
     out = tmp_path / "out"
     main(["run", "--config", str(config_path), "--out", str(out), "--quiet"])

@@ -285,6 +285,28 @@ def test_oracle_optimum_decides_feasibility_by_gate_cost():
     assert gate_cost(gates, costs) <= 0.7999999999999999
 
 
+def test_oracle_optimum_value_is_the_true_value_of_its_gates():
+    # The subset values use `np.power`, `true_value` Python's `**`; on some
+    # hosts they differ in the last bit, so the value returned is recomputed.
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        perm = rng.permutation(n)
+        split = int(rng.integers(1, n))
+        spec = OracleSpec(
+            base_score=float(rng.uniform(0.0, 0.5)),
+            mu_inf=tuple(rng.uniform(-0.05, 0.2, n)),
+            kappa=tuple(rng.uniform(50.0, 500.0, n)),
+            groups=(tuple(sorted(perm[:split].tolist())), tuple(sorted(perm[split:].tolist()))),
+            gammas=tuple(rng.uniform(0.2, 0.95, 2)),
+        )
+        oracle = SyntheticOracle(spec)
+        state = trained(oracle, np.ones(n, bool), int(rng.integers(1, 1000)))
+        costs = rng.uniform(1e-4, 1e-3, n)
+        gates, value = oracle.oracle_optimum(state, costs, float(rng.uniform(costs.min(), costs.sum())))
+        assert value == oracle.true_value(state, gates)
+
+
 def test_oracle_optimum_cap():
     n = 21
     spec = OracleSpec(base_score=0.5, mu_inf=(0.01,) * n, kappa=(1.0,) * n)
