@@ -1,22 +1,59 @@
-"""Measuring loops behind the engine's stated bounds.
+"""The engine's stated bounds: each one's measuring loop and pass rule.
 
 `auditloop verify-bounds`, `auditloop bench-alloc` and the acceptance suite
-all measure through these functions. Each takes its sizes and seeds
-explicitly and returns what it measured, with the bound (without tolerance)
-where there is one; the caller owns the tolerance and the pass rule.
+only choose sizes and seeds. A check returns a `Verdict` with its tolerance
+applied, and raises `InvalidParams` at sizes it cannot judge (a coverage
+bound that is not positive, one EMA replica). Each `*_verdict` function
+holds one bound and its pass rule; the chatter checks pass on no
+violations of floor(T / tau) flips per unit.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .allocator import brute_force_optimum, swap_resolve
-from .errors import AuditLoopError
+from .allocator import ENUMERATION_MAX, brute_force_optimum, swap_resolve
+from .errors import AuditLoopError, check_count
 from .fsm import FsmStabilizer
 from .sampler import SamplerParams, coverage_lower_bound, sample_audit_batch
-from .tracker import SmoothingParams, UtilityTracker
+from .tracker import SmoothingParams, UtilityTable
+
+
+class Verdict(NamedTuple):
+    """A check's bound, what it measured, and whether that passes its rule."""
+
+    name: str
+    bound: float
+    measured: float
+    ok: bool
+
+
+def ema_variance_verdict(beta: float, measured: float) -> Verdict:
+    """Steady-state Var(EMA) of unit-variance noise, within 10%."""
+    bound = (1.0 - beta) / (1.0 + beta)
+    return Verdict(f"ema-variance beta={beta}", bound, measured, measured <= 1.1 * bound)
+
+
+def drift_bias_verdict(beta: float, delta: float, measured: float) -> Verdict:
+    """Steady-state |EMA - mu| under a drift of delta per audit, within 5%."""
+    bound = delta * beta / (1.0 - beta)
+    return Verdict(f"ema-drift-bias beta={beta} delta={delta}", bound, measured, measured <= 1.05 * bound)
+
+
+def coverage_verdict(n: int, m: int, eps: float, cycles: int, measured: int) -> Verdict:
+    """Binomial lower bound on any unit's probe count, rho = eps * M / N."""
+    rho = coverage_lower_bound(n, m, eps)
+    bound = rho * cycles - 4.0 * math.sqrt(rho * (1.0 - rho) * cycles)
+    return Verdict(f"coverage N={n} M={m} eps={eps}", bound, measured, measured >= bound)
+
+
+def allocator_verdicts(ratios: np.ndarray) -> tuple[Verdict, Verdict]:
+    """A 1/2-approximation, within 5% of the optimum on 90% of instances."""
+    worst, share = float(ratios.min()), float((ratios >= 0.95).mean())
+    return Verdict("min ratio", 0.5, worst, worst >= 0.5), Verdict("frac>=0.95", 0.9, share, share >= 0.9)
 
 
 def _flips(tau: int, proposals: np.ndarray) -> np.ndarray:
@@ -30,17 +67,18 @@ def _flips(tau: int, proposals: np.ndarray) -> np.ndarray:
     return fsm.unit_flips
 
 
-def fsm_chatter_exhaustive(t_len: int, taus=(1, 2, 3)) -> int:
+def fsm_chatter_exhaustive(t_len: int, taus=(1, 2, 3)) -> Verdict:
     """Chatter-bound violations (some unit flips more than floor(T / tau)
     times) over every one-unit proposal sequence of length `t_len`, for each
     tau. Column `mask` of one stabilizer per tau proposes bit t of `mask` at
     step t."""
     masks = np.arange(1 << t_len)
     proposals = (masks >> np.arange(t_len)[:, None] & 1).astype(bool)
-    return sum(int(np.count_nonzero(_flips(tau, proposals) > t_len // tau)) for tau in taus)
+    violations = sum(int(np.count_nonzero(_flips(tau, proposals) > t_len // tau)) for tau in taus)
+    return Verdict(f"fsm-chatter exhaustive T={t_len}", 0.0, violations, violations == 0)
 
 
-def fsm_chatter_fuzz(runs: int, t_len: int) -> int:
+def fsm_chatter_fuzz(runs: int, t_len: int) -> Verdict:
     """Chatter-bound violations over `runs` random runs of length `t_len`.
     Run r seeds its generator with r and draws tau in 1..3, 1..4 units and
     fair-coin proposals. The runs that share a tau run as the column blocks
@@ -56,56 +94,57 @@ def fsm_chatter_fuzz(runs: int, t_len: int) -> int:
         starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
         worst = np.maximum.reduceat(_flips(tau, np.hstack(blocks)), starts)
         violations += int(np.count_nonzero(worst > t_len // tau))
-    return violations
+    return Verdict(f"fsm-chatter fuzz runs={runs} T={t_len}", 0.0, violations, violations == 0)
 
 
-def ema_variance(beta: float, replicas: int, audits: int, seed: int) -> tuple[float, float]:
-    """(EMA variance across replicas after `audits` unit-variance audits,
-    bound (1 - beta) / (1 + beta)). Raises if replica 0 replayed through a
-    `UtilityTracker` disagrees with the vectorized recursion by over 1e-12."""
-    params = SmoothingParams(beta=beta)
+def _table_ema(values, beta: float) -> float:
+    """EMA after auditing `values` in order through the engine's table."""
+    params, table = SmoothingParams(beta=beta), UtilityTable(1, 5)
+    for t, u in enumerate(values):
+        table.record([0], [u], params, t)
+    return float(table.ema[0])
+
+
+def ema_variance(beta: float, replicas: int, audits: int, seed: int) -> Verdict:
+    """EMA variance across `replicas` after `audits` unit-variance audits.
+    Raises if replica 0 audited through a `UtilityTable` disagrees with the
+    vectorized recursion by over 1e-12."""
+    check_count("replicas", replicas, 2)
     noise = np.random.default_rng(seed).standard_normal((replicas, audits))
     ema = noise[:, 0].copy()
     for t in range(1, audits):
         ema = (1.0 - beta) * noise[:, t] + beta * ema
-    tracker = UtilityTracker(0)
-    for t in range(audits):
-        tracker.record_audit(noise[0, t], params, t)
-    if not math.isclose(tracker.ema, ema[0], rel_tol=0.0, abs_tol=1e-12):
-        raise AuditLoopError("tracker EMA disagrees with the vectorized recursion")
-    return float(ema.var()), (1.0 - beta) / (1.0 + beta)
+    if not math.isclose(_table_ema(noise[0], beta), ema[0], rel_tol=0.0, abs_tol=1e-12):
+        raise AuditLoopError("UtilityTable EMA disagrees with the vectorized recursion")
+    return ema_variance_verdict(beta, float(ema.var()))
 
 
-def drift_bias(beta: float, delta: float, audits: int) -> tuple[float, float]:
-    """(|EMA - mu| after `audits` audits of mu_t = delta * t, steady-state
-    bound delta * beta / (1 - beta))."""
-    params = SmoothingParams(beta=beta)
-    tracker = UtilityTracker(0)
-    mu = 0.0
-    for t in range(audits):
-        mu = delta * t
-        tracker.record_audit(mu, params, t)
-    return abs(tracker.ema - mu), delta * beta / (1.0 - beta)
+def drift_bias(beta: float, delta: float, audits: int) -> Verdict:
+    """|EMA - mu| after `audits` audits of mu_t = delta * t."""
+    bias = abs(_table_ema(delta * np.arange(audits), beta) - delta * (audits - 1))
+    return drift_bias_verdict(beta, delta, bias)
 
 
-def coverage_min(n: int, m: int, eps: float, cycles: int, seeds: int) -> tuple[int, float]:
-    """(least probe count of any unit over `seeds` runs, bound
-    rho * T - 4 * sqrt(rho * (1 - rho) * T) with rho = eps * M / N).
-    The gates stay frozen with the first third of the units active; run s
-    seeds cycle t with (s, t)."""
-    rho = coverage_lower_bound(n, m, eps)
-    bound = rho * cycles - 4.0 * math.sqrt(rho * (1.0 - rho) * cycles)
+def coverage_probes(n: int, m: int, eps: float, cycles: int, seed: int) -> np.ndarray:
+    """Probe counts after `cycles` batches with the gates frozen and the
+    first third of the units active; cycle t draws with (seed, t)."""
     params = SamplerParams(batch_size=m, epsilon=eps)
-    gates = np.zeros(n, dtype=bool)
-    gates[: n // 3] = True
-    worst = []
-    for seed in range(seeds):
-        probes = np.zeros(n, dtype=np.int64)
-        for cycle in range(cycles):
-            batch, _ = sample_audit_batch(gates, probes, params, np.random.default_rng([seed, cycle]))
-            probes[batch] += 1
-        worst.append(int(probes.min()))
-    return min(worst), bound
+    gates = np.arange(n) < n // 3
+    probes = np.zeros(n, dtype=np.int64)
+    for cycle in range(cycles):
+        batch, _ = sample_audit_batch(gates, probes, params, np.random.default_rng([seed, cycle]))
+        probes[batch] += 1
+    return probes
+
+
+def coverage_min(n: int, m: int, eps: float, cycles: int, seeds: int) -> Verdict:
+    """Least probe count of any unit over `seeds` runs of `coverage_probes`.
+    The bound is positive, so the check can fail, only for
+    T > 16 * (1 - rho) / rho."""
+    rho = coverage_lower_bound(n, m, eps)
+    check_count("cycles (for a positive coverage bound)", cycles, math.floor(16.0 * (1.0 - rho) / rho) + 1)
+    worst = min(int(coverage_probes(n, m, eps, cycles, s).min()) for s in range(seeds))
+    return coverage_verdict(n, m, eps, cycles, worst)
 
 
 def allocator_ratios(instances: int, n_max: int, seed: int) -> np.ndarray:
@@ -113,6 +152,9 @@ def allocator_ratios(instances: int, n_max: int, seed: int) -> np.ndarray:
     not positive) on random instances: 1..n_max units, scores uniform in
     [0, 1), costs log-uniform in [1e-4, 5e-3], budget uniform between the
     cheapest unit and the total cost."""
+    check_count("instances", instances, 1)
+    check_count("n-max", n_max, 1, ENUMERATION_MAX)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     ratios = np.empty(instances)
     for k in range(instances):

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, checks
-from .allocator import ENUMERATION_MAX
 from .driver import (
     LoopDriver,
     RunConfig,
@@ -25,7 +24,7 @@ from .driver import (
     run_random_baseline,
     write_diagnostics_csv,
 )
-from .errors import AuditLoopError, InvalidParams, check_count
+from .errors import AuditLoopError, InvalidParams
 from .oracle import SyntheticOracle, TraceRecordingOracle, replay_trace
 
 EXIT_OK = 0
@@ -94,51 +93,28 @@ def cmd_baseline(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify_bounds(args) -> int:
-    # One replica has no variance and zero cycles no coverage bound to miss.
-    check_count("--replicas", args.replicas, 2)
-    check_count("--cycles", args.cycles, 1)
-    rows = []
-
-    for beta in (0.5, 0.9):
-        measured, bound = checks.ema_variance(beta, args.replicas, 200, seed=0)
-        rows.append((f"ema-variance beta={beta}", bound, measured, measured <= 1.1 * bound))
-
-    measured, bound = checks.drift_bias(0.9, 0.01, 500)
-    rows.append(("ema-drift-bias beta=0.9 delta=0.01", bound, measured, measured <= 1.05 * bound))
-
-    violations = checks.fsm_chatter_exhaustive(12)
-    rows.append(("fsm-chatter exhaustive T=12", 0.0, float(violations), violations == 0))
-
-    worst, bound = checks.coverage_min(60, 6, 0.3, args.cycles, seeds=5)
-    rows.append(("coverage N=60 M=6 eps=0.3", bound, float(worst), worst >= bound))
-
-    all_ok = all(r[3] for r in rows)
-    if not args.quiet:
+def _print_verdicts(verdicts, quiet: bool) -> int:
+    if not quiet:
         print(f"{'check':<38}{'bound':>12}{'measured':>12}  status")
-        for name, bound, measured, ok in rows:
-            print(f"{name:<38}{bound:>12.4f}{measured:>12.4f}  {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if all_ok else EXIT_RUNTIME
+        for v in verdicts:
+            print(f"{v.name:<38}{v.bound:>12.4f}{v.measured:>12.4f}  {'PASS' if v.ok else 'FAIL'}")
+    return EXIT_OK if all(v.ok for v in verdicts) else EXIT_RUNTIME
+
+
+def cmd_verify_bounds(args) -> int:
+    return _print_verdicts([
+        *(checks.ema_variance(beta, args.replicas, 200, seed=0) for beta in (0.5, 0.9)),
+        checks.drift_bias(0.9, 0.01, 500),
+        checks.fsm_chatter_exhaustive(12),
+        checks.coverage_min(60, 6, 0.3, args.cycles, seeds=5),
+    ], args.quiet)
 
 
 def cmd_bench_alloc(args) -> int:
-    check_count("--instances", args.instances, 1)
-    check_count("--n-max", args.n_max, 1)
-    if args.n_max > ENUMERATION_MAX:
-        raise InvalidParams(f"--n-max must be at most the enumeration cap of {ENUMERATION_MAX}")
-    check_count("--seed", args.seed, 0)
     ratios = checks.allocator_ratios(args.instances, args.n_max, args.seed)
-    stats = {
-        "min": float(ratios.min()),
-        "p10": float(np.quantile(ratios, 0.10)),
-        "median": float(np.median(ratios)),
-        "frac>=0.95": float((ratios >= 0.95).mean()),
-    }
     if not args.quiet:
         print(f"{args.instances} instances, n <= {args.n_max}")
-        for key, val in stats.items():
-            print(f"  {key:<10} {val:.4f}")
-    return EXIT_OK if stats["min"] >= 0.5 else EXIT_RUNTIME
+    return _print_verdicts(checks.allocator_verdicts(ratios), args.quiet)
 
 
 def cmd_report(args) -> int:
@@ -164,9 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="run-config JSON path")
+    def common(p):
+        p.add_argument("--config", required=True, help="run-config JSON path")
         p.add_argument("--out", default="out", help="output directory (created if absent)")
         p.add_argument("--seed", type=int, default=None, help="override run_seed")
         p.add_argument("--quiet", action="store_true")

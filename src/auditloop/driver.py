@@ -279,7 +279,7 @@ class LoopDriver:
 
         value_curve = [r["value"] for r in self.records]
         regret_curve = None
-        if self.space.n_units <= ENUMERATION_MAX and isinstance(self.oracle, SyntheticOracle):
+        if self.space.n_units <= ENUMERATION_MAX and hasattr(self.oracle, "oracle_optimum"):
             horizon = self.oracle.fresh_state()
             horizon = self.oracle.train_step(
                 horizon, np.ones(self.space.n_units, dtype=bool), cfg.total_loop_steps + max(1, cfg.refinetune_steps)

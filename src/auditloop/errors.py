@@ -61,13 +61,15 @@ class BudgetViolation(AuditLoopError):
     """A committed configuration exceeded the parameter budget."""
 
 
-def check_count(name: str, value, minimum: int) -> None:
+def check_count(name: str, value, minimum: int, maximum: int | None = None) -> None:
     """Raise InvalidParams unless `value` is an integer, not a bool, of at
-    least `minimum`."""
+    least `minimum` and, if given, at most `maximum`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidParams(f"{name} must be an integer, not {value!r}")
     if value < minimum:
         raise InvalidParams(f"{name} must be at least {minimum}")
+    if maximum is not None and value > maximum:
+        raise InvalidParams(f"{name} must be at most {maximum}")
 
 
 def check_finite(name: str, *values: float) -> None:
@@ -76,11 +78,12 @@ def check_finite(name: str, *values: float) -> None:
         raise InvalidParams(f"{name} must be finite")
 
 
-def check_number(name: str, value) -> None:
-    """Raise InvalidParams unless `value` is a real number, not a bool or a
-    string."""
+def check_number(name: str, value) -> float:
+    """`value` as a float; raise InvalidParams unless it is a real number,
+    not a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidParams(f"{name} must be a number, not {value!r}")
+    return float(value)
 
 
 def check_flag(name: str, value) -> None:

@@ -14,7 +14,9 @@ toggle of it under call indices `first_call_index, first_call_index + 1,
 ...`; only the driver assigns call indices. `SyntheticOracle.evaluate` is
 the per-call reference that `evaluate_toggles` matches bit for bit. The
 batched query is the seam where an external evaluator may parallelise the
-toggles on its own side; the engine itself audits on one thread.
+toggles on its own side; the engine itself audits on one thread. The
+recorder forwards `oracle_optimum` (ground truth, for the regret curve)
+unrecorded; a replay has none.
 
 Every seeded stream in the engine comes from a `KeyedStreams`: its
 generator for key i is `np.random.default_rng([*prefix, i])`, draw for draw.
@@ -44,6 +46,7 @@ from .errors import (
     UnknownConfiguration,
     check_count,
     check_finite,
+    check_number,
 )
 
 _NOISE_TAG = 0x0E11
@@ -179,10 +182,11 @@ class OracleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu_inf", tuple(float(m) for m in self.mu_inf))
-        object.__setattr__(self, "kappa", tuple(float(k) for k in self.kappa))
+        for name in ("base_score", "drift", "sigma_val", "warm_floor"):
+            object.__setattr__(self, name, check_number(name, getattr(self, name)))
+        for name in ("mu_inf", "kappa", "gammas"):
+            object.__setattr__(self, name, tuple(check_number(f"{name} entry", v) for v in getattr(self, name)))
         object.__setattr__(self, "groups", tuple(tuple(int(i) for i in g) for g in self.groups))
-        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         n = len(self.mu_inf)
         if n < 1:
             raise InvalidParams("need at least one unit")
@@ -227,14 +231,14 @@ class OracleSpec:
             doc = json.loads(Path(doc).read_text())
         try:
             return cls(
-                base_score=float(doc["base_score"]),
+                base_score=doc["base_score"],
                 mu_inf=tuple(doc["mu_inf"]),
                 kappa=tuple(doc["kappa"]),
-                drift=float(doc.get("drift", 0.0)),
-                sigma_val=float(doc.get("sigma_val", 0.0)),
+                drift=doc.get("drift", 0.0),
+                sigma_val=doc.get("sigma_val", 0.0),
                 groups=tuple(tuple(g) for g in doc.get("groups", ())),
                 gammas=tuple(doc.get("gammas", ())),
-                warm_floor=float(doc.get("warm_floor", 0.0)),
+                warm_floor=doc.get("warm_floor", 0.0),
                 seed=doc.get("seed", 0),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -494,6 +498,10 @@ class TraceRecordingOracle:
 
     def train_step(self, state, gates, k: int):
         return self.inner.train_step(state, gates, k)
+
+    def oracle_optimum(self, state, costs, p_max: float):
+        """Forwarded unrecorded: ground truth is no query a replay answers."""
+        return self.inner.oracle_optimum(state, costs, p_max)
 
     def close(self) -> None:
         self._fh.close()

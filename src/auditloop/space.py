@@ -263,7 +263,6 @@ class AuditSpace:
                 for u in doc["units"]:
                     for key, minimum in (("id", 0), ("layer", 0), ("hidden_dim", 1)):
                         check_count(f"unit {key}", u[key], minimum)
-                    check_number("unit cost", u["cost"])
                     check_flag("unit gate", u.get("gate", False))
                 units = [
                     AdapterUnit(
@@ -272,7 +271,7 @@ class AuditSpace:
                         layer=u["layer"],
                         slot=Slot(u["slot"]),
                         hidden_dim=u["hidden_dim"],
-                        cost=float(u["cost"]),
+                        cost=check_number("unit cost", u["cost"]),
                         gate=u.get("gate", False),
                     )
                     for u in doc["units"]

@@ -43,12 +43,6 @@ class SmoothingParams:
 _MAX_WINDOW = 5
 
 
-def _check_window(window: int) -> None:
-    check_count("history window", window, 3)
-    if window > _MAX_WINDOW:
-        raise InvalidParams(f"history window must lie in [3, {_MAX_WINDOW}]")
-
-
 def ema_step(ema, u, beta: float):
     """One EMA update, (1 - beta) * u + beta * ema, on floats or arrays."""
     return (1.0 - beta) * u + beta * ema
@@ -120,7 +114,7 @@ class UtilityTable:
     """
 
     def __init__(self, n_units: int, window: int = 5):
-        _check_window(window)
+        check_count("history window", window, 3, _MAX_WINDOW)
         self.window = window
         self.ema = np.full(n_units, math.nan)
         self.hist = np.full((n_units, window), math.nan)
@@ -177,7 +171,7 @@ class UtilityTracker:
     __slots__ = ("unit_id", "window", "ema", "history", "probe_count", "last_audit_cycle")
 
     def __init__(self, unit_id: int, window: int = 5):
-        _check_window(window)
+        check_count("history window", window, 3, _MAX_WINDOW)
         self.unit_id = unit_id
         self.window = window
         self.ema = math.nan

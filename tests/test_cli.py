@@ -149,6 +149,8 @@ def with_space(*path, value):
         with_space("sapa_shared_weights", value="false"),
         with_space("units", 0, "gate", value="false"),
         with_space("units", 0, "cost", value="0.0003"),
+        small_with_oracle(sigma_val=True),
+        small_with_oracle(base_score="0.45"),
     ],
     ids=[
         "non-integer-cycles", "non-object-oracle", "top-level-array", "zero-shots",
@@ -159,7 +161,7 @@ def with_space(*path, value):
         "nan-unit-cost", "nan-lambda-s", "fractional-layers", "fractional-hidden-dim",
         "fractional-param-count", "fractional-template-size", "fractional-unit-id", "fractional-unit-size",
         "fractional-unit-layer", "fractional-unit-hidden-dim", "string-sapa-flag", "string-unit-gate",
-        "string-unit-cost",
+        "string-unit-cost", "bool-sigma-val", "string-base-score",
     ],
 )
 @pytest.mark.parametrize("seed", [None, "3"])
@@ -294,6 +296,11 @@ def test_record_and_replay_commands(tmp_path, config_path):
         "--out", str(out2), "--quiet",
     ]) == 0
     assert (out1 / "events.jsonl").read_bytes() == (out2 / "events.jsonl").read_bytes()
+    # Recording changes nothing a run writes; a trace holds no ground truth to take regret from.
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "plain"), "--quiet"]) == 0
+    assert (tmp_path / "plain" / "report.json").read_bytes() == (out1 / "report.json").read_bytes()
+    assert json.loads((out1 / "report.json").read_text())["regret_curve"] is not None
+    assert json.loads((out2 / "report.json").read_text())["regret_curve"] is None
 
 
 def test_replay_with_wrong_config_exits_1(tmp_path, config_path):
@@ -326,10 +333,11 @@ def test_replay_with_fewer_cycles_exits_1_naming_the_record(tmp_path, capsys, co
     assert err == f"error: replay diverges at trace record {record}: recorded noise_seed {evals}, queried -1\n"
 
 
-def test_verify_bounds_quick():
-    # At 400 cycles the coverage bound is -1.65, which any probe count meets;
-    # at 800 it is 4.70.
-    assert main(["verify-bounds", "--replicas", "2000", "--cycles", "800", "--quiet"]) == 0
+def test_verify_bounds_quick(capsys):
+    # The coverage bound turns positive at 518 cycles; below, no probe count could miss it.
+    assert main(["verify-bounds", "--replicas", "2000", "--cycles", "518", "--quiet"]) == 0
+    assert main(["verify-bounds", "--cycles", "517", "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: cycles (for a positive coverage bound) must be at least 518\n"
 
 
 def test_bench_alloc_quick():

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -98,21 +97,6 @@ def test_different_seeds_differ():
     r1, _ = run_full(tiny_config(run_seed=1))
     r2, _ = run_full(tiny_config(run_seed=2))
     assert r1.value_curve != r2.value_curve
-
-
-def test_parallel_schedule_byte_identical(tmp_path):
-    cfg = tiny_config()
-    os.environ.pop("SEA_ALLOC_THREADS", None)
-    _, serial = run_full(cfg)
-    os.environ["SEA_ALLOC_THREADS"] = "8"
-    try:
-        _, parallel = run_full(cfg)
-    finally:
-        del os.environ["SEA_ALLOC_THREADS"]
-    ps, pp = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
-    serial.write_events(ps)
-    parallel.write_events(pp)
-    assert ps.read_bytes() == pp.read_bytes()
 
 
 def test_table_equals_per_unit_tracker_replay():

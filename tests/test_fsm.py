@@ -53,7 +53,7 @@ def test_stabilizer_checks_tau_and_budget_arguments():
 
 def test_chatter_bound_exhaustive_small():
     # every proposal sequence of length 8, per-unit flips <= floor(T / tau)
-    assert checks.fsm_chatter_exhaustive(8, taus=(1, 2, 3)) == 0
+    assert checks.fsm_chatter_exhaustive(8, taus=(1, 2, 3)).ok
 
 
 def test_consistent_pressure_always_commits():
@@ -102,13 +102,8 @@ def test_budget_recheck_trims_commits_by_density():
     seed=st.integers(0, 2**31 - 1),
 )
 def test_chatter_bound_fuzz(tau, n, seed):
-    rng = np.random.default_rng(seed)
-    t_len = 300
-    fsm = FsmStabilizer(n, tau_act=tau)
-    gates = np.zeros(n, dtype=bool)
-    for _ in range(t_len):
-        gates = fsm.filter_proposals(gates, rng.random(n) < 0.5)
-    assert int(fsm.unit_flips.max()) <= t_len // tau
+    proposals = np.random.default_rng(seed).random((300, n)) < 0.5
+    assert int(checks._flips(tau, proposals).max()) <= 300 // tau
 
 
 @settings(deadline=None, max_examples=100)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auditloop import SamplerParams, coverage_lower_bound, sample_audit_batch
+from auditloop import SamplerParams, checks, coverage_lower_bound, sample_audit_batch
 from auditloop.errors import InvalidParams
 from auditloop.sampler import least_probed_quartile, stratified_fill
 
@@ -114,16 +114,6 @@ def test_exploration_targets_least_probed():
 
 def test_coverage_bound_quick():
     # frozen gates, 400 cycles: every unit audited at least the binomial lower bound
-    n, m, eps, cycles = 30, 6, 0.5, 400
-    rho = coverage_lower_bound(n, m, eps)
-    bound = rho * cycles - 4 * math.sqrt(rho * (1 - rho) * cycles)
-    params = SamplerParams(batch_size=m, epsilon=eps)
-    gates = np.zeros(n, bool)
-    gates[:10] = True
-    probes = np.zeros(n, dtype=int)
-    for cycle in range(cycles):
-        batch, _ = sample_audit_batch(gates, probes, params, np.random.default_rng([0, cycle]))
-        for u in batch:
-            probes[u] += 1
-    assert probes.min() >= bound
-    assert probes.sum() == cycles * m
+    probes = checks.coverage_probes(30, 6, 0.5, 400, seed=0)
+    assert checks.coverage_verdict(30, 6, 0.5, 400, int(probes.min())).ok
+    assert probes.sum() == 400 * 6

@@ -166,16 +166,11 @@ def test_variance_shrinks_below_raw_noise(beta, seed):
 
 
 def test_ema_variance_bound_quick():
-    # stationary unit-variance noise: Var(ema) <= 1.1 * (1-b)/(1+b)
-    beta = 0.9
-    measured, _ = checks.ema_variance(beta, replicas=3000, audits=150, seed=7)
-    assert measured <= 1.1 * (1 - beta) / (1 + beta)
+    assert checks.ema_variance(0.9, replicas=3000, audits=150, seed=7).ok
 
 
 def test_drift_bias_bound_quick():
-    beta, delta = 0.9, 0.01
-    bias, _ = checks.drift_bias(beta, delta, audits=400)
-    assert bias <= 1.05 * delta * beta / (1 - beta)
+    assert checks.drift_bias(0.9, 0.01, audits=400).ok
 
 
 def test_event_record_shape():
