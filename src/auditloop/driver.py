@@ -183,7 +183,7 @@ class LoopDriver:
 
     # -- helpers -----------------------------------------------------------
 
-    def _audit_utilities(self, batch: Sequence[int]) -> tuple[float, list[float]]:
+    def _audit_utilities(self, batch: Sequence[int]) -> tuple[float, np.ndarray]:
         """One shared full-configuration evaluation plus one toggle per unit.
 
         An active unit is toggled off (its removal marginal); an inactive one
@@ -195,15 +195,8 @@ class LoopDriver:
             self.training, self.gates, batch, self.eval_count
         )
         self.eval_count += 1 + len(batch)
-
-        utilities: list[float] = []
-        for unit, toggled_score in zip(batch, toggle_scores):
-            if self.gates[unit]:
-                delta = full - toggled_score
-            else:
-                delta = toggled_score - full
-            utilities.append(delta / self.space.costs[unit])
-        return full, utilities
+        toggled = np.array(toggle_scores, dtype=float)
+        return full, np.where(self.gates[batch], full - toggled, toggled - full) / self.space.costs[batch]
 
     # -- protocol ----------------------------------------------------------
 

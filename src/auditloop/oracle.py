@@ -11,12 +11,21 @@ The recording and replay wrappers implement only the driver's protocol:
 `evaluate_toggles(state, gates, units, first_call_index)`, the audit step's
 one query per cycle. It scores the full configuration and each one-unit
 toggle of it under call indices `first_call_index, first_call_index + 1,
-...`; only the driver assigns call indices. `SyntheticOracle.evaluate` is
-the per-call reference that `evaluate_toggles` matches bit for bit. The
-batched query is the seam where an external evaluator may parallelise the
-toggles on its own side; the engine itself audits on one thread. The
+...`; only the driver assigns call indices, and it matches per-call
+`SyntheticOracle.evaluate` bit for bit. An external evaluator may
+parallelise the toggles behind it; the engine audits on one thread. The
 recorder forwards `oracle_optimum` (ground truth, for the regret curve)
 unrecorded; a replay has none.
+
+A group's term sums its active members in spec order as a 1-D numpy `.sum()`
+does (pairwise, not left to right). `_terms` finds the terms of a query's
+groups and toggled groups in one pass: the rows with k active members form
+one C-contiguous (rows, k) block, whose `sum(axis=1)` adds each row exactly
+as that 1-D sum (a test pins this for the installed numpy), so there is one
+reduction per distinct count, not per group. `true_value` on the state of
+the latest `evaluate_toggles` reuses its utilities and group terms, and
+recomputes only the groups whose gates differ. This relies on a
+`TrainingState`'s arrays never changing in place; `train_step` makes new ones.
 
 Every seeded stream in the engine comes from a `KeyedStreams`: its
 generator for key i is `np.random.default_rng([*prefix, i])`, draw for draw.
@@ -51,6 +60,7 @@ from .errors import (
 
 _NOISE_TAG = 0x0E11
 _DRIFT_TAG = 0xD21F
+_NO_UNITS = np.empty(0, dtype=np.intp)
 
 
 # Keys per seed-state block: a `KeyedStreams` hashes the seeds of keys
@@ -283,13 +293,24 @@ class SyntheticOracle:
         self._mu_inf = np.array(spec.mu_inf, dtype=float)
         self._kappa = np.array(spec.kappa, dtype=float)
         self._groups = spec.full_groups()
-        self._members = [np.array(g, dtype=np.intp) for g, _ in self._groups]
+        # Row k lists group k's ids in spec order, `_valid` masks its padding
+        # and `_slot[i]` marks unit i's place in its row.
+        self._rows = np.arange(len(self._groups))
+        self._table = np.zeros((len(self._groups), max(len(g) for g, _ in self._groups)), dtype=np.intp)
+        self._valid = np.zeros(self._table.shape, dtype=bool)
         self._group_of = np.empty(self.n_units, dtype=np.intp)
-        for k, members in enumerate(self._members):
-            self._group_of[members] = k
-        # Group capacity: positive asymptote mass, the value a fully trained
-        # group realizes exactly under its concave aggregation.
-        self._capacity = [float(np.maximum(self._mu_inf[list(g)], 0.0).sum()) for g, _ in self._groups]
+        self._slot = np.zeros((self.n_units, self._table.shape[1]), dtype=bool)
+        # Per group, (cap^(1 - gamma), gamma) if it aggregates concavely, else
+        # None. The capacity cap is the positive asymptote mass, the value a
+        # fully trained group realizes exactly.
+        self._shape = []
+        for k, (members, gamma) in enumerate(self._groups):
+            ids = list(members)
+            self._table[k, : len(ids)], self._valid[k, : len(ids)] = ids, True
+            self._group_of[ids], self._slot[ids, np.arange(len(ids))] = k, True
+            cap = float(np.maximum(self._mu_inf[ids], 0.0).sum())
+            self._shape.append((cap ** (1.0 - gamma), gamma) if gamma < 1.0 and cap > 0.0 else None)
+        self._memo: tuple = (None, None, None, None)
         self._noise = KeyedStreams(spec.seed, _NOISE_TAG)
         self._drift = KeyedStreams(spec.seed, _DRIFT_TAG)
 
@@ -311,24 +332,39 @@ class SyntheticOracle:
             raise LengthMismatch("gate vector length must match the unit count")
         return gates
 
-    def _group_term(self, mu: np.ndarray, k: int, gates: np.ndarray) -> float:
-        """Value of group k's active members under `gates`."""
-        members = self._members[k]
-        s = float(mu[members[gates[members]]].sum())
-        return _group_value(s, self._groups[k][1], self._capacity[k])
+    def _terms(self, mu: np.ndarray, gates: np.ndarray, groups: np.ndarray, units=_NO_UNITS) -> list[float]:
+        """Terms of each of `groups` under `gates`, then of each of `units`'
+        group with that unit toggled. Rows sorted by active count put each
+        count's values side by side; a row with none sums to 0.0."""
+        rows = np.concatenate((groups, self._group_of.take(units)))
+        act = gates.take(self._table.take(rows, 0)) & self._valid.take(rows, 0)
+        act[groups.size :] ^= self._slot.take(units, 0)
+        counts = act.sum(axis=1)
+        order = np.argsort(counts, kind="stable")
+        by_count = rows.take(order)
+        flat = mu.take(self._table.take(by_count, 0))[act.take(order, 0)]
+        n_rows = np.bincount(counts).tolist()
+        sums, start = [np.zeros(n_rows[0])], 0
+        for k, n in enumerate(n_rows[1:], start=1):
+            sums.append(flat[start : start + n * k].reshape(n, k).sum(axis=1))
+            start += n * k
+        terms = [0.0] * rows.size
+        for r, group, s in zip(order.tolist(), by_count.tolist(), np.concatenate(sums).tolist()):
+            shape = self._shape[group]
+            terms[r] = s if shape is None or s <= 0.0 else shape[0] * s ** shape[1]
+        return terms
 
-    def _totals(self, terms: list[float], swaps=()) -> np.ndarray:
+    def _totals(self, terms: list[float], groups=(), values=()) -> np.ndarray:
         """Base score plus the group terms, added in group order from left to
         right and clamped to [0, 1]. Row 0 totals `terms`; row r then totals
-        them with group k's term replaced by t, for the r-th (k, t) of
-        `swaps`. One accumulate along each row adds exactly as a Python loop
-        would; a row sum would add pairwise."""
-        rows = np.empty((1 + len(swaps), 1 + len(terms)))
+        them with group `groups[r - 1]`'s term replaced by `values[r - 1]`.
+        One accumulate along each row adds exactly as a Python loop would; a
+        row sum would add pairwise."""
+        rows = np.empty((1 + len(values), 1 + len(terms)))
         rows[:, 0] = self.spec.base_score
         rows[:, 1:] = terms
-        if swaps:
-            groups, values = zip(*swaps)
-            rows[np.arange(1, rows.shape[0]), 1 + np.array(groups)] = values
+        if len(values):
+            rows[np.arange(1, rows.shape[0]), 1 + groups] = values
         totals = np.add.accumulate(rows, axis=1)[:, -1]
         return np.minimum(1.0, np.maximum(0.0, totals))
 
@@ -344,10 +380,18 @@ class SyntheticOracle:
         return float(min(1.0, max(0.0, value)))
 
     def true_value(self, state: TrainingState, gates) -> float:
-        """Noise-free score of a configuration; does not count as an evaluation."""
+        """Noise-free score of a configuration; does not count as an evaluation.
+        After `evaluate_toggles` on this state, it reuses that call's unit
+        utilities, and its group terms too if the gates are equal."""
         gates = self._check_gates(gates)
-        mu = self._unit_utilities(state)
-        return float(self._totals([self._group_term(mu, k, gates) for k in range(len(self._groups))])[0])
+        memo_state, mu, memo_gates, terms = self._memo
+        if memo_state is not state:
+            terms = self._terms(self._unit_utilities(state), gates, self._rows)
+        elif (changed := self._group_of[memo_gates != gates]).size:
+            terms = list(terms)
+            for group, term in zip(changed.tolist(), self._terms(mu, gates, changed)):
+                terms[group] = term
+        return float(self._totals(terms)[0])
 
     def evaluate(self, state: TrainingState, gates, call_index: int) -> float:
         """Noisy evaluation: true value plus Gaussian noise, clamped to [0, 1]."""
@@ -359,24 +403,17 @@ class SyntheticOracle:
         """Scores of `gates` and of each one-unit toggle of it, bit-identical
         to `evaluate` at call indices first_call_index, first_call_index + 1, ...
 
-        The group terms of the full configuration are computed once; a toggle
-        recomputes only its unit's group, and one `_totals` call adds up the
-        full configuration and every toggle.
+        One `_terms` pass yields the group terms of the full configuration
+        and of each toggle's group, and one `_totals` call adds up the full
+        configuration and every toggle.
         """
         gates = self._check_gates(gates)
+        units = np.asarray(units, dtype=np.intp)
         mu = self._unit_utilities(state)
-        terms = [self._group_term(mu, k, gates) for k in range(len(self._groups))]
-        flipped = gates.copy()
-        swaps = []
-        for unit in units:
-            k = int(self._group_of[unit])
-            flipped[unit] = not flipped[unit]
-            swaps.append((k, self._group_term(mu, k, flipped)))
-            flipped[unit] = gates[unit]
-        full, *toggled = (
-            self._noisy(value, first_call_index + pos)
-            for pos, value in enumerate(self._totals(terms, swaps).tolist())
-        )
+        terms, n_groups = self._terms(mu, gates, self._rows, units), len(self._groups)
+        self._memo = (state, mu, gates.copy(), terms[:n_groups])
+        totals = self._totals(terms[:n_groups], self._group_of[units], terms[n_groups:]).tolist()
+        full, *toggled = (self._noisy(value, first_call_index + pos) for pos, value in enumerate(totals))
         return full, toggled
 
     def train_step(self, state: TrainingState, gates, k: int) -> TrainingState:
@@ -415,37 +452,23 @@ class SyntheticOracle:
         sub_cost = subset_sums(n, enumerate(costs))
         mu = self._unit_utilities(state)
         values = np.full(1 << n, self.spec.base_score)
-        for (members, gamma), cap in zip(self._groups, self._capacity):
-            group_sum = subset_sums(n, ((i, mu[i]) for i in members))
-            values += _group_value_array(group_sum, gamma, cap)
+        for (members, _), shape in zip(self._groups, self._shape):
+            values += _group_value_array(subset_sums(n, ((i, mu[i]) for i in members)), shape)
         np.clip(values, 0.0, 1.0, out=values)
         gates = best_subset(values, sub_cost, costs, p_max, range(n), n)
         return gates, self.true_value(state, gates)
 
 
-def _group_value(s: float, gamma: float, cap: float) -> float:
-    """Capacity-scaled concave aggregation of one group's active utility mass.
-
-    Additive at gamma = 1 and for non-positive sums; otherwise
-    cap^(1-gamma) * s^gamma, which realizes exactly `cap` when the whole
-    group is active and fully trained.
-    """
-    if gamma >= 1.0 or cap <= 0.0 or s <= 0.0:
+def _group_value_array(s: np.ndarray, shape: tuple[float, float] | None) -> np.ndarray:
+    if shape is None:
         return s
-    return cap ** (1.0 - gamma) * s**gamma
-
-
-def _group_value_array(s: np.ndarray, gamma: float, cap: float) -> np.ndarray:
-    if gamma >= 1.0 or cap <= 0.0:
-        return s
-    out = s.copy()
-    pos = s > 0.0
-    out[pos] = cap ** (1.0 - gamma) * np.power(s[pos], gamma)
+    out, pos = s.copy(), s > 0.0
+    out[pos] = shape[0] * np.power(s[pos], shape[1])
     return out
 
 
 def gates_to_bits(gates) -> str:
-    return "".join("1" if g else "0" for g in np.asarray(gates, dtype=bool))
+    return (np.asarray(gates, dtype=bool).view(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 def _toggles(gates, units):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from auditloop import checks
+from auditloop.errors import InvalidParams
 
 BELOW, ABOVE = 1 - 1e-9, 1 + 1e-9
 
@@ -14,9 +15,12 @@ BELOW, ABOVE = 1 - 1e-9, 1 + 1e-9
 @pytest.mark.parametrize(
     "verdict, bound, passing, failing",
     [
-        # (1 - b) / (1 + b) and d * b / (1 - b), passing up to 10% and 5% over them
+        # (1 - b) / (1 + b), passing within 10% either way, and d * b / (1 - b),
+        # passing up to 5% over it
         (partial(checks.ema_variance_verdict, 0.5), 1 / 3, 1.1 / 3 * BELOW, 1.1 / 3 * ABOVE),
+        (partial(checks.ema_variance_verdict, 0.5), 1 / 3, 0.9 / 3 * ABOVE, 0.9 / 3 * BELOW),
         (partial(checks.ema_variance_verdict, 0.9), 0.0526, 0.11 / 1.9 * BELOW, 0.11 / 1.9 * ABOVE),
+        (partial(checks.ema_variance_verdict, 0.9), 0.0526, 0.09 / 1.9 * ABOVE, 0.09 / 1.9 * BELOW),
         (partial(checks.drift_bias_verdict, 0.9, 0.01), 0.09, 0.0945 * BELOW, 0.0945 * ABOVE),
         # rho = 0.03: 60 - 4 * sqrt(58.2) = 29.484, with no slack
         (partial(checks.coverage_verdict, 60, 6, 0.3, 2000), 29.484, 30, 29),
@@ -24,9 +28,20 @@ BELOW, ABOVE = 1 - 1e-9, 1 + 1e-9
         (lambda x: checks.allocator_verdicts(np.array([x, 1.0]))[0], 0.5, 0.5, np.nextafter(0.5, 0.0)),
         (lambda x: checks.allocator_verdicts(np.where(np.arange(100) < round(100 * x), 0.95, 0.9499999))[1], 0.9, 0.9, 0.89),
     ],
-    ids=["ema-variance-0.5", "ema-variance-0.9", "drift-bias", "coverage", "min-ratio", "share"],
+    ids=[
+        "ema-variance-0.5", "ema-variance-0.5-low", "ema-variance-0.9", "ema-variance-0.9-low",
+        "drift-bias", "coverage", "min-ratio", "share",
+    ],
 )
 def test_rule_bound_and_tolerance_edge(verdict, bound, passing, failing):
     assert verdict(passing).bound == pytest.approx(bound, abs=5e-4)
     assert verdict(passing).ok and not verdict(failing).ok
 
+
+
+def test_ema_variance_needs_replicas_for_its_tolerance():
+    # 3 * sqrt(2 / (R - 1)) <= 0.1 from R = 1,801: two replicas once passed
+    # beta = 0.5 with a variance of 0.011 against 0.333.
+    with pytest.raises(InvalidParams, match="at least 1801"):
+        checks.ema_variance(0.5, replicas=1800, audits=20, seed=0)
+    assert checks.ema_variance(0.5, replicas=1801, audits=20, seed=0).bound == pytest.approx(1 / 3)

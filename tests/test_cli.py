@@ -338,6 +338,9 @@ def test_verify_bounds_quick(capsys):
     assert main(["verify-bounds", "--replicas", "2000", "--cycles", "518", "--quiet"]) == 0
     assert main(["verify-bounds", "--cycles", "517", "--quiet"]) == 2
     assert capsys.readouterr().err == "error: cycles (for a positive coverage bound) must be at least 518\n"
+    # Two replicas' variance cannot be told from the EMA bound within 10%.
+    assert main(["verify-bounds", "--replicas", "2", "--cycles", "518", "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: replicas (for a 10% variance tolerance) must be at least 1801\n"
 
 
 def test_bench_alloc_quick():

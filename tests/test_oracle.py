@@ -409,15 +409,39 @@ def test_record_then_replay_reproduces_scores(tmp_path):
 # -- batched toggle audit --------------------------------------------------------
 
 
-def per_call_toggles(oracle, state, gates, units, first_call_index):
-    """The audit as separate `evaluate` calls: the full configuration, then
-    each one-unit toggle, at consecutive call indices."""
-    full = oracle.evaluate(state, gates, call_index=first_call_index)
+def reference_true_value(spec, state, gates):
+    """`SyntheticOracle.true_value` as a plain per-group loop: each group's
+    active members summed in listed order by a 1-D numpy `.sum()`, the
+    concave step with Python's `**`, and the terms added from left to right
+    onto the base score."""
+    learned = np.maximum(1.0 - np.exp(-state.steps / np.array(spec.kappa)), spec.warm_floor)
+    mu = (np.array(spec.mu_inf) + state.drift_offsets) * learned
+    gates = np.asarray(gates, dtype=bool)
+    total = spec.base_score
+    for group, gamma in spec.full_groups():
+        members = np.array(group, dtype=np.intp)
+        s = float(mu[members[gates[members]]].sum())
+        cap = float(np.maximum(np.array(spec.mu_inf)[members], 0.0).sum())
+        total += s if gamma >= 1.0 or cap <= 0.0 or s <= 0.0 else cap ** (1.0 - gamma) * s**gamma
+    return min(1.0, max(0.0, total))
+
+
+def reference_evaluate(spec, state, gates, call_index):
+    value = reference_true_value(spec, state, gates)
+    if spec.sigma_val > 0.0:
+        value += spec.sigma_val * np.random.default_rng([spec.seed, 0x0E11, call_index]).standard_normal()
+    return min(1.0, max(0.0, value))
+
+
+def per_call_toggles(spec, state, gates, units, first_call_index):
+    """The audit as separate reference evaluations: the full configuration,
+    then each one-unit toggle, at consecutive call indices."""
+    full = reference_evaluate(spec, state, gates, first_call_index)
     toggled = []
     for pos, unit in enumerate(units):
         flipped = np.array(gates, dtype=bool)
         flipped[unit] = not flipped[unit]
-        toggled.append(oracle.evaluate(state, flipped, call_index=first_call_index + 1 + pos))
+        toggled.append(reference_evaluate(spec, state, flipped, first_call_index + 1 + pos))
     return full, toggled
 
 
@@ -460,11 +484,11 @@ def toggle_cases(draw):
 @given(toggle_cases())
 def test_evaluate_toggles_matches_per_call_evaluate(case):
     spec, trained_gates, steps, gates, units, first_call_index = case
-    batched, per_call = SyntheticOracle(spec), SyntheticOracle(spec)
-    state = batched.train_step(batched.fresh_state(), trained_gates, steps)
-    got = batched.evaluate_toggles(state, gates, units, first_call_index)
-    want = per_call_toggles(per_call, state, gates, units, first_call_index)
-    assert got == want  # bit for bit: float == on every score
+    oracle = SyntheticOracle(spec)
+    state = oracle.train_step(oracle.fresh_state(), trained_gates, steps)
+    got = oracle.evaluate_toggles(state, gates, units, first_call_index)
+    assert got == per_call_toggles(spec, state, gates, units, first_call_index)  # bit for bit
+    assert oracle.true_value(state, gates) == reference_true_value(spec, state, gates)
 
 
 def test_evaluate_toggles_matches_evaluate_on_the_default_groups():
@@ -472,28 +496,71 @@ def test_evaluate_toggles_matches_evaluate_on_the_default_groups():
     # 8-way unrolled summation; the call indices cross a seed-state block.
     spec = default_run_config(10, 3).oracle_spec
     assert max(len(g) for g in spec.groups) > 8
-    batched, per_call = SyntheticOracle(spec), SyntheticOracle(spec)
+    oracle = SyntheticOracle(spec)
     rng = np.random.default_rng(0)
-    state = batched.train_step(batched.fresh_state(), rng.random(spec.n_units) < 0.5, 200)
+    state = oracle.train_step(oracle.fresh_state(), rng.random(spec.n_units) < 0.5, 200)
     gates = rng.random(spec.n_units) < 0.3
     units = list(rng.permutation(spec.n_units))
     first = SEED_BLOCK - 30
-    assert batched.evaluate_toggles(state, gates, units, first) == per_call_toggles(
-        per_call, state, gates, units, first
-    )
+    want = per_call_toggles(spec, state, gates, units, first)
+    assert oracle.evaluate_toggles(state, gates, units, first) == want
 
 
 @pytest.mark.parametrize("base_score, mu, clamped", [(0.95, 0.2, 1.0), (0.05, -0.2, 0.0)])
 @pytest.mark.parametrize("sigma_val", [0.0, 0.05])
 def test_evaluate_toggles_matches_evaluate_where_totals_clamp(base_score, mu, clamped, sigma_val):
     spec = simple_spec(base_score=base_score, mu_inf=(mu, mu, 0.01), sigma_val=sigma_val)
-    batched, per_call = SyntheticOracle(spec), SyntheticOracle(spec)
-    state = batched.train_step(batched.fresh_state(), np.ones(3, bool), 5000)
+    oracle = SyntheticOracle(spec)
+    state = oracle.train_step(oracle.fresh_state(), np.ones(3, bool), 5000)
     gates = np.array([True, False, False])
     units = [0, 1, 2, 1]
-    got = batched.evaluate_toggles(state, gates, units, 11)
-    assert got == per_call_toggles(per_call, state, gates, units, 11)
-    assert batched.true_value(state, [True, True, False]) == clamped
+    assert oracle.evaluate_toggles(state, gates, units, 11) == per_call_toggles(spec, state, gates, units, 11)
+    assert oracle.true_value(state, [True, True, False]) == clamped
+
+
+@pytest.mark.parametrize("k", [*range(1, 17), 40, 129])
+def test_row_sums_add_as_one_dimensional_sums(k):
+    # `_terms` sums the rows with k active members as one (rows, k) block;
+    # that is bit-identical to the per-group 1-D sums only if numpy adds each
+    # row of a C-contiguous block in the order it adds a 1-D array.
+    rng = np.random.default_rng(k)
+    for n_rows in (1, 2, 7, 64, 1000):
+        x = rng.standard_normal((n_rows, k)) * 10.0 ** rng.uniform(-12.0, 12.0, (n_rows, k))
+        want = np.array([row.sum() for row in x])
+        assert np.array_equal(x.sum(axis=1), want), (
+            f"numpy {np.__version__} sums rows of {k} differently from 1-D arrays ({n_rows} rows)"
+        )
+
+
+def memo_case():
+    spec = default_run_config(10, 3).oracle_spec
+    oracle = SyntheticOracle(spec)
+    rng = np.random.default_rng(5)
+    first = oracle.train_step(oracle.fresh_state(), rng.random(spec.n_units) < 0.5, 200)
+    second = oracle.train_step(first, rng.random(spec.n_units) < 0.5, 300)
+    gates = [rng.random(spec.n_units) < 0.3 for _ in range(2)]
+    return spec, oracle, (first, second), gates
+
+
+def test_true_value_memo_with_interleaved_states_and_gates():
+    spec, oracle, states, gates = memo_case()
+    units = [0, 13, 40]
+    for s, g, t, h in [(0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 0), (0, 0, 1, 1)]:
+        oracle.evaluate_toggles(states[s], gates[g], units, 0)
+        assert oracle.true_value(states[t], gates[h]) == reference_true_value(spec, states[t], gates[h])
+        assert oracle.true_value(states[s], gates[g]) == reference_true_value(spec, states[s], gates[g])
+
+
+def test_true_value_memo_after_the_caller_changes_its_gates_in_place():
+    spec, oracle, (state, _), (gates, _) = memo_case()
+    oracle.evaluate_toggles(state, gates, [1, 2], 0)
+    gates[[0, 12, 30]] = ~gates[[0, 12, 30]]
+    assert oracle.true_value(state, gates) == reference_true_value(spec, state, gates)
+
+
+def test_true_value_before_any_evaluate_toggles():
+    spec, oracle, (state, _), (gates, _) = memo_case()
+    assert oracle.true_value(state, gates) == reference_true_value(spec, state, gates)
 
 
 def test_evaluate_toggles_with_no_units_is_one_evaluate():
@@ -521,12 +588,12 @@ def test_trace_identical_through_toggles_and_per_call(tmp_path):
             rec.evaluate_toggles(state, gates, units, first)
             rec.true_value(state, gates)
 
-    # The same records, built from per-call `evaluate` at the same indices.
+    # The same records, built from reference evaluations at the same indices.
     oracle = SyntheticOracle(spec)
     state = oracle.train_step(oracle.fresh_state(), gates, 300)
     expected = []
     for first in (0, 4):
-        full, toggled = per_call_toggles(oracle, state, gates, units, first)
+        full, toggled = per_call_toggles(spec, state, gates, units, first)
         expected.append({"gates": "101", "score": full, "noise_seed": first})
         for pos, (bits, score) in enumerate(zip(("100", "001", "111"), toggled)):
             expected.append({"gates": bits, "score": score, "noise_seed": first + 1 + pos})
@@ -536,7 +603,7 @@ def test_trace_identical_through_toggles_and_per_call(tmp_path):
     replayed = replay_trace(path)
     for first in (0, 4):
         assert replayed.evaluate_toggles(state, gates, units, first) == per_call_toggles(
-            oracle, state, gates, units, first
+            spec, state, gates, units, first
         )
         assert replayed.true_value(state, gates) == oracle.true_value(state, gates)
     with pytest.raises(UnknownConfiguration, match="past the 10 trace records"):
