@@ -53,7 +53,6 @@ from .space import (
     Slot,
     Template,
     Topology,
-    build_audit_space,
     default_backbone,
     default_space,
     default_templates,
@@ -61,52 +60,3 @@ from .space import (
 )
 from .tracker import SmoothingParams, UtilityTable, UtilityTracker
 
-__all__ = [
-    "AdapterKind",
-    "AdapterUnit",
-    "AllocationProposal",
-    "AllocatorParams",
-    "AuditSpace",
-    "BackboneDesc",
-    "Family",
-    "FsmParams",
-    "FsmStabilizer",
-    "LoopDriver",
-    "OracleSpec",
-    "ReplayOracle",
-    "RunConfig",
-    "RunReport",
-    "SamplerParams",
-    "Slot",
-    "SmoothingParams",
-    "SyntheticOracle",
-    "Template",
-    "Topology",
-    "TraceRecordingOracle",
-    "TrainingState",
-    "UtilityTable",
-    "UtilityTracker",
-    "apply_hysteresis",
-    "brute_force_optimum",
-    "build_audit_space",
-    "compute_diagnostics",
-    "coverage_lower_bound",
-    "default_backbone",
-    "default_oracle_spec",
-    "default_run_config",
-    "default_space",
-    "default_templates",
-    "errors",
-    "final_resolve",
-    "gate_cost",
-    "gates_to_bits",
-    "greedy_allocate",
-    "raw_param_count",
-    "replay_trace",
-    "run_full",
-    "run_random_baseline",
-    "sample_audit_batch",
-    "swap_resolve",
-    "sweep",
-    "write_diagnostics_csv",
-]

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -101,14 +101,7 @@ class RunConfig:
         return {
             "space": self.space.to_json(),
             "oracle": self.oracle_spec.to_json(),
-            "sampler": {
-                "batch_size": self.sampler.batch_size,
-                "active_fraction": self.sampler.active_fraction,
-                "epsilon": self.sampler.epsilon,
-            },
-            "smoothing": {"beta": self.smoothing.beta, "lambda_s": self.smoothing.lambda_s},
-            "allocator": {"p_max": self.allocator.p_max, "mu_eff": self.allocator.mu_eff},
-            "fsm": {"tau_act": self.fsm.tau_act},
+            **{name: asdict(getattr(self, name)) for name in ("sampler", "smoothing", "allocator", "fsm")},
             "cycles": self.cycles,
             "steps_per_cycle": self.steps_per_cycle,
             "refinetune_steps": self.refinetune_steps,
@@ -280,19 +273,7 @@ class LoopDriver:
             _, opt_value = self.oracle.oracle_optimum(horizon, self.space.costs, cfg.allocator.p_max)
             regret_curve = [opt_value - v for v in value_curve]
 
-        self.records.append(
-            {
-                "kind": "final",
-                "final_gates": gates_to_bits(final.gates),
-                "final_on_ids": [int(i) for i in np.flatnonzero(final.gates)],
-                "final_value": final_value,
-                "final_score": final.total_score,
-                "budget_used": final.total_cost,
-                "t_c": self.fsm.change_cycles,
-                "eval_count": self.eval_count,
-            }
-        )
-        return RunReport(
+        report = RunReport(
             final_gates=final.gates,
             final_value=final_value,
             final_score=final.total_score,
@@ -304,6 +285,10 @@ class LoopDriver:
             regret_curve=regret_curve,
             eval_count=self.eval_count,
         )
+        summary = report.to_json()
+        keys = ("final_gates", "final_on_ids", "final_value", "final_score", "budget_used", "t_c", "eval_count")
+        self.records.append({"kind": "final"} | {key: summary[key] for key in keys})
+        return report
 
     def write_events(self, path: str | Path) -> Path:
         path = Path(path)
@@ -372,6 +357,8 @@ def compute_diagnostics(records: list[dict] | str | Path, *, n_units: int | None
     when the log has no final record).
 
     Regret is measured against the best noise-free value seen during the run.
+    `n_units` defaults to the final record's gate count, or to 1 + the
+    highest audited id in a log that ends before its final record.
     """
     if not isinstance(records, list):
         path = Path(records)
@@ -387,7 +374,9 @@ def compute_diagnostics(records: list[dict] | str | Path, *, n_units: int | None
     if not cycles:
         raise MalformedLog("event log contains no cycle records")
     try:
-        if n_units is None:
+        if n_units is None and finals:
+            n_units = len(finals[-1]["final_gates"])
+        elif n_units is None:
             n_units = 1 + max(max(r["audit"]["batch"], default=0) for r in cycles)
         coverage = np.zeros(n_units, dtype=np.int64)
         values: list[float] = []

@@ -41,10 +41,6 @@ class TooLarge(AuditLoopError):
     """Exhaustive enumeration was requested above the instance-size cap."""
 
 
-class InactiveUnit(AuditLoopError):
-    """A marginal was requested for a unit whose gate is off."""
-
-
 class MalformedTrace(AuditLoopError):
     """A replay trace file is syntactically or structurally invalid."""
 

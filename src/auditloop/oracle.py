@@ -11,11 +11,11 @@ The recording and replay wrappers implement only the driver's protocol:
 `evaluate_toggles(state, gates, units, first_call_index)`, the audit step's
 one query per cycle. It scores the full configuration and each one-unit
 toggle of it under call indices `first_call_index, first_call_index + 1,
-...`; only the driver assigns call indices, and it matches per-call
-`SyntheticOracle.evaluate` bit for bit. An external evaluator may
-parallelise the toggles behind it; the engine audits on one thread. The
-recorder forwards `oracle_optimum` (ground truth, for the regret curve)
-unrecorded; a replay has none.
+...`; only the driver assigns call indices. It matches, bit for bit, the
+per-call reference in the tests: `true_value` plus the noise draw of each
+call index. An external evaluator may parallelise the toggles behind it;
+the engine audits on one thread. The recorder forwards `oracle_optimum`
+(ground truth, for the regret curve) unrecorded; a replay has none.
 
 A group's term sums its active members in spec order as a 1-D numpy `.sum()`
 does (pairwise, not left to right). `_terms` finds the terms of a query's
@@ -47,7 +47,6 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .allocator import ENUMERATION_MAX, best_subset, subset_sums
 from .errors import (
-    InactiveUnit,
     InvalidParams,
     LengthMismatch,
     MalformedTrace,
@@ -393,15 +392,11 @@ class SyntheticOracle:
                 terms[group] = term
         return float(self._totals(terms)[0])
 
-    def evaluate(self, state: TrainingState, gates, call_index: int) -> float:
-        """Noisy evaluation: true value plus Gaussian noise, clamped to [0, 1]."""
-        return self._noisy(self.true_value(state, gates), call_index)
-
     def evaluate_toggles(
         self, state: TrainingState, gates, units, first_call_index: int
     ) -> tuple[float, list[float]]:
-        """Scores of `gates` and of each one-unit toggle of it, bit-identical
-        to `evaluate` at call indices first_call_index, first_call_index + 1, ...
+        """`true_value` plus noise, clamped to [0, 1], of `gates` and of each
+        one-unit toggle of it, at call indices first_call_index, +1, ...
 
         One `_terms` pass yields the group terms of the full configuration
         and of each toggle's group, and one `_totals` call adds up the full
@@ -428,15 +423,6 @@ class SyntheticOracle:
             rng = self._drift(state.n_train_calls)
             offsets = offsets + rng.uniform(-self.spec.drift, self.spec.drift, self.n_units)
         return TrainingState(steps=steps, drift_offsets=offsets, n_train_calls=state.n_train_calls + 1)
-
-    def true_marginal(self, state: TrainingState, gates, unit_id: int) -> float:
-        """Noise-free value change from toggling an active unit off."""
-        gates = np.asarray(gates, dtype=bool)
-        if not gates[unit_id]:
-            raise InactiveUnit(f"unit {unit_id} is inactive; its toggle-off marginal is undefined")
-        without = gates.copy()
-        without[unit_id] = False
-        return self.true_value(state, gates) - self.true_value(state, without)
 
     def oracle_optimum(self, state: TrainingState, costs, p_max: float) -> tuple[np.ndarray, float]:
         """Exact budget-constrained maximizer of the noise-free value

@@ -9,10 +9,10 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -138,55 +138,6 @@ def _check_template(tpl: Template) -> AdapterKind:
     return kind
 
 
-def build_audit_space(
-    backbone: BackboneDesc,
-    templates: Sequence[Template],
-    *,
-    initial_active: Callable[[AdapterUnit], bool] | None = None,
-    sapa_shared_weights: bool = False,
-) -> list[AdapterUnit]:
-    """Enumerate one unit per (layer x template), id-ordered lexicographically.
-
-    Ids run 0..N-1 sorted by (layer, slot, family, topology, size) and are
-    stable for a run. Gates default to all-inactive unless `initial_active`
-    returns True for a unit.
-    """
-    kinds = [_check_template(t) for t in templates]
-    if not templates:
-        raise EmptySpace("schema contains no templates")
-
-    keyed = []
-    for layer in range(backbone.num_layers):
-        d = backbone.hidden_dims[layer]
-        for tpl, kind in zip(templates, kinds):
-            key = (
-                layer,
-                _SLOT_ORDER[tpl.slot],
-                _FAMILY_ORDER[tpl.family],
-                _TOPOLOGY_ORDER[tpl.topology],
-                tpl.size,
-            )
-            keyed.append((key, layer, tpl, kind, d))
-    keyed.sort(key=lambda item: item[0])
-
-    units: list[AdapterUnit] = []
-    for uid, (_, layer, tpl, kind, d) in enumerate(keyed):
-        raw = raw_param_count(kind, d, sapa_shared_weights=sapa_shared_weights)
-        unit = AdapterUnit(
-            id=uid,
-            kind=kind,
-            layer=layer,
-            slot=tpl.slot,
-            hidden_dim=d,
-            cost=raw / backbone.backbone_param_count,
-            gate=False,
-        )
-        if initial_active is not None and initial_active(unit):
-            unit = replace(unit, gate=True)
-        units.append(unit)
-    return units
-
-
 def default_templates() -> list[Template]:
     """Attention: LoRA ranks x SA/PA/SAPA. Feed-forward: LoRA plus AdaptFormer
     bottlenecks, same topologies. Norm: AffineLN. 37 templates total."""
@@ -230,15 +181,45 @@ class AuditSpace:
         backbone: BackboneDesc,
         templates: Sequence[Template],
         *,
-        initial_active: Callable[[AdapterUnit], bool] | None = None,
         sapa_shared_weights: bool = False,
     ) -> "AuditSpace":
-        units = build_audit_space(
-            backbone,
-            templates,
-            initial_active=initial_active,
-            sapa_shared_weights=sapa_shared_weights,
-        )
+        """Enumerate one unit per (layer x template), id-ordered lexicographically.
+
+        Ids run 0..N-1 sorted by (layer, slot, family, topology, size) and are
+        stable for a run. Every gate starts inactive.
+        """
+        kinds = [_check_template(t) for t in templates]
+        if not templates:
+            raise EmptySpace("schema contains no templates")
+
+        keyed = []
+        for layer in range(backbone.num_layers):
+            d = backbone.hidden_dims[layer]
+            for tpl, kind in zip(templates, kinds):
+                key = (
+                    layer,
+                    _SLOT_ORDER[tpl.slot],
+                    _FAMILY_ORDER[tpl.family],
+                    _TOPOLOGY_ORDER[tpl.topology],
+                    tpl.size,
+                )
+                keyed.append((key, layer, tpl, kind, d))
+        # Sort on the key alone: equal keys must not fall through to Template.
+        keyed.sort(key=lambda item: item[0])
+
+        units: list[AdapterUnit] = []
+        for uid, (_, layer, tpl, kind, d) in enumerate(keyed):
+            raw = raw_param_count(kind, d, sapa_shared_weights=sapa_shared_weights)
+            units.append(
+                AdapterUnit(
+                    id=uid,
+                    kind=kind,
+                    layer=layer,
+                    slot=tpl.slot,
+                    hidden_dim=d,
+                    cost=raw / backbone.backbone_param_count,
+                )
+            )
         return cls(backbone, units)
 
     @classmethod

@@ -186,9 +186,9 @@ def test_c9_audit_utility_consistency():
             for audit in rec["audit"]["audits"]:
                 unit = audit["unit_id"]
                 cost = cfg.space.costs[unit]
-                with_unit = active.copy()
-                with_unit[unit] = True
-                expected = oracle.true_marginal(state, with_unit, unit) / cost
+                with_unit, without = active.copy(), active.copy()
+                with_unit[unit], without[unit] = True, False
+                expected = (oracle.true_value(state, with_unit) - oracle.true_value(state, without)) / cost
                 worst = max(worst, abs(audit["u_raw"] - expected))
                 checked += 1
     ok = checked >= 1000 and worst <= 1e-12

@@ -16,12 +16,13 @@ BELOW, ABOVE = 1 - 1e-9, 1 + 1e-9
     "verdict, bound, passing, failing",
     [
         # (1 - b) / (1 + b), passing within 10% either way, and d * b / (1 - b),
-        # passing up to 5% over it
+        # passing within 5% either way
         (partial(checks.ema_variance_verdict, 0.5), 1 / 3, 1.1 / 3 * BELOW, 1.1 / 3 * ABOVE),
         (partial(checks.ema_variance_verdict, 0.5), 1 / 3, 0.9 / 3 * ABOVE, 0.9 / 3 * BELOW),
         (partial(checks.ema_variance_verdict, 0.9), 0.0526, 0.11 / 1.9 * BELOW, 0.11 / 1.9 * ABOVE),
         (partial(checks.ema_variance_verdict, 0.9), 0.0526, 0.09 / 1.9 * ABOVE, 0.09 / 1.9 * BELOW),
         (partial(checks.drift_bias_verdict, 0.9, 0.01), 0.09, 0.0945 * BELOW, 0.0945 * ABOVE),
+        (partial(checks.drift_bias_verdict, 0.9, 0.01), 0.09, 0.0855 * ABOVE, 0.0855 * BELOW),
         # rho = 0.03: 60 - 4 * sqrt(58.2) = 29.484, with no slack
         (partial(checks.coverage_verdict, 60, 6, 0.3, 2000), 29.484, 30, 29),
         # least ratio 0.5; share of ratios >= 0.95 (0.95 counts, 0.9499999 does not) 0.9
@@ -30,7 +31,7 @@ BELOW, ABOVE = 1 - 1e-9, 1 + 1e-9
     ],
     ids=[
         "ema-variance-0.5", "ema-variance-0.5-low", "ema-variance-0.9", "ema-variance-0.9-low",
-        "drift-bias", "coverage", "min-ratio", "share",
+        "drift-bias", "drift-bias-low", "coverage", "min-ratio", "share",
     ],
 )
 def test_rule_bound_and_tolerance_edge(verdict, bound, passing, failing):
@@ -45,3 +46,11 @@ def test_ema_variance_needs_replicas_for_its_tolerance():
     with pytest.raises(InvalidParams, match="at least 1801"):
         checks.ema_variance(0.5, replicas=1800, audits=20, seed=0)
     assert checks.ema_variance(0.5, replicas=1801, audits=20, seed=0).bound == pytest.approx(1 / 3)
+
+
+def test_drift_bias_needs_audits_for_its_tolerance():
+    # The bias reaches (1 - 0.9^(A - 1)) of its bound after A audits, within
+    # 5% from A = 30: one audit once passed with a bias of 0.0.
+    with pytest.raises(InvalidParams, match="at least 30"):
+        checks.drift_bias(0.9, 0.01, 29)
+    assert checks.drift_bias(0.9, 0.01, 30).ok

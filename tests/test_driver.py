@@ -246,6 +246,18 @@ def test_diagnostics_malformed_log(tmp_path):
         compute_diagnostics([{"kind": "cycle", "cycle": 0}])
 
 
+def test_diagnostics_count_units_never_audited():
+    # The final record's gates give the unit count, so unit 2, never audited,
+    # holds coverage at 0 as it does in the `run` diagnostics.
+    audit = {"audit": {"batch": [0, 1]}, "value": 0.5, "fsm": {"t_c": 0}}
+    cycles = [{"kind": "cycle", "cycle": t, "eval_count": 3 * (t + 1), **audit} for t in range(2)]
+    diag = compute_diagnostics(cycles + [{"kind": "final", "final_gates": "000", "final_value": 0.5}])
+    assert diag["coverage"].tolist() == [2, 2, 0]
+    assert diag["coverage_min_curve"] == compute_diagnostics(cycles, n_units=3)["coverage_min_curve"] == [0, 0]
+    # A log cut before its final record counts units up to the highest audited id.
+    assert compute_diagnostics(cycles)["coverage_min_curve"] == [1, 2]
+
+
 def test_record_and_replay_identical_event_log(tmp_path):
     cfg = tiny_config(cycles=10)
     inner = SyntheticOracle(cfg.oracle_spec)

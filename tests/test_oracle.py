@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from auditloop import OracleSpec, SyntheticOracle, TraceRecordingOracle, TrainingState, replay_trace
 from auditloop.allocator import gate_cost
 from auditloop.errors import (
-    InactiveUnit,
     InvalidParams,
     LengthMismatch,
     MalformedTrace,
@@ -37,6 +36,13 @@ def trained(oracle, gates, steps):
     return oracle.train_step(state, gates, steps)
 
 
+def true_marginal(oracle, state, gates, unit_id):
+    """Noise-free value change from toggling an active unit off."""
+    without = np.array(gates, dtype=bool)
+    without[unit_id] = False
+    return oracle.true_value(state, gates) - oracle.true_value(state, without)
+
+
 def test_spec_validation():
     with pytest.raises(InvalidParams):
         simple_spec(base_score=1.5)
@@ -53,15 +59,15 @@ def test_spec_validation():
 def test_empty_configuration_returns_base():
     oracle = SyntheticOracle(simple_spec())
     state = oracle.fresh_state()
-    assert oracle.evaluate(state, [False, False, False], call_index=0) == 0.5
+    assert oracle.evaluate_toggles(state, [False, False, False], [], 0)[0] == 0.5
     assert oracle.true_value(state, [False, False, False]) == 0.5
 
 
 def test_noise_free_determinism():
     oracle = SyntheticOracle(simple_spec())
     state = trained(oracle, np.array([True, True, False]), 500)
-    a = oracle.evaluate(state, [True, True, False], call_index=0)
-    b = oracle.evaluate(state, [True, True, False], call_index=1)
+    a = oracle.evaluate_toggles(state, [True, True, False], [], 0)[0]
+    b = oracle.evaluate_toggles(state, [True, True, False], [], 1)[0]
     assert a == b
 
 
@@ -99,15 +105,13 @@ def test_true_marginal_additive_case():
     oracle = SyntheticOracle(simple_spec())
     state = trained(oracle, np.array([True, True, False]), 300)
     expected = 0.1 * (1 - math.exp(-300 / 100))
-    assert math.isclose(oracle.true_marginal(state, [True, True, False], 0), expected, abs_tol=1e-12)
-    with pytest.raises(InactiveUnit):
-        oracle.true_marginal(state, [True, True, False], 2)
+    assert math.isclose(true_marginal(oracle, state, [True, True, False], 0), expected, abs_tol=1e-12)
 
 
 def test_null_unit_zero_marginal():
     oracle = SyntheticOracle(simple_spec(mu_inf=(0.0, 0.2, -0.05)))
     state = trained(oracle, np.ones(3, bool), 1000)
-    assert oracle.true_marginal(state, np.ones(3, bool), 0) == 0.0
+    assert true_marginal(oracle, state, np.ones(3, bool), 0) == 0.0
 
 
 def test_redundant_group_diminishing_returns():
@@ -118,7 +122,7 @@ def test_redundant_group_diminishing_returns():
     both = oracle.true_value(state, [True, True, False]) - 0.5
     second_marginal = both - first_alone
     assert second_marginal < first_alone
-    assert oracle.true_marginal(state, [True, True, False], 1) == pytest.approx(second_marginal)
+    assert true_marginal(oracle, state, [True, True, False], 1) == pytest.approx(second_marginal)
 
 
 def test_group_capacity_realized_when_full():
@@ -159,8 +163,8 @@ def test_noise_seeded_by_call_index():
     b = SyntheticOracle(spec)
     state = a.fresh_state()
     gates = [True, False, False]
-    assert a.evaluate(state, gates, call_index=3) == b.evaluate(state, gates, call_index=3)
-    assert a.evaluate(state, gates, call_index=4) != b.evaluate(state, gates, call_index=5)
+    assert a.evaluate_toggles(state, gates, [], 3)[0] == b.evaluate_toggles(state, gates, [], 3)[0]
+    assert a.evaluate_toggles(state, gates, [], 4)[0] != b.evaluate_toggles(state, gates, [], 5)[0]
 
 
 @pytest.mark.parametrize("prefix", [(), (7, 0x0E11), (2**32, 2**32 - 1)])
@@ -206,7 +210,7 @@ def test_noise_calibration():
     spec = simple_spec(sigma_val=0.04)
     oracle = SyntheticOracle(spec)
     state = oracle.fresh_state()
-    draws = np.array([oracle.evaluate(state, [False] * 3, call_index=i) for i in range(10_000)])
+    draws = np.array([oracle.evaluate_toggles(state, [False] * 3, [], i)[0] for i in range(10_000)])
     assert abs(draws.var() - 0.04**2) < 0.05 * 0.04**2
 
 
@@ -409,9 +413,14 @@ def test_record_then_replay_reproduces_scores(tmp_path):
 # -- batched toggle audit --------------------------------------------------------
 
 
-def reference_true_value(spec, state, gates):
+def left_to_right(x):
+    return np.add.accumulate(x)[-1] if x.size else 0.0
+
+
+def reference_true_value(spec, state, gates, group_sum=np.sum):
     """`SyntheticOracle.true_value` as a plain per-group loop: each group's
-    active members summed in listed order by a 1-D numpy `.sum()`, the
+    active members summed in listed order by a 1-D numpy `.sum()` (or by
+    `group_sum`), the
     concave step with Python's `**`, and the terms added from left to right
     onto the base score."""
     learned = np.maximum(1.0 - np.exp(-state.steps / np.array(spec.kappa)), spec.warm_floor)
@@ -420,7 +429,7 @@ def reference_true_value(spec, state, gates):
     total = spec.base_score
     for group, gamma in spec.full_groups():
         members = np.array(group, dtype=np.intp)
-        s = float(mu[members[gates[members]]].sum())
+        s = float(group_sum(mu[members[gates[members]]]))
         cap = float(np.maximum(np.array(spec.mu_inf)[members], 0.0).sum())
         total += s if gamma >= 1.0 or cap <= 0.0 or s <= 0.0 else cap ** (1.0 - gamma) * s**gamma
     return min(1.0, max(0.0, total))
@@ -495,13 +504,22 @@ def test_evaluate_toggles_matches_evaluate_on_the_default_groups():
     # The default space has redundancy groups of 12 units, past numpy's
     # 8-way unrolled summation; the call indices cross a seed-state block.
     spec = default_run_config(10, 3).oracle_spec
-    assert max(len(g) for g in spec.groups) > 8
     oracle = SyntheticOracle(spec)
     rng = np.random.default_rng(0)
     state = oracle.train_step(oracle.fresh_state(), rng.random(spec.n_units) < 0.5, 200)
     gates = rng.random(spec.n_units) < 0.3
     units = list(rng.permutation(spec.n_units))
     first = SEED_BLOCK - 30
+    want = per_call_toggles(spec, state, gates, units, first)
+    assert oracle.evaluate_toggles(state, gates, units, first) == want
+    # The random gates above leave fewer than 8 members of any group on,
+    # where the pairwise sum is the left-to-right one. Every member of the 12-unit
+    # groups on, after 1,000 steps of every unit, is a case where the two
+    # orders give different scores.
+    state = oracle.train_step(oracle.fresh_state(), np.ones(spec.n_units, bool), 1000)
+    gates = np.zeros(spec.n_units, dtype=bool)
+    gates[[i for g in spec.groups if len(g) > 8 for i in g]] = True
+    assert reference_true_value(spec, state, gates) != reference_true_value(spec, state, gates, left_to_right)
     want = per_call_toggles(spec, state, gates, units, first)
     assert oracle.evaluate_toggles(state, gates, units, first) == want
 
@@ -568,7 +586,7 @@ def test_evaluate_toggles_with_no_units_is_one_evaluate():
     oracle = SyntheticOracle(spec)
     state = oracle.train_step(oracle.fresh_state(), np.ones(3, bool), 300)
     gates = [True, False, True]
-    assert oracle.evaluate_toggles(state, gates, [], 9) == (oracle.evaluate(state, gates, call_index=9), [])
+    assert oracle.evaluate_toggles(state, gates, [], 9) == (reference_evaluate(spec, state, gates, 9), [])
 
 
 def test_evaluate_toggles_checks_gate_length():

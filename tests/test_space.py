@@ -12,7 +12,6 @@ from auditloop import (
     Slot,
     Template,
     Topology,
-    build_audit_space,
     default_backbone,
     default_space,
     default_templates,
@@ -23,14 +22,14 @@ from auditloop.errors import EmptySpace, IncompatibleTemplate, InvalidParams
 
 def test_default_schema_unit_count():
     # 2 layers x (attention 12 + feedforward 24 + norm 1) = 74
-    units = build_audit_space(default_backbone(), default_templates())
+    units = AuditSpace.build(default_backbone(), default_templates()).units
     assert len(units) == 74
     assert [u.id for u in units] == list(range(74))
 
 
 def test_single_template_single_layer():
     backbone = BackboneDesc(1, (32,), 10_000)
-    units = build_audit_space(backbone, [Template(Family.AFFINE_LN, Topology.NONE, 0, Slot.NORM)])
+    units = AuditSpace.build(backbone, [Template(Family.AFFINE_LN, Topology.NONE, 0, Slot.NORM)]).units
     assert len(units) == 1
     assert units[0].cost == 64 / 10_000
 
@@ -38,18 +37,18 @@ def test_single_template_single_layer():
 def test_lora_on_norm_slot_rejected():
     backbone = BackboneDesc(1, (32,), 10_000)
     with pytest.raises(IncompatibleTemplate):
-        build_audit_space(backbone, [Template(Family.LORA, Topology.SA, 8, Slot.NORM)])
+        AuditSpace.build(backbone, [Template(Family.LORA, Topology.SA, 8, Slot.NORM)])
 
 
 def test_affine_ln_off_norm_rejected():
     backbone = BackboneDesc(1, (32,), 10_000)
     with pytest.raises(IncompatibleTemplate):
-        build_audit_space(backbone, [Template(Family.AFFINE_LN, Topology.NONE, 0, Slot.ATTENTION)])
+        AuditSpace.build(backbone, [Template(Family.AFFINE_LN, Topology.NONE, 0, Slot.ATTENTION)])
 
 
 def test_empty_schema_rejected():
     with pytest.raises(EmptySpace):
-        build_audit_space(default_backbone(), [])
+        AuditSpace.build(default_backbone(), [])
 
 
 def test_kind_invariants():
@@ -145,9 +144,3 @@ def test_malformed_schema_rejected():
     with pytest.raises(InvalidParams):
         AuditSpace.from_json({"backbone": {"layers": 1}, "templates": []})
 
-
-def test_initial_active_policy():
-    units = build_audit_space(
-        default_backbone(), default_templates(), initial_active=lambda u: u.id < 3
-    )
-    assert [u.gate for u in units[:4]] == [True, True, True, False]
