@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from . import errors
 from .allocator import (
-    AllocationProposal,
     AllocatorParams,
     apply_hysteresis,
     brute_force_optimum,

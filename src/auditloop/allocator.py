@@ -1,10 +1,14 @@
 """Budgeted unit selection.
 
+Every solver takes scores, unit costs and a budget, returns a boolean gate
+vector, and switches on only units with positive scores: a unit that the
+engine has not audited yet scores 0.0, so it stays off.
+
 Greedy density knapsack with a replacement-hysteresis guard for the online
 loop, a guard-free final re-solve, and an exhaustive optimum. The final
-re-solve is exact while at most `EXACT_RESOLVE_MAX` eligible units have
-positive scores; above that it falls back to `swap_resolve` (density greedy,
-best singleton, then best-improvement single swaps).
+re-solve is exact while at most `EXACT_RESOLVE_MAX` units have positive
+scores; above that it falls back to `swap_resolve` (density greedy, best
+singleton, then best-improvement single swaps).
 
 `fill` is the one add-while-it-fits loop: the greedy knapsack, the FSM's
 commit of ready activations and the random baseline each pass it their own
@@ -43,13 +47,6 @@ class AllocatorParams:
         check_finite("mu_eff", self.mu_eff)
         if self.mu_eff < 0.0:
             raise InvalidParams("mu_eff must be non-negative")
-
-
-@dataclass(frozen=True, eq=False)
-class AllocationProposal:
-    gates: np.ndarray
-    total_cost: float
-    total_score: float
 
 
 def gate_cost(gates: np.ndarray, costs: np.ndarray) -> float:
@@ -104,17 +101,16 @@ def fill(gates, order, costs, p_max: float) -> tuple[np.ndarray, list[int]]:
     return gates, rejected
 
 
-def _validate(scores, costs, eligible) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _validate(scores, costs) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=float)
     costs = np.asarray(costs, dtype=float)
-    eligible = np.asarray(eligible, dtype=bool)
-    if not (scores.shape == costs.shape == eligible.shape) or scores.ndim != 1:
-        raise LengthMismatch("scores, costs and eligible must be 1-D vectors of equal length")
+    if scores.shape != costs.shape or scores.ndim != 1:
+        raise LengthMismatch("scores and costs must be 1-D vectors of equal length")
     if np.any(costs <= 0.0):
         raise NonPositiveCost("all unit costs must be positive")
-    if not np.all(np.isfinite(scores[eligible])):
-        raise InvalidParams("eligible units must have finite scores")
-    return scores, costs, eligible
+    if not np.all(np.isfinite(scores)):
+        raise InvalidParams("scores must be finite")
+    return scores, costs
 
 
 def _density_order(ids: np.ndarray, scores: np.ndarray, costs: np.ndarray) -> np.ndarray:
@@ -123,27 +119,20 @@ def _density_order(ids: np.ndarray, scores: np.ndarray, costs: np.ndarray) -> np
     return ids[np.lexsort((ids, costs[ids], -dens))]
 
 
-def _proposal(gates: np.ndarray, scores: np.ndarray, costs: np.ndarray) -> AllocationProposal:
-    return AllocationProposal(gates, gate_cost(gates, costs), float(scores[gates].sum()))
-
-
-def greedy_allocate(scores, costs, eligible, p_max: float) -> AllocationProposal:
-    """Activate eligible units in descending density while they fit the budget.
+def greedy_allocate(scores, costs, p_max: float) -> np.ndarray:
+    """Activate units in descending density while they fit the budget.
 
     Units with non-positive scores are never activated, even under slack:
     measured utilities can be negative and a harmful unit never helps the
     objective.
     """
-    scores, costs, eligible = _validate(scores, costs, eligible)
-    order = _density_order(np.flatnonzero(eligible & (scores > 0.0)), scores, costs)
-    gates, _ = fill(np.zeros(scores.size, dtype=bool), order, costs, p_max)
-    return _proposal(gates, scores, costs)
+    scores, costs = _validate(scores, costs)
+    order = _density_order(np.flatnonzero(scores > 0.0), scores, costs)
+    return fill(np.zeros(scores.size, dtype=bool), order, costs, p_max)[0]
 
 
-def apply_hysteresis(
-    current, proposal: AllocationProposal, scores, costs, p_max: float, mu_eff: float
-) -> np.ndarray:
-    """Filter a fresh proposal against the currently committed gates.
+def apply_hysteresis(current, proposed, scores, costs, p_max: float, mu_eff: float) -> np.ndarray:
+    """Filter freshly proposed gates against the currently committed gates.
 
     Activations that fit the budget without evicting anyone pass through, as
     do deactivations of units with non-positive scores. An activation that
@@ -152,9 +141,9 @@ def apply_hysteresis(
     more than mu_eff, otherwise the incumbents are retained and the newcomer
     discarded.
     """
-    scores, costs, _ = _validate(scores, costs, np.ones_like(np.asarray(costs), dtype=bool))
+    scores, costs = _validate(scores, costs)
     current = np.asarray(current, dtype=bool)
-    prop = np.asarray(proposal.gates, dtype=bool)
+    prop = np.asarray(proposed, dtype=bool)
     if current.shape != prop.shape or current.shape != scores.shape:
         raise LengthMismatch("gate vectors must match the score vector length")
 
@@ -207,18 +196,18 @@ ENUMERATION_MAX = 20
 EXACT_RESOLVE_MAX = 16
 
 
-def final_resolve(scores, costs, eligible, p_max: float) -> AllocationProposal:
-    """Guard-free re-solve. With at most `EXACT_RESOLVE_MAX` eligible units of
-    positive score it returns `brute_force_optimum` over those units, whose
-    score never falls as the budget grows; above that, `swap_resolve`."""
-    scores, costs, eligible = _validate(scores, costs, eligible)
-    positive = eligible & (scores > 0.0)
+def final_resolve(scores, costs, p_max: float) -> np.ndarray:
+    """Guard-free re-solve. With at most `EXACT_RESOLVE_MAX` units of positive
+    score it returns `brute_force_optimum` over those units, whose score never
+    falls as the budget grows; above that, `swap_resolve`."""
+    scores, costs = _validate(scores, costs)
+    positive = scores > 0.0
     if np.count_nonzero(positive) <= EXACT_RESOLVE_MAX:
         return brute_force_optimum(scores, costs, positive, p_max)
-    return swap_resolve(scores, costs, eligible, p_max)
+    return swap_resolve(scores, costs, p_max)
 
 
-def swap_resolve(scores, costs, eligible, p_max: float) -> AllocationProposal:
+def swap_resolve(scores, costs, p_max: float) -> np.ndarray:
     """Density greedy vs. best feasible singleton, then best-improvement
     single-swap passes until no swap raises the score. At least half the
     optimum, but not monotone in the budget.
@@ -226,9 +215,9 @@ def swap_resolve(scores, costs, eligible, p_max: float) -> AllocationProposal:
     Each pass scores every (selected, outside) pair at once and swaps the
     pair of largest gain that fits; among equal gains, the lowest selected
     id, then the lowest outside id (`np.argmax` in row-major order)."""
-    scores, costs, eligible = _validate(scores, costs, eligible)
-    gates = greedy_allocate(scores, costs, eligible, p_max).gates
-    singles = np.flatnonzero(eligible & (scores > 0.0) & (costs <= p_max))
+    scores, costs = _validate(scores, costs)
+    gates = greedy_allocate(scores, costs, p_max)
+    singles = np.flatnonzero((scores > 0.0) & (costs <= p_max))
     if singles.size:
         s = singles[np.lexsort((singles, costs[singles], -scores[singles]))[0]]
         if scores[s] > scores[gates].sum():
@@ -237,7 +226,7 @@ def swap_resolve(scores, costs, eligible, p_max: float) -> AllocationProposal:
     budget = _Budget(costs, p_max)
     while True:
         selected = np.flatnonzero(gates)
-        outside = np.flatnonzero(eligible & ~gates)
+        outside = np.flatnonzero(~gates)
         gain = scores[outside] - scores[selected][:, None]
         rows, cols = np.nonzero(gain > 0.0)
         drop, add = selected[rows], outside[cols]
@@ -252,7 +241,7 @@ def swap_resolve(scores, costs, eligible, p_max: float) -> AllocationProposal:
             break
         best_pair = np.argmax(np.where(ok, gain[rows, cols], -np.inf))
         gates[drop[best_pair]], gates[add[best_pair]] = False, True
-    return _proposal(gates, scores, costs)
+    return gates
 
 
 def subset_sums(n_bits: int, terms) -> np.ndarray:
@@ -291,14 +280,17 @@ def best_subset(sub_scores, sub_costs, costs, p_max: float, ids, n: int) -> np.n
         maybe[cand] = False
 
 
-def brute_force_optimum(scores, costs, eligible, p_max: float) -> AllocationProposal:
-    """Exhaustive maximum of the selected-score sum under the budget; ties
-    break as in `best_subset`. Capped at `ENUMERATION_MAX` eligible units."""
-    scores, costs, eligible = _validate(scores, costs, eligible)
-    idx = np.flatnonzero(eligible)
+def brute_force_optimum(scores, costs, units, p_max: float) -> np.ndarray:
+    """Gates of the maximum selected-score sum under the budget over subsets
+    of the units that the mask `units` marks; ties break as in
+    `best_subset`. Capped at `ENUMERATION_MAX` marked units."""
+    scores, costs = _validate(scores, costs)
+    units = np.asarray(units, dtype=bool)
+    if units.shape != scores.shape:
+        raise LengthMismatch("the unit mask must match the score vector length")
+    idx = np.flatnonzero(units)
     if idx.size > ENUMERATION_MAX:
-        raise TooLarge(f"{idx.size} eligible units exceed the enumeration cap of {ENUMERATION_MAX}")
+        raise TooLarge(f"{idx.size} units exceed the enumeration cap of {ENUMERATION_MAX}")
     sub_scores = subset_sums(idx.size, enumerate(scores[idx]))
     sub_costs = subset_sums(idx.size, enumerate(costs[idx]))
-    gates = best_subset(sub_scores, sub_costs, costs, p_max, idx, scores.size)
-    return _proposal(gates, scores, costs)
+    return best_subset(sub_scores, sub_costs, costs, p_max, idx, scores.size)

@@ -4,8 +4,11 @@
 only choose sizes and seeds. A check returns a `Verdict` with its tolerance
 applied, and raises `InvalidParams` at sizes it cannot judge (a coverage
 bound that is not positive, too few EMA replicas or drift audits for its
-tolerance). Each `*_verdict` function holds one bound and its pass rule; the
-chatter checks pass on no violations of floor(T / tau) flips per unit.
+tolerance, a drift that is not positive). Each `*_verdict` function holds
+one bound and its pass rule. The chatter checks pass on no violations of
+floor(T / tau) flips per unit, and their names count the columns or runs
+that can violate it: a unit flips at most once a step, so at tau = 1 none
+can.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .allocator import ENUMERATION_MAX, brute_force_optimum, swap_resolve
-from .errors import AuditLoopError, check_count
+from .errors import AuditLoopError, InvalidParams, check_count
 from .fsm import FsmStabilizer
 from .sampler import SamplerParams, coverage_lower_bound, sample_audit_batch
 from .tracker import SmoothingParams, UtilityTable
@@ -78,7 +81,8 @@ def fsm_chatter_exhaustive(t_len: int, taus=(1, 2, 3)) -> Verdict:
     masks = np.arange(1 << t_len)
     proposals = (masks >> np.arange(t_len)[:, None] & 1).astype(bool)
     violations = sum(int(np.count_nonzero(_flips(tau, proposals) > t_len // tau)) for tau in taus)
-    return Verdict(f"fsm-chatter exhaustive T={t_len}", 0.0, violations, violations == 0)
+    name = f"fsm-chatter T={t_len} {sum(tau > 1 for tau in taus) << t_len}/{len(taus) << t_len} can fail"
+    return Verdict(name, 0.0, violations, violations == 0)
 
 
 def fsm_chatter_fuzz(runs: int, t_len: int) -> Verdict:
@@ -97,7 +101,8 @@ def fsm_chatter_fuzz(runs: int, t_len: int) -> Verdict:
         starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
         worst = np.maximum.reduceat(_flips(tau, np.hstack(blocks)), starts)
         violations += int(np.count_nonzero(worst > t_len // tau))
-    return Verdict(f"fsm-chatter fuzz runs={runs} T={t_len}", 0.0, violations, violations == 0)
+    can_fail = sum(len(blocks) for tau, blocks in by_tau.items() if tau > 1)
+    return Verdict(f"fsm-chatter fuzz T={t_len} {can_fail}/{runs} can fail", 0.0, violations, violations == 0)
 
 
 def _table_ema(values, beta: float) -> float:
@@ -126,7 +131,10 @@ def ema_variance(beta: float, replicas: int, audits: int, seed: int) -> Verdict:
 
 def drift_bias(beta: float, delta: float, audits: int) -> Verdict:
     """|EMA - mu| after `audits` audits of mu_t = delta * t. The bias is
-    bound * (1 - beta^(audits - 1)), within 5% from 30 audits at beta = 0.9."""
+    bound * (1 - beta^(audits - 1)), within 5% from 30 audits at beta = 0.9.
+    Without a positive drift there is no bias that the check could miss."""
+    if not delta > 0.0:
+        raise InvalidParams(f"drift delta must be positive, not {delta}")
     check_count("audits (for a 5% bias tolerance)", audits, math.ceil(1.0 + math.log(0.05) / math.log(beta)))
     bias = abs(_table_ema(delta * np.arange(audits), beta) - delta * (audits - 1))
     return drift_bias_verdict(beta, delta, bias)
@@ -169,8 +177,7 @@ def allocator_ratios(instances: int, n_max: int, seed: int) -> np.ndarray:
         scores = rng.uniform(0.0, 1.0, n)
         costs = np.exp(rng.uniform(np.log(1e-4), np.log(5e-3), n))
         p_max = float(rng.uniform(costs.min(), costs.sum()))
-        eligible = np.ones(n, dtype=bool)
-        approx = swap_resolve(scores, costs, eligible, p_max)
-        exact = brute_force_optimum(scores, costs, eligible, p_max)
-        ratios[k] = 1.0 if exact.total_score <= 0.0 else approx.total_score / exact.total_score
+        approx = scores[swap_resolve(scores, costs, p_max)].sum()
+        exact = scores[brute_force_optimum(scores, costs, np.ones(n, dtype=bool), p_max)].sum()
+        ratios[k] = 1.0 if exact <= 0.0 else approx / exact
     return ratios

@@ -40,8 +40,14 @@ def _load_config(path: str, seed_override: int | None) -> RunConfig:
     return config if seed_override is None else replace(config, run_seed=seed_override)
 
 
+def _out_dir(path: str) -> Path:
+    """The `--out` directory, made before any run so that a bad path fails first."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_outputs(driver: LoopDriver, report, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     driver.write_events(out_dir / "events.jsonl")
     diag = compute_diagnostics(driver.records, n_units=driver.space.n_units)
     write_diagnostics_csv(diag, out_dir / "diagnostics.csv")
@@ -51,13 +57,14 @@ def _write_outputs(driver: LoopDriver, report, out_dir: Path) -> None:
 
 def cmd_run(args) -> int:
     config = _load_config(args.config, args.seed)
+    out_dir = _out_dir(args.out)
     inner = SyntheticOracle(config.oracle_spec)
     recording = TraceRecordingOracle(inner, args.record_trace) if args.record_trace else nullcontext(inner)
     # The trace is closed, and so flushed, even when the run raises.
     with recording as oracle:
         driver = LoopDriver(config, oracle=oracle)
         report = driver.run_full()
-    _write_outputs(driver, report, Path(args.out))
+    _write_outputs(driver, report, out_dir)
     if not args.quiet:
         print(f"final value {report.final_value:.4f}  budget {report.budget_used:.6f}  t_c {report.t_c}")
         print(f"wrote report.json, events.jsonl, diagnostics.csv to {args.out}")
@@ -66,10 +73,11 @@ def cmd_run(args) -> int:
 
 def cmd_replay(args) -> int:
     config = _load_config(args.config, args.seed)
+    out_dir = _out_dir(args.out)
     oracle = replay_trace(args.trace)
     driver = LoopDriver(config, oracle=oracle)
     report = driver.run_full()
-    _write_outputs(driver, report, Path(args.out))
+    _write_outputs(driver, report, out_dir)
     if not args.quiet:
         print(f"replayed {args.trace}: final value {report.final_value:.4f}")
     return EXIT_OK
@@ -77,9 +85,8 @@ def cmd_replay(args) -> int:
 
 def cmd_baseline(args) -> int:
     config = _load_config(args.config, args.seed)
+    out_dir = _out_dir(args.out)
     values = run_random_baseline(config, args.samples)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "samples": args.samples,
         "values": [float(v) for v in values],
@@ -119,9 +126,7 @@ def cmd_bench_alloc(args) -> int:
 
 def cmd_report(args) -> int:
     diag = compute_diagnostics(args.events)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_diagnostics_csv(diag, out_dir / "diagnostics.csv")
+    write_diagnostics_csv(diag, _out_dir(args.out) / "diagnostics.csv")
     if not args.quiet:
         if diag["final_value"] is None:
             final = f"no final record: log ends after cycle {diag['last_cycle']}"
@@ -191,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (FileNotFoundError, InvalidParams, json.JSONDecodeError) as exc:
+    except (OSError, InvalidParams, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AuditLoopError as exc:

@@ -149,8 +149,8 @@ class LoopDriver:
 
     `scores` and `probe_counts` hold each unit's robust score and audit count
     as of its latest audit; a unit's score changes only when it is audited.
-    Never-audited units keep a 0.0 placeholder and are ineligible for
-    allocation.
+    A never-audited unit scores 0.0, and the allocator switches on only units
+    with positive scores, so no unit is selected before its first audit.
     """
 
     def __init__(self, config: RunConfig, oracle=None):
@@ -209,9 +209,9 @@ class LoopDriver:
         audit_events = self.table.record(batch, utilities, cfg.smoothing, cycle)
 
         # Allocate: greedy proposal, hysteresis, FSM commit.
-        scores, eligible = self.scores, self.probe_counts >= 1
-        proposal = greedy_allocate(scores, costs, eligible, p_max)
-        guarded = apply_hysteresis(self.gates, proposal, scores, costs, p_max, cfg.allocator.mu_eff)
+        scores = self.scores
+        proposed = greedy_allocate(scores, costs, p_max)
+        guarded = apply_hysteresis(self.gates, proposed, scores, costs, p_max, cfg.allocator.mu_eff)
         committed = self.fsm.filter_proposals(
             self.gates, guarded, scores=scores, costs=costs, p_max=p_max
         )
@@ -232,8 +232,8 @@ class LoopDriver:
                 "audits": audit_events,
             },
             "allocate": {
-                "proposed_on": [int(i) for i in np.flatnonzero(proposal.gates & ~prev)],
-                "proposed_off": [int(i) for i in np.flatnonzero(prev & ~proposal.gates)],
+                "proposed_on": [int(i) for i in np.flatnonzero(proposed & ~prev)],
+                "proposed_off": [int(i) for i in np.flatnonzero(prev & ~proposed)],
                 "accepted_on": [int(i) for i in np.flatnonzero(committed & ~prev)],
                 "accepted_off": [int(i) for i in np.flatnonzero(prev & ~committed)],
                 "total_cost": budget_used,
@@ -255,13 +255,13 @@ class LoopDriver:
         for cycle in range(cfg.cycles):
             self.run_cycle(cycle)
 
-        final = final_resolve(self.scores, self.space.costs, self.probe_counts >= 1, cfg.allocator.p_max)
+        final = final_resolve(self.scores, self.space.costs, cfg.allocator.p_max)
 
         # Re-finetune from scratch: the final value carries no exploratory state.
         self.training = self.oracle.fresh_state()
-        if cfg.refinetune_steps > 0 and final.gates.any():
-            self.training = self.oracle.train_step(self.training, final.gates, cfg.refinetune_steps)
-        final_value = self.oracle.true_value(self.training, final.gates)
+        if cfg.refinetune_steps > 0 and final.any():
+            self.training = self.oracle.train_step(self.training, final, cfg.refinetune_steps)
+        final_value = self.oracle.true_value(self.training, final)
 
         value_curve = [r["value"] for r in self.records]
         regret_curve = None
@@ -274,10 +274,10 @@ class LoopDriver:
             regret_curve = [opt_value - v for v in value_curve]
 
         report = RunReport(
-            final_gates=final.gates,
+            final_gates=final,
             final_value=final_value,
-            final_score=final.total_score,
-            budget_used=final.total_cost,
+            final_score=float(self.scores[final].sum()),
+            budget_used=gate_cost(final, self.space.costs),
             t_c=self.fsm.change_cycles,
             max_unit_flips=int(self.fsm.unit_flips.max()),
             probe_counts=self.probe_counts.copy(),

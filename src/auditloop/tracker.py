@@ -1,9 +1,8 @@
 """Utility smoothing: EMA of raw audits plus a windowed robust score.
 
 `UtilityTable` holds the state of all N units in arrays and folds one whole
-audit batch per call; the engine uses it. `UtilityTracker` is the same
-filter for one unit. Both go through `ema_step` and `robust_scores`, so they
-agree bit for bit.
+audit batch per call; it is the one filter. `UtilityTracker` is a view of
+one unit as the only row of its own table.
 
 `robust_scores(h, lambda_s, lengths)` scores rows of different history
 lengths in one pass: row i holds `lengths[i]` values and NaN in its other
@@ -16,7 +15,6 @@ Fan 1996 method 7) on each row's values bit for bit.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,11 +39,6 @@ class SmoothingParams:
 
 
 _MAX_WINDOW = 5
-
-
-def ema_step(ema, u, beta: float):
-    """One EMA update, (1 - beta) * u + beta * ema, on floats or arrays."""
-    return (1.0 - beta) * u + beta * ema
 
 
 def _pick_tables(max_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,11 +99,13 @@ def audit_event(
 
 
 class UtilityTable:
-    """Smoothed utility state of N units in arrays.
+    """Smoothed utility state of N units in arrays: the EMA of raw audits,
+    then median - lambda_s * IQR over the last `window` EMA values.
 
     `ema[N]` (NaN until the first audit), `hist[N, window]` a ring buffer of
     the last `window` smoothed values, `probe_count[N]`, and `score[N]`, each
-    unit's robust score as of its latest audit (0.0 until then).
+    unit's robust score as of its latest audit. A unit's score is 0.0 until
+    then, and the allocator never switches on a unit that scores 0.0.
     """
 
     def __init__(self, n_units: int, window: int = 5):
@@ -143,7 +138,7 @@ class UtilityTable:
             raise NonFiniteUtility(f"unit {units[k]}: raw utility {float(u[k])!r} is not finite")
 
         count = self.probe_count[units]
-        ema = np.where(count == 0, u, ema_step(self.ema[units], u, params.beta))
+        ema = np.where(count == 0, u, (1.0 - params.beta) * u + params.beta * self.ema[units])
         self.ema[units] = ema
         self.hist[units, count % self.window] = ema
         count += 1
@@ -161,45 +156,25 @@ class UtilityTable:
 
 
 class UtilityTracker:
-    """Smoothed utility state for one unit.
-
-    The history window stores the last `window` smoothed values (not raw
-    audits); the robust score is median(history) - lambda_s * IQR(history)
-    with linearly interpolated quartiles.
-    """
-
-    __slots__ = ("unit_id", "window", "ema", "history", "probe_count", "last_audit_cycle")
+    """One unit's smoothed utility: a view of the only row of a one-unit
+    `UtilityTable`, which holds all of its state."""
 
     def __init__(self, unit_id: int, window: int = 5):
-        check_count("history window", window, 3, _MAX_WINDOW)
         self.unit_id = unit_id
-        self.window = window
-        self.ema = math.nan
-        self.history: deque[float] = deque(maxlen=window)
-        self.probe_count = 0
-        self.last_audit_cycle = -1
+        self.table = UtilityTable(1, window)
 
     def record_audit(self, u_raw: float, params: SmoothingParams, cycle: int) -> None:
-        """Fold one raw audit utility into the EMA and history window.
-
-        The first observation seeds the EMA directly (no zero-init bias).
-        """
-        u = float(u_raw)
-        if not math.isfinite(u):
-            raise NonFiniteUtility(f"unit {self.unit_id}: raw utility {u_raw!r} is not finite")
-        self.ema = u if self.probe_count == 0 else ema_step(self.ema, u, params.beta)
-        self.history.append(self.ema)
-        self.probe_count += 1
-        self.last_audit_cycle = cycle
+        """Fold one raw audit utility into the row (errors name it unit 0)."""
+        self.table.record([0], [u_raw], params, cycle)
 
     def robust_score(self, params: SmoothingParams) -> float:
-        if self.probe_count == 0:
+        """The row's robust score with `params.lambda_s`."""
+        count = int(self.table.probe_count[0])
+        if count == 0:
             raise NeverAudited(f"unit {self.unit_id} has no audits; treat as score-unknown")
-        h = np.array(self.history, dtype=float)
-        return float(robust_scores(h[None, :], params.lambda_s)[0])
+        return float(robust_scores(self.table.hist, params.lambda_s, [min(count, self.table.window)])[0])
 
     def event(self, u_raw: float, params: SmoothingParams, cycle: int) -> dict:
         """Log record for one audit: {cycle, unit_id, u_raw, ema, score, probe_count}."""
-        return audit_event(
-            cycle, self.unit_id, u_raw, self.ema, self.robust_score(params), self.probe_count
-        )
+        ema, count = float(self.table.ema[0]), int(self.table.probe_count[0])
+        return audit_event(cycle, self.unit_id, u_raw, ema, self.robust_score(params), count)

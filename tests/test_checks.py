@@ -54,3 +54,19 @@ def test_drift_bias_needs_audits_for_its_tolerance():
     with pytest.raises(InvalidParams, match="at least 30"):
         checks.drift_bias(0.9, 0.01, 29)
     assert checks.drift_bias(0.9, 0.01, 30).ok
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.01])
+def test_drift_bias_needs_a_positive_drift(delta):
+    # A zero drift once passed with bound 0.0 and measured 0.0; under a
+    # negative one the bound is negative, so even a correct EMA would fail.
+    with pytest.raises(InvalidParams, match="must be positive"):
+        checks.drift_bias(0.9, delta, 30)
+
+
+def test_chatter_checks_count_the_columns_that_can_fail():
+    # A unit flips at most once a step, so at tau = 1 it cannot exceed T flips:
+    # at taus (1, 2, 3) two thirds of the 3 x 2^12 exhaustive columns can fail.
+    assert checks.fsm_chatter_exhaustive(12).name == "fsm-chatter T=12 8192/12288 can fail"
+    # Run r draws its tau first, so which runs can fail does not depend on T.
+    assert checks.fsm_chatter_fuzz(100, 10).name == "fsm-chatter fuzz T=10 75/100 can fail"

@@ -181,6 +181,38 @@ def test_negative_seed_flag_exits_2_with_one_line(tmp_path, capsys, config_path)
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config", "DIR", "--out", "OUT"],
+        ["run", "--config", "CONFIG", "--out", "OUT", "--record-trace", "DIR"],
+        ["run", "--config", "CONFIG", "--out", "FILE", "--record-trace", "TRACE"],
+        ["replay", "--config", "CONFIG", "--out", "FILE", "--trace", "FILE"],
+        ["baseline", "--config", "CONFIG", "--out", "FILE"],
+        ["report", "--events", "EVENTS", "--out", "FILE"],
+    ],
+    ids=["config-is-a-directory", "trace-is-a-directory", "run-out-is-a-file", "replay-out-is-a-file",
+         "baseline-out-is-a-file", "report-out-is-a-file"],
+)
+def test_path_error_exits_2_with_one_line_before_any_run(tmp_path, capsys, monkeypatch, config_path, argv):
+    file, events = tmp_path / "file", tmp_path / "events.jsonl"
+    file.write_text("")
+    events.write_text(json.dumps({"kind": "cycle", "cycle": 0, "audit": {"batch": [0]}, "value": 0.5,
+                                  "fsm": {"t_c": 0}, "eval_count": 2}) + "\n")
+    paths = {"DIR": tmp_path, "CONFIG": config_path, "OUT": tmp_path / "o", "FILE": file,
+             "TRACE": tmp_path / "trace.jsonl", "EVENTS": events}
+
+    def no_run(*args, **kwargs):
+        pytest.fail("a run started before the path error")
+
+    monkeypatch.setattr(cli, "LoopDriver", no_run)
+    monkeypatch.setattr(cli, "run_random_baseline", no_run)
+    assert main([str(paths.get(arg, arg)) for arg in argv] + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not paths["TRACE"].exists()
+
+
 # Any value, well-formed or not, for one field of a small valid document.
 FUZZ_FIELDS = [
     ("cycles",), ("steps_per_cycle",), ("refinetune_steps",), ("shots",), ("run_seed",), ("window",),

@@ -15,7 +15,6 @@ from auditloop import (
     SmoothingParams,
     SyntheticOracle,
     TraceRecordingOracle,
-    UtilityTracker,
     compute_diagnostics,
     default_run_config,
     replay_trace,
@@ -26,6 +25,7 @@ from auditloop import (
 from auditloop.driver import DIAGNOSTIC_COLUMNS, default_oracle_spec
 from auditloop.errors import InvalidParams, MalformedLog
 from auditloop.space import AuditSpace, BackboneDesc, Family, Slot, Template
+from test_tracker import ReferenceTracker
 
 
 def tiny_config(**overrides):
@@ -100,22 +100,18 @@ def test_different_seeds_differ():
 
 
 def test_table_equals_per_unit_tracker_replay():
-    # Replaying each cycle's audit records into one fresh UtilityTracker per
-    # unit must reproduce the driver's table bit for bit.
+    # Replaying each cycle's audit records into one plain-Python reference
+    # filter per unit must reproduce the driver's table bit for bit.
     cfg = tiny_config(cycles=15)
     driver = LoopDriver(cfg)
-    trackers = [UtilityTracker(i, cfg.window) for i in range(driver.space.n_units)]
+    refs = [ReferenceTracker(cfg.window) for _ in range(driver.space.n_units)]
     for cycle in range(cfg.cycles):
         record = driver.run_cycle(cycle)
         for ev in record["audit"]["audits"]:
-            trackers[ev["unit_id"]].record_audit(ev["u_raw"], cfg.smoothing, cycle)
-        probes = np.array([t.probe_count for t in trackers])
-        fresh = np.array(
-            [t.robust_score(cfg.smoothing) if t.probe_count else 0.0 for t in trackers]
-        )
-        assert np.array_equal(driver.probe_counts, probes)
-        assert np.array_equal(driver.scores, fresh)
-        assert np.array_equal(driver.table.ema, [t.ema for t in trackers], equal_nan=True)
+            refs[ev["unit_id"]].record(ev["u_raw"], cfg.smoothing.beta)
+        assert np.array_equal(driver.probe_counts, [r.probe_count for r in refs])
+        assert np.array_equal(driver.scores, [r.score(cfg.smoothing.lambda_s) for r in refs])
+        assert np.array_equal(driver.table.ema, [r.ema for r in refs], equal_nan=True)
     assert driver.probe_counts.max() > cfg.window  # the ring buffer wrapped
 
 
@@ -166,11 +162,19 @@ def test_two_phase_purity():
 
 
 def test_eligibility_requires_an_audit():
-    cfg = tiny_config(cycles=1)
-    _, driver = run_full(cfg)
-    audited = {u for r in driver.records if r["kind"] == "cycle" for u in r["audit"]["batch"]}
-    final = driver.records[-1]
-    assert set(final["final_on_ids"]) <= audited
+    # No unit is proposed, committed or finally selected before its first
+    # audit. One audit per cycle over 12 units: units are committed while
+    # others are still unaudited, and some are never audited.
+    _, driver = run_full(tiny_config(sampler=SamplerParams(batch_size=1), cycles=8))
+    audited: set[int] = set()
+    commits_before_full_coverage = 0
+    for r in driver.records[:-1]:
+        audited |= set(r["audit"]["batch"])
+        alloc = r["allocate"]
+        assert set(r["search"]["active"]) | set(alloc["proposed_on"]) | set(alloc["accepted_on"]) <= audited
+        commits_before_full_coverage += bool(alloc["accepted_on"]) and len(audited) < driver.space.n_units
+    assert set(driver.records[-1]["final_on_ids"]) <= audited < set(range(driver.space.n_units))
+    assert commits_before_full_coverage > 0
 
 
 def test_regret_curve_present_for_small_space():

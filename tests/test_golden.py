@@ -5,7 +5,8 @@
 test only reads `bench/`; a change that means to alter the engine's behaviour
 regenerates the digests with `python3 bench/make_golden.py` and says so.
 `BASELINE_DIGESTS` pins the random baseline, the one budget fill that runs
-outside the loop, the same way.
+outside the loop, the same way, and `EXACT_RESOLVE_DIGEST` a small-space run
+whose final re-solve is exhaustive.
 """
 
 import hashlib
@@ -14,9 +15,22 @@ import json
 import sys
 from pathlib import Path
 
+from dataclasses import replace
+
 import pytest
 
-from auditloop import LoopDriver, default_run_config, run_full, run_random_baseline
+from auditloop import (
+    AuditSpace,
+    BackboneDesc,
+    LoopDriver,
+    SamplerParams,
+    default_oracle_spec,
+    default_run_config,
+    default_templates,
+    run_full,
+    run_random_baseline,
+)
+from auditloop.allocator import EXACT_RESOLVE_MAX
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 GOLDEN = json.loads((BENCH / "golden.json").read_text())
@@ -55,3 +69,24 @@ BASELINE_DIGESTS = {
 def test_random_baseline_values_match_pinned_digest(shots):
     values = run_random_baseline(default_run_config(shots=shots, run_seed=0), 20)
     assert hashlib.sha256(values.tobytes()).hexdigest() == BASELINE_DIGESTS[shots]
+
+
+# sha256 of `events.jsonl` of the run below. No default or 740-unit run ends
+# with few enough positive scores for the exhaustive final re-solve; this one
+# ends with exactly `EXACT_RESOLVE_MAX` of them and two units never audited,
+# and its optimum scores 616.69 where the swap re-solve reaches 594.17.
+EXACT_RESOLVE_DIGEST = "3939ef382a6dfc5923a59338dbbae9d1613058b91caf1c4bd17188f4792a42ed"
+
+
+def test_small_space_exact_final_resolve_events_match_pinned_digest(tmp_path):
+    space = AuditSpace.build(BackboneDesc(1, (48,), 750_000), default_templates())  # 37 units
+    config = replace(
+        default_run_config(shots=1, run_seed=18),
+        space=space,
+        oracle_spec=default_oracle_spec(space, shots=1, seed=18),
+        sampler=SamplerParams(batch_size=2),
+        cycles=30,
+    )
+    _, driver = run_full(config)
+    assert int((driver.scores > 0.0).sum()) == EXACT_RESOLVE_MAX
+    assert events_digest(driver, tmp_path) == EXACT_RESOLVE_DIGEST

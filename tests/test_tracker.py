@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -12,32 +13,51 @@ from auditloop.tracker import robust_scores
 P = SmoothingParams()
 
 
-def make_tracker(values, params=P, window=5):
-    tr = UtilityTracker(0, window=window)
+class ReferenceTracker:
+    """One unit's filter in plain Python, the reference for `UtilityTable`:
+    a deque of the last `window` EMA values, scored with `np.median` and
+    `np.quantile`."""
+
+    def __init__(self, window):
+        self.ema, self.history, self.probe_count = math.nan, deque(maxlen=window), 0
+
+    def record(self, u, beta):
+        self.ema = u if self.probe_count == 0 else (1.0 - beta) * u + beta * self.ema
+        self.history.append(self.ema)
+        self.probe_count += 1
+
+    def score(self, lambda_s):
+        """The robust score, 0.0 before the first audit as in the table."""
+        if not self.probe_count:
+            return 0.0
+        q25, q75 = np.quantile(self.history, [0.25, 0.75])
+        return float(np.median(self.history) - lambda_s * (q75 - q25))
+
+
+def make_table(values, params=P, window=5):
+    """A one-unit table that audited `values` in order."""
+    table = UtilityTable(1, window)
     for t, v in enumerate(values):
-        tr.record_audit(v, params, t)
-    return tr
+        table.record([0], [v], params, t)
+    return table
 
 
 def test_first_audit_seeds_ema():
-    tr = make_tracker([0.8])
-    assert tr.ema == 0.8
-    assert list(tr.history) == [0.8]
-    assert tr.probe_count == 1
+    table = make_table([0.8])
+    assert table.ema[0] == 0.8 == table.score[0]
+    assert np.array_equal(table.hist[0], [0.8] + [math.nan] * 4, equal_nan=True)
+    assert table.probe_count[0] == 1
 
 
 def test_ema_recursion():
-    tr = UtilityTracker(0)
-    tr.record_audit(0.5, P, 0)
-    tr.record_audit(1.0, P, 1)
-    assert math.isclose(tr.ema, 0.1 * 1.0 + 0.9 * 0.5)
+    assert math.isclose(make_table([0.5, 1.0]).ema[0], 0.1 * 1.0 + 0.9 * 0.5)
 
 
 def test_history_fifo_eviction():
-    tr = make_tracker([1, 2, 3, 4, 5, 6])
-    assert len(tr.history) == 5
-    first = make_tracker([1, 2, 3, 4, 5]).history[1]
-    assert tr.history[0] == first  # oldest smoothed value evicted
+    # the sixth value overwrites the oldest of the first five smoothed values
+    five, six = make_table([1, 2, 3, 4, 5]), make_table([1, 2, 3, 4, 5, 6])
+    assert six.probe_count[0] == 6
+    assert sorted(six.hist[0]) == sorted([*five.hist[0, 1:], six.ema[0]])
 
 
 def test_nonfinite_rejected():
@@ -73,22 +93,16 @@ def test_smoothing_param_bounds():
 
 def test_robust_score_hand_computed():
     # history [0.5, 0.7, 0.9]: median 0.7, q25 0.6, q75 0.8, iqr 0.2
-    tr = UtilityTracker(0)
-    tr.history.extend([0.5, 0.7, 0.9])
-    tr.probe_count = 3
-    assert math.isclose(tr.robust_score(SmoothingParams(lambda_s=0.5)), 0.7 - 0.1)
+    assert math.isclose(robust_scores(np.array([[0.5, 0.7, 0.9]]), 0.5)[0], 0.7 - 0.1)
 
 
 def test_robust_score_single_sample():
-    tr = make_tracker([0.4], SmoothingParams(lambda_s=7.0))
-    assert tr.robust_score(SmoothingParams(lambda_s=7.0)) == 0.4
+    assert make_table([0.4], SmoothingParams(lambda_s=7.0)).score[0] == 0.4
 
 
 def test_robust_score_constant_history():
-    tr = UtilityTracker(0)
-    tr.history.extend([0.3, 0.3, 0.3, 0.3])
-    tr.probe_count = 4
-    assert math.isclose(tr.robust_score(SmoothingParams(lambda_s=3.0)), 0.3)
+    h = np.array([[0.3, 0.3, 0.3, 0.3, math.nan]])
+    assert math.isclose(robust_scores(h, 3.0, [4])[0], 0.3)
 
 
 # Plain floats, and rounded ones that tie often.
@@ -133,36 +147,31 @@ vals = st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=12)
 
 @given(vals)
 def test_score_never_exceeds_median(values):
-    tr = make_tracker(values)
-    score = tr.robust_score(P)
-    assert score <= np.median(np.array(tr.history)) + 1e-12
+    table = make_table(values)
+    assert table.score[0] <= np.nanmedian(table.hist[0]) + 1e-12
 
 
 @given(vals, st.floats(-50, 50, allow_nan=False))
 def test_shift_equivariance(values, k):
-    base = make_tracker(values)
-    shifted = make_tracker([v + k for v in values])
-    assert math.isclose(shifted.ema, base.ema + k, abs_tol=1e-9)
-    assert math.isclose(shifted.robust_score(P), base.robust_score(P) + k, abs_tol=1e-9)
+    base = make_table(values)
+    shifted = make_table([v + k for v in values])
+    assert math.isclose(shifted.ema[0], base.ema[0] + k, abs_tol=1e-9)
+    assert math.isclose(shifted.score[0], base.score[0] + k, abs_tol=1e-9)
 
 
 @given(vals, st.floats(0.01, 50))
 def test_scale_equivariance(values, t):
-    base = make_tracker(values)
-    scaled = make_tracker([v * t for v in values])
-    assert math.isclose(scaled.ema, base.ema * t, rel_tol=1e-9, abs_tol=1e-9)
-    assert math.isclose(scaled.robust_score(P), base.robust_score(P) * t, rel_tol=1e-9, abs_tol=1e-9)
+    base = make_table(values)
+    scaled = make_table([v * t for v in values])
+    assert math.isclose(scaled.ema[0], base.ema[0] * t, rel_tol=1e-9, abs_tol=1e-9)
+    assert math.isclose(scaled.score[0], base.score[0] * t, rel_tol=1e-9, abs_tol=1e-9)
 
 
 @settings(deadline=None)
 @given(st.floats(0.2, 0.95), st.integers(0, 2**31 - 1))
 def test_variance_shrinks_below_raw_noise(beta, seed):
-    params = SmoothingParams(beta=beta)
-    rng = np.random.default_rng(seed)
-    tr = UtilityTracker(0)
-    for t, v in enumerate(rng.standard_normal(50)):
-        tr.record_audit(v, params, t)
-    assert math.isfinite(tr.ema)
+    table = make_table(np.random.default_rng(seed).standard_normal(50), SmoothingParams(beta=beta))
+    assert math.isfinite(table.ema[0])
 
 
 def test_ema_variance_bound_quick():
@@ -185,6 +194,10 @@ def test_event_record_shape():
         "score": 1.5,
         "probe_count": 1,
     }
+    # Once the ring buffer wraps, the view still scores its row as the table does.
+    for t, u in enumerate([0.2, -1.0, 3.0, 0.5, 2.0, 1.0], start=10):
+        tr.record_audit(u, P, t)
+    assert tr.robust_score(P) == tr.table.score[0]
 
 
 def table_state(table):
@@ -226,18 +239,18 @@ def test_table_equals_per_unit_tracker_replays(window, beta, lambda_s, batches):
     # Up to 12 batches of distinct units: every history length 1..12 occurs.
     params = SmoothingParams(beta=beta, lambda_s=lambda_s)
     table = UtilityTable(6, window)
-    trackers = [UtilityTracker(i, window) for i in range(6)]
+    refs = [ReferenceTracker(window) for _ in range(6)]
     for cycle, batch in enumerate(batches):
         units = [unit for unit, _ in batch]
         u_raw = [u for _, u in batch]
         events = table.record(units, u_raw, params, cycle)
         for unit, u in batch:
-            trackers[unit].record_audit(u, params, cycle)
+            refs[unit].record(u, beta)
         assert events == [
-            trackers[unit].event(u, params, cycle) for unit, u in batch
+            {"cycle": cycle, "unit_id": unit, "u_raw": u, "ema": refs[unit].ema,
+             "score": refs[unit].score(lambda_s), "probe_count": refs[unit].probe_count}
+            for unit, u in batch
         ]
-        assert np.array_equal(table.probe_count, [t.probe_count for t in trackers])
-        assert np.array_equal(table.ema, [t.ema for t in trackers], equal_nan=True)
-        assert np.array_equal(
-            table.score, [t.robust_score(params) if t.probe_count else 0.0 for t in trackers]
-        )
+        assert np.array_equal(table.probe_count, [r.probe_count for r in refs])
+        assert np.array_equal(table.ema, [r.ema for r in refs], equal_nan=True)
+        assert np.array_equal(table.score, [r.score(lambda_s) for r in refs])
