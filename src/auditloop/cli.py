@@ -196,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (OSError, InvalidParams, json.JSONDecodeError) as exc:
+    except (OSError, InvalidParams, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AuditLoopError as exc:

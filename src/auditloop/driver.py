@@ -361,10 +361,11 @@ def compute_diagnostics(records: list[dict] | str | Path, *, n_units: int | None
     highest audited id in a log that ends before its final record.
     """
     if not isinstance(records, list):
-        path = Path(records)
+        # A log that cannot be read raises its OSError; one that is not UTF-8
+        # JSON lines is malformed.
         try:
-            records = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
-        except (OSError, json.JSONDecodeError) as exc:
+            records = [json.loads(line) for line in Path(records).read_text().splitlines() if line.strip()]
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise MalformedLog(f"cannot parse event log: {exc}") from exc
 
     if not all(isinstance(r, dict) for r in records):

@@ -38,6 +38,7 @@ its precomputed row.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -367,17 +368,6 @@ class SyntheticOracle:
         totals = np.add.accumulate(rows, axis=1)[:, -1]
         return np.minimum(1.0, np.maximum(0.0, totals))
 
-    def _noisy(self, value: float, call_index: int) -> float:
-        """Add the noise draw of one call index and clamp to [0, 1].
-
-        Noise is drawn from a stream seeded by (spec.seed, call_index), so a
-        fixed call-index assignment reproduces identical scores under any
-        execution schedule.
-        """
-        if self.spec.sigma_val > 0.0:
-            value += self.spec.sigma_val * self._noise(call_index).standard_normal()
-        return float(min(1.0, max(0.0, value)))
-
     def true_value(self, state: TrainingState, gates) -> float:
         """Noise-free score of a configuration; does not count as an evaluation.
         After `evaluate_toggles` on this state, it reuses that call's unit
@@ -400,7 +390,9 @@ class SyntheticOracle:
 
         One `_terms` pass yields the group terms of the full configuration
         and of each toggle's group, and one `_totals` call adds up the full
-        configuration and every toggle.
+        configuration and every toggle. Each call index's noise is drawn from
+        a stream seeded by (spec.seed, call index), so a fixed call-index
+        assignment reproduces identical scores under any execution schedule.
         """
         gates = self._check_gates(gates)
         units = np.asarray(units, dtype=np.intp)
@@ -408,7 +400,9 @@ class SyntheticOracle:
         terms, n_groups = self._terms(mu, gates, self._rows, units), len(self._groups)
         self._memo = (state, mu, gates.copy(), terms[:n_groups])
         totals = self._totals(terms[:n_groups], self._group_of[units], terms[n_groups:]).tolist()
-        full, *toggled = (self._noisy(value, first_call_index + pos) for pos, value in enumerate(totals))
+        if (sigma := self.spec.sigma_val) > 0.0:
+            totals = [v + sigma * self._noise(first_call_index + pos).standard_normal() for pos, v in enumerate(totals)]
+        full, *toggled = [min(1.0, max(0.0, v)) for v in totals]
         return full, toggled
 
     def train_step(self, state: TrainingState, gates, k: int) -> TrainingState:
@@ -457,17 +451,22 @@ def gates_to_bits(gates) -> str:
     return (np.asarray(gates, dtype=bool).view(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
-def _toggles(gates, units):
-    """Each one-unit toggle of `gates`, in the order of `units`."""
-    gates = np.asarray(gates, dtype=bool)
-    for unit in units:
-        toggled = gates.copy()
-        toggled[unit] = not toggled[unit]
-        yield toggled
+def _flip(bits: str, unit: int) -> str:
+    """`bits` with the character at `unit` toggled."""
+    return f"{bits[:unit]}{'1' if bits[unit] == '0' else '0'}{bits[unit + 1:]}"
+
+
+def _trace_line(bits: str, noise_seed: int, score) -> str:
+    """`json.dumps({"gates": bits, "score": score, "noise_seed": noise_seed},
+    sort_keys=True)` plus a newline. A finite float is written as its repr,
+    as `json` writes it; any other score goes through `json.dumps`."""
+    text = float.__repr__(score) if type(score) is float and math.isfinite(score) else json.dumps(score)
+    return f'{{"gates": "{bits}", "noise_seed": {noise_seed}, "score": {text}}}\n'
 
 
 class TraceRecordingOracle:
-    """Wraps an oracle and appends every query to a JSONL trace.
+    """Wraps an oracle and appends every query to a JSONL trace: one line of
+    `json.dumps({"gates", "score", "noise_seed"}, sort_keys=True)` each.
 
     Noisy evaluations record their call index under `noise_seed`; noise-free
     value queries record noise_seed = -1. A replay serves the records back in
@@ -487,22 +486,20 @@ class TraceRecordingOracle:
     def fresh_state(self) -> TrainingState:
         return self.inner.fresh_state()
 
-    def _record(self, gates, score: float, noise_seed: int) -> None:
-        rec = {"gates": gates_to_bits(gates), "score": score, "noise_seed": noise_seed}
-        self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
     def evaluate_toggles(self, state, gates, units, first_call_index: int) -> tuple[float, list[float]]:
         """Records the full configuration, then each toggle, at consecutive
-        call indices."""
+        call indices, in one write."""
         full, toggled = self.inner.evaluate_toggles(state, gates, units, first_call_index)
-        self._record(gates, full, int(first_call_index))
-        for pos, (flipped, score) in enumerate(zip(_toggles(gates, units), toggled)):
-            self._record(flipped, score, int(first_call_index) + 1 + pos)
+        bits, first = gates_to_bits(gates), int(first_call_index)
+        lines = [_trace_line(bits, first, full)]
+        for call_index, (unit, score) in enumerate(zip(units, toggled), start=first + 1):
+            lines.append(_trace_line(_flip(bits, unit), call_index, score))
+        self._fh.write("".join(lines))
         return full, toggled
 
     def true_value(self, state, gates) -> float:
         score = self.inner.true_value(state, gates)
-        self._record(gates, score, -1)
+        self._fh.write(_trace_line(gates_to_bits(gates), -1, score))
         return score
 
     def train_step(self, state, gates, k: int):
@@ -544,9 +541,8 @@ class ReplayOracle:
     def fresh_state(self) -> TrainingState:
         return TrainingState.fresh(self._n_units)
 
-    def _serve(self, gates, noise_seed: int) -> float:
+    def _serve(self, bits: str, noise_seed: int) -> float:
         """The next record's score, if the record is this query."""
-        bits = gates_to_bits(gates)
         if len(bits) != self._n_units:
             raise LengthMismatch("gate vector length must match the trace unit count")
         number = self._next + 1
@@ -564,25 +560,28 @@ class ReplayOracle:
 
     def evaluate_toggles(self, state, gates, units, first_call_index: int) -> tuple[float, list[float]]:
         """Serves the full configuration's score, then each toggle's."""
-        full = self._serve(gates, first_call_index)
-        calls = enumerate(_toggles(gates, units), start=first_call_index + 1)
-        return full, [self._serve(flipped, call_index) for call_index, flipped in calls]
+        bits = gates_to_bits(gates)
+        full = self._serve(bits, first_call_index)
+        calls = enumerate(units, start=first_call_index + 1)
+        return full, [self._serve(_flip(bits, unit), call_index) for call_index, unit in calls]
 
     def true_value(self, state, gates) -> float:
-        return self._serve(gates, -1)
+        return self._serve(gates_to_bits(gates), -1)
 
     def train_step(self, state, gates, k: int) -> TrainingState:
         return state  # training dynamics live behind the recorded scores
 
 
 def replay_trace(path: str | Path) -> ReplayOracle:
-    """Build a replay oracle from a JSONL trace of {gates, score, noise_seed}."""
+    """Build a replay oracle from a JSONL trace of {gates, score, noise_seed}.
+    A trace that cannot be read raises its OSError; one that is not UTF-8
+    raises MalformedTrace."""
     path = Path(path)
     records: list[tuple[str, int, float]] = []
     try:
         lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise MalformedTrace(f"cannot read trace {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedTrace(f"cannot decode trace {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -593,7 +592,7 @@ def replay_trace(path: str | Path) -> ReplayOracle:
             noise_seed = int(rec["noise_seed"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise MalformedTrace(f"{path}:{lineno}: {exc}") from exc
-        if not isinstance(bits, str) or set(bits) - {"0", "1"}:
+        if not isinstance(bits, str) or bits.strip("01"):
             raise MalformedTrace(f"{path}:{lineno}: gates must be a 0/1 bitstring")
         if records and len(bits) != len(records[0][0]):
             raise MalformedTrace(f"{path}:{lineno}: inconsistent gate vector length")

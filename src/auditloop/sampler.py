@@ -41,22 +41,19 @@ def coverage_lower_bound(n_units: int, batch_size: int, epsilon: float) -> float
 def least_probed_quartile(probe_counts: np.ndarray) -> np.ndarray:
     """Ids of the least-probed quarter of units, ties broken by id."""
     probe_counts = np.asarray(probe_counts)
-    n = probe_counts.size
-    q = max(1, -(-n // 4))
-    order = np.lexsort((np.arange(n), probe_counts))
-    return order[:q]
+    return np.argsort(probe_counts, kind="stable")[: max(1, -(-probe_counts.size // 4))]
 
 
 def stratified_fill(
     k: int,
     active_fraction: float,
-    active_pool: list[int],
-    inactive_pool: list[int],
+    active_pool: np.ndarray | list[int],
+    inactive_pool: np.ndarray | list[int],
     rng: np.random.Generator,
 ) -> list[int]:
     """Draw k ids without replacement: round(active_fraction*k) from the active
     pool and the rest from the inactive pool, spilling over when a stratum is
-    short."""
+    short. `choice` draws the same ids from a list as from its int array."""
     if k <= 0:
         return []
     n_active = min(len(active_pool), int(round(active_fraction * k)))
@@ -64,9 +61,9 @@ def stratified_fill(
     n_active = min(len(active_pool), k - n_inactive)
     picks: list[int] = []
     if n_active:
-        picks.extend(int(i) for i in rng.choice(active_pool, size=n_active, replace=False))
+        picks += rng.choice(active_pool, size=n_active, replace=False).tolist()
     if n_inactive:
-        picks.extend(int(i) for i in rng.choice(inactive_pool, size=n_inactive, replace=False))
+        picks += rng.choice(inactive_pool, size=n_inactive, replace=False).tolist()
     return picks
 
 
@@ -107,8 +104,8 @@ def sample_audit_batch(
     if k > 0:
         free = np.ones(n, dtype=bool)
         free[chosen] = False
-        active_pool = np.flatnonzero(gates & free).tolist()
-        inactive_pool = np.flatnonzero(~gates & free).tolist()
+        active_pool = np.flatnonzero(gates & free)
+        inactive_pool = np.flatnonzero(~gates & free)
         chosen.extend(stratified_fill(k, params.active_fraction, active_pool, inactive_pool, rng))
 
     return sorted(chosen), sorted(exploration)

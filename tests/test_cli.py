@@ -190,9 +190,14 @@ def test_negative_seed_flag_exits_2_with_one_line(tmp_path, capsys, config_path)
         ["replay", "--config", "CONFIG", "--out", "FILE", "--trace", "FILE"],
         ["baseline", "--config", "CONFIG", "--out", "FILE"],
         ["report", "--events", "EVENTS", "--out", "FILE"],
+        ["report", "--events", "MISSING", "--out", "OUT"],
+        ["report", "--events", "DIR", "--out", "OUT"],
+        ["replay", "--config", "CONFIG", "--out", "OUT", "--trace", "MISSING"],
+        ["replay", "--config", "CONFIG", "--out", "OUT", "--trace", "DIR"],
     ],
     ids=["config-is-a-directory", "trace-is-a-directory", "run-out-is-a-file", "replay-out-is-a-file",
-         "baseline-out-is-a-file", "report-out-is-a-file"],
+         "baseline-out-is-a-file", "report-out-is-a-file", "events-missing", "events-is-a-directory",
+         "replay-trace-missing", "replay-trace-is-a-directory"],
 )
 def test_path_error_exits_2_with_one_line_before_any_run(tmp_path, capsys, monkeypatch, config_path, argv):
     file, events = tmp_path / "file", tmp_path / "events.jsonl"
@@ -200,7 +205,7 @@ def test_path_error_exits_2_with_one_line_before_any_run(tmp_path, capsys, monke
     events.write_text(json.dumps({"kind": "cycle", "cycle": 0, "audit": {"batch": [0]}, "value": 0.5,
                                   "fsm": {"t_c": 0}, "eval_count": 2}) + "\n")
     paths = {"DIR": tmp_path, "CONFIG": config_path, "OUT": tmp_path / "o", "FILE": file,
-             "TRACE": tmp_path / "trace.jsonl", "EVENTS": events}
+             "TRACE": tmp_path / "trace.jsonl", "EVENTS": events, "MISSING": tmp_path / "missing.jsonl"}
 
     def no_run(*args, **kwargs):
         pytest.fail("a run started before the path error")
@@ -433,6 +438,26 @@ def test_report_of_a_log_with_a_non_object_line_exits_1_with_one_line(tmp_path, 
     events.write_text(events.read_text() + "[1]\n")
     capsys.readouterr()
     assert main(["report", "--events", str(events), "--out", str(tmp_path / "rep")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["run", "--config", "BAD"], 2),
+        (["report", "--events", "BAD"], 1),
+        (["replay", "--config", "CONFIG", "--trace", "BAD"], 1),
+    ],
+    ids=["config", "events", "trace"],
+)
+def test_file_that_is_not_utf8_exits_with_one_line(tmp_path, capsys, config_path, argv, code):
+    # An undecodable config is a config error; an undecodable log or trace
+    # is malformed, as one that does not parse.
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    paths = {"BAD": bad, "CONFIG": config_path}
+    assert main([str(paths.get(arg, arg)) for arg in argv] + ["--out", str(tmp_path / "o"), "--quiet"]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

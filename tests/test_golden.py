@@ -24,10 +24,13 @@ from auditloop import (
     BackboneDesc,
     LoopDriver,
     SamplerParams,
+    SyntheticOracle,
+    TraceRecordingOracle,
     default_oracle_spec,
     default_run_config,
     default_templates,
     run_full,
+    replay_trace,
     run_random_baseline,
 )
 from auditloop.allocator import EXACT_RESOLVE_MAX
@@ -90,3 +93,19 @@ def test_small_space_exact_final_resolve_events_match_pinned_digest(tmp_path):
     _, driver = run_full(config)
     assert int((driver.scores > 0.0).sum()) == EXACT_RESOLVE_MAX
     assert events_digest(driver, tmp_path) == EXACT_RESOLVE_DIGEST
+
+
+# sha256 of the trace that `run --record-trace` writes for the default
+# shots=10 config at run seed 0: one JSON object per query, keys sorted.
+TRACE_DIGEST = "af24292007e41bf0c5e529ddcd547b5a8f7586de4c762d9a0422756683e412ab"
+
+
+def test_recorded_trace_matches_pinned_digest_and_replays_the_golden_events(tmp_path):
+    config = default_run_config(shots=10, run_seed=0)
+    trace = tmp_path / "trace.jsonl"
+    with TraceRecordingOracle(SyntheticOracle(config.oracle_spec), trace) as oracle:
+        LoopDriver(config, oracle=oracle).run_full()
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_DIGEST
+    driver = LoopDriver(config, oracle=replay_trace(trace))
+    driver.run_full()
+    assert events_digest(driver, tmp_path) == GOLDEN["record-replay"]["10"]["0"]

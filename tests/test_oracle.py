@@ -626,3 +626,46 @@ def test_trace_identical_through_toggles_and_per_call(tmp_path):
         assert replayed.true_value(state, gates) == oracle.true_value(state, gates)
     with pytest.raises(UnknownConfiguration, match="past the 10 trace records"):
         replayed.true_value(state, gates)
+
+
+class ConstantOracle:
+    """An inner oracle that answers every query with one score."""
+
+    n_units = 4
+
+    def __init__(self, score):
+        self.score = score
+
+    def evaluate_toggles(self, state, gates, units, first_call_index):
+        return self.score, [self.score] * len(units)
+
+    def true_value(self, state, gates):
+        return self.score
+
+
+@pytest.mark.parametrize("call_index", [-1, 0, 2**40])
+@pytest.mark.parametrize(
+    "score", [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e16, np.float64(0.5), 1],
+    ids=["nan", "inf", "-inf", "-0.0", "5e-324", "0.1", "1e16", "np.float64", "int"],
+)
+def test_trace_lines_are_json_dumps_for_every_score_type(tmp_path, score, call_index):
+    gates, units = np.array([True, False, False, True]), [3, 0, 2]
+    path = tmp_path / "trace.jsonl"
+    with TraceRecordingOracle(ConstantOracle(score), path) as rec:
+        rec.evaluate_toggles(None, gates, units, call_index)
+        rec.true_value(None, gates)
+    queries = [("1001", call_index), ("1000", call_index + 1), ("0001", call_index + 2),
+               ("1011", call_index + 3), ("1001", -1)]
+    expected = "".join(
+        json.dumps({"gates": bits, "score": score, "noise_seed": seed}, sort_keys=True) + "\n"
+        for bits, seed in queries
+    )
+    assert path.read_text() == expected
+
+    replayed = replay_trace(path)
+    full, toggled = replayed.evaluate_toggles(None, gates, units, call_index)
+    served = [full, *toggled, replayed.true_value(None, gates)]
+    if math.isnan(score):
+        assert all(math.isnan(s) for s in served)
+    else:
+        assert served == [float(score)] * 5

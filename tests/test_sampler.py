@@ -117,3 +117,51 @@ def test_coverage_bound_quick():
     probes = checks.coverage_probes(30, 6, 0.5, 400, seed=0)
     assert checks.coverage_verdict(30, 6, 0.5, 400, int(probes.min())).ok
     assert probes.sum() == 400 * 6
+
+
+def reference_sample_audit_batch(gates, probe_counts, params, rng):
+    """`sample_audit_batch` in plain Python: the quartile sorted on (probe
+    count, id), then list pools for the stratified draws."""
+    n = len(gates)
+    target = min(params.batch_size, n)
+    pool = sorted(range(n), key=lambda i: (probe_counts[i], i))[: max(1, -(-n // 4))]
+    chosen = []
+    for _ in range(params.batch_size):
+        if len(chosen) >= target:
+            break
+        if rng.random() < params.epsilon and pool:
+            chosen.append(pool.pop(int(rng.integers(len(pool)))))
+    exploration = list(chosen)
+    k = target - len(chosen)
+    if k > 0:
+        active = [i for i in range(n) if gates[i] and i not in exploration]
+        inactive = [i for i in range(n) if not gates[i] and i not in exploration]
+        n_active = min(len(active), int(round(params.active_fraction * k)))
+        n_inactive = min(len(inactive), k - n_active)
+        n_active = min(len(active), k - n_inactive)
+        for stratum, size in ((active, n_active), (inactive, n_inactive)):
+            if size:
+                chosen.extend(int(i) for i in rng.choice(stratum, size=size, replace=False))
+    return sorted(chosen), sorted(exploration)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    n=st.integers(1, 60),
+    eps=st.floats(0.01, 1.0),
+    frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+    data=st.data(),
+)
+def test_sampler_matches_plain_python_reference(n, eps, frac, seed, data):
+    m = data.draw(st.integers(1, n + 3))
+    gates = data.draw(st.one_of(
+        st.just([True] * n), st.just([False] * n), st.lists(st.booleans(), min_size=n, max_size=n)
+    ))
+    probes = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))  # many ties
+    params = SamplerParams(batch_size=m, active_fraction=frac, epsilon=eps)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert sample_audit_batch(np.array(gates), np.array(probes), params, rng) == reference_sample_audit_batch(
+        gates, probes, params, ref_rng
+    )
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
