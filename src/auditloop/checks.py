@@ -63,13 +63,15 @@ def allocator_verdicts(ratios: np.ndarray) -> tuple[Verdict, Verdict]:
 
 
 def _flips(tau: int, proposals: np.ndarray) -> np.ndarray:
-    """Committed flips per unit of a budget-free stabilizer fed the rows of
-    `proposals` (T x units). Without a budget no unit's votes depend on
-    another's, so each column runs as it would alone."""
-    fsm = FsmStabilizer(proposals.shape[1], tau_act=tau)
-    gates = np.zeros(proposals.shape[1], dtype=bool)
+    """Committed flips per unit of a stabilizer fed the rows of `proposals`
+    (T x units), on the engine's budgeted commit path with unit costs and a
+    budget of one per unit. Every unit fits at once, so no unit's votes
+    depend on another's and each column runs as it would alone."""
+    n = proposals.shape[1]
+    fsm, ones = FsmStabilizer(n, tau_act=tau), np.ones(n)
+    gates = np.zeros(n, dtype=bool)
     for proposed in proposals:
-        gates = fsm.filter_proposals(gates, proposed)
+        gates = fsm.filter_proposals(gates, proposed, scores=ones, costs=ones, p_max=float(n))
     return fsm.unit_flips
 
 

@@ -33,10 +33,7 @@ EXIT_USAGE = 2
 
 
 def _load_config(path: str, seed_override: int | None) -> RunConfig:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"config file not found: {p}")
-    config = RunConfig.from_json(json.loads(p.read_text()))
+    config = RunConfig.from_json(path)
     return config if seed_override is None else replace(config, run_seed=seed_override)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -56,6 +56,8 @@ class RunConfig:
             check_count(name, getattr(self, name), 0)
         if self.oracle_spec.n_units != self.space.n_units:
             raise InvalidParams("oracle spec and audit space disagree on the unit count")
+        if (cost := gate_cost(self.space.initial_gates(), self.space.costs)) > self.allocator.p_max:
+            raise InvalidParams(f"initial gates cost {cost}, over p_max {self.allocator.p_max}")
 
     @property
     def total_loop_steps(self) -> int:
@@ -63,19 +65,33 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, doc: dict | str | Path) -> "RunConfig":
+        """A run config from its JSON document or the path of a file holding
+        one: `to_json`'s keys, each optional except `cycles` and
+        `steps_per_cycle`. An unknown key, a nested document that is not an
+        object, or a bad value raises InvalidParams; a file that cannot be
+        read raises its OSError."""
         if isinstance(doc, (str, Path)):
             doc = json.loads(Path(doc).read_text())
         if not isinstance(doc, dict):
             raise InvalidParams(f"run config must be a JSON object, not {type(doc).__name__}")
+        if unknown := sorted(doc.keys() - ({f.name for f in fields(cls)} - {"oracle_spec"} | {"oracle"})):
+            raise InvalidParams(f"unknown run config key {unknown[0]!r}")
+        space_doc, oracle_doc = doc.get("space", "default"), doc.get("oracle", {"kind": "default"})
+        if space_doc != "default" and not isinstance(space_doc, dict):
+            raise InvalidParams('space must be a JSON object or "default"')
+        if not isinstance(oracle_doc, dict):
+            raise InvalidParams("oracle must be a JSON object")
+        oracle_doc = dict(oracle_doc)
+        kind = oracle_doc.pop("kind", "synthetic")
         try:
-            space_doc = doc.get("space")
-            space = default_space() if space_doc in (None, "default") else AuditSpace.from_json(space_doc)
-            shots = doc.get("shots", 1)
-            oracle_doc = doc.get("oracle", {"kind": "default"})
-            if oracle_doc.get("kind", "synthetic") == "default":
-                spec = default_oracle_spec(space, shots=shots, seed=oracle_doc.get("seed", 0))
-            else:
+            space = default_space() if space_doc == "default" else AuditSpace.from_json(space_doc)
+            shots = doc.get("shots", cls.shots)
+            if kind == "default":
+                spec = default_oracle_spec(space, shots=shots, **oracle_doc)
+            elif kind == "synthetic":
                 spec = OracleSpec.from_json(oracle_doc)
+            else:
+                raise InvalidParams(f'oracle kind must be "default" or "synthetic", not {kind!r}')
             config = cls(
                 space=space,
                 oracle_spec=spec,
@@ -89,8 +105,7 @@ class RunConfig:
                 steps_per_cycle=doc["steps_per_cycle"],
                 refinetune_steps=doc.get("refinetune_steps", 0),
                 shots=shots,
-                run_seed=doc.get("run_seed", 0),
-                window=doc.get("window", 5),
+                **{name: doc[name] for name in ("run_seed", "window") if name in doc},
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InvalidParams(f"malformed run config: {exc}") from exc

@@ -60,7 +60,7 @@ class BudgetViolation(AuditLoopError):
 def check_count(name: str, value, minimum: int, maximum: int | None = None) -> None:
     """Raise InvalidParams unless `value` is an integer, not a bool, of at
     least `minimum` and, if given, at most `maximum`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise InvalidParams(f"{name} must be an integer, not {value!r}")
     if value < minimum:
         raise InvalidParams(f"{name} must be at least {minimum}")
@@ -76,10 +76,13 @@ def check_finite(name: str, *values: float) -> None:
 
 def check_number(name: str, value) -> float:
     """`value` as a float; raise InvalidParams unless it is a real number,
-    not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    not a bool or a string, and not an integer too large for a float."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise InvalidParams(f"{name} must be a number, not {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidParams(f"{name} must be a number within a float's range") from None
 
 
 def check_flag(name: str, value) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocator import _density_order, fill
-from .errors import InvalidParams, LengthMismatch, check_count
+from .errors import LengthMismatch, check_count
 
 
 @dataclass(frozen=True)
@@ -48,24 +48,21 @@ class FsmStabilizer:
         current: np.ndarray,
         proposed: np.ndarray,
         *,
-        scores: np.ndarray | None = None,
-        costs: np.ndarray | None = None,
-        p_max: float | None = None,
+        scores: np.ndarray,
+        costs: np.ndarray,
+        p_max: float,
     ) -> np.ndarray:
         """Update votes with one proposal vector and return the committed gates.
 
         Consistent votes accumulate; inconsistent or agreeing proposals reset
-        the counter. Without a budget (`p_max` None) every ready change
-        commits. With one, ready deactivations commit, then ready activations
-        commit in descending density of `scores` over `costs` while they fit
-        `p_max`; an activation that does not fit resets its counter.
+        the counter. Ready deactivations commit, then ready activations commit
+        in descending density of `scores` over `costs` while they fit `p_max`;
+        an activation that does not fit resets its counter.
         """
         current = np.asarray(current, dtype=bool)
         proposed = np.asarray(proposed, dtype=bool)
         if current.shape != proposed.shape or current.size != self.n_units:
             raise LengthMismatch("gate vectors must have the tracked unit count")
-        if p_max is not None and (scores is None or costs is None):
-            raise InvalidParams("a budget needs scores and costs")
 
         counts, pending = self.act_counts, self.act_pending
         differs = proposed != current
@@ -84,13 +81,9 @@ class FsmStabilizer:
         counts[ready] = 0
         pending[ready] = -1
         committed[ready & ~proposed] = False
-        activations = np.flatnonzero(ready & proposed)
-        if p_max is None:
-            committed[activations] = True
-        else:
-            s, c = np.asarray(scores, dtype=float), np.asarray(costs, dtype=float)
-            committed, rejected = fill(committed, _density_order(activations, s, c), c, p_max)
-            ready[rejected] = False
+        s, c = np.asarray(scores, dtype=float), np.asarray(costs, dtype=float)
+        committed, rejected = fill(committed, _density_order(np.flatnonzero(ready & proposed), s, c), c, p_max)
+        ready[rejected] = False
         self.unit_flips[ready] += 1
         if ready.any():
             self.change_cycles += 1

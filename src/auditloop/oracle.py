@@ -7,7 +7,7 @@ scores back in order, and an exhaustive optimum supports regret accounting
 on small spaces.
 
 The recording and replay wrappers implement only the driver's protocol:
-`n_units`, `fresh_state`, `train_step`, `true_value` and
+`fresh_state`, `train_step`, `true_value` and
 `evaluate_toggles(state, gates, units, first_call_index)`, the audit step's
 one query per cycle. It scores the full configuration and each one-unit
 toggle of it under call indices `first_call_index, first_call_index + 1,
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -196,7 +196,7 @@ class OracleSpec:
             object.__setattr__(self, name, check_number(name, getattr(self, name)))
         for name in ("mu_inf", "kappa", "gammas"):
             object.__setattr__(self, name, tuple(check_number(f"{name} entry", v) for v in getattr(self, name)))
-        object.__setattr__(self, "groups", tuple(tuple(int(i) for i in g) for g in self.groups))
+        object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
         n = len(self.mu_inf)
         if n < 1:
             raise InvalidParams("need at least one unit")
@@ -220,6 +220,7 @@ class OracleSpec:
         seen: set[int] = set()
         for g in self.groups:
             for i in g:
+                check_count("group member", i, 0)
                 if i in seen or not 0 <= i < n:
                     raise InvalidParams("groups must partition unit ids without repeats")
                 seen.add(i)
@@ -236,36 +237,13 @@ class OracleSpec:
         return out
 
     @classmethod
-    def from_json(cls, doc: dict | str | Path) -> "OracleSpec":
-        if not isinstance(doc, dict):
-            doc = json.loads(Path(doc).read_text())
-        try:
-            return cls(
-                base_score=doc["base_score"],
-                mu_inf=tuple(doc["mu_inf"]),
-                kappa=tuple(doc["kappa"]),
-                drift=doc.get("drift", 0.0),
-                sigma_val=doc.get("sigma_val", 0.0),
-                groups=tuple(tuple(g) for g in doc.get("groups", ())),
-                gammas=tuple(doc.get("gammas", ())),
-                warm_floor=doc.get("warm_floor", 0.0),
-                seed=doc.get("seed", 0),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidParams(f"malformed oracle spec: {exc}") from exc
+    def from_json(cls, doc: dict) -> "OracleSpec":
+        """The spec of a `to_json` document, which may leave out the fields
+        that have defaults."""
+        return cls(**doc)
 
     def to_json(self) -> dict:
-        return {
-            "base_score": self.base_score,
-            "mu_inf": list(self.mu_inf),
-            "kappa": list(self.kappa),
-            "drift": self.drift,
-            "sigma_val": self.sigma_val,
-            "groups": [list(g) for g in self.groups],
-            "gammas": list(self.gammas),
-            "warm_floor": self.warm_floor,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -479,10 +457,6 @@ class TraceRecordingOracle:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("w")
 
-    @property
-    def n_units(self) -> int:
-        return self.inner.n_units
-
     def fresh_state(self) -> TrainingState:
         return self.inner.fresh_state()
 
@@ -534,10 +508,6 @@ class ReplayOracle:
         self._n_units = n_units
         self._next = 0
 
-    @property
-    def n_units(self) -> int:
-        return self._n_units
-
     def fresh_state(self) -> TrainingState:
         return TrainingState.fresh(self._n_units)
 
@@ -573,9 +543,11 @@ class ReplayOracle:
 
 
 def replay_trace(path: str | Path) -> ReplayOracle:
-    """Build a replay oracle from a JSONL trace of {gates, score, noise_seed}.
-    A trace that cannot be read raises its OSError; one that is not UTF-8
-    raises MalformedTrace."""
+    """Build a replay oracle from a JSONL trace of {gates, score, noise_seed}:
+    a 0/1 string, a JSON number (NaN and infinities included) and a JSON
+    integer of at least -1. A trace that cannot be read raises its OSError;
+    one that is not UTF-8, or holds any other line, raises MalformedTrace
+    naming the line."""
     path = Path(path)
     records: list[tuple[str, int, float]] = []
     try:
@@ -587,10 +559,9 @@ def replay_trace(path: str | Path) -> ReplayOracle:
             continue
         try:
             rec = json.loads(line)
-            bits = rec["gates"]
-            score = float(rec["score"])
-            noise_seed = int(rec["noise_seed"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            bits, score, noise_seed = rec["gates"], check_number("score", rec["score"]), rec["noise_seed"]
+            check_count("noise_seed", noise_seed, -1)
+        except (KeyError, TypeError, ValueError, InvalidParams) as exc:
             raise MalformedTrace(f"{path}:{lineno}: {exc}") from exc
         if not isinstance(bits, str) or bits.strip("01"):
             raise MalformedTrace(f"{path}:{lineno}: gates must be a 0/1 bitstring")

@@ -54,8 +54,6 @@ def stratified_fill(
     """Draw k ids without replacement: round(active_fraction*k) from the active
     pool and the rest from the inactive pool, spilling over when a stratum is
     short. `choice` draws the same ids from a list as from its int array."""
-    if k <= 0:
-        return []
     n_active = min(len(active_pool), int(round(active_fraction * k)))
     n_inactive = min(len(inactive_pool), k - n_active)
     n_active = min(len(active_pool), k - n_inactive)

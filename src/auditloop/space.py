@@ -8,10 +8,8 @@ construction and safe to share across workers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -223,7 +221,7 @@ class AuditSpace:
         return cls(backbone, units)
 
     @classmethod
-    def from_json(cls, doc: dict | str | Path) -> "AuditSpace":
+    def from_json(cls, doc: dict) -> "AuditSpace":
         """Load a schema document {"backbone": ..., "templates": [...]} or a
         previously dumped space {"backbone": ..., "units": [...]}.
 
@@ -231,8 +229,6 @@ class AuditSpace:
         family, topology, size, slot.
         Optional schema flag: sapa_shared_weights.
         """
-        if not isinstance(doc, dict):
-            doc = json.loads(Path(doc).read_text())
         try:
             bb = doc["backbone"]
             backbone = BackboneDesc(

@@ -67,16 +67,15 @@ def _pick_tables(max_len: int) -> tuple[np.ndarray, np.ndarray]:
 _PICKS, _WEIGHTS = _pick_tables(_MAX_WINDOW)
 
 
-def robust_scores(h: np.ndarray, lambda_s: float, lengths=None) -> np.ndarray:
+def robust_scores(h: np.ndarray, lambda_s: float, lengths) -> np.ndarray:
     """Per row of `h`: median - lambda_s * IQR of the row's history, with
     linearly interpolated quartiles; a one-value history scores itself.
 
-    Without `lengths` every row is a full history of `h.shape[1]` values.
-    With it, row i holds `lengths[i]` (1 to `h.shape[1]`) values and NaN in
-    its other slots. Rows have at most `_MAX_WINDOW` slots. Median and
-    quartiles do not depend on the order within a row."""
+    Row i holds `lengths[i]` (1 to `h.shape[1]`) values and NaN in its other
+    slots. Rows have at most `_MAX_WINDOW` slots. Median and quartiles do not
+    depend on the order within a row."""
     s = np.sort(h, axis=1)
-    n = np.full(len(s), s.shape[1]) if lengths is None else np.asarray(lengths)
+    n = np.asarray(lengths)
     v = s[np.arange(len(s))[:, None], _PICKS[n]]
     # numpy's median of an even-length row is the mean of its middle pair.
     med = np.where(n % 2 == 0, (v[:, 0] + v[:, 1]) / 2, v[:, 0])

@@ -151,6 +151,15 @@ def with_space(*path, value):
         with_space("units", 0, "cost", value="0.0003"),
         small_with_oracle(sigma_val=True),
         small_with_oracle(base_score="0.45"),
+        small_with_oracle(mu_inf=[10**400] + [0.05] * 5),
+        small_with_oracle(groups=[[0, 1.7]], gammas=[0.5]),
+        small_with_oracle(groups=[["0", "1"]], gammas=[0.5]),
+        small_with_oracle(groups=[[False, True]], gammas=[0.5]),
+        {"cycles": 2, "steps_per_cycle": 10, "refinetune_step": 100},
+        {"cycles": 2, "steps_per_cycle": 10, "oracle": {"kind": "default", "sed": 3}},
+        small_with_oracle(sed=3),
+        small_with_oracle(kind="replay"),
+        {"cycles": 2, "steps_per_cycle": 10, "space": None},
     ],
     ids=[
         "non-integer-cycles", "non-object-oracle", "top-level-array", "zero-shots",
@@ -161,7 +170,9 @@ def with_space(*path, value):
         "nan-unit-cost", "nan-lambda-s", "fractional-layers", "fractional-hidden-dim",
         "fractional-param-count", "fractional-template-size", "fractional-unit-id", "fractional-unit-size",
         "fractional-unit-layer", "fractional-unit-hidden-dim", "string-sapa-flag", "string-unit-gate",
-        "string-unit-cost", "bool-sigma-val", "string-base-score",
+        "string-unit-cost", "bool-sigma-val", "string-base-score", "huge-integer-mu-inf", "fractional-group-id",
+        "string-group-id", "bool-group-id", "unknown-top-level-key", "unknown-default-oracle-key",
+        "unknown-synthetic-oracle-key", "unknown-oracle-kind", "null-space",
     ],
 )
 @pytest.mark.parametrize("seed", [None, "3"])
@@ -172,6 +183,26 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, doc, seed):
     assert main(argv + (["--seed", seed] if seed else [])) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_space_given_as_a_path_exits_2_with_one_line(tmp_path, capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(SMALL["space"]))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cycles": 2, "steps_per_cycle": 10, "space": str(schema)}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err == 'error: space must be a JSON object or "default"\n'
+
+
+@pytest.mark.parametrize("gates, code", [([True, False], 0), ([True, True], 2)], ids=["one-on-fits", "two-on-over"])
+def test_initial_gates_over_the_budget_exit_2_before_any_run(tmp_path, capsys, gates, code):
+    units = [UNIT_5 | {"id": i, "gate": gate} for i, gate in enumerate(gates)]
+    doc = {"cycles": 2, "steps_per_cycle": 10, "allocator": {"p_max": 0.0005},
+           "space": {"backbone": BACKBONE, "units": units}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"]) == code
+    assert capsys.readouterr().err == ("error: initial gates cost 0.0006, over p_max 0.0005\n" if code else "")
 
 
 def test_negative_seed_flag_exits_2_with_one_line(tmp_path, capsys, config_path):
@@ -338,6 +369,18 @@ def test_record_and_replay_commands(tmp_path, config_path):
     assert (tmp_path / "plain" / "report.json").read_bytes() == (out1 / "report.json").read_bytes()
     assert json.loads((out1 / "report.json").read_text())["regret_curve"] is not None
     assert json.loads((out2 / "report.json").read_text())["regret_curve"] is None
+
+
+def test_replay_of_a_trace_with_a_string_noise_seed_exits_1_naming_the_line(tmp_path, capsys, config_path):
+    trace = tmp_path / "trace.jsonl"
+    main(["run", "--config", str(config_path), "--out", str(tmp_path / "o"), "--record-trace", str(trace), "--quiet"])
+    lines = trace.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace('"noise_seed": 1,', '"noise_seed": "1",')
+    trace.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["replay", "--config", str(config_path), "--trace", str(trace),
+                 "--out", str(tmp_path / "o2"), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {trace}:2: noise_seed must be an integer, not '1'\n"
 
 
 def test_replay_with_wrong_config_exits_1(tmp_path, config_path):

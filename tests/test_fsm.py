@@ -7,12 +7,18 @@ from auditloop import FsmParams, FsmStabilizer, checks, gate_cost
 from auditloop.errors import InvalidParams, LengthMismatch
 
 
+def unbounded(n):
+    """Budget arguments under which all n units fit at once: unit scores and
+    costs, and a budget of n."""
+    return {"scores": np.ones(n), "costs": np.ones(n), "p_max": float(n)}
+
+
 def run_single_unit(proposals, tau):
     fsm = FsmStabilizer(1, tau_act=tau)
     gates = np.array([False])
     history = []
     for p in proposals:
-        gates = fsm.filter_proposals(gates, np.array([p]))
+        gates = fsm.filter_proposals(gates, np.array([p]), **unbounded(1))
         history.append(bool(gates[0]))
     return fsm, history
 
@@ -41,14 +47,14 @@ def test_params_validation():
     with pytest.raises(InvalidParams):
         FsmStabilizer(0)
     with pytest.raises(LengthMismatch):
-        FsmStabilizer(2).filter_proposals(np.array([True]), np.array([True]))
+        FsmStabilizer(2).filter_proposals(np.array([True]), np.array([True]), **unbounded(2))
 
 
 def test_stabilizer_checks_tau_and_budget_arguments():
     with pytest.raises(InvalidParams, match="tau_act"):
         FsmStabilizer(2, tau_act=2.5)
-    with pytest.raises(InvalidParams, match="scores and costs"):
-        FsmStabilizer(2).filter_proposals(np.zeros(2, bool), np.zeros(2, bool), p_max=1.0)
+    with pytest.raises(TypeError, match="keyword-only"):
+        FsmStabilizer(2).filter_proposals(np.zeros(2, bool), np.zeros(2, bool))
 
 
 def test_chatter_bound_exhaustive_small():
@@ -61,7 +67,7 @@ def test_consistent_pressure_always_commits():
         fsm = FsmStabilizer(1, tau_act=tau)
         gates = np.array([False])
         for _ in range(tau):
-            gates = fsm.filter_proposals(gates, np.array([True]))
+            gates = fsm.filter_proposals(gates, np.array([True]), **unbounded(1))
         assert gates[0]
 
 
@@ -71,14 +77,14 @@ def test_counters_never_reach_tau_without_commit():
     gates = np.zeros(6, dtype=bool)
     for _ in range(200):
         proposed = rng.random(6) < 0.5
-        gates = fsm.filter_proposals(gates, proposed)
+        gates = fsm.filter_proposals(gates, proposed, **unbounded(6))
         assert np.all(fsm.act_counts < 3)
 
 
 def test_tc_increments_at_most_once_per_cycle():
     fsm = FsmStabilizer(4, tau_act=1)
     gates = np.zeros(4, dtype=bool)
-    new = fsm.filter_proposals(gates, np.array([True, True, True, False]))
+    new = fsm.filter_proposals(gates, np.array([True, True, True, False]), **unbounded(4))
     assert new.sum() == 3
     assert fsm.change_cycles == 1
 
@@ -114,8 +120,9 @@ def test_chatter_bound_fuzz(tau, n, seed):
     seed=st.integers(0, 2**31 - 1),
 )
 def test_stacked_stabilizer_flips_equal_separate_runs(tau, widths, t_len, seed):
-    # The chatter checks run many budget-free runs as the column blocks of
-    # one stabilizer; that is sound only if no column sees another.
+    # The chatter checks run many runs, each under a budget that all of its
+    # units fit, as the column blocks of one stabilizer; that is sound only
+    # if no column sees another.
     rng = np.random.default_rng(seed)
     runs = [rng.random((t_len, w)) < 0.5 for w in widths]
     separate = []
@@ -123,7 +130,7 @@ def test_stacked_stabilizer_flips_equal_separate_runs(tau, widths, t_len, seed):
         fsm = FsmStabilizer(proposals.shape[1], tau_act=tau)
         gates = np.zeros(proposals.shape[1], dtype=bool)
         for proposed in proposals:
-            gates = fsm.filter_proposals(gates, proposed)
+            gates = fsm.filter_proposals(gates, proposed, **unbounded(proposals.shape[1]))
         separate.append(fsm.unit_flips)
     assert np.array_equal(checks._flips(tau, np.hstack(runs)), np.concatenate(separate))
 
@@ -131,7 +138,7 @@ def test_stacked_stabilizer_flips_equal_separate_runs(tau, widths, t_len, seed):
 def test_vote_summary_shape():
     fsm = FsmStabilizer(3, tau_act=3)
     gates = np.zeros(3, dtype=bool)
-    fsm.filter_proposals(gates, np.array([True, False, False]))
+    fsm.filter_proposals(gates, np.array([True, False, False]), **unbounded(3))
     assert fsm.vote_summary() == [{"unit": 0, "counter": 1, "pending": True}]
 
 
@@ -148,7 +155,7 @@ class ListFsm:
         self.flips = [0] * n_units
         self.change_cycles = 0
 
-    def filter_proposals(self, current, proposed, *, scores=None, costs=None, p_max=None):
+    def filter_proposals(self, current, proposed, *, scores, costs, p_max):
         cur = current.tolist()
         prop = proposed.tolist()
         counts, pending = self.counts, self.pending
@@ -173,21 +180,16 @@ class ListFsm:
         for i in deactivations:
             committed[i] = False
 
-        if activations:
-            if scores is not None and costs is not None:
-                activations.sort(key=lambda i: (-(scores[i] / costs[i]), costs[i], i))
-            for i in activations:
-                if costs is not None and p_max is not None:
-                    trial = committed.copy()
-                    trial[i] = True
-                    if gate_cost(trial, costs) > p_max:
-                        counts[i] = 0
-                        pending[i] = -1
-                        continue
-                    committed = trial
-                else:
-                    committed[i] = True
-                committed_ids.append(i)
+        activations.sort(key=lambda i: (-(scores[i] / costs[i]), costs[i], i))
+        for i in activations:
+            trial = committed.copy()
+            trial[i] = True
+            if gate_cost(trial, costs) > p_max:
+                counts[i] = 0
+                pending[i] = -1
+                continue
+            committed = trial
+            committed_ids.append(i)
 
         for i in committed_ids:
             counts[i] = 0
@@ -216,7 +218,7 @@ def test_array_fsm_matches_list_reference(data, n, tau, budget):
     costs = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 1.0]), min_size=n, max_size=n)))
     scores = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.1, 0.2, 0.5, 1.0]), min_size=n, max_size=n)))
     p_max = data.draw(st.sampled_from([0.3, 0.6, 1.0, 2.0]))
-    kwargs = {"scores": scores, "costs": costs, "p_max": p_max} if budget else {}
+    kwargs = {"scores": scores, "costs": costs, "p_max": p_max} if budget else unbounded(n)
     fsm, ref = FsmStabilizer(n, tau_act=tau), ListFsm(n, tau)
     gates = data.draw(gate_lists(n))
     for proposed in data.draw(st.lists(gate_lists(n), min_size=1, max_size=25)):

@@ -34,6 +34,7 @@ from auditloop import (
     run_random_baseline,
 )
 from auditloop.allocator import EXACT_RESOLVE_MAX
+from auditloop.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 GOLDEN = json.loads((BENCH / "golden.json").read_text())
@@ -109,3 +110,19 @@ def test_recorded_trace_matches_pinned_digest_and_replays_the_golden_events(tmp_
     driver = LoopDriver(config, oracle=replay_trace(trace))
     driver.run_full()
     assert events_digest(driver, tmp_path) == GOLDEN["record-replay"]["10"]["0"]
+
+
+# sha256 of the `report.json` that `auditloop run` writes for the benchmark's
+# replay config (the default shots=10 run at run seed 0).
+REPORT_DIGEST = "739c323e16bebe8a492900456eb3d9881a5a1c2146710160bafe1b395c7cb355"
+
+
+def test_cli_run_report_matches_pinned_digest(tmp_path):
+    if "bench_workloads" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(sys.modules["bench_workloads"].replay_config_doc(0)))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == REPORT_DIGEST

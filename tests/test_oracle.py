@@ -392,6 +392,22 @@ def test_malformed_traces(tmp_path):
         replay_trace(inconsistent)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("noise_seed", "0"), ("noise_seed", 0.7), ("noise_seed", True), ("noise_seed", -2),
+     ("score", "0.448"), ("score", True), ("score", None), ("score", 10**400)],
+    ids=["string-seed", "fractional-seed", "bool-seed", "seed-below-minus-1",
+         "string-score", "bool-score", "null-score", "huge-integer-score"],
+)
+def test_trace_field_of_the_wrong_type_is_malformed_naming_the_line(tmp_path, field, value):
+    path = write_trace(tmp_path / "trace.jsonl", [
+        {"gates": "010", "score": 0.8, "noise_seed": 0},
+        {"gates": "010", "score": 0.7, "noise_seed": 1} | {field: value},
+    ])
+    with pytest.raises(MalformedTrace, match=f"trace.jsonl:2: {field} must be"):
+        replay_trace(path)
+
+
 def test_record_then_replay_reproduces_scores(tmp_path):
     spec = simple_spec(sigma_val=0.03)
     inner = SyntheticOracle(spec)

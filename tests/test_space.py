@@ -125,7 +125,7 @@ def test_json_roundtrip(tmp_path):
     }
     path = tmp_path / "schema.json"
     path.write_text(json.dumps(doc))
-    loaded = AuditSpace.from_json(path)
+    loaded = AuditSpace.from_json(json.loads(path.read_text()))
     assert loaded.n_units == space.n_units
     assert np.allclose(loaded.costs, space.costs)
     dump = loaded.to_json()

@@ -93,7 +93,7 @@ def test_smoothing_param_bounds():
 
 def test_robust_score_hand_computed():
     # history [0.5, 0.7, 0.9]: median 0.7, q25 0.6, q75 0.8, iqr 0.2
-    assert math.isclose(robust_scores(np.array([[0.5, 0.7, 0.9]]), 0.5)[0], 0.7 - 0.1)
+    assert math.isclose(robust_scores(np.array([[0.5, 0.7, 0.9]]), 0.5, [3])[0], 0.7 - 0.1)
 
 
 def test_robust_score_single_sample():
