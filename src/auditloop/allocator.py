@@ -36,7 +36,7 @@ from .errors import InvalidParams, LengthMismatch, NonPositiveCost, TooLarge, ch
 
 @dataclass(frozen=True)
 class AllocatorParams:
-    """Budget as a backbone-parameter fraction and the replacement margin."""
+    """Budget as a backbone-parameter fraction; replacement margin in score units (Δvalue per budget fraction)."""
 
     p_max: float = 0.002
     mu_eff: float = 0.02

@@ -20,7 +20,7 @@ from .allocator import (
     gate_cost,
     greedy_allocate,
 )
-from .errors import BudgetViolation, InvalidParams, MalformedLog, check_count
+from .errors import BudgetViolation, InvalidParams, MalformedLog, check_count, check_keys, read_doc
 from .fsm import FsmParams, FsmStabilizer
 from .oracle import KeyedStreams, OracleSpec, SyntheticOracle, gates_to_bits
 from .sampler import SamplerParams, sample_audit_batch
@@ -44,7 +44,7 @@ class RunConfig:
     fsm: FsmParams
     cycles: int
     steps_per_cycle: int
-    refinetune_steps: int
+    refinetune_steps: int | None = None
     shots: int = 1
     run_seed: int = 0
     window: int = 5
@@ -52,6 +52,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         for name in ("cycles", "steps_per_cycle", "shots"):
             check_count(name, getattr(self, name), 1)
+        if self.refinetune_steps is None:
+            # By default the re-finetune gets the loop's whole step budget.
+            object.__setattr__(self, "refinetune_steps", self.total_loop_steps)
         for name in ("refinetune_steps", "run_seed"):
             check_count(name, getattr(self, name), 0)
         if self.oracle_spec.n_units != self.space.n_units:
@@ -66,51 +69,39 @@ class RunConfig:
     @classmethod
     def from_json(cls, doc: dict | str | Path) -> "RunConfig":
         """A run config from its JSON document or the path of a file holding
-        one: `to_json`'s keys, each optional except `cycles` and
-        `steps_per_cycle`. An unknown key, a nested document that is not an
-        object, or a bad value raises InvalidParams; a file that cannot be
-        read raises its OSError."""
+        one: `to_json`'s keys, each optional except `cycles` and `steps_per_cycle`.
+        A key its object does not know, a nested document that is not an object
+        or a bad value raises InvalidParams; an unreadable file its OSError."""
         if isinstance(doc, (str, Path)):
             doc = json.loads(Path(doc).read_text())
-        if not isinstance(doc, dict):
-            raise InvalidParams(f"run config must be a JSON object, not {type(doc).__name__}")
-        if unknown := sorted(doc.keys() - ({f.name for f in fields(cls)} - {"oracle_spec"} | {"oracle"})):
-            raise InvalidParams(f"unknown run config key {unknown[0]!r}")
+        check_keys("run config", doc, {f.name for f in fields(cls)} - {"oracle_spec"} | {"oracle"})
         space_doc, oracle_doc = doc.get("space", "default"), doc.get("oracle", {"kind": "default"})
         if space_doc != "default" and not isinstance(space_doc, dict):
             raise InvalidParams('space must be a JSON object or "default"')
-        if not isinstance(oracle_doc, dict):
-            raise InvalidParams("oracle must be a JSON object")
-        oracle_doc = dict(oracle_doc)
-        kind = oracle_doc.pop("kind", "synthetic")
+        kind = oracle_doc.get("kind", "synthetic") if isinstance(oracle_doc, dict) else "synthetic"
+        scalars = ("cycles", "steps_per_cycle", "refinetune_steps", "shots", "run_seed", "window")
         try:
             space = default_space() if space_doc == "default" else AuditSpace.from_json(space_doc)
-            shots = doc.get("shots", cls.shots)
             if kind == "default":
-                spec = default_oracle_spec(space, shots=shots, **oracle_doc)
+                seed = check_keys("default oracle", oracle_doc, ("kind", "seed")).get("seed", 0)
+                spec = default_oracle_spec(space, shots=doc.get("shots", cls.shots), seed=seed)
             elif kind == "synthetic":
-                spec = OracleSpec.from_json(oracle_doc)
+                spec = read_doc(OracleSpec, "oracle", oracle_doc, ignored=("kind",))
             else:
                 raise InvalidParams(f'oracle kind must be "default" or "synthetic", not {kind!r}')
-            config = cls(
+            return cls(
                 space=space,
                 oracle_spec=spec,
-                sampler=SamplerParams(**doc.get("sampler", {"batch_size": 6})),
-                smoothing=SmoothingParams(**doc.get("smoothing", {})),
-                allocator=AllocatorParams(**doc.get("allocator", {})),
+                sampler=read_doc(SamplerParams, "sampler", doc.get("sampler", {"batch_size": 6})),
+                smoothing=read_doc(SmoothingParams, "smoothing", doc.get("smoothing", {})),
+                allocator=read_doc(AllocatorParams, "allocator", doc.get("allocator", {})),
                 # Older configs may carry tau_rank, the threshold of a
                 # rank-change vote this engine does not have; ignore it.
-                fsm=FsmParams(**{k: v for k, v in doc.get("fsm", {}).items() if k != "tau_rank"}),
-                cycles=doc["cycles"],
-                steps_per_cycle=doc["steps_per_cycle"],
-                refinetune_steps=doc.get("refinetune_steps", 0),
-                shots=shots,
-                **{name: doc[name] for name in ("run_seed", "window") if name in doc},
+                fsm=read_doc(FsmParams, "fsm", doc.get("fsm", {}), ignored=("tau_rank",)),
+                **{name: doc[name] for name in scalars if name in doc},
             )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParams(f"malformed run config: {exc}") from exc
-        # By default the re-finetune gets the loop's whole step budget.
-        return config if "refinetune_steps" in doc else replace(config, refinetune_steps=config.total_loop_steps)
 
     def to_json(self) -> dict:
         return {
@@ -518,7 +509,6 @@ def default_run_config(shots: int = 1, run_seed: int = 0) -> RunConfig:
         fsm=FsmParams(),
         cycles=cycles,
         steps_per_cycle=steps_per_cycle,
-        refinetune_steps=SHOTS_TOTAL_STEPS[shots],
         shots=shots,
         run_seed=run_seed,
     )

@@ -3,6 +3,7 @@ parameter constructors and config readers share."""
 
 import math
 import numbers
+from dataclasses import fields
 
 
 class AuditLoopError(Exception):
@@ -89,3 +90,20 @@ def check_flag(name: str, value) -> None:
     """Raise InvalidParams unless `value` is a bool (a JSON true or false)."""
     if not isinstance(value, bool):
         raise InvalidParams(f"{name} must be true or false, not {value!r}")
+
+
+def check_keys(where: str, doc, known) -> dict:
+    """`doc` itself; raise InvalidParams, naming `where` (the object's place in
+    the config), unless `doc` is a JSON object whose keys are all in `known`."""
+    if not isinstance(doc, dict):
+        raise InvalidParams(f"{where} must be a JSON object, not {type(doc).__name__}")
+    if unknown := sorted(doc.keys() - known):
+        raise InvalidParams(f"unknown {where} key {unknown[0]!r}")
+    return doc
+
+
+def read_doc(cls, where: str, doc, ignored=()):
+    """The dataclass `cls` built from the JSON object `doc`, whose keys are
+    `cls`'s field names or `ignored`; the ignored keys are dropped."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in check_keys(where, doc, names | set(ignored)).items() if k in names})

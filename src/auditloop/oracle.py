@@ -236,12 +236,6 @@ class OracleSpec:
         out.extend(((i,), 1.0) for i in range(self.n_units) if i not in covered)
         return out
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "OracleSpec":
-        """The spec of a `to_json` document, which may leave out the fields
-        that have defaults."""
-        return cls(**doc)
-
     def to_json(self) -> dict:
         return asdict(self)
 

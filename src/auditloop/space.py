@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySpace, IncompatibleTemplate, InvalidParams, check_count, check_flag, check_number
+from .errors import (EmptySpace, IncompatibleTemplate, InvalidParams, check_count, check_flag, check_keys,
+                     check_number, read_doc)
 
 
 class Family(Enum):
@@ -36,9 +37,8 @@ class Slot(Enum):
     NORM = "Norm"
 
 
-_SLOT_ORDER = {Slot.ATTENTION: 0, Slot.FEEDFORWARD: 1, Slot.NORM: 2}
-_FAMILY_ORDER = {Family.LORA: 0, Family.ADAPTFORMER: 1, Family.AFFINE_LN: 2}
-_TOPOLOGY_ORDER = {Topology.SA: 0, Topology.PA: 1, Topology.SAPA: 2, Topology.NONE: 3}
+# Unit ids order slots, families and topologies as their enums declare them.
+_RANK = {member: i for enum in (Slot, Family, Topology) for i, member in enumerate(enum)}
 
 DEFAULT_LORA_RANKS = (2, 4, 8, 16)
 DEFAULT_ADAPTFORMER_BOTTLENECKS = (4, 8, 16, 32)
@@ -72,6 +72,17 @@ class Template:
     topology: Topology
     size: int
     slot: Slot
+
+    def __post_init__(self) -> None:
+        for name, enum in (("family", Family), ("topology", Topology), ("slot", Slot)):
+            object.__setattr__(self, name, enum(getattr(self, name)))
+        self.kind  # AdapterKind checks family, topology and size
+        if (self.family is Family.AFFINE_LN) != (self.slot is Slot.NORM):
+            raise IncompatibleTemplate(f"{self.family.value} cannot attach to the {self.slot.value} slot")
+
+    @property
+    def kind(self) -> AdapterKind:
+        return AdapterKind(self.family, self.topology, self.size)
 
 
 @dataclass(frozen=True)
@@ -127,15 +138,6 @@ def raw_param_count(kind: AdapterKind, hidden_dim: int, *, sapa_shared_weights: 
     return per_pair
 
 
-def _check_template(tpl: Template) -> AdapterKind:
-    kind = AdapterKind(tpl.family, tpl.topology, tpl.size)
-    if tpl.slot is Slot.NORM and tpl.family is not Family.AFFINE_LN:
-        raise IncompatibleTemplate(f"{tpl.family.value} cannot attach to a Norm slot")
-    if tpl.family is Family.AFFINE_LN and tpl.slot is not Slot.NORM:
-        raise IncompatibleTemplate("AffineLN only attaches to Norm slots")
-    return kind
-
-
 def default_templates() -> list[Template]:
     """Attention: LoRA ranks x SA/PA/SAPA. Feed-forward: LoRA plus AdaptFormer
     bottlenecks, same topologies. Norm: AffineLN. 37 templates total."""
@@ -186,7 +188,7 @@ class AuditSpace:
         Ids run 0..N-1 sorted by (layer, slot, family, topology, size) and are
         stable for a run. Every gate starts inactive.
         """
-        kinds = [_check_template(t) for t in templates]
+        kinds = [t.kind for t in templates]
         if not templates:
             raise EmptySpace("schema contains no templates")
 
@@ -196,9 +198,9 @@ class AuditSpace:
             for tpl, kind in zip(templates, kinds):
                 key = (
                     layer,
-                    _SLOT_ORDER[tpl.slot],
-                    _FAMILY_ORDER[tpl.family],
-                    _TOPOLOGY_ORDER[tpl.topology],
+                    _RANK[tpl.slot],
+                    _RANK[tpl.family],
+                    _RANK[tpl.topology],
                     tpl.size,
                 )
                 keyed.append((key, layer, tpl, kind, d))
@@ -226,18 +228,22 @@ class AuditSpace:
         previously dumped space {"backbone": ..., "units": [...]}.
 
         Backbone keys: layers, hidden_dims, param_count. Template keys:
-        family, topology, size, slot.
-        Optional schema flag: sapa_shared_weights.
+        family, topology, size, slot. Optional schema flag: sapa_shared_weights.
+        Every object rejects a key it does not know; a dumped space takes no templates.
         """
         try:
-            bb = doc["backbone"]
+            dumped = "units" in doc
+            check_keys("space", doc, ("backbone", "units") if dumped else ("backbone", "templates", "sapa_shared_weights"))
+            bb = check_keys("space backbone", doc["backbone"], ("layers", "hidden_dims", "param_count"))
             backbone = BackboneDesc(
                 num_layers=bb["layers"],
                 hidden_dims=tuple(bb["hidden_dims"]),
                 backbone_param_count=bb["param_count"],
             )
-            if "units" in doc:
+            if dumped:
                 for u in doc["units"]:
+                    check_keys("space unit", u, ("id", "family", "topology", "size", "layer", "slot", "hidden_dim",
+                                                 "cost", "gate"))
                     for key, minimum in (("id", 0), ("layer", 0), ("hidden_dim", 1)):
                         check_count(f"unit {key}", u[key], minimum)
                     check_flag("unit gate", u.get("gate", False))
@@ -254,15 +260,7 @@ class AuditSpace:
                     for u in doc["units"]
                 ]
                 return cls(backbone, units)
-            templates = [
-                Template(
-                    family=Family(t["family"]),
-                    topology=Topology(t["topology"]),
-                    size=t["size"],
-                    slot=Slot(t["slot"]),
-                )
-                for t in doc["templates"]
-            ]
+            templates = [read_doc(Template, "space template", t) for t in doc["templates"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParams(f"malformed space schema: {exc}") from exc
         shared = doc.get("sapa_shared_weights", False)

@@ -160,6 +160,15 @@ def with_space(*path, value):
         small_with_oracle(sed=3),
         small_with_oracle(kind="replay"),
         {"cycles": 2, "steps_per_cycle": 10, "space": None},
+        with_space("sapa_shared_weight", value=True),
+        with_space("backbone", "param_counts", value=200_000),
+        with_space("templates", 0, "sizes", value=[4]),
+        with_space("units", 0, "gates", value=True),
+        set_path(with_space("units", 0, "gate", value=False), ("space", "templates"), SMALL["space"]["templates"]),
+        {"cycles": 2, "steps_per_cycle": 10, "oracle": {"kind": "default", "shots": 5}},
+        {"cycles": 2, "steps_per_cycle": 10, "oracle": {"kind": "default", "space": "default"}},
+        {"cycles": 2, "steps_per_cycle": 10, "sampler": [1]},
+        {"cycles": 2, "steps_per_cycle": 10, "fsm": 5},
     ],
     ids=[
         "non-integer-cycles", "non-object-oracle", "top-level-array", "zero-shots",
@@ -172,7 +181,9 @@ def with_space(*path, value):
         "fractional-unit-layer", "fractional-unit-hidden-dim", "string-sapa-flag", "string-unit-gate",
         "string-unit-cost", "bool-sigma-val", "string-base-score", "huge-integer-mu-inf", "fractional-group-id",
         "string-group-id", "bool-group-id", "unknown-top-level-key", "unknown-default-oracle-key",
-        "unknown-synthetic-oracle-key", "unknown-oracle-kind", "null-space",
+        "unknown-synthetic-oracle-key", "unknown-oracle-kind", "null-space", "unknown-space-key",
+        "unknown-backbone-key", "unknown-template-key", "unknown-unit-key", "dumped-space-with-templates",
+        "default-oracle-shots", "default-oracle-space", "non-object-sampler", "non-object-fsm",
     ],
 )
 @pytest.mark.parametrize("seed", [None, "3"])
@@ -183,6 +194,22 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, doc, seed):
     assert main(argv + (["--seed", seed] if seed else [])) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        (with_space("templates", 0, "sizes", value=[4]), "unknown space template key 'sizes'"),
+        ({"cycles": 2, "steps_per_cycle": 10, "oracle": {"kind": "default", "shots": 5}},
+         "unknown default oracle key 'shots'"),
+    ],
+    ids=["template-sizes", "default-oracle-shots"],
+)
+def test_unknown_key_error_names_the_key_and_its_object(tmp_path, capsys, doc, line):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 def test_space_given_as_a_path_exits_2_with_one_line(tmp_path, capsys):

@@ -291,6 +291,8 @@ def test_config_validation():
 def test_config_json_roundtrip():
     cfg = default_run_config(shots=1, run_seed=4)
     doc = cfg.to_json()
+    # The document as JSON text reads back to the same config.
+    assert RunConfig.from_json(json.loads(json.dumps(doc))).to_json() == doc
     loaded = RunConfig.from_json(doc)
     assert loaded.run_seed == 4
     assert loaded.space.n_units == cfg.space.n_units

@@ -126,3 +126,10 @@ def test_cli_run_report_matches_pinned_digest(tmp_path):
     config.write_text(json.dumps(sys.modules["bench_workloads"].replay_config_doc(0)))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 0
     assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == REPORT_DIGEST
+    # The config that a report echoes reproduces its run.
+    echoed = tmp_path / "echoed.json"
+    echoed.write_text(json.dumps(json.loads((tmp_path / "out" / "report.json").read_text())["config"]))
+    assert main(["run", "--config", str(echoed), "--out", str(tmp_path / "again"), "--quiet"]) == 0
+    events = (tmp_path / "again" / "events.jsonl").read_bytes()
+    assert hashlib.sha256(events).hexdigest() == GOLDEN["record-replay"]["10"]["0"]
+    assert hashlib.sha256((tmp_path / "again" / "report.json").read_bytes()).hexdigest() == REPORT_DIGEST
