@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, LengthMismatch, NonPositiveCost, TooLarge, check_finite
+from .errors import InvalidParams, LengthMismatch, NonPositiveCost, TooLarge, check_number
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,8 @@ class AllocatorParams:
     mu_eff: float = 0.02
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p_max <= 1.0:
-            raise InvalidParams("p_max must lie in (0, 1]")
-        check_finite("mu_eff", self.mu_eff)
-        if self.mu_eff < 0.0:
-            raise InvalidParams("mu_eff must be non-negative")
+        check_number("p_max", self.p_max, "(0, 1]")
+        check_number("mu_eff", self.mu_eff, "[0, inf)")
 
 
 def gate_cost(gates: np.ndarray, costs: np.ndarray) -> float:

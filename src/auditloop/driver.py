@@ -25,13 +25,15 @@ from .fsm import FsmParams, FsmStabilizer
 from .oracle import KeyedStreams, OracleSpec, SyntheticOracle, gates_to_bits
 from .sampler import SamplerParams, sample_audit_batch
 from .space import AuditSpace, Family, default_space
-from .tracker import SmoothingParams, UtilityTable
+from .tracker import SmoothingParams, UtilityTable, check_window
 
 _STREAM_SAMPLER = 0x5A17
 _STREAM_BASELINE = 0xBA5E
 
 # Total loop training steps per few-shot supervision level.
 SHOTS_TOTAL_STEPS = {1: 6000, 5: 8000, 10: 12000}
+# The most steps one training call takes: the largest count a float holds exactly.
+MAX_STEPS = 2**53
 
 
 @dataclass(frozen=True)
@@ -50,13 +52,14 @@ class RunConfig:
     window: int = 5
 
     def __post_init__(self) -> None:
-        for name in ("cycles", "steps_per_cycle", "shots"):
-            check_count(name, getattr(self, name), 1)
+        for name, maximum in (("cycles", None), ("steps_per_cycle", MAX_STEPS), ("shots", None)):
+            check_count(name, getattr(self, name), 1, maximum)
         if self.refinetune_steps is None:
             # By default the re-finetune gets the loop's whole step budget.
             object.__setattr__(self, "refinetune_steps", self.total_loop_steps)
-        for name in ("refinetune_steps", "run_seed"):
-            check_count(name, getattr(self, name), 0)
+        for name, maximum in (("refinetune_steps", MAX_STEPS), ("run_seed", None)):
+            check_count(name, getattr(self, name), 0, maximum)
+        check_window(self.window)
         if self.oracle_spec.n_units != self.space.n_units:
             raise InvalidParams("oracle spec and audit space disagree on the unit count")
         if (cost := gate_cost(self.space.initial_gates(), self.space.costs)) > self.allocator.p_max:

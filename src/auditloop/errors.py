@@ -1,7 +1,7 @@
 """Exception types shared across the engine, and the value checks that
 parameter constructors and config readers share."""
 
-import math
+import functools
 import numbers
 from dataclasses import fields
 
@@ -69,21 +69,28 @@ def check_count(name: str, value, minimum: int, maximum: int | None = None) -> N
         raise InvalidParams(f"{name} must be at most {maximum}")
 
 
-def check_finite(name: str, *values: float) -> None:
-    """Raise InvalidParams unless every value is finite."""
-    if not all(math.isfinite(v) for v in values):
-        raise InvalidParams(f"{name} must be finite")
+@functools.cache
+def _ends(interval: str) -> tuple[float, float]:
+    """The low and high ends of an interval written as `(0, 1]`."""
+    return tuple(map(float, interval[1:-1].split(",")))
 
 
-def check_number(name: str, value) -> float:
+def check_number(name: str, value, interval: str | None = None) -> float:
     """`value` as a float; raise InvalidParams unless it is a real number,
-    not a bool or a string, and not an integer too large for a float."""
-    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+    not a bool or a string, and not an integer too large for a float, that
+    lies in `interval` if given, such as `(0, 1]` or `[0, inf)` (an infinite
+    end is open, so NaN and infinities lie in no interval)."""
+    if not isinstance(value, float) and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise InvalidParams(f"{name} must be a number, not {value!r}")
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:
         raise InvalidParams(f"{name} must be a number within a float's range") from None
+    if interval is not None:
+        low, high = _ends(interval)
+        if not (low < x < high or x == low and interval[0] == "[" or x == high and interval[-1] == "]"):
+            raise InvalidParams(f"{name} must lie in {interval}")
+    return x
 
 
 def check_flag(name: str, value) -> None:

@@ -54,7 +54,6 @@ from .errors import (
     TooLarge,
     UnknownConfiguration,
     check_count,
-    check_finite,
     check_number,
 )
 
@@ -134,8 +133,7 @@ class _BlockSeed(ISeedSequence):
 def _words(key: int) -> list[int]:
     """A non-negative int as SeedSequence reads it: little-endian 32-bit
     words, with 0 as one word."""
-    if key < 0:
-        raise InvalidParams(f"stream keys must be non-negative, not {key}")
+    check_count("stream key", key, 0)
     return [key >> shift & 0xFFFFFFFF for shift in range(0, max(key.bit_length(), 1), 32)]
 
 
@@ -192,31 +190,20 @@ class OracleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("base_score", "drift", "sigma_val", "warm_floor"):
-            object.__setattr__(self, name, check_number(name, getattr(self, name)))
-        for name in ("mu_inf", "kappa", "gammas"):
-            object.__setattr__(self, name, tuple(check_number(f"{name} entry", v) for v in getattr(self, name)))
+        intervals = {"base_score": "[0, 1]", "drift": "[0, inf)", "sigma_val": "[0, inf)", "warm_floor": "[0, 1]"}
+        for name, interval in intervals.items():
+            object.__setattr__(self, name, check_number(name, getattr(self, name), interval))
+        for name, interval in {"mu_inf": "(-inf, inf)", "kappa": "(0, inf)", "gammas": "(0, 1]"}.items():
+            object.__setattr__(self, name, tuple(check_number(f"{name} entry", v, interval) for v in getattr(self, name)))
         object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
         n = len(self.mu_inf)
         if n < 1:
             raise InvalidParams("need at least one unit")
-        check_finite("mu_inf, kappa, drift and sigma_val",
-                     *self.mu_inf, *self.kappa, self.drift, self.sigma_val)
         check_count("oracle seed", self.seed, 0)
-        if not 0.0 <= self.base_score <= 1.0:
-            raise InvalidParams("base_score must lie in [0, 1]")
         if len(self.kappa) != n:
             raise InvalidParams("kappa must match mu_inf length")
-        if any(k <= 0.0 for k in self.kappa):
-            raise InvalidParams("learning rates kappa must be positive")
-        if self.drift < 0.0 or self.sigma_val < 0.0:
-            raise InvalidParams("drift and sigma_val must be non-negative")
-        if not 0.0 <= self.warm_floor <= 1.0:
-            raise InvalidParams("warm_floor must lie in [0, 1]")
         if len(self.gammas) != len(self.groups):
             raise InvalidParams("one gamma per group")
-        if any(not 0.0 < g <= 1.0 for g in self.gammas):
-            raise InvalidParams("group gammas must lie in (0, 1]")
         seen: set[int] = set()
         for g in self.groups:
             for i in g:
@@ -379,8 +366,7 @@ class SyntheticOracle:
 
     def train_step(self, state: TrainingState, gates, k: int) -> TrainingState:
         """Advance active units by k steps; inactive units are untouched."""
-        if k < 1:
-            raise InvalidParams("k must be at least 1")
+        check_count("k", k, 1)
         gates = self._check_gates(gates)
         steps = state.steps.copy()
         steps[gates] += float(k)

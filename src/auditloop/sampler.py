@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, check_count
+from .errors import InvalidParams, check_count, check_number
 
 
 @dataclass(frozen=True)
@@ -23,18 +23,14 @@ class SamplerParams:
 
     def __post_init__(self) -> None:
         check_count("batch_size", self.batch_size, 1)
-        if not 0.0 <= self.active_fraction <= 1.0:
-            raise InvalidParams("active_fraction must lie in [0, 1]")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise InvalidParams("epsilon must lie in (0, 1]")
+        check_number("active_fraction", self.active_fraction, "[0, 1]")
+        check_number("epsilon", self.epsilon, "(0, 1]")
 
 
 def coverage_lower_bound(n_units: int, batch_size: int, epsilon: float) -> float:
     """Guaranteed minimum per-cycle audit probability of any unit: eps*M/N."""
-    if not (n_units >= batch_size >= 1):
-        raise InvalidParams("need n_units >= batch_size >= 1")
-    if not 0.0 < epsilon <= 1.0:
-        raise InvalidParams("epsilon must lie in (0, 1]")
+    check_count("batch_size", batch_size, 1, n_units)
+    check_number("epsilon", epsilon, "(0, 1]")
     return epsilon * batch_size / n_units
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, NeverAudited, NonFiniteUtility, check_count, check_finite
+from .errors import InvalidParams, NeverAudited, NonFiniteUtility, check_count, check_number
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,16 @@ class SmoothingParams:
     lambda_s: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.beta < 1.0:
-            raise InvalidParams("beta must lie in (0, 1)")
-        check_finite("lambda_s", self.lambda_s)
-        if self.lambda_s < 0.0:
-            raise InvalidParams("lambda_s must be non-negative")
+        check_number("beta", self.beta, "(0, 1)")
+        check_number("lambda_s", self.lambda_s, "[0, inf)")
 
 
 _MAX_WINDOW = 5
+
+
+def check_window(window) -> None:
+    """Raise InvalidParams unless `window`, a history length, is an integer from 3 to `_MAX_WINDOW`."""
+    check_count("history window", window, 3, _MAX_WINDOW)
 
 
 def _pick_tables(max_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +110,7 @@ class UtilityTable:
     """
 
     def __init__(self, n_units: int, window: int = 5):
-        check_count("history window", window, 3, _MAX_WINDOW)
+        check_window(window)
         self.window = window
         self.ema = np.full(n_units, math.nan)
         self.hist = np.full((n_units, window), math.nan)

@@ -72,6 +72,7 @@ BACKBONE = {"layers": 1, "hidden_dims": [16], "param_count": 200_000}
 UNIT_5 = {"id": 5, "family": "LoRA", "topology": "SA", "size": 2, "layer": 0,
           "slot": "Attention", "hidden_dim": 16, "cost": 0.0003}
 NAN, INF = float("nan"), float("inf")
+HUGE = 10**400  # a JSON integer too large for a float
 # A six-unit space with a synthetic oracle over it.
 SMALL = {
     "cycles": 2,
@@ -169,6 +170,11 @@ def with_space(*path, value):
         {"cycles": 2, "steps_per_cycle": 10, "oracle": {"kind": "default", "space": "default"}},
         {"cycles": 2, "steps_per_cycle": 10, "sampler": [1]},
         {"cycles": 2, "steps_per_cycle": 10, "fsm": 5},
+        {"cycles": 2, "steps_per_cycle": 10, "allocator": {"p_max": True}},
+        {"cycles": 2, "steps_per_cycle": 10, "allocator": {"mu_eff": HUGE}},
+        {"cycles": 2, "steps_per_cycle": 10, "smoothing": {"beta": "0.5"}},
+        {"cycles": 2, "steps_per_cycle": HUGE},
+        {"cycles": 2, "steps_per_cycle": 10, "refinetune_steps": HUGE},
     ],
     ids=[
         "non-integer-cycles", "non-object-oracle", "top-level-array", "zero-shots",
@@ -184,6 +190,7 @@ def with_space(*path, value):
         "unknown-synthetic-oracle-key", "unknown-oracle-kind", "null-space", "unknown-space-key",
         "unknown-backbone-key", "unknown-template-key", "unknown-unit-key", "dumped-space-with-templates",
         "default-oracle-shots", "default-oracle-space", "non-object-sampler", "non-object-fsm",
+        "bool-p-max", "huge-integer-mu-eff", "string-beta", "huge-steps-per-cycle", "huge-refinetune-steps",
     ],
 )
 @pytest.mark.parametrize("seed", [None, "3"])
@@ -208,6 +215,29 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, doc, seed):
 def test_unknown_key_error_names_the_key_and_its_object(tmp_path, capsys, doc, line):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, line",
+    [
+        (("allocator", "p_max"), True, "p_max must be a number, not True"),
+        (("allocator", "p_max"), 1.5, "p_max must lie in (0, 1]"),
+        (("allocator", "mu_eff"), HUGE, "mu_eff must be a number within a float's range"),
+        (("smoothing", "beta"), "0.5", "beta must be a number, not '0.5'"),
+        (("smoothing", "lambda_s"), NAN, "lambda_s must lie in [0, inf)"),
+        (("sampler", "epsilon"), 0, "epsilon must lie in (0, 1]"),
+        (("oracle", "kappa"), [200.0] * 5 + [INF], "kappa entry must lie in (0, inf)"),
+        (("steps_per_cycle",), HUGE, "steps_per_cycle must be at most 9007199254740992"),
+        (("refinetune_steps",), 2**53 + 1, "refinetune_steps must be at most 9007199254740992"),
+    ],
+    ids=["bool-p-max", "p-max-above-1", "huge-integer-mu-eff", "string-beta", "nan-lambda-s", "zero-epsilon",
+         "infinite-kappa", "huge-steps-per-cycle", "refinetune-steps-above-2-53"],
+)
+def test_bad_value_error_names_the_field_and_its_rule(tmp_path, capsys, field, value, line):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(set_path(SMALL | {"sampler": {"batch_size": 3}}, field, value)))
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert capsys.readouterr().err == f"error: {line}\n"
 
@@ -310,6 +340,11 @@ def test_any_field_value_exits_0_or_2_with_one_line(field, value):
         with contextlib.redirect_stderr(err):
             code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "o"), "--quiet"])
     assert code in (0, 2), err.getvalue()
+    # Every fuzzed field takes a JSON number, and refinetune_steps also null
+    # (its default), so any other JSON value is refused.
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number and not (field == ("refinetune_steps",) and value is None):
+        assert code == 2, value
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
@@ -376,6 +411,13 @@ def test_baseline_command(tmp_path, config_path):
     doc = json.loads((out / "baseline.json").read_text())
     assert len(doc["values"]) == 5
     assert doc["worst"] <= doc["median"] <= doc["best"]
+
+
+def test_baseline_checks_the_history_window_as_run_does(tmp_path, capsys, config_path):
+    config_path.write_text(json.dumps(json.loads(config_path.read_text()) | {"window": 9}))
+    argv = ["baseline", "--config", str(config_path), "--out", str(tmp_path / "base"), "--samples", "2", "--quiet"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: history window must be at most 5\n"
 
 
 def test_record_and_replay_commands(tmp_path, config_path):

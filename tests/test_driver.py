@@ -193,6 +193,16 @@ def test_regret_shrinks_over_the_run_median_over_seeds():
     assert np.median(diffs) <= 0.0
 
 
+def test_zero_refinetune_steps_still_train_the_regret_horizon_and_baseline_one_step():
+    """The regret horizon and each random baseline train for the loop's steps
+    plus max(1, refinetune_steps), so 0 and 1 re-finetune steps share both."""
+    zero, one = tiny_config(refinetune_steps=0), tiny_config(refinetune_steps=1)
+    (report_zero, _), (report_one, _) = run_full(zero), run_full(one)
+    assert report_zero.regret_curve is not None
+    assert report_zero.regret_curve == report_one.regret_curve
+    assert np.array_equal(run_random_baseline(zero, 4), run_random_baseline(one, 4))
+
+
 def test_global_chatter_count_stays_within_bound_at_90_cycles():
     cfg = tiny_config(cycles=90)
     report, _ = run_full(cfg)
