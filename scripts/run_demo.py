@@ -36,7 +36,7 @@ def main() -> None:
     for uid in on_ids:
         u = cfg.space.units[uid]
         print(f"  {uid:>3}  layer {u.layer}  {u.slot.value:<11} "
-              f"{u.kind.family.value:<11} {u.kind.topology.value:<4} size {u.kind.size:<3} "
+              f"{u.family.value:<11} {u.topology.value:<4} size {u.size:<3} "
               f"cost {u.cost:.6f}")
     print(f"wrote events.jsonl and diagnostics.csv to {args.out}")
 

@@ -44,7 +44,6 @@ from .oracle import (
 )
 from .sampler import SamplerParams, coverage_lower_bound, sample_audit_batch
 from .space import (
-    AdapterKind,
     AdapterUnit,
     AuditSpace,
     BackboneDesc,

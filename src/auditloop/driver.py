@@ -54,6 +54,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         for name, maximum in (("cycles", None), ("steps_per_cycle", MAX_STEPS), ("shots", None)):
             check_count(name, getattr(self, name), 1, maximum)
+        check_count("cycles * steps_per_cycle", self.total_loop_steps, 1, MAX_STEPS)
         if self.refinetune_steps is None:
             # By default the re-finetune gets the loop's whole step budget.
             object.__setattr__(self, "refinetune_steps", self.total_loop_steps)
@@ -77,7 +78,8 @@ class RunConfig:
         or a bad value raises InvalidParams; an unreadable file its OSError."""
         if isinstance(doc, (str, Path)):
             doc = json.loads(Path(doc).read_text())
-        check_keys("run config", doc, {f.name for f in fields(cls)} - {"oracle_spec"} | {"oracle"})
+        check_keys("run config", doc, {f.name for f in fields(cls)} - {"oracle_spec"} | {"oracle"},
+                   required=("cycles", "steps_per_cycle"))
         space_doc, oracle_doc = doc.get("space", "default"), doc.get("oracle", {"kind": "default"})
         if space_doc != "default" and not isinstance(space_doc, dict):
             raise InvalidParams('space must be a JSON object or "default"')
@@ -467,15 +469,13 @@ def default_oracle_spec(space: AuditSpace, shots: int = 1, seed: int = 0) -> Ora
 
     max_size = {Family.LORA: 16, Family.ADAPTFORMER: 32, Family.AFFINE_LN: 1}
     mu_inf = np.empty(n)
-    for u in space.units:
-        size = max(1, u.kind.size)
-        size_factor = (size / max_size[u.kind.family]) ** 0.3
-        mu_inf[u.id] = 0.05 * site_quality[(u.layer, u.slot)] * size_factor * abs(rng.normal(1.0, 0.25))
-    kappa = rng.uniform(300.0, 900.0, size=n)
-
     group_map: dict[tuple, list[int]] = {}
     for u in space.units:
-        group_map.setdefault((u.layer, u.slot, u.kind.family), []).append(u.id)
+        size = max(1, u.size)
+        size_factor = (size / max_size[u.family]) ** 0.3
+        mu_inf[u.id] = 0.05 * site_quality[(u.layer, u.slot)] * size_factor * abs(rng.normal(1.0, 0.25))
+        group_map.setdefault((u.layer, u.slot, u.family), []).append(u.id)
+    kappa = rng.uniform(300.0, 900.0, size=n)
     groups = tuple(tuple(sorted(g)) for _, g in sorted(group_map.items(), key=lambda kv: kv[1][0]))
     gammas = tuple(0.45 if len(g) > 1 else 1.0 for g in groups)
 

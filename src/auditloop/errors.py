@@ -3,7 +3,7 @@ parameter constructors and config readers share."""
 
 import functools
 import numbers
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 
 class AuditLoopError(Exception):
@@ -99,18 +99,23 @@ def check_flag(name: str, value) -> None:
         raise InvalidParams(f"{name} must be true or false, not {value!r}")
 
 
-def check_keys(where: str, doc, known) -> dict:
+def check_keys(where: str, doc, known, required=()) -> dict:
     """`doc` itself; raise InvalidParams, naming `where` (the object's place in
-    the config), unless `doc` is a JSON object whose keys are all in `known`."""
+    the config), unless `doc` is a JSON object whose keys are all in `known`
+    and include every name in `required`."""
     if not isinstance(doc, dict):
         raise InvalidParams(f"{where} must be a JSON object, not {type(doc).__name__}")
     if unknown := sorted(doc.keys() - known):
         raise InvalidParams(f"unknown {where} key {unknown[0]!r}")
+    if missing := [name for name in required if name not in doc]:
+        raise InvalidParams(f"{where} key {missing[0]!r} is missing")
     return doc
 
 
 def read_doc(cls, where: str, doc, ignored=()):
     """The dataclass `cls` built from the JSON object `doc`, whose keys are
-    `cls`'s field names or `ignored`; the ignored keys are dropped."""
+    `cls`'s field names or `ignored`, and include every field without a
+    default; the ignored keys are dropped."""
     names = {f.name for f in fields(cls)}
-    return cls(**{k: v for k, v in check_keys(where, doc, names | set(ignored)).items() if k in names})
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    return cls(**{k: v for k, v in check_keys(where, doc, names | set(ignored), required).items() if k in names})

@@ -2,8 +2,8 @@
 
 The audit space is the fixed library of candidate adapter units (family x
 topology x size x insertion site) that the selection loop gates on and off.
-Units are plain frozen dataclasses; the space is immutable after
-construction and safe to share across workers.
+Units are plain frozen dataclasses, and the space is immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -45,14 +45,24 @@ DEFAULT_ADAPTFORMER_BOTTLENECKS = (4, 8, 16, 32)
 
 
 @dataclass(frozen=True)
-class AdapterKind:
-    """Family, topology and projection size of one adapter variant."""
+class Template:
+    """One adapter variant at one insertion slot: `family/topology/size` at `slot`.
+
+    The one home of the variant rule, for schema rows and units alike: AffineLN
+    takes topology None, size 0 and the Norm slot; LoRA and AdaptFormer take an
+    SA/PA/SAPA topology, a positive size and any other slot. Enum values may
+    be given as their strings.
+    """
 
     family: Family
     topology: Topology
     size: int
+    slot: Slot
 
     def __post_init__(self) -> None:
+        for name, enum in (("family", Family), ("topology", Topology), ("slot", Slot)):
+            if not isinstance(value := getattr(self, name), enum):
+                object.__setattr__(self, name, enum(value))
         check_count("size", self.size, 0)
         if self.family is Family.AFFINE_LN:
             if self.topology is not Topology.NONE or self.size != 0:
@@ -62,44 +72,30 @@ class AdapterKind:
                 raise InvalidParams(f"{self.family.value} requires an SA/PA/SAPA topology")
             if self.size < 1:
                 raise InvalidParams("projection size must be a positive integer")
-
-
-@dataclass(frozen=True)
-class Template:
-    """One row of a space schema: attach `family/topology/size` at every `slot`."""
-
-    family: Family
-    topology: Topology
-    size: int
-    slot: Slot
-
-    def __post_init__(self) -> None:
-        for name, enum in (("family", Family), ("topology", Topology), ("slot", Slot)):
-            object.__setattr__(self, name, enum(getattr(self, name)))
-        self.kind  # AdapterKind checks family, topology and size
         if (self.family is Family.AFFINE_LN) != (self.slot is Slot.NORM):
             raise IncompatibleTemplate(f"{self.family.value} cannot attach to the {self.slot.value} slot")
 
-    @property
-    def kind(self) -> AdapterKind:
-        return AdapterKind(self.family, self.topology, self.size)
-
 
 @dataclass(frozen=True)
-class AdapterUnit:
-    """One gateable candidate in the audit space.
+class AdapterUnit(Template):
+    """One gateable candidate in the audit space: a template on one backbone layer.
 
     `cost` is the unit's trainable-parameter count expressed as a fraction of
     the backbone parameter count, so budgets read as parameter percentages.
     """
 
     id: int
-    kind: AdapterKind
     layer: int
-    slot: Slot
     hidden_dim: int
     cost: float
     gate: bool = False
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for name, minimum in (("id", 0), ("layer", 0), ("hidden_dim", 1)):
+            check_count(f"unit {name}", getattr(self, name), minimum)
+        object.__setattr__(self, "cost", check_number("unit cost", self.cost, "(0, inf)"))
+        check_flag("unit gate", self.gate)
 
 
 @dataclass(frozen=True)
@@ -120,7 +116,7 @@ class BackboneDesc:
         check_count("param_count", self.backbone_param_count, 1)
 
 
-def raw_param_count(kind: AdapterKind, hidden_dim: int, *, sapa_shared_weights: bool = False) -> int:
+def raw_param_count(template: Template, hidden_dim: int, *, sapa_shared_weights: bool = False) -> int:
     """Trainable-parameter count of one unit before budget normalization.
 
     SA and PA carry one down/up projection pair (2*D*size). SAPA carries an
@@ -128,12 +124,10 @@ def raw_param_count(kind: AdapterKind, hidden_dim: int, *, sapa_shared_weights: 
     collapses the two branches onto one pair. AffineLN is a scale and shift
     vector (2*D).
     """
-    if hidden_dim < 1:
-        raise InvalidParams("hidden_dim must be positive")
-    if kind.family is Family.AFFINE_LN:
+    if template.family is Family.AFFINE_LN:
         return 2 * hidden_dim
-    per_pair = 2 * hidden_dim * kind.size
-    if kind.topology is Topology.SAPA and not sapa_shared_weights:
+    per_pair = 2 * hidden_dim * template.size
+    if template.topology is Topology.SAPA and not sapa_shared_weights:
         return 2 * per_pair
     return per_pair
 
@@ -165,8 +159,11 @@ class AuditSpace:
         self.costs = np.array([u.cost for u in self.units], dtype=float)
         if [u.id for u in self.units] != list(range(len(self.units))):
             raise InvalidParams("unit ids must run 0..N-1 in list order")
-        if not np.all(np.isfinite(self.costs) & (self.costs > 0.0)):
-            raise InvalidParams("every unit must have a positive finite cost")
+        # Built and dumped units alike sit on a backbone layer, at its width.
+        for u in self.units:
+            check_count("unit layer", u.layer, 0, backbone.num_layers - 1)
+            if u.hidden_dim != backbone.hidden_dims[u.layer]:
+                raise InvalidParams(f"unit {u.id} hidden_dim must be {backbone.hidden_dims[u.layer]}, layer {u.layer}'s")
 
     @property
     def n_units(self) -> int:
@@ -188,38 +185,21 @@ class AuditSpace:
         Ids run 0..N-1 sorted by (layer, slot, family, topology, size) and are
         stable for a run. Every gate starts inactive.
         """
-        kinds = [t.kind for t in templates]
-        if not templates:
-            raise EmptySpace("schema contains no templates")
-
-        keyed = []
-        for layer in range(backbone.num_layers):
-            d = backbone.hidden_dims[layer]
-            for tpl, kind in zip(templates, kinds):
-                key = (
-                    layer,
-                    _RANK[tpl.slot],
-                    _RANK[tpl.family],
-                    _RANK[tpl.topology],
-                    tpl.size,
-                )
-                keyed.append((key, layer, tpl, kind, d))
-        # Sort on the key alone: equal keys must not fall through to Template.
-        keyed.sort(key=lambda item: item[0])
-
+        # A stable sort: equal templates keep their schema order.
+        ordered = sorted(templates, key=lambda t: (_RANK[t.slot], _RANK[t.family], _RANK[t.topology], t.size))
         units: list[AdapterUnit] = []
-        for uid, (_, layer, tpl, kind, d) in enumerate(keyed):
-            raw = raw_param_count(kind, d, sapa_shared_weights=sapa_shared_weights)
-            units.append(
-                AdapterUnit(
-                    id=uid,
-                    kind=kind,
-                    layer=layer,
-                    slot=tpl.slot,
-                    hidden_dim=d,
-                    cost=raw / backbone.backbone_param_count,
+        for layer, d in enumerate(backbone.hidden_dims):
+            for tpl in ordered:
+                raw = raw_param_count(tpl, d, sapa_shared_weights=sapa_shared_weights)
+                units.append(
+                    AdapterUnit(
+                        **vars(tpl),
+                        id=len(units),
+                        layer=layer,
+                        hidden_dim=d,
+                        cost=raw / backbone.backbone_param_count,
+                    )
                 )
-            )
         return cls(backbone, units)
 
     @classmethod
@@ -229,7 +209,8 @@ class AuditSpace:
 
         Backbone keys: layers, hidden_dims, param_count. Template keys:
         family, topology, size, slot. Optional schema flag: sapa_shared_weights.
-        Every object rejects a key it does not know; a dumped space takes no templates.
+        Unit keys: `AdapterUnit`'s fields, `gate` optional. Every object rejects
+        a key it does not know; a dumped space takes no templates.
         """
         try:
             dumped = "units" in doc
@@ -241,25 +222,7 @@ class AuditSpace:
                 backbone_param_count=bb["param_count"],
             )
             if dumped:
-                for u in doc["units"]:
-                    check_keys("space unit", u, ("id", "family", "topology", "size", "layer", "slot", "hidden_dim",
-                                                 "cost", "gate"))
-                    for key, minimum in (("id", 0), ("layer", 0), ("hidden_dim", 1)):
-                        check_count(f"unit {key}", u[key], minimum)
-                    check_flag("unit gate", u.get("gate", False))
-                units = [
-                    AdapterUnit(
-                        id=u["id"],
-                        kind=AdapterKind(Family(u["family"]), Topology(u["topology"]), u["size"]),
-                        layer=u["layer"],
-                        slot=Slot(u["slot"]),
-                        hidden_dim=u["hidden_dim"],
-                        cost=check_number("unit cost", u["cost"]),
-                        gate=u.get("gate", False),
-                    )
-                    for u in doc["units"]
-                ]
-                return cls(backbone, units)
+                return cls(backbone, [read_doc(AdapterUnit, "space unit", u) for u in doc["units"]])
             templates = [read_doc(Template, "space template", t) for t in doc["templates"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParams(f"malformed space schema: {exc}") from exc
@@ -278,9 +241,9 @@ class AuditSpace:
             "units": [
                 {
                     "id": u.id,
-                    "family": u.kind.family.value,
-                    "topology": u.kind.topology.value,
-                    "size": u.kind.size,
+                    "family": u.family.value,
+                    "topology": u.topology.value,
+                    "size": u.size,
                     "layer": u.layer,
                     "slot": u.slot.value,
                     "hidden_dim": u.hidden_dim,

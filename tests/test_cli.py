@@ -175,6 +175,7 @@ def with_space(*path, value):
         {"cycles": 2, "steps_per_cycle": 10, "smoothing": {"beta": "0.5"}},
         {"cycles": 2, "steps_per_cycle": HUGE},
         {"cycles": 2, "steps_per_cycle": 10, "refinetune_steps": HUGE},
+        {"cycles": HUGE, "steps_per_cycle": 1, "refinetune_steps": 0},
     ],
     ids=[
         "non-integer-cycles", "non-object-oracle", "top-level-array", "zero-shots",
@@ -191,6 +192,7 @@ def with_space(*path, value):
         "unknown-backbone-key", "unknown-template-key", "unknown-unit-key", "dumped-space-with-templates",
         "default-oracle-shots", "default-oracle-space", "non-object-sampler", "non-object-fsm",
         "bool-p-max", "huge-integer-mu-eff", "string-beta", "huge-steps-per-cycle", "huge-refinetune-steps",
+        "huge-cycles",
     ],
 )
 @pytest.mark.parametrize("seed", [None, "3"])
@@ -213,6 +215,29 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, doc, seed):
     ids=["template-sizes", "default-oracle-shots"],
 )
 def test_unknown_key_error_names_the_key_and_its_object(tmp_path, capsys, doc, line):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        ({"cycles": 2}, "run config key 'steps_per_cycle' is missing"),
+        ({"cycles": 2, "steps_per_cycle": 10, "sampler": {}}, "sampler key 'batch_size' is missing"),
+        (SMALL | {"oracle": {"base_score": 0.5}}, "oracle key 'mu_inf' is missing"),
+        (SMALL | {"oracle": {"base_score": 0.5, "mu_inf": [0.05] * 6}}, "oracle key 'kappa' is missing"),
+        ({"cycles": 2, "steps_per_cycle": 10, "space": {"backbone": BACKBONE, "units": [
+            {k: v for k, v in UNIT_5.items() if k != "cost"} | {"id": 0}]}}, "space unit key 'cost' is missing"),
+        (with_space("units", 0, "slot", value="Norm"), "LoRA cannot attach to the Norm slot"),
+        (with_space("units", 0, "layer", value=99), "unit layer must be at most 0"),
+        (with_space("units", 0, "hidden_dim", value=7), "unit 0 hidden_dim must be 16, layer 0's"),
+    ],
+    ids=["no-steps-per-cycle", "empty-sampler", "oracle-without-mu-inf", "oracle-without-kappa",
+         "unit-without-cost", "dumped-lora-on-norm", "unit-on-layer-99", "unit-hidden-dim-7"],
+)
+def test_missing_key_or_misplaced_unit_exits_2_with_one_pinned_line(tmp_path, capsys, doc, line):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
@@ -418,6 +443,14 @@ def test_baseline_checks_the_history_window_as_run_does(tmp_path, capsys, config
     argv = ["baseline", "--config", str(config_path), "--out", str(tmp_path / "base"), "--samples", "2", "--quiet"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: history window must be at most 5\n"
+
+
+def test_baseline_caps_the_loop_steps_as_run_does(tmp_path, capsys, config_path):
+    huge = {"cycles": HUGE, "steps_per_cycle": 1, "refinetune_steps": 0}
+    config_path.write_text(json.dumps(json.loads(config_path.read_text()) | huge))
+    argv = ["baseline", "--config", str(config_path), "--out", str(tmp_path / "base"), "--samples", "2", "--quiet"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cycles * steps_per_cycle must be at most 9007199254740992\n"
 
 
 def test_record_and_replay_commands(tmp_path, config_path):

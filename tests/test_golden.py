@@ -39,6 +39,12 @@ from auditloop.cli import main
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 GOLDEN = json.loads((BENCH / "golden.json").read_text())
 
+# The benchmark's own configs, so the two cannot drift apart.
+_spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = workloads  # its dataclasses look the module up here
+_spec.loader.exec_module(workloads)
+
 
 def events_digest(driver, tmp_path) -> str:
     return hashlib.sha256(driver.write_events(tmp_path / "events.jsonl").read_bytes()).hexdigest()
@@ -51,11 +57,6 @@ def test_default_run_events_match_golden_digest(tmp_path, shots):
 
 
 def test_wide_740_run_events_match_golden_digest(tmp_path):
-    # The benchmark's own config, so the two cannot drift apart.
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look the module up here
-    spec.loader.exec_module(workloads)
     driver = LoopDriver(workloads.wide_config(0))
     driver.run_full()
     assert events_digest(driver, tmp_path) == GOLDEN["wide-740"]["10"]["0"]
@@ -118,12 +119,8 @@ REPORT_DIGEST = "739c323e16bebe8a492900456eb3d9881a5a1c2146710160bafe1b395c7cb35
 
 
 def test_cli_run_report_matches_pinned_digest(tmp_path):
-    if "bench_workloads" not in sys.modules:
-        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[spec.name])
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(sys.modules["bench_workloads"].replay_config_doc(0)))
+    config.write_text(json.dumps(workloads.replay_config_doc(0)))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 0
     assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == REPORT_DIGEST
     # The config that a report echoes reproduces its run.

@@ -3,18 +3,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auditloop import (
-    AdapterKind,
     AuditSpace,
     BackboneDesc,
     Family,
+    RunConfig,
     Slot,
     Template,
     Topology,
     default_backbone,
+    default_oracle_spec,
+    default_run_config,
     default_space,
     default_templates,
+    gate_cost,
     raw_param_count,
 )
 from auditloop.errors import EmptySpace, IncompatibleTemplate, InvalidParams
@@ -53,20 +58,20 @@ def test_empty_schema_rejected():
 
 def test_kind_invariants():
     with pytest.raises(InvalidParams):
-        AdapterKind(Family.AFFINE_LN, Topology.SA, 0)
+        Template(Family.AFFINE_LN, Topology.SA, 0, Slot.NORM)
     with pytest.raises(InvalidParams):
-        AdapterKind(Family.LORA, Topology.NONE, 8)
+        Template(Family.LORA, Topology.NONE, 8, Slot.ATTENTION)
     with pytest.raises(InvalidParams):
-        AdapterKind(Family.LORA, Topology.SA, 0)
+        Template(Family.LORA, Topology.SA, 0, Slot.ATTENTION)
 
 
 @pytest.mark.parametrize(
     "kind,hidden,expected",
     [
-        (AdapterKind(Family.LORA, Topology.SA, 8), 768, 12288),
-        (AdapterKind(Family.ADAPTFORMER, Topology.SAPA, 4), 768, 12288),
-        (AdapterKind(Family.AFFINE_LN, Topology.NONE, 0), 48, 96),
-        (AdapterKind(Family.LORA, Topology.PA, 2), 48, 192),
+        (Template(Family.LORA, Topology.SA, 8, Slot.ATTENTION), 768, 12288),
+        (Template(Family.ADAPTFORMER, Topology.SAPA, 4, Slot.FEEDFORWARD), 768, 12288),
+        (Template(Family.AFFINE_LN, Topology.NONE, 0, Slot.NORM), 48, 96),
+        (Template(Family.LORA, Topology.PA, 2, Slot.ATTENTION), 48, 192),
     ],
 )
 def test_raw_param_count(kind, hidden, expected):
@@ -74,17 +79,17 @@ def test_raw_param_count(kind, hidden, expected):
 
 
 def test_sapa_shared_weight_flag_halves_cost():
-    kind = AdapterKind(Family.LORA, Topology.SAPA, 8)
+    kind = Template(Family.LORA, Topology.SAPA, 8, Slot.ATTENTION)
     assert raw_param_count(kind, 64, sapa_shared_weights=True) == raw_param_count(
-        AdapterKind(Family.LORA, Topology.SA, 8), 64
+        Template(Family.LORA, Topology.SA, 8, Slot.ATTENTION), 64
     )
 
 
 def test_raw_param_count_monotone_in_size_and_dim():
     for topo in (Topology.SA, Topology.PA, Topology.SAPA):
-        counts = [raw_param_count(AdapterKind(Family.LORA, topo, r), 64) for r in (2, 4, 8, 16)]
+        counts = [raw_param_count(Template(Family.LORA, topo, r, Slot.ATTENTION), 64) for r in (2, 4, 8, 16)]
         assert counts == sorted(counts) and len(set(counts)) == 4
-    dims = [raw_param_count(AdapterKind(Family.LORA, Topology.SA, 4), d) for d in (16, 48, 96)]
+    dims = [raw_param_count(Template(Family.LORA, Topology.SA, 4, Slot.ATTENTION), d) for d in (16, 48, 96)]
     assert dims == sorted(dims) and len(set(dims)) == 3
 
 
@@ -99,7 +104,7 @@ def test_costs_positive_and_budget_binding():
 def test_id_order_lexicographic():
     space = default_space()
     keys = [
-        (u.layer, u.slot.value != "Attention", u.slot.value == "Norm", u.kind.family.value)
+        (u.layer, u.slot.value != "Attention", u.slot.value == "Norm", u.family.value)
         for u in space.units
     ]
     # layer-major ordering; attention before feedforward before norm
@@ -117,8 +122,8 @@ def test_json_roundtrip(tmp_path):
     doc = {
         "backbone": {"layers": 2, "hidden_dims": [48, 96], "param_count": 1_500_000},
         "templates": [
-            {"family": u.kind.family.value, "topology": u.kind.topology.value,
-             "size": u.kind.size, "slot": u.slot.value}
+            {"family": u.family.value, "topology": u.topology.value,
+             "size": u.size, "slot": u.slot.value}
             for u in space.units
             if u.layer == 0
         ],
@@ -144,3 +149,30 @@ def test_malformed_schema_rejected():
     with pytest.raises(InvalidParams):
         AuditSpace.from_json({"backbone": {"layers": 1}, "templates": []})
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.lists(st.integers(8, 128), min_size=1, max_size=3),
+    templates=st.lists(st.sampled_from(default_templates()), min_size=1, max_size=8, unique=True),
+    shared=st.booleans(),
+    picks=st.lists(st.integers(0, 10**6), max_size=4),
+)
+def test_generated_space_and_run_config_round_trip_through_json(dims, templates, shared, picks):
+    backbone = BackboneDesc(len(dims), tuple(dims), 1_500_000)
+    built = AuditSpace.build(backbone, templates, sapa_shared_weights=shared)
+    p_max = default_run_config().allocator.p_max
+    gates = np.zeros(built.n_units, dtype=bool)
+    for i in picks:
+        gates[i % built.n_units] = True
+        if gate_cost(gates, built.costs) > p_max:
+            gates[i % built.n_units] = False
+    space = AuditSpace(backbone, [replace(u, gate=bool(g)) for u, g in zip(built.units, gates)])
+
+    loaded = AuditSpace.from_json(space.to_json())
+    assert loaded.units == space.units
+    assert loaded.costs.tobytes() == space.costs.tobytes()
+
+    cfg = replace(default_run_config(), space=space, oracle_spec=default_oracle_spec(space, seed=len(picks)))
+    doc = json.loads(json.dumps(cfg.to_json()))
+    assert json.loads(json.dumps(RunConfig.from_json(doc).to_json())) == doc
