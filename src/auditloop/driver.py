@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -84,7 +84,6 @@ class RunConfig:
         if space_doc != "default" and not isinstance(space_doc, dict):
             raise InvalidParams('space must be a JSON object or "default"')
         kind = oracle_doc.get("kind", "synthetic") if isinstance(oracle_doc, dict) else "synthetic"
-        scalars = ("cycles", "steps_per_cycle", "refinetune_steps", "shots", "run_seed", "window")
         try:
             space = default_space() if space_doc == "default" else AuditSpace.from_json(space_doc)
             if kind == "default":
@@ -94,32 +93,29 @@ class RunConfig:
                 spec = read_doc(OracleSpec, "oracle", oracle_doc, ignored=("kind",))
             else:
                 raise InvalidParams(f'oracle kind must be "default" or "synthetic", not {kind!r}')
-            return cls(
-                space=space,
-                oracle_spec=spec,
-                sampler=read_doc(SamplerParams, "sampler", doc.get("sampler", {"batch_size": 6})),
-                smoothing=read_doc(SmoothingParams, "smoothing", doc.get("smoothing", {})),
-                allocator=read_doc(AllocatorParams, "allocator", doc.get("allocator", {})),
+            objects = {
+                "space": space,
+                "oracle_spec": spec,
+                "sampler": read_doc(SamplerParams, "sampler", doc.get("sampler", {"batch_size": 6})),
+                "smoothing": read_doc(SmoothingParams, "smoothing", doc.get("smoothing", {})),
+                "allocator": read_doc(AllocatorParams, "allocator", doc.get("allocator", {})),
                 # Older configs may carry tau_rank, the threshold of a
                 # rank-change vote this engine does not have; ignore it.
-                fsm=read_doc(FsmParams, "fsm", doc.get("fsm", {}), ignored=("tau_rank",)),
-                **{name: doc[name] for name in scalars if name in doc},
-            )
+                "fsm": read_doc(FsmParams, "fsm", doc.get("fsm", {}), ignored=("tau_rank",)),
+            }
+            # Every other key names a scalar field.
+            return cls(**{key: value for key, value in doc.items() if key != "oracle"} | objects)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParams(f"malformed run config: {exc}") from exc
 
     def to_json(self) -> dict:
-        return {
-            "space": self.space.to_json(),
-            "oracle": self.oracle_spec.to_json(),
-            **{name: asdict(getattr(self, name)) for name in ("sampler", "smoothing", "allocator", "fsm")},
-            "cycles": self.cycles,
-            "steps_per_cycle": self.steps_per_cycle,
-            "refinetune_steps": self.refinetune_steps,
-            "shots": self.shots,
-            "run_seed": self.run_seed,
-            "window": self.window,
-        }
+        """The document `from_json` reads back: each field under its name,
+        `oracle_spec` under `oracle`, the space as its own `to_json` writes
+        it and the other objects as `asdict` does."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc |= {name: asdict(value) for name, value in doc.items() if is_dataclass(value)}
+        doc["space"], doc["oracle"] = self.space.to_json(), doc.pop("oracle_spec")
+        return doc
 
 
 @dataclass(frozen=True)
@@ -136,18 +132,12 @@ class RunReport:
     eval_count: int
 
     def to_json(self) -> dict:
-        return {
+        """Each field under its name, arrays as JSON lists and the final gates
+        as a bitstring, plus `final_on_ids`, the ids of the final set."""
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
             "final_gates": gates_to_bits(self.final_gates),
             "final_on_ids": [int(i) for i in np.flatnonzero(self.final_gates)],
-            "final_value": self.final_value,
-            "final_score": self.final_score,
-            "budget_used": self.budget_used,
-            "t_c": self.t_c,
-            "max_unit_flips": self.max_unit_flips,
             "probe_counts": [int(c) for c in self.probe_counts],
-            "value_curve": self.value_curve,
-            "regret_curve": self.regret_curve,
-            "eval_count": self.eval_count,
         }
 
 

@@ -112,10 +112,17 @@ def check_keys(where: str, doc, known, required=()) -> dict:
     return doc
 
 
+@functools.cache
+def _doc_keys(cls) -> tuple[frozenset[str], tuple[str, ...]]:
+    """The field names of the dataclass `cls`, and those of its fields
+    without a default, in field order."""
+    names = frozenset(f.name for f in fields(cls))
+    return names, tuple(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
+
+
 def read_doc(cls, where: str, doc, ignored=()):
     """The dataclass `cls` built from the JSON object `doc`, whose keys are
     `cls`'s field names or `ignored`, and include every field without a
     default; the ignored keys are dropped."""
-    names = {f.name for f in fields(cls)}
-    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
-    return cls(**{k: v for k, v in check_keys(where, doc, names | set(ignored), required).items() if k in names})
+    names, required = _doc_keys(cls)
+    return cls(**{k: v for k, v in check_keys(where, doc, names.union(ignored), required).items() if k in names})

@@ -18,13 +18,15 @@ the engine audits on one thread. The recorder forwards `oracle_optimum`
 (ground truth, for the regret curve) unrecorded; a replay has none.
 
 A group's term sums its active members in spec order as a 1-D numpy `.sum()`
-does (pairwise, not left to right). `_terms` finds the terms of a query's
-groups and toggled groups in one pass: the rows with k active members form
+does (pairwise, not left to right). `_terms` finds the terms of every group
+and of each toggled group in one pass: the rows with k active members form
 one C-contiguous (rows, k) block, whose `sum(axis=1)` adds each row exactly
 as that 1-D sum (a test pins this for the installed numpy), so there is one
-reduction per distinct count, not per group. `true_value` on the state of
-the latest `evaluate_toggles` reuses its utilities and group terms, and
-recomputes only the groups whose gates differ. This relies on a
+reduction per distinct count, not per group. `true_value` and
+`evaluate_toggles` share that one noise-free computation. The oracle caches
+only the state, the gates and the noise-free full value of the latest
+`evaluate_toggles`, which `true_value` returns for that state and those
+gates; any other query scores every group afresh. This relies on a
 `TrainingState`'s arrays never changing in place; `train_step` makes new ones.
 
 Every seeded stream in the engine comes from a `KeyedStreams`: its
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,12 +56,15 @@ from .errors import (
     TooLarge,
     UnknownConfiguration,
     check_count,
+    check_keys,
     check_number,
 )
 
 _NOISE_TAG = 0x0E11
 _DRIFT_TAG = 0xD21F
 _NO_UNITS = np.empty(0, dtype=np.intp)
+# The keys of every trace record.
+_TRACE_KEYS = ("gates", "noise_seed", "score")
 
 
 # Keys per seed-state block: a `KeyedStreams` hashes the seeds of keys
@@ -223,9 +228,6 @@ class OracleSpec:
         out.extend(((i,), 1.0) for i in range(self.n_units) if i not in covered)
         return out
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class TrainingState:
@@ -269,7 +271,7 @@ class SyntheticOracle:
             self._group_of[ids], self._slot[ids, np.arange(len(ids))] = k, True
             cap = float(np.maximum(self._mu_inf[ids], 0.0).sum())
             self._shape.append((cap ** (1.0 - gamma), gamma) if gamma < 1.0 and cap > 0.0 else None)
-        self._memo: tuple = (None, None, None, None)
+        self._cache: tuple = (None, None, None)
         self._noise = KeyedStreams(spec.seed, _NOISE_TAG)
         self._drift = KeyedStreams(spec.seed, _DRIFT_TAG)
 
@@ -291,13 +293,13 @@ class SyntheticOracle:
             raise LengthMismatch("gate vector length must match the unit count")
         return gates
 
-    def _terms(self, mu: np.ndarray, gates: np.ndarray, groups: np.ndarray, units=_NO_UNITS) -> list[float]:
-        """Terms of each of `groups` under `gates`, then of each of `units`'
-        group with that unit toggled. Rows sorted by active count put each
-        count's values side by side; a row with none sums to 0.0."""
-        rows = np.concatenate((groups, self._group_of.take(units)))
+    def _terms(self, mu: np.ndarray, gates: np.ndarray, units=_NO_UNITS) -> list[float]:
+        """Terms of every group under `gates`, then of each of `units`' group
+        with that unit toggled. Rows sorted by active count put each count's
+        values side by side; a row with none sums to 0.0."""
+        rows = np.concatenate((self._rows, self._group_of.take(units)))
         act = gates.take(self._table.take(rows, 0)) & self._valid.take(rows, 0)
-        act[groups.size :] ^= self._slot.take(units, 0)
+        act[self._rows.size :] ^= self._slot.take(units, 0)
         counts = act.sum(axis=1)
         order = np.argsort(counts, kind="stable")
         by_count = rows.take(order)
@@ -313,33 +315,29 @@ class SyntheticOracle:
             terms[r] = s if shape is None or s <= 0.0 else shape[0] * s ** shape[1]
         return terms
 
-    def _totals(self, terms: list[float], groups=(), values=()) -> np.ndarray:
-        """Base score plus the group terms, added in group order from left to
-        right and clamped to [0, 1]. Row 0 totals `terms`; row r then totals
-        them with group `groups[r - 1]`'s term replaced by `values[r - 1]`.
-        One accumulate along each row adds exactly as a Python loop would; a
-        row sum would add pairwise."""
-        rows = np.empty((1 + len(values), 1 + len(terms)))
+    def _values(self, state: TrainingState, gates: np.ndarray, units=_NO_UNITS) -> list[float]:
+        """Noise-free values of `gates`, then of each one-unit toggle of it in
+        `units`, from one `_terms` pass: the base score plus the group terms,
+        added in group order from left to right and clamped to [0, 1], with a
+        toggle's group term in its row. One accumulate along each row adds
+        exactly as a Python loop would; a row sum would add pairwise."""
+        terms, n_groups = self._terms(self._unit_utilities(state), gates, units), self._rows.size
+        rows = np.empty((1 + units.size, 1 + n_groups))
         rows[:, 0] = self.spec.base_score
-        rows[:, 1:] = terms
-        if len(values):
-            rows[np.arange(1, rows.shape[0]), 1 + groups] = values
+        rows[:, 1:] = terms[:n_groups]
+        rows[np.arange(1, rows.shape[0]), 1 + self._group_of[units]] = terms[n_groups:]
         totals = np.add.accumulate(rows, axis=1)[:, -1]
-        return np.minimum(1.0, np.maximum(0.0, totals))
+        return np.minimum(1.0, np.maximum(0.0, totals)).tolist()
 
     def true_value(self, state: TrainingState, gates) -> float:
         """Noise-free score of a configuration; does not count as an evaluation.
-        After `evaluate_toggles` on this state, it reuses that call's unit
-        utilities, and its group terms too if the gates are equal."""
+        On the state and gates of the latest `evaluate_toggles` it returns that
+        call's value of the full configuration."""
         gates = self._check_gates(gates)
-        memo_state, mu, memo_gates, terms = self._memo
-        if memo_state is not state:
-            terms = self._terms(self._unit_utilities(state), gates, self._rows)
-        elif (changed := self._group_of[memo_gates != gates]).size:
-            terms = list(terms)
-            for group, term in zip(changed.tolist(), self._terms(mu, gates, changed)):
-                terms[group] = term
-        return float(self._totals(terms)[0])
+        cached_state, cached_gates, value = self._cache
+        if cached_state is not state or not np.array_equal(cached_gates, gates):
+            value = self._values(state, gates)[0]
+        return value
 
     def evaluate_toggles(
         self, state: TrainingState, gates, units, first_call_index: int
@@ -347,18 +345,13 @@ class SyntheticOracle:
         """`true_value` plus noise, clamped to [0, 1], of `gates` and of each
         one-unit toggle of it, at call indices first_call_index, +1, ...
 
-        One `_terms` pass yields the group terms of the full configuration
-        and of each toggle's group, and one `_totals` call adds up the full
-        configuration and every toggle. Each call index's noise is drawn from
-        a stream seeded by (spec.seed, call index), so a fixed call-index
-        assignment reproduces identical scores under any execution schedule.
+        Each call index's noise is drawn from a stream seeded by (spec.seed,
+        call index), so a fixed call-index assignment reproduces identical
+        scores under any execution schedule.
         """
         gates = self._check_gates(gates)
-        units = np.asarray(units, dtype=np.intp)
-        mu = self._unit_utilities(state)
-        terms, n_groups = self._terms(mu, gates, self._rows, units), len(self._groups)
-        self._memo = (state, mu, gates.copy(), terms[:n_groups])
-        totals = self._totals(terms[:n_groups], self._group_of[units], terms[n_groups:]).tolist()
+        totals = self._values(state, gates, np.asarray(units, dtype=np.intp))
+        self._cache = (state, gates.copy(), totals[0])
         if (sigma := self.spec.sigma_val) > 0.0:
             totals = [v + sigma * self._noise(first_call_index + pos).standard_normal() for pos, v in enumerate(totals)]
         full, *toggled = [min(1.0, max(0.0, v)) for v in totals]
@@ -525,9 +518,9 @@ class ReplayOracle:
 def replay_trace(path: str | Path) -> ReplayOracle:
     """Build a replay oracle from a JSONL trace of {gates, score, noise_seed}:
     a 0/1 string, a JSON number (NaN and infinities included) and a JSON
-    integer of at least -1. A trace that cannot be read raises its OSError;
-    one that is not UTF-8, or holds any other line, raises MalformedTrace
-    naming the line."""
+    integer of at least -1, and no other key. A trace that cannot be read
+    raises its OSError; one that is not UTF-8, or holds any other line,
+    raises MalformedTrace naming the line."""
     path = Path(path)
     records: list[tuple[str, int, float]] = []
     try:
@@ -538,10 +531,10 @@ def replay_trace(path: str | Path) -> ReplayOracle:
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
+            rec = check_keys("trace record", json.loads(line), _TRACE_KEYS, required=_TRACE_KEYS)
             bits, score, noise_seed = rec["gates"], check_number("score", rec["score"]), rec["noise_seed"]
             check_count("noise_seed", noise_seed, -1)
-        except (KeyError, TypeError, ValueError, InvalidParams) as exc:
+        except (ValueError, InvalidParams) as exc:
             raise MalformedTrace(f"{path}:{lineno}: {exc}") from exc
         if not isinstance(bits, str) or bits.strip("01"):
             raise MalformedTrace(f"{path}:{lineno}: gates must be a 0/1 bitstring")

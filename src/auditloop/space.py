@@ -116,6 +116,10 @@ class BackboneDesc:
         check_count("param_count", self.backbone_param_count, 1)
 
 
+# A space document's backbone key for each `BackboneDesc` field.
+_BACKBONE_KEYS = {"layers": "num_layers", "hidden_dims": "hidden_dims", "param_count": "backbone_param_count"}
+
+
 def raw_param_count(template: Template, hidden_dim: int, *, sapa_shared_weights: bool = False) -> int:
     """Trainable-parameter count of one unit before budget normalization.
 
@@ -207,51 +211,33 @@ class AuditSpace:
         """Load a schema document {"backbone": ..., "templates": [...]} or a
         previously dumped space {"backbone": ..., "units": [...]}.
 
-        Backbone keys: layers, hidden_dims, param_count. Template keys:
-        family, topology, size, slot. Optional schema flag: sapa_shared_weights.
-        Unit keys: `AdapterUnit`'s fields, `gate` optional. Every object rejects
-        a key it does not know; a dumped space takes no templates.
+        Backbone keys: `_BACKBONE_KEYS`. Template keys: family, topology,
+        size, slot. Optional schema flag: sapa_shared_weights. Unit keys:
+        `AdapterUnit`'s fields, `gate` optional. Every object rejects a key it
+        does not know and names one it needs and lacks; a dumped space takes
+        no templates.
         """
         try:
             dumped = "units" in doc
-            check_keys("space", doc, ("backbone", "units") if dumped else ("backbone", "templates", "sapa_shared_weights"))
-            bb = check_keys("space backbone", doc["backbone"], ("layers", "hidden_dims", "param_count"))
-            backbone = BackboneDesc(
-                num_layers=bb["layers"],
-                hidden_dims=tuple(bb["hidden_dims"]),
-                backbone_param_count=bb["param_count"],
-            )
+            keys = ("backbone", "units") if dumped else ("backbone", "templates", "sapa_shared_weights")
+            check_keys("space", doc, keys, required=keys[:2])
+            bb = check_keys("space backbone", doc["backbone"], _BACKBONE_KEYS, required=_BACKBONE_KEYS)
+            backbone = BackboneDesc(**{name: bb[key] for key, name in _BACKBONE_KEYS.items()})
             if dumped:
                 return cls(backbone, [read_doc(AdapterUnit, "space unit", u) for u in doc["units"]])
             templates = [read_doc(Template, "space template", t) for t in doc["templates"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise InvalidParams(f"malformed space schema: {exc}") from exc
         shared = doc.get("sapa_shared_weights", False)
         check_flag("sapa_shared_weights", shared)
         return cls.build(backbone, templates, sapa_shared_weights=shared)
 
     def to_json(self) -> dict:
-        """Dump the generated space (id -> unit descriptor) for reproducibility."""
+        """Dump the generated space for reproducibility: the backbone under
+        `_BACKBONE_KEYS` and each unit as its fields, enums by value."""
         return {
-            "backbone": {
-                "layers": self.backbone.num_layers,
-                "hidden_dims": list(self.backbone.hidden_dims),
-                "param_count": self.backbone.backbone_param_count,
-            },
-            "units": [
-                {
-                    "id": u.id,
-                    "family": u.family.value,
-                    "topology": u.topology.value,
-                    "size": u.size,
-                    "layer": u.layer,
-                    "slot": u.slot.value,
-                    "hidden_dim": u.hidden_dim,
-                    "cost": u.cost,
-                    "gate": u.gate,
-                }
-                for u in self.units
-            ],
+            "backbone": {key: getattr(self.backbone, name) for key, name in _BACKBONE_KEYS.items()},
+            "units": [{k: v.value if isinstance(v, Enum) else v for k, v in vars(u).items()} for u in self.units],
         }
 
 

@@ -230,12 +230,17 @@ def test_unknown_key_error_names_the_key_and_its_object(tmp_path, capsys, doc, l
         (SMALL | {"oracle": {"base_score": 0.5, "mu_inf": [0.05] * 6}}, "oracle key 'kappa' is missing"),
         ({"cycles": 2, "steps_per_cycle": 10, "space": {"backbone": BACKBONE, "units": [
             {k: v for k, v in UNIT_5.items() if k != "cost"} | {"id": 0}]}}, "space unit key 'cost' is missing"),
+        (with_space("backbone", value={"layers": 1}), "space backbone key 'hidden_dims' is missing"),
+        ({"cycles": 2, "steps_per_cycle": 10, "space": {"backbone": BACKBONE}}, "space key 'templates' is missing"),
+        ({"cycles": 2, "steps_per_cycle": 10, "space": {"units": [UNIT_5 | {"id": 0}]}},
+         "space key 'backbone' is missing"),
         (with_space("units", 0, "slot", value="Norm"), "LoRA cannot attach to the Norm slot"),
         (with_space("units", 0, "layer", value=99), "unit layer must be at most 0"),
         (with_space("units", 0, "hidden_dim", value=7), "unit 0 hidden_dim must be 16, layer 0's"),
     ],
     ids=["no-steps-per-cycle", "empty-sampler", "oracle-without-mu-inf", "oracle-without-kappa",
-         "unit-without-cost", "dumped-lora-on-norm", "unit-on-layer-99", "unit-hidden-dim-7"],
+         "unit-without-cost", "backbone-without-hidden-dims", "schema-without-templates", "dump-without-backbone",
+         "dumped-lora-on-norm", "unit-on-layer-99", "unit-hidden-dim-7"],
 )
 def test_missing_key_or_misplaced_unit_exits_2_with_one_pinned_line(tmp_path, capsys, doc, line):
     bad = tmp_path / "bad.json"

@@ -408,6 +408,21 @@ def test_trace_field_of_the_wrong_type_is_malformed_naming_the_line(tmp_path, fi
         replay_trace(path)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [('{"gates": "010", "noise_seed": 1, "score": 0.7, "extra": true}', "unknown trace record key 'extra'"),
+     ('{"gates": "010", "noise_seed": 1}', "trace record key 'score' is missing"),
+     ("7", "trace record must be a JSON object, not int")],
+    ids=["extra-key", "missing-score", "non-object"],
+)
+def test_trace_line_other_than_one_record_is_malformed_naming_the_line_and_key(tmp_path, line, message):
+    path = write_trace(tmp_path / "trace.jsonl", [{"gates": "010", "score": 0.8, "noise_seed": 0}])
+    path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(MalformedTrace) as info:
+        replay_trace(path)
+    assert str(info.value) == f"{path}:2: {message}"
+
+
 def test_record_then_replay_reproduces_scores(tmp_path):
     spec = simple_spec(sigma_val=0.03)
     inner = SyntheticOracle(spec)

@@ -38,3 +38,10 @@ def test_digests_prints_the_golden_digest_and_a_combined_one(tmp_path):
     ]
     assert lines[0][0] == golden["paper-default"]["1"]["0"]
     assert all(len(digest) == 64 for digest, _ in lines)
+
+
+def test_digests_with_its_defaults_prints_the_combined_golden_digest(tmp_path):
+    # Every default run, random baseline and 740-unit run in one line: a
+    # change that means to keep the engine's output keeps this digest.
+    last = run_script(tmp_path, ["digests.py"]).splitlines()[-1]
+    assert last == "c4c8da5ede9e6b03f3f90125116dddec6b69f8694e8bd8bcba276d870947c5f1  combined"

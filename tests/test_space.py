@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,11 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auditloop import (
+    AdapterUnit,
+    AllocatorParams,
     AuditSpace,
     BackboneDesc,
     Family,
+    FsmParams,
+    OracleSpec,
     RunConfig,
+    SamplerParams,
     Slot,
+    SmoothingParams,
     Template,
     Topology,
     default_backbone,
@@ -23,6 +29,7 @@ from auditloop import (
     raw_param_count,
 )
 from auditloop.errors import EmptySpace, IncompatibleTemplate, InvalidParams
+from auditloop.space import _BACKBONE_KEYS
 
 
 def test_default_schema_unit_count():
@@ -176,3 +183,19 @@ def test_generated_space_and_run_config_round_trip_through_json(dims, templates,
     cfg = replace(default_run_config(), space=space, oracle_spec=default_oracle_spec(space, seed=len(picks)))
     doc = json.loads(json.dumps(cfg.to_json()))
     assert json.loads(json.dumps(RunConfig.from_json(doc).to_json())) == doc
+
+
+def field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def test_each_writer_writes_the_keys_its_reader_accepts():
+    doc = default_run_config().to_json()
+    assert set(doc) == field_names(RunConfig) - {"oracle_spec"} | {"oracle"}
+    for name, cls in [("oracle", OracleSpec), ("sampler", SamplerParams), ("smoothing", SmoothingParams),
+                      ("allocator", AllocatorParams), ("fsm", FsmParams)]:
+        assert set(doc[name]) == field_names(cls), name
+    assert set(doc["space"]) == {"backbone", "units"}
+    assert set(_BACKBONE_KEYS.values()) == field_names(BackboneDesc)
+    assert set(doc["space"]["backbone"]) == set(_BACKBONE_KEYS)
+    assert all(set(unit) == field_names(AdapterUnit) for unit in doc["space"]["units"])
