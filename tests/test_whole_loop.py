@@ -1,0 +1,99 @@
+"""One property test over whole runs of small configs at their edges.
+
+Tier-1 runs a fixed set of examples (`derandomize=True`). A long randomized
+run draws fresh ones:
+
+    AUDITLOOP_FUZZ=2000 python -m pytest tests/test_whole_loop.py
+"""
+
+import os
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from auditloop import (
+    AllocatorParams,
+    FsmParams,
+    LoopDriver,
+    RunConfig,
+    SamplerParams,
+    SmoothingParams,
+    SyntheticOracle,
+    TraceRecordingOracle,
+    compute_diagnostics,
+    gate_cost,
+    replay_trace,
+)
+from auditloop.driver import default_oracle_spec
+from auditloop.space import AuditSpace, BackboneDesc, default_templates
+
+FUZZ = int(os.environ.get("AUDITLOOP_FUZZ", "0"))
+
+
+@st.composite
+def configs(draw):
+    layers = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.sampled_from([8, 16, 48, 96]), min_size=layers, max_size=layers))
+    templates = default_templates()
+    picks = draw(st.lists(st.integers(0, len(templates) - 1), min_size=1, max_size=5, unique=True))
+    space = AuditSpace.build(BackboneDesc(layers, tuple(dims), 200_000), [templates[i] for i in sorted(picks)])
+    n = space.n_units
+    # Below the cheapest unit nothing fits; 1.0 fits everything.
+    p_max = draw(st.sampled_from([float(space.costs.min()) / 2, float(space.costs.sum()) / 3, 1.0]))
+    shots, seed = draw(st.sampled_from([1, 5, 10])), draw(st.integers(0, 2**16))
+    return RunConfig(
+        space=space,
+        oracle_spec=replace(default_oracle_spec(space, shots, seed), drift=draw(st.sampled_from([1e-4, 0.01]))),
+        sampler=SamplerParams(
+            batch_size=draw(st.integers(1, n)),
+            active_fraction=draw(st.sampled_from([0.0, 1.0])),
+            epsilon=draw(st.sampled_from([0.3, 1.0])),
+        ),
+        smoothing=SmoothingParams(lambda_s=draw(st.sampled_from([0.0, 0.5]))),
+        allocator=AllocatorParams(p_max=p_max, mu_eff=draw(st.sampled_from([0.0, 0.02]))),
+        fsm=FsmParams(tau_act=draw(st.integers(1, 4))),
+        cycles=draw(st.integers(1, 12)),
+        steps_per_cycle=draw(st.integers(1, 200)),
+        refinetune_steps=0,
+        shots=shots,
+        run_seed=seed,
+        window=draw(st.integers(3, 5)),
+    )
+
+
+@settings(
+    deadline=None,
+    derandomize=not FUZZ,
+    max_examples=FUZZ or 100,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(config=configs())
+def test_whole_runs_keep_budget_score_replay_and_log_invariants(config):
+    costs, p_max = config.space.costs, config.allocator.p_max
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        # The recorder must be closed, as `cmd_run` closes it, or the trace is empty.
+        with TraceRecordingOracle(SyntheticOracle(config.oracle_spec), tmp / "trace.jsonl") as oracle:
+            driver = LoopDriver(config, oracle=oracle)
+            report = driver.run_full()
+        events = driver.write_events(tmp / "events.jsonl")
+
+        cycles = [r for r in driver.records if r["kind"] == "cycle"]
+        assert len(cycles) == config.cycles
+        assert all(r["allocate"]["total_cost"] <= p_max for r in cycles)
+        final = report.final_gates
+        assert np.all(driver.scores[final] > 0.0)
+        assert gate_cost(final, costs) <= p_max
+
+        replayed = LoopDriver(config, oracle=replay_trace(tmp / "trace.jsonl"))
+        replayed.run_full()
+        assert replayed.write_events(tmp / "replayed.jsonl").read_bytes() == events.read_bytes()
+
+        diag = compute_diagnostics(events)
+        assert diag["last_cycle"] == config.cycles - 1
+        assert diag["final_value"] == report.final_value
+        assert diag["eval_count"] == report.eval_count
