@@ -68,7 +68,7 @@ class _Budget:
                 return approx <= self.p_max
             return gate_cost(mask_of(0), self.costs) <= self.p_max
         ok = approx <= self.p_max
-        for i in np.flatnonzero(np.abs(approx - self.p_max) <= self.band).tolist():  # too close to call
+        for i in (np.abs(approx - self.p_max) <= self.band).nonzero()[0].tolist():  # too close to call
             ok[i] = gate_cost(mask_of(i), self.costs) <= self.p_max
         return ok
 
@@ -82,19 +82,23 @@ def fill(gates, order, costs, p_max: float) -> tuple[np.ndarray, list[int]]:
     gates = np.array(gates, dtype=bool)
     costs = np.asarray(costs, dtype=float)
     order = np.asarray(order, dtype=np.intp)
+    on, ids = gates[order], np.sort(order)
+    if on.any():
+        raise InvalidParams(f"fill: unit {order[on][0]} is already on")
+    if (twice := ids[1:][ids[1:] == ids[:-1]]).size:
+        raise InvalidParams(f"fill: unit {twice[0]} appears twice in order")
     fits = _Budget(costs, p_max).fits
-    trial = lambda _: gates  # the unit under test is switched on in place
     total = gate_cost(gates, costs)
+    kept: list[int] = []  # ends with the unit under test
+    trial = lambda _: gates | (np.bincount(kept, minlength=gates.size) > 0)  # called only in the band
     rejected: list[int] = []
     for i, cost in zip(order.tolist(), costs[order].tolist()):  # Python scalars are faster here
-        if gates[i]:
-            raise InvalidParams(f"fill: unit {i} is already on")
-        gates[i] = True
+        kept.append(i)
         if fits(total + cost, trial):
             total += cost
         else:
-            gates[i] = False
-            rejected.append(i)
+            rejected.append(kept.pop())
+    gates[kept] = True
     return gates, rejected
 
 
@@ -105,7 +109,7 @@ def _validate(scores, costs) -> tuple[np.ndarray, np.ndarray]:
         raise LengthMismatch("scores and costs must be 1-D vectors of equal length")
     if np.any(costs <= 0.0):
         raise NonPositiveCost("all unit costs must be positive")
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise InvalidParams("scores must be finite")
     return scores, costs
 
@@ -124,7 +128,7 @@ def greedy_allocate(scores, costs, p_max: float) -> np.ndarray:
     objective.
     """
     scores, costs = _validate(scores, costs)
-    order = _density_order(np.flatnonzero(scores > 0.0), scores, costs)
+    order = _density_order((scores > 0.0).nonzero()[0], scores, costs)
     return fill(np.zeros(scores.size, dtype=bool), order, costs, p_max)[0]
 
 
@@ -145,17 +149,15 @@ def apply_hysteresis(current, proposed, scores, costs, p_max: float, mu_eff: flo
         raise LengthMismatch("gate vectors must match the score vector length")
 
     gates = current.copy()
-    drops = np.flatnonzero(current & ~prop)
-    adds = np.flatnonzero(prop & ~current)
+    drops = (current & ~prop).nonzero()[0]
+    adds = (prop & ~current).nonzero()[0]
 
-    # Worthless or harmful drops deactivate unconditionally.
-    evictable: list[int] = []
-    for j in drops:
-        if scores[j] <= 0.0:
-            gates[j] = False
-        else:
-            evictable.append(int(j))
-    evictable.sort(key=lambda j: (scores[j], j))
+    # Worthless or harmful drops deactivate unconditionally; the others are
+    # evicted lowest score first, ties to the lower id.
+    harmful = scores[drops] <= 0.0
+    gates[drops[harmful]] = False
+    held = drops[~harmful]
+    evictable = held[np.lexsort((held, scores[held]))].tolist()
 
     # The approximate total: `gate_cost` of `gates` plus the adds and evictions since.
     budget = _Budget(costs, p_max)

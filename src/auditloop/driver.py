@@ -189,8 +189,8 @@ class LoopDriver:
             self.training, self.gates, batch, self.eval_count
         )
         self.eval_count += 1 + len(batch)
-        toggled = np.array(toggle_scores, dtype=float)
-        return full, np.where(self.gates[batch], full - toggled, toggled - full) / self.space.costs[batch]
+        idx, toggled = np.array(batch, dtype=np.intp), np.array(toggle_scores, dtype=float)
+        return full, np.where(self.gates[idx], full - toggled, toggled - full) / self.space.costs[idx]
 
     # -- protocol ----------------------------------------------------------
 
@@ -201,7 +201,7 @@ class LoopDriver:
 
         # Search: train the active set.
         self.training = self.oracle.train_step(self.training, self.gates, cfg.steps_per_cycle)
-        active_before = [int(i) for i in np.flatnonzero(self.gates)]
+        active_before = self.gates.nonzero()[0].tolist()
 
         # Audit: sample, toggle, record.
         rng = self._sampler_streams(cycle)
@@ -233,16 +233,16 @@ class LoopDriver:
                 "audits": audit_events,
             },
             "allocate": {
-                "proposed_on": [int(i) for i in np.flatnonzero(proposed & ~prev)],
-                "proposed_off": [int(i) for i in np.flatnonzero(prev & ~proposed)],
-                "accepted_on": [int(i) for i in np.flatnonzero(committed & ~prev)],
-                "accepted_off": [int(i) for i in np.flatnonzero(prev & ~committed)],
+                "proposed_on": (proposed & ~prev).nonzero()[0].tolist(),
+                "proposed_off": (prev & ~proposed).nonzero()[0].tolist(),
+                "accepted_on": (committed & ~prev).nonzero()[0].tolist(),
+                "accepted_off": (prev & ~committed).nonzero()[0].tolist(),
                 "total_cost": budget_used,
                 "total_score": float(scores[committed].sum()),
             },
             "fsm": {
                 "votes": self.fsm.vote_summary(),
-                "commits": [int(i) for i in np.flatnonzero(committed != prev)],
+                "commits": (committed != prev).nonzero()[0].tolist(),
                 "t_c": self.fsm.change_cycles,
             },
             "value": self.oracle.true_value(self.training, committed),

@@ -82,7 +82,7 @@ class FsmStabilizer:
         pending[ready] = -1
         committed[ready & ~proposed] = False
         s, c = np.asarray(scores, dtype=float), np.asarray(costs, dtype=float)
-        committed, rejected = fill(committed, _density_order(np.flatnonzero(ready & proposed), s, c), c, p_max)
+        committed, rejected = fill(committed, _density_order((ready & proposed).nonzero()[0], s, c), c, p_max)
         ready[rejected] = False
         self.unit_flips[ready] += 1
         if ready.any():
@@ -91,7 +91,7 @@ class FsmStabilizer:
 
     def vote_summary(self) -> list[dict]:
         """Non-zero activity votes as log records: {unit, counter, pending}."""
-        units = np.flatnonzero(self.act_counts)
+        units = self.act_counts.nonzero()[0]
         return [
             {"unit": i, "counter": n, "pending": bool(p)}
             for i, n, p in zip(units.tolist(), self.act_counts[units].tolist(), self.act_pending[units].tolist())

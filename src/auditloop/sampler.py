@@ -49,15 +49,16 @@ def stratified_fill(
 ) -> list[int]:
     """Draw k ids without replacement: round(active_fraction*k) from the active
     pool and the rest from the inactive pool, spilling over when a stratum is
-    short. `choice` draws the same ids from a list as from its int array."""
+    short. Drawing positions and indexing the pool gives the same ids as
+    `choice` on the pool itself, list or int array."""
     n_active = min(len(active_pool), int(round(active_fraction * k)))
     n_inactive = min(len(inactive_pool), k - n_active)
     n_active = min(len(active_pool), k - n_inactive)
     picks: list[int] = []
     if n_active:
-        picks += rng.choice(active_pool, size=n_active, replace=False).tolist()
+        picks += np.asarray(active_pool)[rng.choice(len(active_pool), n_active, replace=False)].tolist()
     if n_inactive:
-        picks += rng.choice(inactive_pool, size=n_inactive, replace=False).tolist()
+        picks += np.asarray(inactive_pool)[rng.choice(len(inactive_pool), n_inactive, replace=False)].tolist()
     return picks
 
 
@@ -98,8 +99,8 @@ def sample_audit_batch(
     if k > 0:
         free = np.ones(n, dtype=bool)
         free[chosen] = False
-        active_pool = np.flatnonzero(gates & free)
-        inactive_pool = np.flatnonzero(~gates & free)
+        active_pool = (gates & free).nonzero()[0]
+        inactive_pool = (~gates & free).nonzero()[0]
         chosen.extend(stratified_fill(k, params.active_fraction, active_pool, inactive_pool, rng))
 
     return sorted(chosen), sorted(exploration)

@@ -129,13 +129,13 @@ class UtilityTable:
         n = self.ema.size
         if units.ndim != 1 or u.shape != units.shape:
             raise InvalidParams("units and u_raw must be 1-D and of equal length")
-        if units.size and not (0 <= units.min() and units.max() < n):
+        ids = np.sort(units)
+        if ids.size and not (0 <= ids[0] and ids[-1] < n):
             raise InvalidParams(f"unit ids must lie in [0, {n})")
-        if np.unique(units).size != units.size:
+        if (ids[1:] == ids[:-1]).any():
             raise InvalidParams("a batch must not repeat a unit")
-        bad = np.flatnonzero(~np.isfinite(u))
-        if bad.size:
-            k = bad[0]
+        if not np.isfinite(u).all():
+            k = np.flatnonzero(~np.isfinite(u))[0]
             raise NonFiniteUtility(f"unit {units[k]}: raw utility {float(u[k])!r} is not finite")
 
         count = self.probe_count[units]
@@ -145,14 +145,11 @@ class UtilityTable:
         count += 1
         self.probe_count[units] = count
 
-        self.score[units] = robust_scores(
-            self.hist[units], params.lambda_s, np.minimum(count, self.window)
-        )
+        score = robust_scores(self.hist[units], params.lambda_s, np.minimum(count, self.window))
+        self.score[units] = score
         return [
-            audit_event(cycle, *rec)
-            for rec in zip(
-                units.tolist(), u.tolist(), ema.tolist(), self.score[units].tolist(), count.tolist()
-            )
+            {"cycle": cycle, "unit_id": i, "u_raw": x, "ema": e, "score": r, "probe_count": c}
+            for i, x, e, r, c in zip(units.tolist(), u.tolist(), ema.tolist(), score.tolist(), count.tolist())
         ]
 
 

@@ -104,14 +104,19 @@ def test_fill_is_the_plain_add_while_it_fits_loop(data, n):
 
 
 @pytest.mark.parametrize(
-    "start, order",
-    [([True, False, False], [1, 0]), ([False, False, False], [1, 2, 1])],
-    ids=["unit-already-on", "unit-repeated"],
+    "start, order, costs, p_max",
+    [
+        ([True, False, False], [1, 0], [0.1, 0.2, 0.3], 10.0),
+        ([False, False, False], [1, 2, 1], [0.1, 0.2, 0.3], 10.0),
+        # The first 2 does not fit, so the repeat never meets a unit that is on.
+        ([False, False, False], [2, 0, 2], [0.1, 0.2, 5.0], 1.0),
+    ],
+    ids=["unit-already-on", "unit-repeated", "rejected-unit-repeated"],
 )
-def test_fill_requires_each_unit_of_order_off_and_once(start, order):
+def test_fill_requires_each_unit_of_order_off_and_once(start, order, costs, p_max):
     # The running total counts each unit of `order` once, from off.
     with pytest.raises(InvalidParams):
-        fill(np.array(start), np.array(order), np.array([0.1, 0.2, 0.3]), 10.0)
+        fill(np.array(start), np.array(order), np.array(costs), p_max)
 
 
 def test_replacement_below_margin_keeps_incumbent():
