@@ -107,8 +107,8 @@ def _validate(scores, costs) -> tuple[np.ndarray, np.ndarray]:
     costs = np.asarray(costs, dtype=float)
     if scores.shape != costs.shape or scores.ndim != 1:
         raise LengthMismatch("scores and costs must be 1-D vectors of equal length")
-    if np.any(costs <= 0.0):
-        raise NonPositiveCost("all unit costs must be positive")
+    if not ((costs > 0.0) & (costs < np.inf)).all():
+        raise NonPositiveCost("all unit costs must be positive and finite")
     if not np.isfinite(scores).all():
         raise InvalidParams("scores must be finite")
     return scores, costs

@@ -71,6 +71,23 @@ def test_greedy_errors():
         greedy_allocate([1.0, np.nan], [E3, E3], 1.0)
 
 
+SOLVERS = {
+    "greedy": lambda s, c: greedy_allocate(s, c, 0.5),
+    "hysteresis": lambda s, c: apply_hysteresis([False, False], [True, True], s, c, 0.5, 0.0),
+    "final": lambda s, c: final_resolve(s, c, 0.5),
+    "swap": lambda s, c: swap_resolve(s, c, 0.5),
+    "brute-force": lambda s, c: brute_force_optimum(s, c, [True, True], 0.5),
+}
+
+
+@pytest.mark.parametrize("cost", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("solve", SOLVERS.values(), ids=SOLVERS.keys())
+def test_solvers_reject_non_finite_costs(solve, cost):
+    # A NaN cost passes a `costs <= 0` test, and an infinite one makes the budget band infinite.
+    with pytest.raises(NonPositiveCost):
+        solve([1.0, 2.0], [cost, 0.1])
+
+
 # -- hysteresis ---------------------------------------------------------------
 
 
