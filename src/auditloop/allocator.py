@@ -89,8 +89,8 @@ def fill(gates, order, costs, p_max: float) -> tuple[np.ndarray, list[int]]:
         raise InvalidParams(f"fill: unit {twice[0]} appears twice in order")
     fits = _Budget(costs, p_max).fits
     total = gate_cost(gates, costs)
-    kept: list[int] = []  # ends with the unit under test
-    trial = lambda _: gates | (np.bincount(kept, minlength=gates.size) > 0)  # called only in the band
+    kept: list[int] = []  # the accepted units, then the unit under test while it is tried
+    trial = lambda _: gates | (np.bincount(kept, minlength=gates.size) > 0)  # built only in the band
     rejected: list[int] = []
     for i, cost in zip(order.tolist(), costs[order].tolist()):  # Python scalars are faster here
         kept.append(i)
