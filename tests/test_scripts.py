@@ -2,6 +2,7 @@
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +46,21 @@ def test_digests_with_its_defaults_prints_the_combined_golden_digest(tmp_path):
     # change that means to keep the engine's output keeps this digest.
     last = run_script(tmp_path, ["digests.py"]).splitlines()[-1]
     assert last == "c4c8da5ede9e6b03f3f90125116dddec6b69f8694e8bd8bcba276d870947c5f1  combined"
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_summary_recomputes_from_its_runs(path):
+    # Each cell: quartiles of the parent's and the change's trace 0 runs, and
+    # the pairs in which the change reads better (higher only for evals_per_s).
+    doc = json.loads(path.read_text())
+    for workload, cells in doc["summary_trace0"].items():
+        runs = [r for r in doc["runs"] if r["workload"] == workload and r["trace"] == 0]
+        for name, cell in cells.items():
+            parent, change = ([r[side][1]["metrics"][name]["value"] for r in runs] for side in ("parent", "change"))
+            better = sum(c > p if name == "evals_per_s" else c < p for p, c in zip(parent, change))
+            assert cell == {
+                "parent_q1_median_q3": statistics.quantiles(parent, n=4, method="exclusive"),
+                "change_q1_median_q3": statistics.quantiles(change, n=4, method="exclusive"),
+                "change_better_pairs": better,
+                "pairs": len(runs),
+            }, (workload, name)
