@@ -83,6 +83,8 @@ def fill(gates, order, costs, p_max: float) -> tuple[np.ndarray, list[int]]:
     costs = np.asarray(costs, dtype=float)
     order = np.asarray(order, dtype=np.intp)
     on, ids = gates[order], np.sort(order)
+    if ids.size and ids[0] < 0:
+        raise InvalidParams(f"fill: unit {ids[0]} is not a unit id")
     if on.any():
         raise InvalidParams(f"fill: unit {order[on][0]} is already on")
     if (twice := ids[1:][ids[1:] == ids[:-1]]).size:

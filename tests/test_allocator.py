@@ -127,8 +127,10 @@ def test_fill_is_the_plain_add_while_it_fits_loop(data, n):
         ([False, False, False], [1, 2, 1], [0.1, 0.2, 0.3], 10.0),
         # The first 2 does not fit, so the repeat never meets a unit that is on.
         ([False, False, False], [2, 0, 2], [0.1, 0.2, 5.0], 1.0),
+        # -1 would index unit 2 a second time.
+        ([False, False, False], [-1, 2], [0.1, 0.2, 0.3], 10.0),
     ],
-    ids=["unit-already-on", "unit-repeated", "rejected-unit-repeated"],
+    ids=["unit-already-on", "unit-repeated", "rejected-unit-repeated", "negative-unit-id"],
 )
 def test_fill_requires_each_unit_of_order_off_and_once(start, order, costs, p_max):
     # The running total counts each unit of `order` once, from off.
