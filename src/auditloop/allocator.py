@@ -77,15 +77,18 @@ def fill(gates, order, costs, p_max: float) -> tuple[np.ndarray, list[int]]:
     """Switch on each unit of `order` in turn, keeping it only while
     `gate_cost` stays within `p_max`. Returns a new gate vector and the units
     of `order` that did not fit; `gates` itself is left as it is. Every unit
-    of `order` must be off in `gates` and appear once. The approximate total
-    is a running one: `gate_cost` of `gates` plus each kept unit's cost."""
+    of `order` must be a unit id, off in `gates`, and appear once. The
+    approximate total is a running one: `gate_cost` of `gates` plus each kept
+    unit's cost."""
     gates = np.array(gates, dtype=bool)
     costs = np.asarray(costs, dtype=float)
     order = np.asarray(order, dtype=np.intp)
-    on, ids = gates[order], np.sort(order)
-    if ids.size and ids[0] < 0:
-        raise InvalidParams(f"fill: unit {ids[0]} is not a unit id")
-    if on.any():
+    if costs.shape != gates.shape:
+        raise LengthMismatch("fill: costs must have one entry per unit")
+    ids = np.sort(order)
+    if ids.size and not (0 <= ids[0] and ids[-1] < gates.size):
+        raise InvalidParams(f"fill: unit {ids[0] if ids[0] < 0 else ids[-1]} is not a unit id")
+    if (on := gates[order]).any():
         raise InvalidParams(f"fill: unit {order[on][0]} is already on")
     if (twice := ids[1:][ids[1:] == ids[:-1]]).size:
         raise InvalidParams(f"fill: unit {twice[0]} appears twice in order")

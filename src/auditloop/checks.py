@@ -1,14 +1,14 @@
 """The engine's stated bounds: each one's measuring loop and pass rule.
 
-`auditloop verify-bounds`, `auditloop bench-alloc` and the acceptance suite
-only choose sizes and seeds. A check returns a `Verdict` with its tolerance
-applied, and raises `InvalidParams` at sizes it cannot judge (a coverage
-bound that is not positive, too few EMA replicas or drift audits for its
-tolerance, a drift that is not positive). Each `*_verdict` function holds
-one bound and its pass rule. The chatter checks pass on no violations of
-floor(T / tau) flips per unit, and their names count the columns or runs
-that can violate it: a unit flips at most once a step, so at tau = 1 none
-can.
+`auditloop verify-bounds` and the acceptance suite only choose sizes and
+seeds. A check returns a `Verdict` with its tolerance applied, and raises
+`InvalidParams` at sizes it cannot judge (a coverage bound that is not
+positive, too few EMA replicas or drift audits for its tolerance, a drift
+that is not positive, allocator instances beyond the exhaustive cap). Each
+`*_verdict` function holds one bound and its pass rule. The chatter checks
+pass on no violations of floor(T / tau) flips per unit, and their names
+count the columns or runs that can violate it: a unit flips at most once a
+step, so at tau = 1 none can.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
-"""Command-line surface: run experiments, replay traces, verify bounds,
-benchmark the allocator, and emit plot-ready reports.
+"""Command-line surface: run experiments, replay traces, verify bounds and
+emit plot-ready reports.
 
-Exit codes: 0 success, 1 runtime error or bound violation, 2 usage/config
-error.
+A run's settings come only from its config file, and `verify-bounds` runs
+every check at fixed sizes and seeds. Exit codes: 0 success, 1 runtime error
+or bound violation, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +32,6 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-def _load_config(path: str, seed_override: int | None) -> RunConfig:
-    config = RunConfig.from_json(path)
-    return config if seed_override is None else replace(config, run_seed=seed_override)
-
-
 def _out_dir(path: str) -> Path:
     """The `--out` directory, made before any run so that a bad path fails first."""
     out = Path(path)
@@ -53,7 +48,7 @@ def _write_outputs(driver: LoopDriver, report, out_dir: Path) -> None:
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args.config, args.seed)
+    config = RunConfig.from_json(args.config)
     out_dir = _out_dir(args.out)
     inner = SyntheticOracle(config.oracle_spec)
     recording = TraceRecordingOracle(inner, args.record_trace) if args.record_trace else nullcontext(inner)
@@ -69,7 +64,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    config = _load_config(args.config, args.seed)
+    config = RunConfig.from_json(args.config)
     out_dir = _out_dir(args.out)
     oracle = replay_trace(args.trace)
     driver = LoopDriver(config, oracle=oracle)
@@ -81,7 +76,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    config = _load_config(args.config, args.seed)
+    config = RunConfig.from_json(args.config)
     out_dir = _out_dir(args.out)
     values = run_random_baseline(config, args.samples)
     doc = {
@@ -97,28 +92,19 @@ def cmd_baseline(args) -> int:
     return EXIT_OK
 
 
-def _print_verdicts(verdicts, quiet: bool) -> int:
-    if not quiet:
+def cmd_verify_bounds(args) -> int:
+    verdicts = [
+        *(checks.ema_variance(beta, 10_000, 200, seed=0) for beta in (0.5, 0.9)),
+        checks.drift_bias(0.9, 0.01, 500),
+        checks.fsm_chatter_exhaustive(12),
+        checks.coverage_min(60, 6, 0.3, 2000, seeds=5),
+        *checks.allocator_verdicts(checks.allocator_ratios(500, 15, seed=0)),
+    ]
+    if not args.quiet:
         print(f"{'check':<38}{'bound':>12}{'measured':>12}  status")
         for v in verdicts:
             print(f"{v.name:<38}{v.bound:>12.4f}{v.measured:>12.4f}  {'PASS' if v.ok else 'FAIL'}")
     return EXIT_OK if all(v.ok for v in verdicts) else EXIT_RUNTIME
-
-
-def cmd_verify_bounds(args) -> int:
-    return _print_verdicts([
-        *(checks.ema_variance(beta, args.replicas, 200, seed=0) for beta in (0.5, 0.9)),
-        checks.drift_bias(0.9, 0.01, 500),
-        checks.fsm_chatter_exhaustive(12),
-        checks.coverage_min(60, 6, 0.3, args.cycles, seeds=5),
-    ], args.quiet)
-
-
-def cmd_bench_alloc(args) -> int:
-    ratios = checks.allocator_ratios(args.instances, args.n_max, args.seed)
-    if not args.quiet:
-        print(f"{args.instances} instances, n <= {args.n_max}")
-    return _print_verdicts(checks.allocator_verdicts(ratios), args.quiet)
 
 
 def cmd_report(args) -> int:
@@ -145,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="run-config JSON path")
         p.add_argument("--out", default="out", help="output directory (created if absent)")
-        p.add_argument("--seed", type=int, default=None, help="override run_seed")
         p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("run", help="execute the full search-audit-allocate protocol")
@@ -163,18 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True, help="trace JSONL recorded by `run --record-trace`")
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("verify-bounds", help="check estimator, chatter and coverage bounds")
-    p.add_argument("--replicas", type=int, default=10_000)
-    p.add_argument("--cycles", type=int, default=2000)
+    p = sub.add_parser("verify-bounds", help="check estimator, chatter, coverage and allocator bounds")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_verify_bounds)
-
-    p = sub.add_parser("bench-alloc", help="swap re-solve (used above the exact cap) vs. exhaustive optimum on random instances")
-    p.add_argument("--instances", type=int, default=500)
-    p.add_argument("--n-max", type=int, default=15)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_bench_alloc)
 
     p = sub.add_parser("report", help="recompute diagnostics from an event log")
     p.add_argument("--events", required=True, help="events.jsonl path")

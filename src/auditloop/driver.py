@@ -99,9 +99,7 @@ class RunConfig:
                 "sampler": read_doc(SamplerParams, "sampler", doc.get("sampler", {"batch_size": 6})),
                 "smoothing": read_doc(SmoothingParams, "smoothing", doc.get("smoothing", {})),
                 "allocator": read_doc(AllocatorParams, "allocator", doc.get("allocator", {})),
-                # Older configs may carry tau_rank, the threshold of a
-                # rank-change vote this engine does not have; ignore it.
-                "fsm": read_doc(FsmParams, "fsm", doc.get("fsm", {}), ignored=("tau_rank",)),
+                "fsm": read_doc(FsmParams, "fsm", doc.get("fsm", {})),
             }
             # Every other key names a scalar field.
             return cls(**{key: value for key, value in doc.items() if key != "oracle"} | objects)

@@ -61,8 +61,9 @@ class FsmStabilizer:
         """
         current = np.asarray(current, dtype=bool)
         proposed = np.asarray(proposed, dtype=bool)
-        if current.shape != proposed.shape or current.size != self.n_units:
-            raise LengthMismatch("gate vectors must have the tracked unit count")
+        s, c = np.asarray(scores, dtype=float), np.asarray(costs, dtype=float)
+        if not current.shape == proposed.shape == s.shape == c.shape == (self.n_units,):
+            raise LengthMismatch("gate, score and cost vectors must have the tracked unit count")
 
         counts, pending = self.act_counts, self.act_pending
         differs = proposed != current
@@ -81,7 +82,6 @@ class FsmStabilizer:
         counts[ready] = 0
         pending[ready] = -1
         committed[ready & ~proposed] = False
-        s, c = np.asarray(scores, dtype=float), np.asarray(costs, dtype=float)
         committed, rejected = fill(committed, _density_order((ready & proposed).nonzero()[0], s, c), c, p_max)
         ready[rejected] = False
         self.unit_flips[ready] += 1

@@ -85,20 +85,6 @@ def robust_scores(h: np.ndarray, lambda_s: float, lengths) -> np.ndarray:
     return med - lambda_s * (q[:, 1] - q[:, 0])
 
 
-def audit_event(
-    cycle: int, unit_id: int, u_raw: float, ema: float, score: float, probe_count: int
-) -> dict:
-    """Log record for one audit: {cycle, unit_id, u_raw, ema, score, probe_count}."""
-    return {
-        "cycle": cycle,
-        "unit_id": unit_id,
-        "u_raw": float(u_raw),
-        "ema": ema,
-        "score": score,
-        "probe_count": probe_count,
-    }
-
-
 class UtilityTable:
     """Smoothed utility state of N units in arrays: the EMA of raw audits,
     then median - lambda_s * IQR over the last `window` EMA values.
@@ -174,5 +160,5 @@ class UtilityTracker:
 
     def event(self, u_raw: float, params: SmoothingParams, cycle: int) -> dict:
         """Log record for one audit: {cycle, unit_id, u_raw, ema, score, probe_count}."""
-        ema, count = float(self.table.ema[0]), int(self.table.probe_count[0])
-        return audit_event(cycle, self.unit_id, u_raw, ema, self.robust_score(params), count)
+        return {"cycle": cycle, "unit_id": self.unit_id, "u_raw": float(u_raw), "ema": float(self.table.ema[0]),
+                "score": self.robust_score(params), "probe_count": int(self.table.probe_count[0])}

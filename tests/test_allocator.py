@@ -121,20 +121,24 @@ def test_fill_is_the_plain_add_while_it_fits_loop(data, n):
 
 
 @pytest.mark.parametrize(
-    "start, order, costs, p_max",
+    "start, order, costs, p_max, error, match",
     [
-        ([True, False, False], [1, 0], [0.1, 0.2, 0.3], 10.0),
-        ([False, False, False], [1, 2, 1], [0.1, 0.2, 0.3], 10.0),
+        ([True, False, False], [1, 0], [0.1, 0.2, 0.3], 10.0, InvalidParams, "unit 0 is already on"),
+        ([False, False, False], [1, 2, 1], [0.1, 0.2, 0.3], 10.0, InvalidParams, "unit 1 appears twice"),
         # The first 2 does not fit, so the repeat never meets a unit that is on.
-        ([False, False, False], [2, 0, 2], [0.1, 0.2, 5.0], 1.0),
+        ([False, False, False], [2, 0, 2], [0.1, 0.2, 5.0], 1.0, InvalidParams, "unit 2 appears twice"),
         # -1 would index unit 2 a second time.
-        ([False, False, False], [-1, 2], [0.1, 0.2, 0.3], 10.0),
+        ([False, False, False], [-1, 2], [0.1, 0.2, 0.3], 10.0, InvalidParams, "unit -1 is not a unit id"),
+        ([False, False, False], [5], [0.1, 0.2, 0.3], 1.0, InvalidParams, "unit 5 is not a unit id"),
+        ([False, False, False], [0], [0.1, 0.2], 1.0, LengthMismatch, "one entry per unit"),
+        ([False, False, False], [0], [0.1, 0.2, 0.3, 0.4], 1.0, LengthMismatch, "one entry per unit"),
     ],
-    ids=["unit-already-on", "unit-repeated", "rejected-unit-repeated", "negative-unit-id"],
+    ids=["unit-already-on", "unit-repeated", "rejected-unit-repeated", "negative-unit-id", "unit-id-past-the-end",
+         "short-costs", "long-costs"],
 )
-def test_fill_requires_each_unit_of_order_off_and_once(start, order, costs, p_max):
-    # The running total counts each unit of `order` once, from off.
-    with pytest.raises(InvalidParams):
+def test_fill_requires_each_unit_of_order_off_and_once(start, order, costs, p_max, error, match):
+    # The running total counts each unit of `order` once, from off, at its own cost.
+    with pytest.raises(error, match=match):
         fill(np.array(start), np.array(order), np.array(costs), p_max)
 
 

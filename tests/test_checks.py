@@ -56,6 +56,28 @@ def test_drift_bias_needs_audits_for_its_tolerance():
     assert checks.drift_bias(0.9, 0.01, 30).ok
 
 
+@pytest.mark.parametrize(
+    "check, line",
+    [
+        # rho = 0.03: rho * T - 4 * sqrt(rho * (1 - rho) * T) > 0 only for T > 16 * (1 - rho) / rho = 517.3
+        (lambda: checks.coverage_min(60, 6, 0.3, 517, 1), "at least 518"),
+        (lambda: checks.coverage_min(60, 6, 0.3, 0, 1), "at least 518"),
+        (lambda: checks.ema_variance(0.5, replicas=0, audits=20, seed=0), "at least 1801"),
+        (lambda: checks.allocator_ratios(0, 15, 0), "instances must be at least 1"),
+        (lambda: checks.allocator_ratios(-1, 15, 0), "instances must be at least 1"),
+        (lambda: checks.allocator_ratios(5, 0, 0), "n-max must be at least 1"),
+        # the exhaustive optimum enumerates at most ENUMERATION_MAX = 20 units
+        (lambda: checks.allocator_ratios(5, 21, 0), "n-max must be at most 20"),
+        (lambda: checks.allocator_ratios(5, 15, -1), "seed must be at least 0"),
+    ],
+    ids=["coverage-cycles-517", "coverage-cycles-0", "ema-replicas-0", "allocator-instances-0", "allocator-instances--1",
+         "allocator-n-max-0", "allocator-n-max-21", "allocator-seed--1"],
+)
+def test_size_at_which_a_check_cannot_judge_raises(check, line):
+    with pytest.raises(InvalidParams, match=line):
+        check()
+
+
 @pytest.mark.parametrize("delta", [0.0, -0.01])
 def test_drift_bias_needs_a_positive_drift(delta):
     # A zero drift once passed with bound 0.0 and measured 0.0; under a

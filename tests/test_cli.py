@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -195,12 +196,14 @@ def with_space(*path, value):
         "huge-cycles",
     ],
 )
-@pytest.mark.parametrize("seed", [None, "3"])
-def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, doc, seed):
+# No sample count runs `run`; a count runs `baseline`. Both read the config
+# through `RunConfig.from_json`.
+@pytest.mark.parametrize("samples", [None, "3"])
+def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, doc, samples):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    argv = ["run", "--config", str(bad), "--out", str(tmp_path / "o"), "--quiet"]
-    assert main(argv + (["--seed", seed] if seed else [])) == 2
+    command = ["baseline", "--samples", samples] if samples else ["run"]
+    assert main(command + ["--config", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -293,10 +296,13 @@ def test_initial_gates_over_the_budget_exit_2_before_any_run(tmp_path, capsys, g
 
 
 def test_negative_seed_flag_exits_2_with_one_line(tmp_path, capsys, config_path):
-    argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "o"), "--quiet", "--seed", "-1"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # A run's seed is the config's run_seed; no command takes a --seed.
+    for command in (["run"], ["replay", "--trace", str(tmp_path / "trace.jsonl")], ["baseline"]):
+        argv = command + ["--config", str(config_path), "--out", str(tmp_path / "o"), "--quiet", "--seed", "-1"]
+        assert main(argv) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == ["auditloop: error: unrecognized arguments: --seed -1"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -379,15 +385,11 @@ def test_any_field_value_exits_0_or_2_with_one_line(field, value):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
-def test_ignored_tau_rank_leaves_events_unchanged(tmp_path, config_path):
-    doc = json.loads(config_path.read_text())
-    logs = []
-    for name, fsm in (("without", {"tau_act": 3}), ("with", {"tau_act": 3, "tau_rank": 3})):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(doc | {"fsm": fsm}))
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / name), "--quiet"]) == 0
-        logs.append((tmp_path / name / "events.jsonl").read_bytes())
-    assert logs[0] == logs[1]
+def test_ignored_tau_rank_leaves_events_unchanged(tmp_path, capsys, config_path):
+    # The engine has no rank-change vote, so `tau_rank` is an unknown key, not an ignored one.
+    config_path.write_text(json.dumps(json.loads(config_path.read_text()) | {"fsm": {"tau_act": 3, "tau_rank": 3}}))
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: unknown fsm key 'tau_rank'\n"
 
 
 def test_run_that_raises_leaves_closed_parseable_trace(tmp_path, config_path, monkeypatch):
@@ -427,12 +429,16 @@ def test_run_deterministic_checksums(tmp_path, config_path):
 
 
 def test_seed_override_changes_output(tmp_path, config_path):
-    out1, out2 = tmp_path / "s1", tmp_path / "s2"
-    main(["run", "--config", str(config_path), "--out", str(out1), "--quiet"])
-    main(["run", "--config", str(config_path), "--out", str(out2), "--seed", "77", "--quiet"])
-    r1 = json.loads((out1 / "report.json").read_text())
-    r2 = json.loads((out2 / "report.json").read_text())
-    assert r1["config"]["run_seed"] != r2["config"]["run_seed"]
+    # Two config files that differ only in run_seed; each report echoes its own file.
+    reports = []
+    for seed in (2, 77):
+        path = tmp_path / f"seed{seed}.json"
+        path.write_text(json.dumps(json.loads(config_path.read_text()) | {"run_seed": seed}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / f"s{seed}"), "--quiet"]) == 0
+        reports.append(json.loads((tmp_path / f"s{seed}" / "report.json").read_text()))
+        assert reports[-1]["config"] == json.loads(json.dumps(cli.RunConfig.from_json(path).to_json()))
+    assert reports[0]["config"]["run_seed"] == 2 and reports[1]["config"]["run_seed"] == 77
+    assert reports[0]["value_curve"] != reports[1]["value_curve"]
 
 
 def test_baseline_command(tmp_path, config_path):
@@ -520,41 +526,29 @@ def test_replay_with_fewer_cycles_exits_1_naming_the_record(tmp_path, capsys, co
     assert err == f"error: replay diverges at trace record {record}: recorded noise_seed {evals}, queried -1\n"
 
 
-def test_verify_bounds_quick(capsys):
-    # The coverage bound turns positive at 518 cycles; below, no probe count could miss it.
-    assert main(["verify-bounds", "--replicas", "2000", "--cycles", "518", "--quiet"]) == 0
-    assert main(["verify-bounds", "--cycles", "517", "--quiet"]) == 2
-    assert capsys.readouterr().err == "error: cycles (for a positive coverage bound) must be at least 518\n"
-    # Two replicas' variance cannot be told from the EMA bound within 10%.
-    assert main(["verify-bounds", "--replicas", "2", "--cycles", "518", "--quiet"]) == 2
-    assert capsys.readouterr().err == "error: replicas (for a 10% variance tolerance) must be at least 1801\n"
+@pytest.fixture(scope="module")
+def verify_bounds_rows():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify-bounds"])
+    return code, out.getvalue().splitlines()[1:]
 
 
-def test_bench_alloc_quick():
-    assert main(["bench-alloc", "--instances", "40", "--n-max", "10", "--quiet"]) == 0
+def test_verify_bounds_quick(verify_bounds_rows, monkeypatch, capsys):
+    code, rows = verify_bounds_rows
+    assert code == 0 and len(rows) == 7 and all(row.endswith("  PASS") for row in rows)
+    # One failing row fails the command.
+    monkeypatch.setattr(cli.checks, "drift_bias", lambda *args: cli.checks.drift_bias_verdict(0.9, 0.01, 0.0))
+    assert main(["verify-bounds"]) == 1
+    assert "0.0900      0.0000  FAIL" in capsys.readouterr().out
 
 
-def test_bench_alloc_cap_exits_2():
-    assert main(["bench-alloc", "--instances", "5", "--n-max", "25", "--quiet"]) == 2
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["bench-alloc", "--instances", "0"],
-        ["bench-alloc", "--instances", "-1"],
-        ["bench-alloc", "--n-max", "0"],
-        ["bench-alloc", "--seed", "-1"],
-        ["verify-bounds", "--replicas", "0"],
-        ["verify-bounds", "--replicas", "1", "--cycles", "0"],
-        ["verify-bounds", "--cycles", "-5"],
-    ],
-    ids=lambda argv: " ".join(argv),
-)
-def test_out_of_range_count_flag_exits_2_with_one_line(capsys, argv):
-    assert main(argv + ["--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+def test_bench_alloc_quick(verify_bounds_rows):
+    # The allocator check runs inside verify-bounds: 500 instances, n <= 15, seed 0.
+    assert verify_bounds_rows[1][-2:] == [
+        f"{'min ratio':<38}{0.5:>12.4f}{0.8525:>12.4f}  PASS",
+        f"{'frac>=0.95':<38}{0.9:>12.4f}{0.9880:>12.4f}  PASS",
+    ]
 
 
 def test_report_command(tmp_path, config_path):
@@ -614,3 +608,22 @@ def test_file_that_is_not_utf8_exits_with_one_line(tmp_path, capsys, config_path
 
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
+    assert main(["bench-alloc"]) == 2
+
+
+def test_cli_surface_is_pinned():
+    # Each subcommand with its flags: a new option shows up as an edit here.
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+    def flags(p):
+        return sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+
+    assert flags(parser) == ["--version"]
+    assert {name: flags(p) for name, p in sub.choices.items()} == {
+        "run": ["--config", "--out", "--quiet", "--record-trace"],
+        "baseline": ["--config", "--out", "--quiet", "--samples"],
+        "replay": ["--config", "--out", "--quiet", "--trace"],
+        "verify-bounds": ["--quiet"],
+        "report": ["--events", "--out", "--quiet"],
+    }

@@ -48,6 +48,12 @@ def test_params_validation():
         FsmStabilizer(0)
     with pytest.raises(LengthMismatch):
         FsmStabilizer(2).filter_proposals(np.array([True]), np.array([True]), **unbounded(2))
+    # A score or cost vector of another length is refused, whether or not a vote is ready.
+    for n_scores, n_costs in ((5, 3), (2, 3), (3, 2), (3, 4)):
+        with pytest.raises(LengthMismatch):
+            FsmStabilizer(3, 1).filter_proposals(
+                np.zeros(3, bool), np.ones(3, bool), scores=np.ones(n_scores), costs=np.ones(n_costs), p_max=5.0
+            )
 
 
 def test_stabilizer_checks_tau_and_budget_arguments():
