@@ -51,20 +51,27 @@ def gate_cost(gates: np.ndarray, costs: np.ndarray) -> float:
     return float(costs[np.asarray(gates, dtype=bool)].sum())
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 class _Budget:
     """The one budget decision for unit costs `costs` and budget `p_max`; the
     module docstring argues its band."""
 
     def __init__(self, costs: np.ndarray, p_max: float):
         self.costs, self.p_max = costs, p_max
-        self.band = float(8 * costs.size * np.finfo(float).eps * costs.sum())  # a Python float is faster here
+        self.band = float(8 * costs.size * _EPS * costs.sum())  # a Python float is faster here
+
+    def over(self, approx: float) -> bool:
+        """Whether approximate total `approx` is past the band above `p_max`, so cannot fit."""
+        return approx - self.p_max > self.band
 
     def fits(self, approx, mask_of):
         """`approx <= p_max` for a float or per entry of a 1-D array, except
         that within the band the `gate_cost` of `mask_of(i)`, candidate i's
         gate vector, decides (i = 0 for a float)."""
         if isinstance(approx, float):  # Python scalars are faster here
-            if abs(approx - self.p_max) > self.band:
+            if self.over(approx) or self.p_max - approx > self.band:
                 return approx <= self.p_max
             return gate_cost(mask_of(0), self.costs) <= self.p_max
         ok = approx <= self.p_max
@@ -79,7 +86,9 @@ def fill(gates, order, costs, p_max: float) -> tuple[np.ndarray, list[int]]:
     of `order` that did not fit; `gates` itself is left as it is. Every unit
     of `order` must be a unit id, off in `gates`, and appear once. The
     approximate total is a running one: `gate_cost` of `gates` plus each kept
-    unit's cost."""
+    unit's cost. At a rejection, if the total plus the least cost left is
+    `_Budget.over`, the rest of `order` is rejected in one step: float addition
+    is monotone and a rejection leaves the total as it is."""
     gates = np.array(gates, dtype=bool)
     costs = np.asarray(costs, dtype=float)
     order = np.asarray(order, dtype=np.intp)
@@ -92,17 +101,23 @@ def fill(gates, order, costs, p_max: float) -> tuple[np.ndarray, list[int]]:
         raise InvalidParams(f"fill: unit {order[on][0]} is already on")
     if (twice := ids[1:][ids[1:] == ids[:-1]]).size:
         raise InvalidParams(f"fill: unit {twice[0]} appears twice in order")
-    fits = _Budget(costs, p_max).fits
+    budget = _Budget(costs, p_max)
     total = gate_cost(gates, costs)
     kept: list[int] = []  # the accepted units, then the unit under test while it is tried
     trial = lambda _: gates | (np.bincount(kept, minlength=gates.size) > 0)  # built only in the band
     rejected: list[int] = []
-    for i, cost in zip(order.tolist(), costs[order].tolist()):  # Python scalars are faster here
+    units, unit_costs = order.tolist(), costs[order]
+    least = np.minimum.accumulate(unit_costs[::-1])[::-1].tolist()  # least cost from each position on
+    for j, (i, cost) in enumerate(zip(units, unit_costs.tolist())):  # Python scalars are faster here
         kept.append(i)
-        if fits(total + cost, trial):
+        if budget.fits(total + cost, trial):
             total += cost
-        else:
-            rejected.append(kept.pop())
+            continue
+        kept.pop()
+        if budget.over(total + least[j]):  # nor can any later unit fit
+            rejected += units[j:]
+            break
+        rejected.append(i)
     gates[kept] = True
     return gates, rejected
 

@@ -34,7 +34,8 @@ generator for key i is `np.random.default_rng([*prefix, i])`, draw for draw.
 Seeding one such stream through `SeedSequence` hashes its words in Python
 loops; `_seed_states` runs the same hash as array expressions over an
 aligned block of `SEED_BLOCK` keys at once, and each stream then starts from
-its precomputed row.
+its precomputed row. `evaluate_toggles` takes an audit's streams, one per
+call index, from one `generators` pass over those rows.
 """
 
 from __future__ import annotations
@@ -159,17 +160,24 @@ class KeyedStreams:
         self._states: np.ndarray | None = None
 
     def __call__(self, key: int) -> Generator:
-        key = int(key)
-        block, offset = divmod(key, SEED_BLOCK)
-        if block != self._block:
-            words = np.array(self._prefix + _words(key), dtype=np.uint32)
-            low = len(self._prefix)
-            words[low] -= offset  # the block's first key: same words, low word aligned
-            entropy = np.tile(words, (SEED_BLOCK, 1))
-            entropy[:, low] += np.arange(SEED_BLOCK, dtype=np.uint32)
-            self._states = _seed_states(entropy)
-            self._block = block
-        return Generator(PCG64(_BlockSeed(self._states[offset])))
+        return next(self.generators(int(key), 1))
+
+    def generators(self, first: int, count: int):
+        """The streams of keys `first` to `first + count - 1`, each built from its row of the
+        block's states. `PCG64` reads its seed only while it is built, so one seed serves all."""
+        seed, key, end = _BlockSeed(None), int(first), int(first) + count
+        while key < end:
+            block, offset = divmod(key, SEED_BLOCK)
+            if block != self._block:
+                words = np.array(self._prefix + _words(key), dtype=np.uint32)
+                low = len(self._prefix)
+                words[low] -= offset  # the block's first key: same words, low word aligned
+                entropy = np.tile(words, (SEED_BLOCK, 1))
+                entropy[:, low] += np.arange(SEED_BLOCK, dtype=np.uint32)
+                self._states, self._block = _seed_states(entropy), block
+            for seed._state in self._states[offset : offset + end - key]:  # each key's row in turn
+                yield Generator(PCG64(seed))
+            key += SEED_BLOCK - offset
 
 
 @dataclass(frozen=True)
@@ -339,9 +347,7 @@ class SyntheticOracle:
             value = self._values(state, gates)[0]
         return value
 
-    def evaluate_toggles(
-        self, state: TrainingState, gates, units, first_call_index: int
-    ) -> tuple[float, list[float]]:
+    def evaluate_toggles(self, state: TrainingState, gates, units, first_call_index: int) -> tuple[float, list[float]]:
         """`true_value` plus noise, clamped to [0, 1], of `gates` and of each
         one-unit toggle of it, at call indices first_call_index, +1, ...
 
@@ -353,7 +359,8 @@ class SyntheticOracle:
         totals = self._values(state, gates, np.asarray(units, dtype=np.intp))
         self._cache = (state, gates.copy(), totals[0])
         if (sigma := self.spec.sigma_val) > 0.0:
-            totals = [v + sigma * self._noise(first_call_index + pos).standard_normal() for pos, v in enumerate(totals)]
+            streams = self._noise.generators(first_call_index, len(totals))
+            totals = [v + sigma * rng.standard_normal() for v, rng in zip(totals, streams)]
         full, *toggled = [min(1.0, max(0.0, v)) for v in totals]
         return full, toggled
 

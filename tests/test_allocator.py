@@ -14,7 +14,7 @@ from auditloop import (
     greedy_allocate,
     swap_resolve,
 )
-from auditloop.allocator import EXACT_RESOLVE_MAX, fill
+from auditloop.allocator import EXACT_RESOLVE_MAX, _Budget, fill
 from auditloop.errors import InvalidParams, LengthMismatch, NonPositiveCost, TooLarge
 
 E3 = 1e-3
@@ -140,6 +140,70 @@ def test_fill_requires_each_unit_of_order_off_and_once(start, order, costs, p_ma
     # The running total counts each unit of `order` once, from off, at its own cost.
     with pytest.raises(error, match=match):
         fill(np.array(start), np.array(order), np.array(costs), p_max)
+
+
+def fill_without_stop(gates, order, costs, p_max):
+    """`fill` as a loop that asks `_Budget.fits` about every unit of `order`."""
+    gates, costs = np.array(gates, dtype=bool), np.asarray(costs, dtype=float)
+    budget, total, rejected = _Budget(costs, p_max), gate_cost(gates, costs), []
+    for i in order:
+        trial = gates.copy()
+        trial[i] = True
+        if budget.fits(total + float(costs[i]), lambda _: trial):
+            gates, total = trial, total + float(costs[i])
+        else:
+            rejected.append(i)
+    return gates, rejected
+
+
+def assert_fill_matches_the_loop_without_stop(start, order, costs, p_max):
+    gates, rejected = fill(start, np.array(order, dtype=np.intp), costs, p_max)
+    want_gates, want_rejected = fill_without_stop(start, order, costs, p_max)
+    assert np.array_equal(gates, want_gates)
+    assert rejected == want_rejected
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_fill_stops_early_only_where_every_later_unit_is_rejected(data, n):
+    # Tie-heavy costs, and budgets at a drawn subset's cost, a few ulps
+    # either side of it (inside the band), or well clear of it.
+    costs = np.array(data.draw(st.lists(st.sampled_from([1e-3, 0.1, 0.2, 0.3, 0.7, 1.0, 1.0 / 3]), min_size=n,
+                                        max_size=n)))
+    start = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    target = start | np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    ulps = data.draw(st.sampled_from([0, 1, -1, 4, -4, 10**6, -(10**6)]))
+    p_max = max(gate_cost(target, costs) * (1.0 + ulps * np.finfo(float).eps), 1e-12)
+    order = [i for i in data.draw(st.permutations(range(n))) if not start[i]]
+    assert_fill_matches_the_loop_without_stop(start, order, costs, p_max)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(4))), ids=str)
+@pytest.mark.parametrize("costs", [[0.1, 0.2, 0.3, 0.7], [0.3, 0.2, 0.1, 0.7]], ids=["0.1-first", "0.3-first"])
+def test_fill_with_running_totals_inside_the_band(costs, order):
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 in one order and 0.6 in another,
+    # both inside the band, where gate_cost decides: it keeps all three only
+    # when unit 0 costs 0.3. The 0.7 is rejected at each place in the order.
+    assert_fill_matches_the_loop_without_stop(np.zeros(4, bool), list(order), np.array(costs), 0.6)
+    gates, rejected = fill(np.zeros(4, bool), np.array(order), np.array(costs), 0.6)
+    assert 3 in rejected and len(rejected) == (1 if costs[0] == 0.3 else 2)
+
+
+def test_fill_keeps_a_cheap_unit_after_expensive_rejections():
+    costs = np.array([0.5, 0.9, 0.8, 0.05, 0.7])
+    gates, rejected = fill(np.zeros(5, bool), np.arange(5), costs, 0.6)
+    assert gates.nonzero()[0].tolist() == [0, 3] and rejected == [1, 2, 4]
+    assert_fill_matches_the_loop_without_stop(np.zeros(5, bool), list(range(5)), costs, 0.6)
+
+
+def test_fill_rejects_the_rest_of_order_in_one_step(monkeypatch):
+    # Once the first unit fills the budget, no later unit is tried one by one.
+    calls = []
+    fits = _Budget.fits
+    monkeypatch.setattr(_Budget, "fits", lambda self, *args: calls.append(args[0]) or fits(self, *args))
+    gates, rejected = fill(np.zeros(1000, bool), np.arange(1000), np.ones(1000), 1.0)
+    assert gates.nonzero()[0].tolist() == [0] and rejected == list(range(1, 1000))
+    assert calls == [1.0, 2.0]
 
 
 def test_replacement_below_margin_keeps_incumbent():

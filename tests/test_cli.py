@@ -300,8 +300,7 @@ def test_negative_seed_flag_exits_2_with_one_line(tmp_path, capsys, config_path)
     for command in (["run"], ["replay", "--trace", str(tmp_path / "trace.jsonl")], ["baseline"]):
         argv = command + ["--config", str(config_path), "--out", str(tmp_path / "o"), "--quiet", "--seed", "-1"]
         assert main(argv) == 2
-        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert errors == ["auditloop: error: unrecognized arguments: --seed -1"]
+        assert capsys.readouterr().err == "error: unrecognized arguments: --seed -1\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -609,6 +608,36 @@ def test_file_that_is_not_utf8_exits_with_one_line(tmp_path, capsys, config_path
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
     assert main(["bench-alloc"]) == 2
+
+
+CHOICES = "(choose from 'run', 'baseline', 'replay', 'verify-bounds', 'report')"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["run", "--config", "x", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["bench-alloc"], f"argument command: invalid choice: 'bench-alloc' {CHOICES}"),
+        (["run"], "the following arguments are required: --config"),
+        (["replay", "--config", "x"], "the following arguments are required: --trace"),
+        ([], "the following arguments are required: command"),
+        (["report", "--events"], "argument --events: expected one argument"),
+        (["baseline", "--config", "x", "--samples", "many"], "argument --samples: invalid int value: 'many'"),
+    ],
+    ids=["unknown-flag", "unknown-subcommand", "missing-config", "missing-trace", "no-subcommand",
+         "flag-without-value", "flag-of-wrong-type"],
+)
+def test_usage_error_exits_2_with_one_line(capsys, argv, line):
+    # argparse's own error prints the usage first, then `auditloop: error: ...`.
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["--version"]], ids=["help", "run-help", "version"])
+def test_help_and_version_exit_0_on_stdout(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out and err == ""
 
 
 def test_cli_surface_is_pinned():

@@ -205,6 +205,19 @@ def test_keyed_streams_out_of_order_across_blocks_and_words(prefix):
         assert np.array_equal(ours.permutation(20), reference.permutation(20))
 
 
+@pytest.mark.parametrize("prefix", [(), (7, 0x0E11), (2**32, 2**32 - 1)])
+@pytest.mark.parametrize(
+    "first, count",
+    [(5, 0), (5, 1), (SEED_BLOCK - 3, 7), (0, 2 * SEED_BLOCK + 1), (2**32 - 2, 4)],
+    ids=["none", "one", "across-a-block", "three-blocks", "across-a-word"],
+)
+def test_batch_of_generators_equals_one_stream_per_key(prefix, first, count):
+    streams = KeyedStreams(*prefix)
+    streams(3 * SEED_BLOCK)  # leaves a block cached that the batch does not use
+    want = [np.random.default_rng([*prefix, key]).standard_normal() for key in range(first, first + count)]
+    assert [rng.standard_normal() for rng in streams.generators(first, count)] == want
+
+
 def test_noise_calibration():
     # sample variance over 10^4 draws within 5% of sigma^2 (clamp never binds here)
     spec = simple_spec(sigma_val=0.04)
