@@ -61,6 +61,19 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def layout(doc: dict) -> str:
+    """The document in `BENCH_21.json`'s layout: one line per top-level field,
+    per summary cell and per run."""
+    head = [f" {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items() if k not in ("summary_trace0", "runs")]
+    workloads = [
+        f"  {json.dumps(w)}: {{\n" + ",\n".join(f"   {json.dumps(m)}: {json.dumps(c)}" for m, c in cells.items()) + "\n  }"
+        for w, cells in doc["summary_trace0"].items()
+    ]
+    summary = ' "summary_trace0": {' + ("\n" + ",\n".join(workloads) + "\n }" if workloads else "}")
+    runs = ' "runs": [' + ("\n" + ",\n".join(f"  {json.dumps(r)}" for r in doc["runs"]) + "\n ]" if doc["runs"] else "]")
+    return "{\n" + ",\n".join(head + [summary, runs]) + "\n}\n"
+
+
 def host() -> str:
     model = platform.machine()
     cpuinfo = Path("/proc/cpuinfo")
@@ -105,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     out = ROOT / f"BENCH_{args.label}.json"
     try:
         with out.open("x") as fh:
-            fh.write(json.dumps(doc, indent=1) + "\n")
+            fh.write(layout(doc))
     except FileExistsError:
         print(f"error: {out} exists; it is never overwritten", file=sys.stderr)
         return 2
@@ -119,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
                 run[side] = run_bench(getattr(args, side), workload, run["seed"], args.seconds)
             doc["runs"].append(run)
             doc["summary_trace0"] = summarize(doc["runs"], benchmark["end_to_end"])
-            out.write_text(json.dumps(doc, indent=1) + "\n")
+            out.write_text(layout(doc))
             print(f"{workload} pair {pair}: done", flush=True)
     return 0
 

@@ -95,8 +95,10 @@ def test_bench_pairs_writes_a_summary_that_recomputes_and_never_overwrites(tmp_p
             "--claim", "the change reads lower"]
     assert subprocess.run(argv, cwd=tmp_path, capture_output=True, timeout=120).returncode == 0
 
-    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    text = (tmp_path / "BENCH_t.json").read_text()
+    doc = json.loads(text)
     assert doc["claim"] == "the change reads lower"
+    assert sum(line.startswith('  {"workload": ') for line in text.splitlines()) == 6  # a line per run
     names = [w["name"] for w in benchmark["workloads"]]
     assert [(r["workload"], r["pair"], r["seed"], r["first"]) for r in doc["runs"]] == [
         (w, i, 1 + i, "parent" if i % 2 == 0 else "change") for w in names for i in range(3)
