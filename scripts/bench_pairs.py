@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of two checkouts, written to BENCH_<label>.json.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 10 --seconds 30 \\
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 10 \\
         --label 23 --claim "wide-740 cycle_ms_p50 goes down: ..."
 
 For every workload that the change's BENCHMARK.json lists, the script runs
-`python3 bench/run.py --trace 0` in each checkout, in alternating pairs:
+`python3 bench/run.py --trace 0` in each checkout for that file's
+`run_seconds`, the same on both sides, in alternating pairs:
 pair i uses benchmark seed 1 + i and runs the parent first when i is even.
 BENCH_<label>.json at the root of this checkout holds the claim, stated
 before the first run, both output lines of every run, and per workload and
@@ -94,17 +95,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     parser.add_argument("--claim", required=True, help="what the runs must show, stated before them")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in benchmark["workloads"]]
+    workloads, seconds = [w["name"] for w in benchmark["workloads"]], benchmark["run_seconds"]
     doc = {
         "what": (
             f"bench/run.py --trace 0 runs of every workload, parent and change in alternating pairs (pair i runs the "
-            f"parent first when i is even), each for {args.seconds:g} s; pair i uses benchmark seed 1 + i. The summary "
+            f"parent first when i is even), each for {seconds:g} s; pair i uses benchmark seed 1 + i. The summary "
             "gives each side's quartiles and the pairs in which the change reads better (higher only for metrics "
             "where higher is better). Each run holds the command's two output lines, parsed: details, then result."
         ),
@@ -129,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
                    "first": "parent" if pair % 2 == 0 else "change"}
             sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in sides:
-                run[side] = run_bench(getattr(args, side), workload, run["seed"], args.seconds)
+                run[side] = run_bench(getattr(args, side), workload, run["seed"], seconds)
             doc["runs"].append(run)
             doc["summary_trace0"] = summarize(doc["runs"], benchmark["end_to_end"])
             out.write_text(layout(doc))

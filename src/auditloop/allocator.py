@@ -113,11 +113,10 @@ def fill(gates, order, costs, p_max: float) -> tuple[np.ndarray, list[int]]:
         if budget.fits(total + cost, trial):
             total += cost
             continue
-        kept.pop()
+        rejected.append(kept.pop())
         if budget.over(total + least[j]):  # nor can any later unit fit
-            rejected += units[j:]
+            rejected += units[j + 1 :]
             break
-        rejected.append(i)
     gates[kept] = True
     return gates, rejected
 

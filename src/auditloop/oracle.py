@@ -126,11 +126,8 @@ def _seed_states(entropy) -> np.ndarray:
 
 
 class _BlockSeed(ISeedSequence):
-    """A seed sequence whose state was computed ahead by `_seed_states`.
-    `PCG64` asks it for exactly that state: 4 uint64 words."""
-
-    def __init__(self, state: np.ndarray):
-        self._state = state
+    """A seed sequence whose `_state`, set before each use, was computed ahead
+    by `_seed_states`. `PCG64` asks it for exactly that state: 4 uint64 words."""
 
     def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
         return self._state
@@ -165,7 +162,7 @@ class KeyedStreams:
     def generators(self, first: int, count: int):
         """The streams of keys `first` to `first + count - 1`, each built from its row of the
         block's states. `PCG64` reads its seed only while it is built, so one seed serves all."""
-        seed, key, end = _BlockSeed(None), int(first), int(first) + count
+        seed, key, end = _BlockSeed(), int(first), int(first) + count
         while key < end:
             block, offset = divmod(key, SEED_BLOCK)
             if block != self._block:
@@ -174,7 +171,8 @@ class KeyedStreams:
                 words[low] -= offset  # the block's first key: same words, low word aligned
                 entropy = np.tile(words, (SEED_BLOCK, 1))
                 entropy[:, low] += np.arange(SEED_BLOCK, dtype=np.uint32)
-                self._states, self._block = _seed_states(entropy), block
+                self._states = _seed_states(entropy)
+                self._block = block
             for seed._state in self._states[offset : offset + end - key]:  # each key's row in turn
                 yield Generator(PCG64(seed))
             key += SEED_BLOCK - offset
@@ -347,7 +345,9 @@ class SyntheticOracle:
             value = self._values(state, gates)[0]
         return value
 
-    def evaluate_toggles(self, state: TrainingState, gates, units, first_call_index: int) -> tuple[float, list[float]]:
+    def evaluate_toggles(
+        self, state: TrainingState, gates, units, first_call_index: int
+    ) -> tuple[float, list[float]]:
         """`true_value` plus noise, clamped to [0, 1], of `gates` and of each
         one-unit toggle of it, at call indices first_call_index, +1, ...
 

@@ -74,7 +74,7 @@ a = p.parse_args()
 side = 0.9 if "change" in __file__ else 1.0
 metrics = {m: {"value": side * (1 + int(a.seed)) * (1 if m == "evals_per_s" else 2), "unit": "s"}
            for m in ("setup_s", "run_s_p50", "cycle_ms_p50", "cycle_ms_p90", "evals_per_s", "peak_rss_mb")}
-print(json.dumps({"workload": a.workload, "seed": int(a.seed), "trace": a.trace}))
+print(json.dumps({"workload": a.workload, "seed": int(a.seed), "seconds": float(a.seconds), "trace": a.trace}))
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}))
 """
 
@@ -83,7 +83,7 @@ def test_bench_pairs_writes_a_summary_that_recomputes_and_never_overwrites(tmp_p
     # Fake checkouts whose benchmark prints a fixed result per seed: the
     # change reads 10% lower on every metric.
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    benchmark["workloads"] = benchmark["workloads"][:2]
+    benchmark["workloads"], benchmark["run_seconds"] = benchmark["workloads"][:2], 7
     for side in ("parent", "change"):
         (tmp_path / side / "bench").mkdir(parents=True)
         (tmp_path / side / "bench" / "run.py").write_text(FAKE_RUN)
@@ -91,7 +91,7 @@ def test_bench_pairs_writes_a_summary_that_recomputes_and_never_overwrites(tmp_p
     (tmp_path / "scripts").mkdir()
     script = tmp_path / "scripts" / "bench_pairs.py"
     script.write_text((ROOT / "scripts" / "bench_pairs.py").read_text())
-    argv = [sys.executable, str(script), "parent", "change", "--pairs", "3", "--seconds", "1", "--label", "t",
+    argv = [sys.executable, str(script), "parent", "change", "--pairs", "3", "--label", "t",
             "--claim", "the change reads lower"]
     assert subprocess.run(argv, cwd=tmp_path, capture_output=True, timeout=120).returncode == 0
 
@@ -104,6 +104,7 @@ def test_bench_pairs_writes_a_summary_that_recomputes_and_never_overwrites(tmp_p
         (w, i, 1 + i, "parent" if i % 2 == 0 else "change") for w in names for i in range(3)
     ]
     assert all(r[side][0]["seed"] == r["seed"] for r in doc["runs"] for side in ("parent", "change"))
+    assert {r[side][0]["seconds"] for r in doc["runs"] for side in ("parent", "change")} == {benchmark["run_seconds"]}
     cells = doc["summary_trace0"][names[0]]
     assert cells["cycle_ms_p50"]["change_better_pairs"] == 3 and cells["evals_per_s"]["change_better_pairs"] == 0
     test_bench_summary_recomputes_from_its_runs(tmp_path / "BENCH_t.json")
