@@ -94,8 +94,10 @@ def fill(gates, order, costs, p_max: float) -> tuple[np.ndarray, list[int]]:
     order = np.asarray(order, dtype=np.intp)
     if costs.shape != gates.shape:
         raise LengthMismatch("fill: costs must have one entry per unit")
+    if not order.size:
+        return gates, []
     ids = np.sort(order)
-    if ids.size and not (0 <= ids[0] and ids[-1] < gates.size):
+    if not (0 <= ids[0] and ids[-1] < gates.size):
         raise InvalidParams(f"fill: unit {ids[0] if ids[0] < 0 else ids[-1]} is not a unit id")
     if (on := gates[order]).any():
         raise InvalidParams(f"fill: unit {order[on][0]} is already on")

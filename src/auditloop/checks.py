@@ -168,7 +168,11 @@ def allocator_ratios(instances: int, n_max: int, seed: int) -> np.ndarray:
     """`swap_resolve` score over the exhaustive optimum (1.0 where that is
     not positive) on random instances: 1..n_max units, scores uniform in
     [0, 1), costs log-uniform in [1e-4, 5e-3], budget uniform between the
-    cheapest unit and the total cost."""
+    cheapest unit and the total cost.
+
+    C5 and `verify-bounds` use n_max = 15, so they measure `swap_resolve` on
+    instances of at most 15 units; the engine runs it only above
+    `EXACT_RESOLVE_MAX` = 16 positive scores, as every default run does."""
     check_count("instances", instances, 1)
     check_count("n-max", n_max, 1, ENUMERATION_MAX)
     check_count("seed", seed, 0)

@@ -1,5 +1,5 @@
 """Command-line surface: run experiments, replay traces, verify bounds and
-emit plot-ready reports.
+explain a run from its config and event log.
 
 A run's settings come only from its config file, and `verify-bounds` runs
 every check at fixed sizes and seeds. Exit codes: 0 success, 1 runtime error
@@ -108,18 +108,25 @@ def cmd_verify_bounds(args) -> int:
 
 
 def cmd_report(args) -> int:
-    diag = compute_diagnostics(args.events)
+    config = RunConfig.from_json(args.config)
+    diag = compute_diagnostics(args.events, config.space.n_units)
     write_diagnostics_csv(diag, _out_dir(args.out) / "diagnostics.csv")
-    if not args.quiet:
-        if diag["final_value"] is None:
-            final = f"no final record: log ends after cycle {diag['last_cycle']}"
-        else:
-            final = f"final value {diag['final_value']:.4f}"
-        print(
-            f"cycles {len(diag['value_curve'])}  {final}  "
-            f"t_c {diag['t_c']}  min coverage {int(diag['coverage'].min())}  "
-            f"evaluations {diag['eval_count']}"
-        )
+    if args.quiet:
+        return EXIT_OK
+    if diag["final_value"] is None:
+        final = f"no final record: log ends after cycle {diag['last_cycle']}"
+    else:
+        final = f"final value {diag['final_value']:.4f}  budget {diag['budget_used']:.6f} of {config.allocator.p_max}"
+    print(
+        f"cycles {len(diag['value_curve'])}  {final}  "
+        f"t_c {diag['t_c']}  min coverage {int(diag['coverage'].min())}  "
+        f"evaluations {diag['eval_count']}"
+    )
+    if diag["final_on_ids"] is not None:
+        print(f"selected units ({len(diag['final_on_ids'])}):")
+        for u in (config.space.units[i] for i in diag["final_on_ids"]):
+            print(f"  {u.id:>3}  layer {u.layer}  {u.slot.value:<11} {u.family.value:<11} "
+                  f"{u.topology.value:<4} size {u.size:<3} cost {u.cost:.6f}")
     return EXIT_OK
 
 
@@ -159,10 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_verify_bounds)
 
-    p = sub.add_parser("report", help="recompute diagnostics from an event log")
+    p = sub.add_parser("report", help="recompute diagnostics from a run's config and event log")
+    common(p)
     p.add_argument("--events", required=True, help="events.jsonl path")
-    p.add_argument("--out", default="out")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -350,14 +350,15 @@ def sweep(shots_levels: Sequence[int], seeds: Sequence[int], random_samples: int
 DIAGNOSTIC_COLUMNS = ("cycle", "value", "regret", "t_c", "coverage_min")
 
 
-def compute_diagnostics(records: list[dict] | str | Path, *, n_units: int | None = None) -> dict:
-    """Coverage, chatter count, regret curve and evaluation totals from a log,
-    plus the last cycle index and the final record's `final_value` (None
-    when the log has no final record).
+def compute_diagnostics(records: list[dict] | str | Path, n_units: int) -> dict:
+    """Coverage, chatter count, regret curve and evaluation totals from the
+    log of a run over `n_units` units, plus the last cycle index and the final
+    record's `final_value`, `budget_used` and `final_on_ids` (each None when
+    the log has no final record).
 
     Regret is measured against the best noise-free value seen during the run.
-    `n_units` defaults to the final record's gate count, or to 1 + the
-    highest audited id in a log that ends before its final record.
+    A log that audits a unit outside `0..n_units-1`, or whose final record
+    does not hold one gate per unit, is not a log of this run: MalformedLog.
     """
     if not isinstance(records, list):
         # A log that cannot be read raises its OSError; one that is not UTF-8
@@ -374,23 +375,29 @@ def compute_diagnostics(records: list[dict] | str | Path, *, n_units: int | None
     if not cycles:
         raise MalformedLog("event log contains no cycle records")
     try:
-        if n_units is None and finals:
-            n_units = len(finals[-1]["final_gates"])
-        elif n_units is None:
-            n_units = 1 + max(max(r["audit"]["batch"], default=0) for r in cycles)
         coverage = np.zeros(n_units, dtype=np.int64)
         values: list[float] = []
         t_c_curve: list[int] = []
         coverage_min: list[int] = []
         for r in sorted(cycles, key=lambda r: r["cycle"]):
             for unit in r["audit"]["batch"]:
+                if not 0 <= unit < n_units:
+                    raise MalformedLog(f"cycle {r['cycle']} audits unit {unit}, not one of the {n_units} units")
                 coverage[unit] += 1
             values.append(float(r["value"]))
             t_c_curve.append(int(r["fsm"]["t_c"]))
             coverage_min.append(int(coverage.min()))
         eval_count = int(cycles[-1]["eval_count"])
         last_cycle = max(int(r["cycle"]) for r in cycles)
-        final_value = float(finals[-1]["final_value"]) if finals else None
+        final_value = budget_used = on_ids = None
+        if finals:
+            final = finals[-1]
+            if len(gates := final["final_gates"]) != n_units:
+                raise MalformedLog(f"final record holds {len(gates)} gates for the config's {n_units} units")
+            on_ids = [int(i) for i in final["final_on_ids"]]
+            if on_ids != [i for i, g in enumerate(gates) if g == "1"]:
+                raise MalformedLog("final record's final_on_ids are not the units its final_gates switch on")
+            final_value, budget_used = float(final["final_value"]), float(final["budget_used"])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise MalformedLog(f"event log record missing field: {exc}") from exc
 
@@ -406,6 +413,8 @@ def compute_diagnostics(records: list[dict] | str | Path, *, n_units: int | None
         "eval_count": eval_count,
         "last_cycle": last_cycle,
         "final_value": final_value,
+        "budget_used": budget_used,
+        "final_on_ids": on_ids,
     }
 
 

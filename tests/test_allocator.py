@@ -142,6 +142,16 @@ def test_fill_requires_each_unit_of_order_off_and_once(start, order, costs, p_ma
         fill(np.array(start), np.array(order), np.array(costs), p_max)
 
 
+def test_fill_of_an_empty_order_returns_a_copy_of_gates():
+    # The FSM calls `fill` on every ready vote, even when no ready vote is an activation.
+    start = np.array([True, False, True])
+    gates, rejected = fill(start, np.array([], dtype=np.intp), np.array([0.1, 0.2, 0.3]), 0.5)
+    assert np.array_equal(gates, start) and gates is not start
+    assert rejected == []
+    with pytest.raises(LengthMismatch, match="one entry per unit"):
+        fill(start, [], np.array([0.1, 0.2]), 0.5)
+
+
 def fill_without_stop(gates, order, costs, p_max):
     """`fill` as a loop that asks `_Budget.fits` about every unit of `order`."""
     gates, costs = np.array(gates, dtype=bool), np.asarray(costs, dtype=float)

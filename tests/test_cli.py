@@ -4,6 +4,7 @@ import copy
 import hashlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -312,15 +313,18 @@ def test_negative_seed_flag_exits_2_with_one_line(tmp_path, capsys, config_path)
         ["run", "--config", "CONFIG", "--out", "FILE", "--record-trace", "TRACE"],
         ["replay", "--config", "CONFIG", "--out", "FILE", "--trace", "FILE"],
         ["baseline", "--config", "CONFIG", "--out", "FILE"],
-        ["report", "--events", "EVENTS", "--out", "FILE"],
-        ["report", "--events", "MISSING", "--out", "OUT"],
-        ["report", "--events", "DIR", "--out", "OUT"],
+        ["report", "--config", "CONFIG", "--events", "EVENTS", "--out", "FILE"],
+        ["report", "--config", "CONFIG", "--events", "MISSING", "--out", "OUT"],
+        ["report", "--config", "CONFIG", "--events", "DIR", "--out", "OUT"],
+        ["report", "--config", "DIR", "--events", "EVENTS", "--out", "OUT"],
+        ["report", "--config", "MISSING", "--events", "EVENTS", "--out", "OUT"],
         ["replay", "--config", "CONFIG", "--out", "OUT", "--trace", "MISSING"],
         ["replay", "--config", "CONFIG", "--out", "OUT", "--trace", "DIR"],
     ],
     ids=["config-is-a-directory", "trace-is-a-directory", "run-out-is-a-file", "replay-out-is-a-file",
          "baseline-out-is-a-file", "report-out-is-a-file", "events-missing", "events-is-a-directory",
-         "replay-trace-missing", "replay-trace-is-a-directory"],
+         "report-config-is-a-directory", "report-config-missing", "replay-trace-missing",
+         "replay-trace-is-a-directory"],
 )
 def test_path_error_exits_2_with_one_line_before_any_run(tmp_path, capsys, monkeypatch, config_path, argv):
     file, events = tmp_path / "file", tmp_path / "events.jsonl"
@@ -554,7 +558,8 @@ def test_report_command(tmp_path, config_path):
     out = tmp_path / "out"
     main(["run", "--config", str(config_path), "--out", str(out), "--quiet"])
     out2 = tmp_path / "rep"
-    assert main(["report", "--events", str(out / "events.jsonl"), "--out", str(out2), "--quiet"]) == 0
+    argv = ["report", "--config", str(config_path), "--events", str(out / "events.jsonl"), "--out", str(out2)]
+    assert main(argv + ["--quiet"]) == 0
     assert (out2 / "diagnostics.csv").read_text() == (out / "diagnostics.csv").read_text()
 
 
@@ -563,14 +568,16 @@ def test_report_prints_the_final_record_or_where_the_log_ends(tmp_path, capsys, 
     main(["run", "--config", str(config_path), "--out", str(out), "--quiet"])
     final_value = json.loads((out / "report.json").read_text())["final_value"]
     capsys.readouterr()
-    assert main(["report", "--events", str(out / "events.jsonl"), "--out", str(tmp_path / "rep")]) == 0
+    report = ["report", "--config", str(config_path)]
+    assert main(report + ["--events", str(out / "events.jsonl"), "--out", str(tmp_path / "rep")]) == 0
     assert f"final value {final_value:.4f} " in capsys.readouterr().out
 
     cut = tmp_path / "cut.jsonl"
     cut.write_text("".join((out / "events.jsonl").read_text().splitlines(keepends=True)[:-1]))
-    assert main(["report", "--events", str(cut), "--out", str(tmp_path / "cut")]) == 0
+    assert main(report + ["--events", str(cut), "--out", str(tmp_path / "cut")]) == 0
     printed = capsys.readouterr().out
     assert "no final record: log ends after cycle 11 " in printed and "final value" not in printed
+    assert "selected units" not in printed
     assert (tmp_path / "cut" / "diagnostics.csv").exists()
 
 
@@ -580,16 +587,60 @@ def test_report_of_a_log_with_a_non_object_line_exits_1_with_one_line(tmp_path, 
     events = out / "events.jsonl"
     events.write_text(events.read_text() + "[1]\n")
     capsys.readouterr()
-    assert main(["report", "--events", str(events), "--out", str(tmp_path / "rep")]) == 1
+    assert main(["report", "--config", str(config_path), "--events", str(events), "--out", str(tmp_path / "rep")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    """README's default config file and the `run` of it: (config path, output directory)."""
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)]
+    (doc,) = [b for b in blocks if b.get("space") == "default"]
+    tmp = tmp_path_factory.mktemp("default")
+    config = tmp / "default.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--out", str(tmp / "out"), "--quiet"]) == 0
+    return config, tmp / "out"
+
+
+def test_readme_default_config_writes_the_golden_default_log(default_run):
+    _, out = default_run
+    golden = json.loads((ROOT / "bench" / "golden.json").read_text())
+    digest = hashlib.sha256((out / "events.jsonl").read_bytes()).hexdigest()
+    assert digest == golden["paper-default"]["1"]["0"]
+
+
+def test_report_prints_the_budget_and_one_line_per_selected_unit(default_run, tmp_path, capsys):
+    config, out = default_run
+    final = json.loads((out / "events.jsonl").read_text().splitlines()[-1])
+    capsys.readouterr()
+    assert main(["report", "--config", str(config), "--events", str(out / "events.jsonl"), "--out", str(tmp_path)]) == 0
+    summary, heading, *units = capsys.readouterr().out.splitlines()
+    assert f"  budget {final['budget_used']:.6f} of 0.002  " in summary
+    assert heading == f"selected units ({len(final['final_on_ids'])}):"
+    assert [int(line.split()[0]) for line in units] == final["final_on_ids"]
+    assert all(" layer " in line and " size " in line and " cost " in line for line in units)
+
+
+def test_report_of_a_log_of_another_space_exits_1_naming_the_cycle(default_run, tmp_path, capsys):
+    config, out = default_run
+    records = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+    records[0]["audit"]["batch"].append(90)
+    events = tmp_path / "events.jsonl"
+    events.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["report", "--config", str(config), "--events", str(events), "--out", str(tmp_path), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: cycle 0 audits unit 90, not one of the 74 units\n"
 
 
 @pytest.mark.parametrize(
     "argv, code",
     [
         (["run", "--config", "BAD"], 2),
-        (["report", "--events", "BAD"], 1),
+        (["report", "--config", "CONFIG", "--events", "BAD"], 1),
         (["replay", "--config", "CONFIG", "--trace", "BAD"], 1),
     ],
     ids=["config", "events", "trace"],
@@ -654,5 +705,5 @@ def test_cli_surface_is_pinned():
         "baseline": ["--config", "--out", "--quiet", "--samples"],
         "replay": ["--config", "--out", "--quiet", "--trace"],
         "verify-bounds": ["--quiet"],
-        "report": ["--events", "--out", "--quiet"],
+        "report": ["--config", "--events", "--out", "--quiet"],
     }

@@ -255,21 +255,42 @@ def test_diagnostics_malformed_log(tmp_path):
     bad = tmp_path / "events.jsonl"
     bad.write_text("{}\n")
     with pytest.raises(MalformedLog):
-        compute_diagnostics(bad)
+        compute_diagnostics(bad, 3)
     with pytest.raises(MalformedLog):
-        compute_diagnostics([{"kind": "cycle", "cycle": 0}])
+        compute_diagnostics([{"kind": "cycle", "cycle": 0}], 3)
+
+
+AUDIT = {"audit": {"batch": [0, 1]}, "value": 0.5, "fsm": {"t_c": 0}}
+CYCLES = [{"kind": "cycle", "cycle": t, "eval_count": 3 * (t + 1), **AUDIT} for t in range(2)]
+FINAL = {"kind": "final", "final_gates": "010", "final_on_ids": [1], "final_value": 0.5, "budget_used": 0.1}
 
 
 def test_diagnostics_count_units_never_audited():
-    # The final record's gates give the unit count, so unit 2, never audited,
-    # holds coverage at 0 as it does in the `run` diagnostics.
-    audit = {"audit": {"batch": [0, 1]}, "value": 0.5, "fsm": {"t_c": 0}}
-    cycles = [{"kind": "cycle", "cycle": t, "eval_count": 3 * (t + 1), **audit} for t in range(2)]
-    diag = compute_diagnostics(cycles + [{"kind": "final", "final_gates": "000", "final_value": 0.5}])
+    # The config's unit count, not the log, sizes the coverage, so unit 2,
+    # never audited, holds coverage at 0 with or without the final record:
+    # a log cut before it reads as the whole run's does.
+    diag = compute_diagnostics(CYCLES + [FINAL], 3)
     assert diag["coverage"].tolist() == [2, 2, 0]
-    assert diag["coverage_min_curve"] == compute_diagnostics(cycles, n_units=3)["coverage_min_curve"] == [0, 0]
-    # A log cut before its final record counts units up to the highest audited id.
-    assert compute_diagnostics(cycles)["coverage_min_curve"] == [1, 2]
+    assert (diag["final_value"], diag["budget_used"], diag["final_on_ids"]) == (0.5, 0.1, [1])
+    cut = compute_diagnostics(CYCLES, 3)
+    assert diag["coverage_min_curve"] == cut["coverage_min_curve"] == [0, 0]
+    assert cut["final_value"] is cut["budget_used"] is cut["final_on_ids"] is None
+
+
+@pytest.mark.parametrize(
+    "records, n_units, match",
+    [
+        (CYCLES + [CYCLES[0] | {"cycle": 2, "audit": {"batch": [0, 3]}}], 3, "cycle 2 audits unit 3, not one of the 3"),
+        (CYCLES + [CYCLES[0] | {"cycle": 2, "audit": {"batch": [-1]}}], 3, "cycle 2 audits unit -1"),
+        (CYCLES + [FINAL], 2, "final record holds 3 gates for the config's 2 units"),
+        (CYCLES + [FINAL], 4, "final record holds 3 gates for the config's 4 units"),
+        (CYCLES + [FINAL | {"final_on_ids": [0]}], 3, "final_on_ids are not the units its final_gates switch on"),
+    ],
+    ids=["audited-id-past-the-end", "negative-audited-id", "fewer-units", "more-units", "on-ids-disagree"],
+)
+def test_diagnostics_reject_a_log_of_another_space(records, n_units, match):
+    with pytest.raises(MalformedLog, match=match):
+        compute_diagnostics(records, n_units)
 
 
 def test_record_and_replay_identical_event_log(tmp_path):

@@ -12,11 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["run_demo.py", "--out", "{tmp}/demo"], ["sweep.py", "--seeds", "1"]],
-    ids=["run_demo", "sweep"],
-)
+@pytest.mark.parametrize("argv", [["sweep.py", "--seeds", "1"]], ids=["sweep"])
 def test_script_exits_0(tmp_path, argv):
     run_script(tmp_path, argv)
 

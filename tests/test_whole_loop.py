@@ -106,7 +106,8 @@ def test_whole_runs_keep_budget_score_replay_and_log_invariants(config):
             gates[r["fsm"]["commits"]] ^= True
             assert fresh.true_value(state, gates) == r["value"], r["cycle"]
 
-        diag = compute_diagnostics(events)
+        diag = compute_diagnostics(events, config.space.n_units)
         assert diag["last_cycle"] == config.cycles - 1
         assert diag["final_value"] == report.final_value
+        assert diag["final_on_ids"] == np.flatnonzero(report.final_gates).tolist()
         assert diag["eval_count"] == report.eval_count
