@@ -381,7 +381,7 @@ def compute_diagnostics(records: list[dict] | str | Path, n_units: int) -> dict:
         coverage_min: list[int] = []
         for r in sorted(cycles, key=lambda r: r["cycle"]):
             for unit in r["audit"]["batch"]:
-                if not 0 <= unit < n_units:
+                if isinstance(unit, bool) or not 0 <= unit < n_units:  # numpy reads True as every unit
                     raise MalformedLog(f"cycle {r['cycle']} audits unit {unit}, not one of the {n_units} units")
                 coverage[unit] += 1
             values.append(float(r["value"]))

@@ -17,6 +17,8 @@ from auditloop.cli import main
 from auditloop.driver import DIAGNOSTIC_COLUMNS
 from auditloop.oracle import SyntheticOracle, TraceRecordingOracle
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 @pytest.fixture()
 def config_path(tmp_path):
@@ -590,9 +592,6 @@ def test_report_of_a_log_with_a_non_object_line_exits_1_with_one_line(tmp_path, 
     assert main(["report", "--config", str(config_path), "--events", str(events), "--out", str(tmp_path / "rep")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")

@@ -282,11 +282,13 @@ def test_diagnostics_count_units_never_audited():
     [
         (CYCLES + [CYCLES[0] | {"cycle": 2, "audit": {"batch": [0, 3]}}], 3, "cycle 2 audits unit 3, not one of the 3"),
         (CYCLES + [CYCLES[0] | {"cycle": 2, "audit": {"batch": [-1]}}], 3, "cycle 2 audits unit -1"),
+        (CYCLES + [CYCLES[0] | {"cycle": 2, "audit": {"batch": [True]}}], 3, "cycle 2 audits unit True"),
         (CYCLES + [FINAL], 2, "final record holds 3 gates for the config's 2 units"),
         (CYCLES + [FINAL], 4, "final record holds 3 gates for the config's 4 units"),
         (CYCLES + [FINAL | {"final_on_ids": [0]}], 3, "final_on_ids are not the units its final_gates switch on"),
     ],
-    ids=["audited-id-past-the-end", "negative-audited-id", "fewer-units", "more-units", "on-ids-disagree"],
+    ids=["audited-id-past-the-end", "negative-audited-id", "bool-audited-id", "fewer-units", "more-units",
+         "on-ids-disagree"],
 )
 def test_diagnostics_reject_a_log_of_another_space(records, n_units, match):
     with pytest.raises(MalformedLog, match=match):
