@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 from . import errors
 from .allocator import (
     AllocatorParams,
+    Budget,
     apply_hysteresis,
     brute_force_optimum,
     final_resolve,

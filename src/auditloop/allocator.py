@@ -1,8 +1,8 @@
 """Budgeted unit selection.
 
-Every solver takes scores, unit costs and a budget, returns a boolean gate
-vector, and switches on only units with positive scores: a unit that the
-engine has not audited yet scores 0.0, so it stays off.
+Every solver takes scores and a `Budget`, returns a boolean gate vector, and
+switches on only units with positive scores: a unit that the engine has not
+audited yet scores 0.0, so it stays off.
 
 Greedy density knapsack with a replacement-hysteresis guard for the online
 loop, a guard-free final re-solve, and an exhaustive optimum. The final
@@ -14,19 +14,17 @@ singleton, then best-improvement single swaps).
 commit of ready activations and the random baseline each pass it their own
 start mask and unit order.
 
-A set fits the budget when `gate_cost`, its costs summed in ascending-id
-order, is at most `p_max`, so every module agrees bit-for-bit on
-feasibility. Every allocator step decides this through `_Budget.fits` from
-an approximate total: one `gate_cost` or subset sum, off by at most
-N·eps·sum(costs), plus at most 2·N cost additions and subtractions, each off
-by at most eps·sum(costs). The total and the candidate's own `gate_cost`
-thus differ by at most 4·N·eps·sum(costs), so a total more than the band
-`8·N·eps·sum(costs)` away from `p_max` decides as `gate_cost` would; only
-inside the band is `gate_cost` summed.
+A unit's cost is its integer parameter count over the backbone's P, so a set
+fits the budget when its counts sum to at most the capacity floor(p_max·P):
+every allocator step decides fit by this one exact integer compare. The
+driver logs `gate_cost`, the float costs summed, so a set that fits can log
+a cost an ulp or so above p_max: 0.00032 + 0.00016 reads 0.00048000000000000007,
+though 64 + 32 of 200,000 parameters is exactly 0.00048 of them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,88 +49,98 @@ def gate_cost(gates: np.ndarray, costs: np.ndarray) -> float:
     return float(costs[np.asarray(gates, dtype=bool)].sum())
 
 
-_EPS = float(np.finfo(float).eps)
+class Budget:
+    """One run's budget: unit i has the integer parameter count `counts[i]`
+    out of `scale`, and a set of units fits when its counts sum to at most
+    `capacity`, floor(p_max·scale). `costs[i]` is `counts[i] / scale`, which
+    orders units by density. The counts are checked here, once: each is
+    positive, and their total, which caps the capacity, fits an int64."""
+
+    def __init__(self, counts, scale: int, p_max: float):
+        counts = [operator.index(c) for c in counts]
+        if any(c < 1 for c in counts):
+            raise NonPositiveCost("every unit's parameter count must be positive")
+        if (total := sum(counts)) >= 1 << 63:
+            raise InvalidParams(f"unit parameter counts sum to {total}, past an int64")
+        num, den = check_number("p_max", p_max, "[0, inf)").as_integer_ratio()
+        self.counts = np.array(counts, dtype=np.int64)
+        self.costs = np.array([c / scale for c in counts], dtype=float)
+        self.capacity = min(num * operator.index(scale) // den, total)
+
+    @classmethod
+    def from_costs(cls, costs, p_max: float) -> "Budget":
+        """The budget of float `costs` at their exact values: each is an
+        integer over a power of two (`float.as_integer_ratio`), and the
+        largest of those powers is the scale."""
+        costs = np.asarray(costs, dtype=float)
+        if costs.ndim != 1 or not ((costs > 0.0) & (costs < np.inf)).all():
+            raise NonPositiveCost("unit costs must be a vector of positive finite numbers")
+        ratios = [c.as_integer_ratio() for c in costs.tolist()]
+        scale = max((den for _, den in ratios), default=1)
+        return cls([num * (scale // den) for num, den in ratios], scale, p_max)
+
+    def fits(self, gates) -> bool:
+        return int(self.counts[np.asarray(gates, dtype=bool)].sum()) <= self.capacity
 
 
-class _Budget:
-    """The one budget decision for unit costs `costs` and budget `p_max`; the
-    module docstring argues its band."""
-
-    def __init__(self, costs: np.ndarray, p_max: float):
-        self.costs, self.p_max = costs, p_max
-        self.band = float(8 * costs.size * _EPS * costs.sum())  # a Python float is faster here
-
-    def over(self, approx: float) -> bool:
-        """Whether approximate total `approx` is past the band above `p_max`, so cannot fit."""
-        return approx - self.p_max > self.band
-
-    def fits(self, approx, mask_of):
-        """`approx <= p_max` for a float or per entry of a 1-D array, except
-        that within the band the `gate_cost` of `mask_of(i)`, candidate i's
-        gate vector, decides (i = 0 for a float)."""
-        if isinstance(approx, float):  # Python scalars are faster here
-            if self.over(approx) or self.p_max - approx > self.band:
-                return approx <= self.p_max
-            return gate_cost(mask_of(0), self.costs) <= self.p_max
-        ok = approx <= self.p_max
-        for i in (np.abs(approx - self.p_max) <= self.band).nonzero()[0].tolist():  # too close to call
-            ok[i] = gate_cost(mask_of(i), self.costs) <= self.p_max
-        return ok
-
-
-def fill(gates, order, costs, p_max: float) -> tuple[np.ndarray, list[int]]:
-    """Switch on each unit of `order` in turn, keeping it only while
-    `gate_cost` stays within `p_max`. Returns a new gate vector and the units
-    of `order` that did not fit; `gates` itself is left as it is. Every unit
-    of `order` must be a unit id, off in `gates`, and appear once. The
-    approximate total is a running one: `gate_cost` of `gates` plus each kept
-    unit's cost. At a rejection, if the total plus the least cost left is
-    `_Budget.over`, the rest of `order` is rejected in one step: float addition
-    is monotone and a rejection leaves the total as it is."""
+def fill(gates, order, budget: Budget) -> tuple[np.ndarray, list[int]]:
+    """Switch on each unit of `order` in turn, keeping it only while the set
+    fits `budget`. Returns a new gate vector and the units of `order` that did
+    not fit; `gates` itself is left as it is. Every unit of `order` must be a
+    unit id, off in `gates`, and appear once."""
     gates = np.array(gates, dtype=bool)
-    costs = np.asarray(costs, dtype=float)
     order = np.asarray(order, dtype=np.intp)
-    if costs.shape != gates.shape:
-        raise LengthMismatch("fill: costs must have one entry per unit")
+    if budget.counts.shape != gates.shape:
+        raise LengthMismatch("fill: the budget must have one count per unit")
+    if order.size:
+        ids = np.sort(order)
+        if not (0 <= ids[0] and ids[-1] < gates.size):
+            raise InvalidParams(f"fill: unit {ids[0] if ids[0] < 0 else ids[-1]} is not a unit id")
+        if (on := gates[order]).any():
+            raise InvalidParams(f"fill: unit {order[on][0]} is already on")
+        if (twice := ids[1:][ids[1:] == ids[:-1]]).size:
+            raise InvalidParams(f"fill: unit {twice[0]} appears twice in order")
+    return _fill(gates, order, budget)
+
+
+def _fill(gates: np.ndarray, order: np.ndarray, budget: Budget) -> tuple[np.ndarray, list[int]]:
+    """`fill` without its checks, switching units on in `gates` itself, for
+    callers whose orders are valid by construction. Counts are positive, so
+    the running total and the least count from each position on only grow:
+    one `searchsorted` finds the prefix that fits, another the last position
+    after it at which a unit can still fit, and the loop between them stops
+    at a rejection past which none can."""
     if not order.size:
         return gates, []
-    ids = np.sort(order)
-    if not (0 <= ids[0] and ids[-1] < gates.size):
-        raise InvalidParams(f"fill: unit {ids[0] if ids[0] < 0 else ids[-1]} is not a unit id")
-    if (on := gates[order]).any():
-        raise InvalidParams(f"fill: unit {order[on][0]} is already on")
-    if (twice := ids[1:][ids[1:] == ids[:-1]]).size:
-        raise InvalidParams(f"fill: unit {twice[0]} appears twice in order")
-    budget = _Budget(costs, p_max)
-    total = gate_cost(gates, costs)
-    kept: list[int] = []  # the accepted units, then the unit under test while it is tried
-    trial = lambda _: gates | (np.bincount(kept, minlength=gates.size) > 0)  # built only in the band
-    rejected: list[int] = []
-    units, unit_costs = order.tolist(), costs[order]
-    least = np.minimum.accumulate(unit_costs[::-1])[::-1].tolist()  # least cost from each position on
-    for j, (i, cost) in enumerate(zip(units, unit_costs.tolist())):  # Python scalars are faster here
-        kept.append(i)
-        if budget.fits(total + cost, trial):
-            total += cost
+    counts = budget.counts[order]
+    room = budget.capacity - int(budget.counts[gates].sum())
+    running = np.cumsum(counts)
+    first = int(np.searchsorted(running, room, side="right"))
+    if first:
+        room -= int(running[first - 1])
+    least = np.minimum.accumulate(counts[first:][::-1])[::-1]
+    stop = first + int(np.searchsorted(least, room, side="right"))
+    kept, rejected = order[:first].tolist(), []
+    for j, (i, count) in enumerate(zip(order[first:stop].tolist(), counts[first:stop].tolist())):
+        if count <= room:
+            kept.append(i)
+            room -= count
             continue
-        rejected.append(kept.pop())
-        if budget.over(total + least[j]):  # nor can any later unit fit
-            rejected += units[j + 1 :]
+        rejected.append(i)
+        if least[j] > room:  # nor can any later unit fit
+            stop = first + j + 1
             break
     gates[kept] = True
-    return gates, rejected
+    return gates, rejected + order[stop:].tolist()
 
 
-def _validate(scores, costs) -> tuple[np.ndarray, np.ndarray]:
+def _validate(scores, budget: Budget) -> np.ndarray:
     scores = np.asarray(scores, dtype=float)
-    costs = np.asarray(costs, dtype=float)
-    if scores.shape != costs.shape or scores.ndim != 1:
-        raise LengthMismatch("scores and costs must be 1-D vectors of equal length")
-    if not ((costs > 0.0) & (costs < np.inf)).all():
-        raise NonPositiveCost("all unit costs must be positive and finite")
+    if scores.shape != budget.counts.shape:
+        raise LengthMismatch("scores must be a vector with one entry per unit of the budget")
     if not np.isfinite(scores).all():
         raise InvalidParams("scores must be finite")
-    return scores, costs
+    return scores
 
 
 def _density_order(ids: np.ndarray, scores: np.ndarray, costs: np.ndarray) -> np.ndarray:
@@ -141,19 +149,19 @@ def _density_order(ids: np.ndarray, scores: np.ndarray, costs: np.ndarray) -> np
     return ids[np.lexsort((ids, costs[ids], -dens))]
 
 
-def greedy_allocate(scores, costs, p_max: float) -> np.ndarray:
+def greedy_allocate(scores, budget: Budget) -> np.ndarray:
     """Activate units in descending density while they fit the budget.
 
     Units with non-positive scores are never activated, even under slack:
     measured utilities can be negative and a harmful unit never helps the
     objective.
     """
-    scores, costs = _validate(scores, costs)
-    order = _density_order((scores > 0.0).nonzero()[0], scores, costs)
-    return fill(np.zeros(scores.size, dtype=bool), order, costs, p_max)[0]
+    scores = _validate(scores, budget)
+    order = _density_order((scores > 0.0).nonzero()[0], scores, budget.costs)
+    return _fill(np.zeros(scores.size, dtype=bool), order, budget)[0]
 
 
-def apply_hysteresis(current, proposed, scores, costs, p_max: float, mu_eff: float) -> np.ndarray:
+def apply_hysteresis(current, proposed, scores, budget: Budget, mu_eff: float) -> np.ndarray:
     """Filter freshly proposed gates against the currently committed gates.
 
     Activations that fit the budget without evicting anyone pass through, as
@@ -163,7 +171,7 @@ def apply_hysteresis(current, proposed, scores, costs, p_max: float, mu_eff: flo
     more than mu_eff, otherwise the incumbents are retained and the newcomer
     discarded.
     """
-    scores, costs = _validate(scores, costs)
+    scores = _validate(scores, budget)
     current = np.asarray(current, dtype=bool)
     prop = np.asarray(proposed, dtype=bool)
     if current.shape != prop.shape or current.shape != scores.shape:
@@ -179,30 +187,25 @@ def apply_hysteresis(current, proposed, scores, costs, p_max: float, mu_eff: flo
     gates[drops[harmful]] = False
     held = drops[~harmful]
     evictable = held[np.lexsort((held, scores[held]))].tolist()
+    freed_by = dict(zip(held.tolist(), budget.counts[held].tolist()))
 
-    # The approximate total: `gate_cost` of `gates` plus the adds and evictions since.
-    budget = _Budget(costs, p_max)
-    total = gate_cost(gates, costs)
-    for k in _density_order(adds, scores, costs).tolist():
-        trial = gates.copy()
-        trial[k] = True
-        running = total + costs[k]
-        ok = budget.fits(running, lambda _: trial)
-        if ok:
-            gates, total = trial, running
+    room = budget.capacity - int(budget.counts[gates].sum())
+    order = _density_order(adds, scores, budget.costs)
+    for k, count in zip(order.tolist(), budget.counts[order].tolist()):
+        if count <= room:
+            gates[k] = True
+            room -= count
             continue
-        needed: list[int] = []
+        needed, freed = [], room
         for j in evictable:
             needed.append(j)
-            trial[j] = False
-            running -= costs[j]
-            ok = budget.fits(running, lambda _: trial)
-            if ok:
+            freed += freed_by[j]
+            if count <= freed:
                 break
-        if not ok:
+        if count > freed:
             continue  # infeasible even after every allowed eviction
         if scores[k] - sum(scores[j] for j in needed) > mu_eff:
-            gates, total = trial, running
+            gates[k], gates[needed], room = True, False, freed - count
             for j in needed:
                 evictable.remove(j)
     return gates
@@ -216,18 +219,18 @@ ENUMERATION_MAX = 20
 EXACT_RESOLVE_MAX = 16
 
 
-def final_resolve(scores, costs, p_max: float) -> np.ndarray:
+def final_resolve(scores, budget: Budget) -> np.ndarray:
     """Guard-free re-solve. With at most `EXACT_RESOLVE_MAX` units of positive
     score it returns `brute_force_optimum` over those units, whose score never
     falls as the budget grows; above that, `swap_resolve`."""
-    scores, costs = _validate(scores, costs)
+    scores = _validate(scores, budget)
     positive = scores > 0.0
     if np.count_nonzero(positive) <= EXACT_RESOLVE_MAX:
-        return brute_force_optimum(scores, costs, positive, p_max)
-    return swap_resolve(scores, costs, p_max)
+        return brute_force_optimum(scores, budget, positive)
+    return swap_resolve(scores, budget)
 
 
-def swap_resolve(scores, costs, p_max: float) -> np.ndarray:
+def swap_resolve(scores, budget: Budget) -> np.ndarray:
     """Density greedy vs. best feasible singleton, then best-improvement
     single-swap passes until no swap raises the score. At least half the
     optimum, but not monotone in the budget.
@@ -235,28 +238,22 @@ def swap_resolve(scores, costs, p_max: float) -> np.ndarray:
     Each pass scores every (selected, outside) pair at once and swaps the
     pair of largest gain that fits; among equal gains, the lowest selected
     id, then the lowest outside id (`np.argmax` in row-major order)."""
-    scores, costs = _validate(scores, costs)
-    gates = greedy_allocate(scores, costs, p_max)
-    singles = np.flatnonzero((scores > 0.0) & (costs <= p_max))
+    scores = _validate(scores, budget)
+    counts, costs = budget.counts, budget.costs
+    gates = greedy_allocate(scores, budget)
+    singles = np.flatnonzero((scores > 0.0) & (counts <= budget.capacity))
     if singles.size:
         s = singles[np.lexsort((singles, costs[singles], -scores[singles]))[0]]
         if scores[s] > scores[gates].sum():
             gates = np.arange(scores.size) == s
 
-    budget = _Budget(costs, p_max)
     while True:
         selected = np.flatnonzero(gates)
         outside = np.flatnonzero(~gates)
         gain = scores[outside] - scores[selected][:, None]
         rows, cols = np.nonzero(gain > 0.0)
         drop, add = selected[rows], outside[cols]
-
-        def swapped(i: int) -> np.ndarray:
-            trial = gates.copy()
-            trial[drop[i]], trial[add[i]] = False, True
-            return trial
-
-        ok = budget.fits(gate_cost(gates, costs) - costs[drop] + costs[add], swapped)
+        ok = counts[add] - counts[drop] <= budget.capacity - int(counts[gates].sum())
         if not ok.any():
             break
         best_pair = np.argmax(np.where(ok, gain[rows, cols], -np.inf))
@@ -264,53 +261,43 @@ def swap_resolve(scores, costs, p_max: float) -> np.ndarray:
     return gates
 
 
-def subset_sums(n_bits: int, terms) -> np.ndarray:
+def subset_sums(n_bits: int, terms, dtype=float) -> np.ndarray:
     """Sum over each of the 2^n_bits subsets, shared with the synthetic
     oracle's exact optimum: entry `mask` adds the value of every (bit, value)
     pair in `terms` whose bit is set in `mask`, in the order of `terms`."""
-    out = np.zeros(1 << n_bits)
+    out = np.zeros(1 << n_bits, dtype=dtype)
     for b, value in terms:
         out.reshape(-1, 1 << (b + 1))[:, 1 << b :] += value
     return out
 
 
-def best_subset(sub_scores, sub_costs, costs, p_max: float, ids, n: int) -> np.ndarray:
+def best_subset(sub_scores, budget: Budget, ids, n: int) -> np.ndarray:
     """Gate vector of the best subset within the budget; bit b of a
-    subset index stands for unit `ids[b]` of `n`. Ties break to lower total
-    cost, then to the lexicographically smallest gate tuple.
-
-    `sub_costs` adds the costs in another order than `gate_cost`, so it is the
-    approximate total: a subset more than the budget band over `p_max` never
-    fits, and `_Budget.fits` decides for the best of the rest."""
-    budget = _Budget(costs, p_max)
-    maybe = sub_costs <= p_max + budget.band
+    subset index stands for unit `ids[b]` of `n`. Ties break to the lower
+    parameter count, then to the lexicographically smallest gate tuple."""
+    ids = np.asarray(ids, dtype=np.intp)
+    sub_counts = subset_sums(ids.size, enumerate(budget.counts[ids].tolist()), np.int64)
+    cand = np.flatnonzero(sub_counts <= budget.capacity)  # never empty: the empty set fits
+    cand = cand[sub_scores[cand] == sub_scores[cand].max()]
+    cand = cand[sub_counts[cand] == sub_counts[cand].min()]
 
     def to_gates(mask: int) -> tuple[bool, ...]:
         g = np.zeros(n, dtype=bool)
-        g[ids] = mask >> np.arange(len(ids)) & 1
+        g[ids] = mask >> np.arange(ids.size) & 1
         return tuple(g)
 
-    while True:
-        cand = np.flatnonzero(maybe)  # never empty: the empty set fits
-        cand = cand[sub_scores[cand] == sub_scores[cand].max()]
-        cand = cand[sub_costs[cand] == sub_costs[cand].min()]
-        fits = cand[budget.fits(sub_costs[cand], lambda i: to_gates(cand[i]))]
-        if fits.size:
-            return np.array(min(to_gates(c) for c in fits.tolist()), dtype=bool)
-        maybe[cand] = False
+    return np.array(min(to_gates(c) for c in cand.tolist()), dtype=bool)
 
 
-def brute_force_optimum(scores, costs, units, p_max: float) -> np.ndarray:
+def brute_force_optimum(scores, budget: Budget, units) -> np.ndarray:
     """Gates of the maximum selected-score sum under the budget over subsets
     of the units that the mask `units` marks; ties break as in
     `best_subset`. Capped at `ENUMERATION_MAX` marked units."""
-    scores, costs = _validate(scores, costs)
+    scores = _validate(scores, budget)
     units = np.asarray(units, dtype=bool)
     if units.shape != scores.shape:
         raise LengthMismatch("the unit mask must match the score vector length")
     idx = np.flatnonzero(units)
     if idx.size > ENUMERATION_MAX:
         raise TooLarge(f"{idx.size} units exceed the enumeration cap of {ENUMERATION_MAX}")
-    sub_scores = subset_sums(idx.size, enumerate(scores[idx]))
-    sub_costs = subset_sums(idx.size, enumerate(costs[idx]))
-    return best_subset(sub_scores, sub_costs, costs, p_max, idx, scores.size)
+    return best_subset(subset_sums(idx.size, enumerate(scores[idx])), budget, idx, scores.size)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocator import ENUMERATION_MAX, brute_force_optimum, swap_resolve
+from .allocator import ENUMERATION_MAX, Budget, brute_force_optimum, swap_resolve
 from .errors import AuditLoopError, InvalidParams, check_count
 from .fsm import FsmStabilizer
 from .sampler import SamplerParams, coverage_lower_bound, sample_audit_batch
@@ -68,10 +68,10 @@ def _flips(tau: int, proposals: np.ndarray) -> np.ndarray:
     budget of one per unit. Every unit fits at once, so no unit's votes
     depend on another's and each column runs as it would alone."""
     n = proposals.shape[1]
-    fsm, ones = FsmStabilizer(n, tau_act=tau), np.ones(n)
+    fsm, ones, budget = FsmStabilizer(n, tau_act=tau), np.ones(n), Budget.from_costs(np.ones(n), float(n))
     gates = np.zeros(n, dtype=bool)
     for proposed in proposals:
-        gates = fsm.filter_proposals(gates, proposed, scores=ones, costs=ones, p_max=float(n))
+        gates = fsm.filter_proposals(gates, proposed, scores=ones, budget=budget)
     return fsm.unit_flips
 
 
@@ -182,8 +182,8 @@ def allocator_ratios(instances: int, n_max: int, seed: int) -> np.ndarray:
         n = int(rng.integers(1, n_max + 1))
         scores = rng.uniform(0.0, 1.0, n)
         costs = np.exp(rng.uniform(np.log(1e-4), np.log(5e-3), n))
-        p_max = float(rng.uniform(costs.min(), costs.sum()))
-        approx = scores[swap_resolve(scores, costs, p_max)].sum()
-        exact = scores[brute_force_optimum(scores, costs, np.ones(n, dtype=bool), p_max)].sum()
+        budget = Budget.from_costs(costs, float(rng.uniform(costs.min(), costs.sum())))
+        approx = scores[swap_resolve(scores, budget)].sum()
+        exact = scores[brute_force_optimum(scores, budget, np.ones(n, dtype=bool))].sum()
         ratios[k] = 1.0 if exact <= 0.0 else approx / exact
     return ratios

@@ -14,6 +14,7 @@ import numpy as np
 from .allocator import (
     ENUMERATION_MAX,
     AllocatorParams,
+    Budget,
     apply_hysteresis,
     fill,
     final_resolve,
@@ -63,12 +64,17 @@ class RunConfig:
         check_window(self.window)
         if self.oracle_spec.n_units != self.space.n_units:
             raise InvalidParams("oracle spec and audit space disagree on the unit count")
-        if (cost := gate_cost(self.space.initial_gates(), self.space.costs)) > self.allocator.p_max:
+        if not self.budget().fits(gates := self.space.initial_gates()):
+            cost = gate_cost(gates, self.space.costs)
             raise InvalidParams(f"initial gates cost {cost}, over p_max {self.allocator.p_max}")
 
     @property
     def total_loop_steps(self) -> int:
         return self.cycles * self.steps_per_cycle
+
+    def budget(self) -> Budget:
+        """The space's parameter counts under `p_max` of the backbone's."""
+        return Budget(self.space.counts, self.space.backbone.backbone_param_count, self.allocator.p_max)
 
     @classmethod
     def from_json(cls, doc: dict | str | Path) -> "RunConfig":
@@ -160,6 +166,7 @@ class LoopDriver:
         self.gates = self.space.initial_gates()
         self.table = UtilityTable(n, config.window)
         self.fsm = FsmStabilizer(n, config.fsm.tau_act)
+        self.budget = config.budget()
         self.training = self.oracle.fresh_state()
         self.eval_count = 0
         self.records: list[dict] = []
@@ -194,8 +201,7 @@ class LoopDriver:
 
     def run_cycle(self, cycle: int) -> dict:
         cfg = self.config
-        costs = self.space.costs
-        p_max = cfg.allocator.p_max
+        costs, budget = self.space.costs, self.budget
 
         # Search: train the active set.
         self.training = self.oracle.train_step(self.training, self.gates, cfg.steps_per_cycle)
@@ -209,16 +215,16 @@ class LoopDriver:
 
         # Allocate: greedy proposal, hysteresis, FSM commit.
         scores = self.scores
-        proposed = greedy_allocate(scores, costs, p_max)
-        guarded = apply_hysteresis(self.gates, proposed, scores, costs, p_max, cfg.allocator.mu_eff)
-        committed = self.fsm.filter_proposals(
-            self.gates, guarded, scores=scores, costs=costs, p_max=p_max
-        )
+        proposed = greedy_allocate(scores, budget)
+        guarded = apply_hysteresis(self.gates, proposed, scores, budget, cfg.allocator.mu_eff)
+        committed = self.fsm.filter_proposals(self.gates, guarded, scores=scores, budget=budget)
         prev = self.gates
         self.gates = committed
+        # The budget's integer rule decides; the logged float sum of a set
+        # that fits can read an ulp or so above p_max.
         budget_used = gate_cost(committed, costs)
-        if budget_used > p_max:
-            raise BudgetViolation(f"cycle {cycle}: committed cost {budget_used} exceeds {p_max}")
+        if not budget.fits(committed):
+            raise BudgetViolation(f"cycle {cycle}: committed cost {budget_used} exceeds {cfg.allocator.p_max}")
 
         record = {
             "kind": "cycle",
@@ -254,7 +260,7 @@ class LoopDriver:
         for cycle in range(cfg.cycles):
             self.run_cycle(cycle)
 
-        final = final_resolve(self.scores, self.space.costs, cfg.allocator.p_max)
+        final = final_resolve(self.scores, self.budget)
 
         # Re-finetune from scratch: the final value carries no exploratory state.
         self.training = self.oracle.fresh_state()
@@ -269,7 +275,7 @@ class LoopDriver:
             horizon = self.oracle.train_step(
                 horizon, np.ones(self.space.n_units, dtype=bool), cfg.total_loop_steps + max(1, cfg.refinetune_steps)
             )
-            _, opt_value = self.oracle.oracle_optimum(horizon, self.space.costs, cfg.allocator.p_max)
+            _, opt_value = self.oracle.oracle_optimum(horizon, self.budget)
             regret_curve = [opt_value - v for v in value_curve]
 
         report = RunReport(
@@ -312,12 +318,12 @@ def run_random_baseline(config: RunConfig, n_samples: int, oracle=None) -> np.nd
     """
     check_count("n_samples", n_samples, 1)
     oracle = oracle if oracle is not None else SyntheticOracle(config.oracle_spec)
-    n, costs = config.space.n_units, config.space.costs
+    n, budget = config.space.n_units, config.budget()
     total_steps = config.total_loop_steps + max(1, config.refinetune_steps)
     values = np.empty(n_samples)
     streams = KeyedStreams(config.run_seed, _STREAM_BASELINE)
     for s in range(n_samples):
-        gates, _ = fill(np.zeros(n, dtype=bool), streams(s).permutation(n), costs, config.allocator.p_max)
+        gates, _ = fill(np.zeros(n, dtype=bool), streams(s).permutation(n), budget)
         state = oracle.fresh_state()
         if gates.any():
             state = oracle.train_step(state, gates, total_steps)

@@ -2,7 +2,7 @@
 
 The vote state of all N units lives in three int64 arrays (`act_counts`,
 `act_pending`, `unit_flips`) and one proposal updates it with array
-expressions; ready activations commit through `allocator.fill`.
+expressions; ready activations commit through `allocator._fill`.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import _density_order, fill
+from .allocator import Budget, _density_order, _fill
 from .errors import LengthMismatch, check_count
 
 
@@ -49,21 +49,20 @@ class FsmStabilizer:
         proposed: np.ndarray,
         *,
         scores: np.ndarray,
-        costs: np.ndarray,
-        p_max: float,
+        budget: Budget,
     ) -> np.ndarray:
         """Update votes with one proposal vector and return the committed gates.
 
         Consistent votes accumulate; inconsistent or agreeing proposals reset
         the counter. Ready deactivations commit, then ready activations commit
-        in descending density of `scores` over `costs` while they fit `p_max`;
+        in descending density of `scores` over costs while they fit `budget`;
         an activation that does not fit resets its counter.
         """
         current = np.asarray(current, dtype=bool)
         proposed = np.asarray(proposed, dtype=bool)
-        s, c = np.asarray(scores, dtype=float), np.asarray(costs, dtype=float)
-        if not current.shape == proposed.shape == s.shape == c.shape == (self.n_units,):
-            raise LengthMismatch("gate, score and cost vectors must have the tracked unit count")
+        s = np.asarray(scores, dtype=float)
+        if not current.shape == proposed.shape == s.shape == budget.counts.shape == (self.n_units,):
+            raise LengthMismatch("gate and score vectors and the budget must have the tracked unit count")
 
         counts, pending = self.act_counts, self.act_pending
         differs = proposed != current
@@ -82,7 +81,7 @@ class FsmStabilizer:
         counts[ready] = 0
         pending[ready] = -1
         committed[ready & ~proposed] = False
-        committed, rejected = fill(committed, _density_order((ready & proposed).nonzero()[0], s, c), c, p_max)
+        committed, rejected = _fill(committed, _density_order((ready & proposed).nonzero()[0], s, budget.costs), budget)
         ready[rejected] = False
         self.unit_flips[ready] += 1
         if ready.any():

@@ -53,7 +53,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .allocator import ENUMERATION_MAX, best_subset, subset_sums
+from .allocator import ENUMERATION_MAX, Budget, best_subset, subset_sums
 from .errors import (
     InvalidParams,
     LengthMismatch,
@@ -394,24 +394,22 @@ class SyntheticOracle:
             offsets = offsets + rng.uniform(-self.spec.drift, self.spec.drift, self.n_units)
         return TrainingState(steps=steps, drift_offsets=offsets, n_train_calls=state.n_train_calls + 1)
 
-    def oracle_optimum(self, state: TrainingState, costs, p_max: float) -> tuple[np.ndarray, float]:
+    def oracle_optimum(self, state: TrainingState, budget: Budget) -> tuple[np.ndarray, float]:
         """Exact budget-constrained maximizer of the noise-free value
         (N <= `ENUMERATION_MAX`) and its `true_value`, which the subset
         values here, from `np.power`, can miss in the last bit."""
         n = self.n_units
         if n > ENUMERATION_MAX:
             raise TooLarge(f"{n} units exceed the enumeration cap of {ENUMERATION_MAX}")
-        costs = np.asarray(costs, dtype=float)
-        if costs.size != n:
-            raise LengthMismatch("cost vector length must match the unit count")
+        if budget.counts.size != n:
+            raise LengthMismatch("the budget must have one count per unit")
 
-        sub_cost = subset_sums(n, enumerate(costs))
         mu = self._unit_utilities(state)
         values = np.full(1 << n, self.spec.base_score)
         for (members, _), shape in zip(self._groups, self._shape):
             values += _group_value_array(subset_sums(n, ((i, mu[i]) for i in members)), shape)
         np.clip(values, 0.0, 1.0, out=values)
-        gates = best_subset(values, sub_cost, costs, p_max, range(n), n)
+        gates = best_subset(values, budget, range(n), n)
         return gates, self.true_value(state, gates)
 
 
@@ -484,9 +482,9 @@ class TraceRecordingOracle:
     def train_step(self, state, gates, k: int):
         return self.inner.train_step(state, gates, k)
 
-    def oracle_optimum(self, state, costs, p_max: float):
+    def oracle_optimum(self, state, budget):
         """Forwarded unrecorded: ground truth is no query a replay answers."""
-        return self.inner.oracle_optimum(state, costs, p_max)
+        return self.inner.oracle_optimum(state, budget)
 
     def close(self) -> None:
         self._fh.close()

@@ -163,11 +163,18 @@ class AuditSpace:
         self.costs = np.array([u.cost for u in self.units], dtype=float)
         if [u.id for u in self.units] != list(range(len(self.units))):
             raise InvalidParams("unit ids must run 0..N-1 in list order")
-        # Built and dumped units alike sit on a backbone layer, at its width.
+        # Built and dumped units alike sit on a backbone layer, at its width,
+        # and cost a whole parameter count over the backbone's, kept in
+        # `counts` (an int64 at most, so a larger cost is refused).
+        total, counts = backbone.backbone_param_count, []
         for u in self.units:
             check_count("unit layer", u.layer, 0, backbone.num_layers - 1)
             if u.hidden_dim != backbone.hidden_dims[u.layer]:
                 raise InvalidParams(f"unit {u.id} hidden_dim must be {backbone.hidden_dims[u.layer]}, layer {u.layer}'s")
+            counts.append(round(min(u.cost * total, 2.0**63)))
+            if counts[-1] / total != u.cost:
+                raise InvalidParams(f"unit {u.id} cost {u.cost!r} is not a parameter count over param_count {total}")
+        self.counts = tuple(counts)
 
     @property
     def n_units(self) -> int:

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from auditloop import (
     AllocatorParams,
+    Budget,
     apply_hysteresis,
     brute_force_optimum,
     final_resolve,
@@ -14,10 +16,12 @@ from auditloop import (
     greedy_allocate,
     swap_resolve,
 )
-from auditloop.allocator import EXACT_RESOLVE_MAX, _Budget, fill
+from auditloop import allocator
+from auditloop.allocator import EXACT_RESOLVE_MAX, fill
 from auditloop.errors import InvalidParams, LengthMismatch, NonPositiveCost, TooLarge
 
 E3 = 1e-3
+B = Budget.from_costs
 
 
 def all_true(n):
@@ -31,93 +35,174 @@ def test_param_validation():
         AllocatorParams(mu_eff=-1.0)
 
 
+def test_budget_counts_each_cost_at_its_exact_value():
+    # 0.1 is 3602879701896397 / 2**55 and 0.25 is 2**53 / 2**55, so they sum
+    # to 12610078956637389 / 2**55. Float addition rounds that to 0.35, which
+    # is 12610078956637388 / 2**55: the pair fits 0.35 in float, but not exactly.
+    budget = B([0.1, 0.25], 0.35)
+    assert budget.counts.tolist() == [3602879701896397, 2**53] and budget.costs.tolist() == [0.1, 0.25]
+    assert budget.capacity == 12610078956637388
+    assert 0.1 + 0.25 == 0.35 and not budget.fits([True, True])
+    # The capacity is capped at the total count, and counts must fit an int64.
+    assert Budget([3, 4], 10, 1e300).capacity == 7
+    with pytest.raises(InvalidParams, match="past an int64"):
+        Budget([2**62, 2**62], 1, 1.0)
+    with pytest.raises(NonPositiveCost):
+        Budget([3, 0], 10, 0.5)
+
+
 def test_greedy_density_with_tie_break():
     # densities (3.0, 3.0, 2.5); tie breaks to the cheaper unit 1; {1,2} is optimal
     r = np.array([9.0, 6.0, 5.0])
     c = np.array([3 * E3, 2 * E3, 2 * E3])
-    gates = greedy_allocate(r, c, 4 * E3)
+    gates = greedy_allocate(r, B(c, 4 * E3))
     assert list(gates) == [False, True, True]
     assert np.isclose(gate_cost(gates, c), 4 * E3)
     assert r[gates].sum() == 11.0
-    assert r[brute_force_optimum(r, c, all_true(3), 4 * E3)].sum() == 11.0
+    assert r[brute_force_optimum(r, B(c, 4 * E3), all_true(3))].sum() == 11.0
 
 
 def test_greedy_negative_guard():
-    assert not greedy_allocate([-1.0, -2.0], [E3, E3], 1.0).any()
+    assert not greedy_allocate([-1.0, -2.0], B([E3, E3], 1.0)).any()
 
 
 def test_greedy_singleton():
-    assert list(greedy_allocate([5.0], [2 * E3], 2 * E3)) == [True]
+    assert list(greedy_allocate([5.0], B([2 * E3], 2 * E3))) == [True]
 
 
 def test_greedy_skips_oversized_then_continues():
     r = np.array([10.0, 4.0, 3.0])
     c = np.array([5 * E3, 4 * E3, 1 * E3])
     # takes unit 0 (density 2.0), skips unit 1 (doesn't fit), takes unit 2
-    assert list(greedy_allocate(r, c, 6 * E3)) == [True, False, True]
+    assert list(greedy_allocate(r, B(c, 6 * E3))) == [True, False, True]
 
 
 def test_greedy_leaves_zero_score_units_off():
     # 0.0 is the score of a unit the engine has not audited yet
-    assert list(greedy_allocate([0.0, 1.0, 0.0], [E3, E3, E3], 1.0)) == [False, True, False]
+    assert list(greedy_allocate([0.0, 1.0, 0.0], B([E3, E3, E3], 1.0))) == [False, True, False]
 
 
 def test_greedy_errors():
     with pytest.raises(LengthMismatch):
-        greedy_allocate([1.0], [E3, E3], 1.0)
+        greedy_allocate([1.0], B([E3, E3], 1.0))
     with pytest.raises(NonPositiveCost):
-        greedy_allocate([1.0, 1.0], [E3, 0.0], 1.0)
+        greedy_allocate([1.0, 1.0], B([E3, 0.0], 1.0))
     with pytest.raises(InvalidParams):
-        greedy_allocate([1.0, np.nan], [E3, E3], 1.0)
+        greedy_allocate([1.0, np.nan], B([E3, E3], 1.0))
 
 
 SOLVERS = {
-    "greedy": lambda s, c: greedy_allocate(s, c, 0.5),
-    "hysteresis": lambda s, c: apply_hysteresis([False, False], [True, True], s, c, 0.5, 0.0),
-    "final": lambda s, c: final_resolve(s, c, 0.5),
-    "swap": lambda s, c: swap_resolve(s, c, 0.5),
-    "brute-force": lambda s, c: brute_force_optimum(s, c, [True, True], 0.5),
+    "greedy": lambda s, c: greedy_allocate(s, B(c, 0.5)),
+    "hysteresis": lambda s, c: apply_hysteresis([False, False], [True, True], s, B(c, 0.5), 0.0),
+    "final": lambda s, c: final_resolve(s, B(c, 0.5)),
+    "swap": lambda s, c: swap_resolve(s, B(c, 0.5)),
+    "brute-force": lambda s, c: brute_force_optimum(s, B(c, 0.5), [True, True]),
 }
 
 
 @pytest.mark.parametrize("cost", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("solve", SOLVERS.values(), ids=SOLVERS.keys())
 def test_solvers_reject_non_finite_costs(solve, cost):
-    # A NaN cost passes a `costs <= 0` test, and an infinite one makes the budget band infinite.
+    # Every solver takes a Budget, which checks the costs once, when it is
+    # built: a NaN cost passes a `costs <= 0` test and has no integer count.
     with pytest.raises(NonPositiveCost):
         solve([1.0, 2.0], [cost, 0.1])
 
 
-# -- hysteresis ---------------------------------------------------------------
+# -- fill and hysteresis --------------------------------------------------------
 
 
-@settings(deadline=None, max_examples=200)
-@given(data=st.data(), n=st.integers(1, 12))
-def test_fill_is_the_plain_add_while_it_fits_loop(data, n):
-    # Costs with inexact sums; the budget is the cost of a drawn superset of
-    # the start mask, so units that fit exactly are common.
-    costs = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0]), min_size=n, max_size=n)))
-    start = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    target = start | np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    p_max = gate_cost(target, costs) + data.draw(st.sampled_from([0.0, 0.05, 0.5]))
-    order = [i for i in data.draw(st.permutations(range(n))) if not start[i]]
+def plain_fits(gates, counts, capacity):
+    return sum(c for c, g in zip(counts, gates) if g) <= capacity
 
-    expected, expected_rejected = start.copy(), []
+
+def plain_fill(gates, order, counts, capacity):
+    """The add-while-it-fits loop on Python ints, with no early stop."""
+    gates, rejected = list(gates), []
     for i in order:
-        trial = expected.copy()
-        trial[i] = True
-        if gate_cost(trial, costs) <= p_max:
-            expected = trial
-        else:
-            expected_rejected.append(i)
+        gates[i] = True
+        if not plain_fits(gates, counts, capacity):
+            gates[i] = False
+            rejected.append(i)
+    return gates, rejected
 
+
+def plain_hysteresis(current, prop, scores, counts, costs, capacity, mu_eff):
+    """The margin guard on Python ints, testing every trial set in full."""
+    gates = list(current)
+    evictable = []
+    for j in range(len(gates)):
+        if current[j] and not prop[j]:
+            if scores[j] <= 0.0:
+                gates[j] = False
+            else:
+                evictable.append(j)
+    evictable.sort(key=lambda j: (scores[j], j))
+    adds = [k for k in range(len(gates)) if prop[k] and not current[k]]
+    for k in sorted(adds, key=lambda k: (-(scores[k] / costs[k]), costs[k], k)):
+        trial = gates.copy()
+        trial[k] = True
+        if plain_fits(trial, counts, capacity):
+            gates = trial
+            continue
+        needed = []
+        for j in evictable:
+            needed.append(j)
+            trial[j] = False
+            if plain_fits(trial, counts, capacity):
+                break
+        if not plain_fits(trial, counts, capacity):
+            continue
+        if scores[k] - sum(scores[j] for j in needed) > mu_eff:
+            gates = trial
+            for j in needed:
+                evictable.remove(j)
+    return gates
+
+
+@st.composite
+def integer_instances(draw, max_n=12):
+    """Tie-heavy counts, scores with zero and negative ones among them, and a
+    capacity at the count of a drawn set, or one either side of it; the scale
+    is a power of two, so p_max = capacity / scale is exact."""
+    n = draw(st.integers(1, max_n))
+
+    def draw_list(values):
+        return draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+
+    counts = draw_list([1, 2, 3, 3, 5, 8])
+    scores = np.array(draw_list([-0.1, 0.0, 0.2, 0.3, 0.5, 1.0]))
+    target = draw_list([True, False])
+    capacity = max(0, sum(c for c, g in zip(counts, target) if g) + draw(st.sampled_from([-1, 0, 1])))
+    budget = Budget(counts, 64, capacity / 64)
+    assert budget.capacity == min(capacity, sum(counts))
+    return scores, budget
+
+
+@settings(deadline=None, max_examples=300)
+@given(instance=integer_instances(max_n=40), data=st.data())
+def test_fill_greedy_and_hysteresis_match_plain_integer_loops(instance, data):
+    scores, budget = instance
+    n, counts, costs, capacity = scores.size, budget.counts.tolist(), budget.costs.tolist(), budget.capacity
+    masks = st.lists(st.booleans(), min_size=n, max_size=n)
+    start, current, prop = (np.array(data.draw(masks)) for _ in range(3))
+
+    order = [i for i in data.draw(st.permutations(range(n))) if not start[i]]
     before = start.copy()
-    gates, rejected = fill(start, np.array(order, dtype=np.int64), costs, p_max)
+    gates, rejected = fill(start, np.array(order, dtype=np.intp), budget)
     assert np.array_equal(start, before)
-    assert np.array_equal(gates, expected)
-    assert rejected == expected_rejected
-    assert gate_cost(gates, costs) <= p_max
-    assert set(rejected) == set(order) - set(np.flatnonzero(gates & ~start).tolist())
+    assert (gates.tolist(), rejected) == plain_fill(start, order, counts, capacity)
+    assert budget.fits(gates) or not budget.fits(start)
+
+    dens = sorted((i for i in range(n) if scores[i] > 0.0), key=lambda i: (-(scores[i] / costs[i]), costs[i], i))
+    greedy = greedy_allocate(scores, budget)
+    assert greedy.tolist() == plain_fill([False] * n, dens, counts, capacity)[0]
+    assert budget.fits(greedy)
+
+    mu_eff = data.draw(st.sampled_from([0.0, 0.1, 0.5]))
+    out = apply_hysteresis(current, prop, scores, budget, mu_eff)
+    assert out.tolist() == plain_hysteresis(current, prop, scores, counts, costs, capacity, mu_eff)
+    assert budget.fits(out) or not budget.fits(current)
 
 
 @pytest.mark.parametrize(
@@ -130,90 +215,81 @@ def test_fill_is_the_plain_add_while_it_fits_loop(data, n):
         # -1 would index unit 2 a second time.
         ([False, False, False], [-1, 2], [0.1, 0.2, 0.3], 10.0, InvalidParams, "unit -1 is not a unit id"),
         ([False, False, False], [5], [0.1, 0.2, 0.3], 1.0, InvalidParams, "unit 5 is not a unit id"),
-        ([False, False, False], [0], [0.1, 0.2], 1.0, LengthMismatch, "one entry per unit"),
-        ([False, False, False], [0], [0.1, 0.2, 0.3, 0.4], 1.0, LengthMismatch, "one entry per unit"),
+        ([False, False, False], [0], [0.1, 0.2], 1.0, LengthMismatch, "one count per unit"),
+        ([False, False, False], [0], [0.1, 0.2, 0.3, 0.4], 1.0, LengthMismatch, "one count per unit"),
     ],
     ids=["unit-already-on", "unit-repeated", "rejected-unit-repeated", "negative-unit-id", "unit-id-past-the-end",
          "short-costs", "long-costs"],
 )
 def test_fill_requires_each_unit_of_order_off_and_once(start, order, costs, p_max, error, match):
-    # The running total counts each unit of `order` once, from off, at its own cost.
+    # The running total counts each unit of `order` once, from off, at its own count.
     with pytest.raises(error, match=match):
-        fill(np.array(start), np.array(order), np.array(costs), p_max)
+        fill(np.array(start), np.array(order), B(costs, p_max))
 
 
 def test_fill_of_an_empty_order_returns_a_copy_of_gates():
-    # The FSM calls `fill` on every ready vote, even when no ready vote is an activation.
+    # The FSM fills on every ready vote, even when no ready vote is an activation.
     start = np.array([True, False, True])
-    gates, rejected = fill(start, np.array([], dtype=np.intp), np.array([0.1, 0.2, 0.3]), 0.5)
+    gates, rejected = fill(start, np.array([], dtype=np.intp), B([0.1, 0.2, 0.3], 0.5))
     assert np.array_equal(gates, start) and gates is not start
     assert rejected == []
-    with pytest.raises(LengthMismatch, match="one entry per unit"):
-        fill(start, [], np.array([0.1, 0.2]), 0.5)
-
-
-def fill_without_stop(gates, order, costs, p_max):
-    """`fill` as a loop that asks `_Budget.fits` about every unit of `order`."""
-    gates, costs = np.array(gates, dtype=bool), np.asarray(costs, dtype=float)
-    budget, total, rejected = _Budget(costs, p_max), gate_cost(gates, costs), []
-    for i in order:
-        trial = gates.copy()
-        trial[i] = True
-        if budget.fits(total + float(costs[i]), lambda _: trial):
-            gates, total = trial, total + float(costs[i])
-        else:
-            rejected.append(i)
-    return gates, rejected
-
-
-def assert_fill_matches_the_loop_without_stop(start, order, costs, p_max):
-    gates, rejected = fill(start, np.array(order, dtype=np.intp), costs, p_max)
-    want_gates, want_rejected = fill_without_stop(start, order, costs, p_max)
-    assert np.array_equal(gates, want_gates)
-    assert rejected == want_rejected
-
-
-@settings(deadline=None, max_examples=300)
-@given(data=st.data(), n=st.integers(1, 40))
-def test_fill_stops_early_only_where_every_later_unit_is_rejected(data, n):
-    # Tie-heavy costs, and budgets at a drawn subset's cost, a few ulps
-    # either side of it (inside the band), or well clear of it.
-    costs = np.array(data.draw(st.lists(st.sampled_from([1e-3, 0.1, 0.2, 0.3, 0.7, 1.0, 1.0 / 3]), min_size=n,
-                                        max_size=n)))
-    start = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    target = start | np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    ulps = data.draw(st.sampled_from([0, 1, -1, 4, -4, 10**6, -(10**6)]))
-    p_max = max(gate_cost(target, costs) * (1.0 + ulps * np.finfo(float).eps), 1e-12)
-    order = [i for i in data.draw(st.permutations(range(n))) if not start[i]]
-    assert_fill_matches_the_loop_without_stop(start, order, costs, p_max)
+    with pytest.raises(LengthMismatch, match="one count per unit"):
+        fill(start, [], B([0.1, 0.2], 0.5))
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(4))), ids=str)
 @pytest.mark.parametrize("costs", [[0.1, 0.2, 0.3, 0.7], [0.3, 0.2, 0.1, 0.7]], ids=["0.1-first", "0.3-first"])
 def test_fill_with_running_totals_inside_the_band(costs, order):
-    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 in one order and 0.6 in another,
-    # both inside the band, where gate_cost decides: it keeps all three only
-    # when unit 0 costs 0.3. The 0.7 is rejected at each place in the order.
-    assert_fill_matches_the_loop_without_stop(np.zeros(4, bool), list(order), np.array(costs), 0.6)
-    gates, rejected = fill(np.zeros(4, bool), np.array(order), np.array(costs), 0.6)
-    assert 3 in rejected and len(rejected) == (1 if costs[0] == 0.3 else 2)
+    # Totals within rounding of p_max, the band in which a float running
+    # total cannot decide: 0.1 + 0.2 + 0.3 adds to 0.6000000000000001 in one
+    # order and to 0.6 in another. At the floats' exact values the three sum
+    # past 0.6, so in every order the third of them is rejected, as is the 0.7.
+    budget = B(costs, 0.6)
+    gates, rejected = fill(np.zeros(4, bool), np.array(order), budget)
+    third = [i for i in order if i != 3][2]
+    assert rejected == [i for i in order if i in (3, third)]
+    assert budget.fits(gates) and not budget.fits([True, True, True, False])
 
 
 def test_fill_keeps_a_cheap_unit_after_expensive_rejections():
-    costs = np.array([0.5, 0.9, 0.8, 0.05, 0.7])
-    gates, rejected = fill(np.zeros(5, bool), np.arange(5), costs, 0.6)
+    budget = B([0.5, 0.9, 0.8, 0.05, 0.7], 0.6)
+    gates, rejected = fill(np.zeros(5, bool), np.arange(5), budget)
     assert gates.nonzero()[0].tolist() == [0, 3] and rejected == [1, 2, 4]
-    assert_fill_matches_the_loop_without_stop(np.zeros(5, bool), list(range(5)), costs, 0.6)
+    assert (gates.tolist(), rejected) == plain_fill([False] * 5, range(5), budget.counts.tolist(), budget.capacity)
 
 
-def test_fill_rejects_the_rest_of_order_in_one_step(monkeypatch):
-    # Once the first unit fills the budget, no later unit is tried one by one.
-    calls = []
-    fits = _Budget.fits
-    monkeypatch.setattr(_Budget, "fits", lambda self, *args: calls.append(args[0]) or fits(self, *args))
-    gates, rejected = fill(np.zeros(1000, bool), np.arange(1000), np.ones(1000), 1.0)
-    assert gates.nonzero()[0].tolist() == [0] and rejected == list(range(1, 1000))
-    assert calls == [1.0, 2.0]
+def lines_run_by_fill(counts, capacity):
+    """Lines `allocator._fill` runs to fill `counts` in order from empty, and
+    the gates and rejected units that `fill` returns."""
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        if frame.f_code is not allocator._fill.__code__:
+            return None
+        lines += event == "line"
+        return trace
+
+    n = len(counts)
+    sys.settrace(trace)
+    try:
+        gates, rejected = fill(np.zeros(n, bool), np.arange(n), Budget(counts, 1, float(capacity)))
+    finally:
+        sys.settrace(None)
+    return lines, gates.tolist(), rejected
+
+
+def test_fill_rejects_the_rest_of_order_in_one_step():
+    # Once nothing left can fit, no later unit is tried one by one: `_fill`
+    # runs as many lines before 10,000 units that cannot fit as before 10.
+    # The first unit fills the budget of 1. Under the budget of 10 the loop
+    # runs from the 5 and stops at the 3, where the room left (0) is below
+    # every count from there on.
+    for head, capacity in (([1], 1), ([8, 5, 2, 3, 1], 10)):
+        lines, gates, rejected = lines_run_by_fill(head + [9] * 10, capacity)
+        assert (gates, rejected) == plain_fill([False] * len(gates), range(len(gates)), head + [9] * 10, capacity)
+        tail = range(len(gates), len(head) + 10_000)
+        assert lines_run_by_fill(head + [9] * 10_000, capacity) == (lines, gates + [False] * len(tail), rejected + [*tail])
 
 
 def test_replacement_below_margin_keeps_incumbent():
@@ -221,7 +297,7 @@ def test_replacement_below_margin_keeps_incumbent():
     costs = np.array([E3, E3])
     current = np.array([True, False])
     prop = np.array([False, True])
-    out = apply_hysteresis(current, prop, scores, costs, E3, mu_eff=0.05)
+    out = apply_hysteresis(current, prop, scores, B(costs, E3), mu_eff=0.05)
     assert list(out) == [True, False]
 
 
@@ -230,7 +306,7 @@ def test_replacement_above_margin_adopts_newcomer():
     costs = np.array([E3, E3])
     current = np.array([True, False])
     prop = np.array([False, True])
-    out = apply_hysteresis(current, prop, scores, costs, E3, mu_eff=0.05)
+    out = apply_hysteresis(current, prop, scores, B(costs, E3), mu_eff=0.05)
     assert list(out) == [False, True]
 
 
@@ -239,7 +315,7 @@ def test_zero_margin_is_identity_on_swap():
     costs = np.array([E3, E3])
     current = np.array([True, False])
     prop = np.array([False, True])
-    out = apply_hysteresis(current, prop, scores, costs, E3, mu_eff=0.0)
+    out = apply_hysteresis(current, prop, scores, B(costs, E3), mu_eff=0.0)
     assert list(out) == list(prop)
 
 
@@ -248,7 +324,7 @@ def test_pure_activation_passes_through():
     costs = np.array([E3, E3])
     current = np.array([True, False])
     prop = np.array([True, True])
-    out = apply_hysteresis(current, prop, scores, costs, 2 * E3, mu_eff=10.0)
+    out = apply_hysteresis(current, prop, scores, B(costs, 2 * E3), mu_eff=10.0)
     assert list(out) == [True, True]
 
 
@@ -257,7 +333,7 @@ def test_pure_deactivation_of_harmful_unit_passes_through():
     costs = np.array([E3, E3])
     current = np.array([True, True])
     prop = np.array([False, True])
-    out = apply_hysteresis(current, prop, scores, costs, 2 * E3, mu_eff=10.0)
+    out = apply_hysteresis(current, prop, scores, B(costs, 2 * E3), mu_eff=10.0)
     assert list(out) == [False, True]
 
 
@@ -267,10 +343,10 @@ def test_multi_eviction_requires_sum_margin():
     costs = np.array([1.5 * E3, 1.5 * E3, 3 * E3])
     current = np.array([True, True, False])
     prop = np.array([False, False, True])
-    out = apply_hysteresis(current, prop, scores, costs, 3 * E3, mu_eff=0.0)
+    out = apply_hysteresis(current, prop, scores, B(costs, 3 * E3), mu_eff=0.0)
     assert list(out) == [True, True, False]  # 3.0 < 2.0 + 2.0: rejected
     scores2 = np.array([2.0, 2.0, 4.5])
-    out2 = apply_hysteresis(current, prop, scores2, costs, 3 * E3, mu_eff=0.0)
+    out2 = apply_hysteresis(current, prop, scores2, B(costs, 3 * E3), mu_eff=0.0)
     assert list(out2) == [False, False, True]
 
 
@@ -283,68 +359,18 @@ def test_hysteresis_budget_safety_and_score_safety(n, seed):
     rng = np.random.default_rng(seed)
     scores = rng.uniform(-0.2, 1.0, n)
     costs = np.exp(rng.uniform(np.log(1e-4), np.log(3e-3), n))
-    p_max = float(rng.uniform(costs.min(), costs.sum()))
+    budget = B(costs, float(rng.uniform(costs.min(), costs.sum())))
     # current: a random feasible set
     current = np.zeros(n, dtype=bool)
     for i in rng.permutation(n):
         current[i] = True
-        if gate_cost(current, costs) > p_max:
+        if not budget.fits(current):
             current[i] = False
-    prop = greedy_allocate(scores, costs, p_max)
-    out = apply_hysteresis(current, prop, scores, costs, p_max, mu_eff=0.0)
-    assert gate_cost(out, costs) <= p_max
+    prop = greedy_allocate(scores, budget)
+    out = apply_hysteresis(current, prop, scores, budget, mu_eff=0.0)
+    assert budget.fits(out)
     # with zero margin the output never scores below keeping the current set
     assert scores[out].sum() >= scores[current].sum() - 1e-12
-
-
-def plain_hysteresis(current, prop, scores, costs, p_max, mu_eff):
-    """The margin guard with `gate_cost` on every trial mask."""
-    gates = current.copy()
-    evictable = []
-    for j in np.flatnonzero(current & ~prop):
-        if scores[j] <= 0.0:
-            gates[j] = False
-        else:
-            evictable.append(int(j))
-    evictable.sort(key=lambda j: (scores[j], j))
-    adds = np.flatnonzero(prop & ~current)
-    dens = scores[adds] / costs[adds]
-    for k in adds[np.lexsort((adds, costs[adds], -dens))]:
-        trial = gates.copy()
-        trial[k] = True
-        if gate_cost(trial, costs) <= p_max:
-            gates = trial
-            continue
-        needed = []
-        for j in evictable:
-            needed.append(j)
-            trial[j] = False
-            if gate_cost(trial, costs) <= p_max:
-                break
-        if gate_cost(trial, costs) > p_max:
-            continue
-        if scores[k] - sum(scores[j] for j in needed) > mu_eff:
-            gates = trial
-            for j in needed:
-                evictable.remove(j)
-    return gates
-
-
-@settings(deadline=None, max_examples=300)
-@given(data=st.data(), n=st.integers(1, 12))
-def test_hysteresis_running_total_decides_as_gate_cost(data, n):
-    # Costs with inexact sums and a budget equal to the cost of a drawn
-    # mask, so trials that fit exactly, or miss by one rounding, are common.
-    def masks():
-        return st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
-
-    costs = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0]), min_size=n, max_size=n)))
-    scores = np.array(data.draw(st.lists(st.sampled_from([-0.1, 0.0, 0.2, 0.3, 0.5, 1.0]), min_size=n, max_size=n)))
-    current, prop_gates = data.draw(masks()), data.draw(masks())
-    p_max = gate_cost(data.draw(masks()), costs) + data.draw(st.sampled_from([0.0, 1e-17, -1e-17, 0.05]))
-    mu_eff = data.draw(st.sampled_from([0.0, 0.1, 0.5]))
-    out = apply_hysteresis(current, prop_gates, scores, costs, p_max, mu_eff)
-    assert np.array_equal(out, plain_hysteresis(current, prop_gates, scores, costs, p_max, mu_eff))
 
 
 # -- final re-solve ----------------------------------------------------------
@@ -354,20 +380,20 @@ def test_final_resolve_swap_improves_over_greedy():
     r = np.array([8.0, 9.0])
     c = np.array([4 * E3, 5 * E3])
     for resolve in (final_resolve, swap_resolve):
-        gates = resolve(r, c, 5 * E3)
+        gates = resolve(r, B(c, 5 * E3))
         assert list(gates) == [False, True]
         assert r[gates].sum() == 9.0
-    assert r[brute_force_optimum(r, c, all_true(2), 5 * E3)].sum() == 9.0
+    assert r[brute_force_optimum(r, B(c, 5 * E3), all_true(2))].sum() == 9.0
 
 
 def test_final_resolve_greedy_already_optimal():
     r = np.array([10.0, 6.0, 6.0])
     c = np.array([5 * E3, 3 * E3, 3 * E3])
     for resolve in (final_resolve, swap_resolve):
-        gates = resolve(r, c, 6 * E3)
+        gates = resolve(r, B(c, 6 * E3))
         assert list(gates) == [False, True, True]
         assert r[gates].sum() == 12.0
-    assert r[brute_force_optimum(r, c, all_true(3), 6 * E3)].sum() == 12.0
+    assert r[brute_force_optimum(r, B(c, 6 * E3), all_true(3))].sum() == 12.0
 
 
 def test_final_resolve_uses_best_singleton():
@@ -375,7 +401,7 @@ def test_final_resolve_uses_best_singleton():
     r = np.array([8.0, 3.0, 2.0])
     c = np.array([5 * E3, 1 * E3, 1 * E3])
     for resolve in (final_resolve, swap_resolve):
-        assert r[resolve(r, c, 5 * E3)].sum() >= 8.0
+        assert r[resolve(r, B(c, 5 * E3))].sum() >= 8.0
 
 
 @pytest.mark.parametrize("n_positive", [EXACT_RESOLVE_MAX, EXACT_RESOLVE_MAX + 1])
@@ -384,21 +410,22 @@ def test_final_resolve_exact_up_to_cap_then_swap(n_positive):
     rng = np.random.default_rng(n_positive)
     scores = np.concatenate([rng.uniform(0.1, 1.0, n_positive), [0.0, -0.5]])
     costs = np.exp(rng.uniform(np.log(1e-4), np.log(5e-3), scores.size))
-    p_max = float(costs.sum() / 3)
-    gates = final_resolve(scores, costs, p_max)
+    budget = B(costs, float(costs.sum() / 3))
+    gates = final_resolve(scores, budget)
     if n_positive <= EXACT_RESOLVE_MAX:
-        ref = brute_force_optimum(scores, costs, scores > 0.0, p_max)
+        ref = brute_force_optimum(scores, budget, scores > 0.0)
     else:
-        ref = swap_resolve(scores, costs, p_max)
+        ref = swap_resolve(scores, budget)
     assert np.array_equal(gates, ref)
     assert not gates[-2:].any()
 
 
-def plain_swap_resolve(scores, costs, p_max):
+def plain_swap_resolve(scores, budget):
     """`swap_resolve` with the swap pass as a nested loop over (selected,
-    outside) pairs and `gate_cost` on every trial mask."""
-    gates = greedy_allocate(scores, costs, p_max).copy()
-    singles = [i for i in range(scores.size) if scores[i] > 0.0 and costs[i] <= p_max]
+    outside) pairs and the budget's rule on every trial mask."""
+    gates = greedy_allocate(scores, budget).copy()
+    counts, costs = budget.counts.tolist(), budget.costs
+    singles = [i for i in range(scores.size) if scores[i] > 0.0 and counts[i] <= budget.capacity]
     if singles:
         s = min(singles, key=lambda i: (-scores[i], costs[i], i))
         if scores[s] > scores[gates].sum():
@@ -417,7 +444,7 @@ def plain_swap_resolve(scores, costs, p_max):
                 trial = gates.copy()
                 trial[s] = False
                 trial[u] = True
-                if gate_cost(trial, costs) <= p_max:
+                if budget.fits(trial):
                     best_gain = gain
                     best_pair = (s, u)
         if best_pair is None:
@@ -426,48 +453,22 @@ def plain_swap_resolve(scores, costs, p_max):
         gates[best_pair[1]] = True
 
 
-@st.composite
-def swap_instances(draw):
-    """Scores from a small set, so equal gains are common, with zero and
-    negative scores among them; a budget equal to the cost of a drawn mask,
-    so swaps that fit exactly, or miss by one rounding, are common."""
-    n = draw(st.integers(1, 12))
-
-    def draw_array(values):
-        return np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
-
-    costs = draw_array([0.1, 0.2, 0.3, 0.7, 1.0])
-    scores = draw_array([-0.1, 0.0, 0.2, 0.3, 0.5, 1.0])
-    p_max = gate_cost(draw_array([True, False]), costs) + draw(st.sampled_from([0.0, 1e-17, -1e-17]))
-    return scores, costs, p_max
-
-
-# Random instances rarely reach a tie that the order of the swap candidates
-# decides; in these two, breaking ties by outside id first ends elsewhere.
-@example(instance=(
-    np.array([0.3, 1.0, 0.0, 0.5, 1.0, 0.5, 1.0]),
-    np.array([0.1, 0.7, 1.0, 0.2, 0.7, 0.3, 0.7]),
-    1.7999999999999998,
-))
-@example(instance=(
-    np.array([0.3, -0.1, 0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.3, 0.5, 0.0]),
-    np.array([0.2, 1.0, 0.7, 0.1, 0.7, 0.2, 0.7, 1.0, 0.3, 0.7, 0.3]),
-    1.7999999999999998,
-))
 @settings(deadline=None, max_examples=300)
-@given(instance=swap_instances())
+@given(instance=integer_instances())
 def test_swap_resolve_matches_nested_loop_reference(instance):
     assert np.array_equal(swap_resolve(*instance), plain_swap_resolve(*instance))
 
 
 def test_exact_resolve_decides_feasibility_by_gate_cost():
-    # eight costs of 0.1: the subset sums add them to 0.7999999999999999, the
-    # canonical budget check to 0.8, which exceeds this budget
+    # eight costs of 0.1: float subset sums add them to 0.7999999999999999,
+    # `gate_cost` to 0.8; at their exact value they sum past this budget, as
+    # `gate_cost` says, and the exact re-solve keeps seven
     costs = np.full(8, 0.1)
     scores = np.linspace(1.0, 2.0, 8)
     p_max = 0.7999999999999999
-    assert gate_cost(all_true(8), costs) > p_max
-    for gates in (final_resolve(scores, costs, p_max), brute_force_optimum(scores, costs, all_true(8), p_max)):
+    budget = B(costs, p_max)
+    assert gate_cost(all_true(8), costs) > p_max and not budget.fits(all_true(8))
+    for gates in (final_resolve(scores, budget), brute_force_optimum(scores, budget, all_true(8))):
         assert gate_cost(gates, costs) <= p_max
         assert list(gates) == [False] + [True] * 7
 
@@ -476,14 +477,14 @@ def test_exact_resolve_decides_feasibility_by_gate_cost():
 
 
 def test_brute_force_empty_cases():
-    assert not brute_force_optimum([-1.0, 0.0], [E3, E3], all_true(2), 1.0).any()
-    assert not brute_force_optimum([5.0], [2 * E3], all_true(1), 1 * E3).any()
+    assert not brute_force_optimum([-1.0, 0.0], B([E3, E3], 1.0), all_true(2)).any()
+    assert not brute_force_optimum([5.0], B([2 * E3], 1 * E3), all_true(1)).any()
 
 
 def test_brute_force_cap():
     n = 21
     with pytest.raises(TooLarge):
-        brute_force_optimum(np.ones(n), np.full(n, E3), all_true(n), 1.0)
+        brute_force_optimum(np.ones(n), B(np.full(n, E3), 1.0), all_true(n))
 
 
 def test_brute_force_matches_itertools_enumeration():
@@ -492,16 +493,16 @@ def test_brute_force_matches_itertools_enumeration():
         n = int(rng.integers(1, 9))
         scores = rng.uniform(0, 1, n)
         costs = np.exp(rng.uniform(np.log(1e-4), np.log(3e-3), n))
-        p_max = float(rng.uniform(costs.min(), costs.sum()))
+        budget = B(costs, float(rng.uniform(costs.min(), costs.sum())))
         best = 0.0
         for kset in itertools.chain.from_iterable(
             itertools.combinations(range(n), k) for k in range(n + 1)
         ):
             mask = np.zeros(n, bool)
             mask[list(kset)] = True
-            if gate_cost(mask, costs) <= p_max:
+            if budget.fits(mask):
                 best = max(best, scores[mask].sum())
-        assert np.isclose(scores[brute_force_optimum(scores, costs, all_true(n), p_max)].sum(), best)
+        assert np.isclose(scores[brute_force_optimum(scores, budget, all_true(n))].sum(), best)
 
 
 # -- properties ---------------------------------------------------------------
@@ -513,13 +514,13 @@ def test_half_approximation_guarantee(n, seed):
     rng = np.random.default_rng(seed)
     scores = rng.uniform(0, 1, n)
     costs = np.exp(rng.uniform(np.log(1e-4), np.log(5e-3), n))
-    p_max = float(rng.uniform(costs.min(), costs.sum()))
-    exact = scores[brute_force_optimum(scores, costs, all_true(n), p_max)].sum()
+    budget = B(costs, float(rng.uniform(costs.min(), costs.sum())))
+    exact = scores[brute_force_optimum(scores, budget, all_true(n))].sum()
     for resolve in (final_resolve, swap_resolve):
-        approx = resolve(scores, costs, p_max)
+        approx = resolve(scores, budget)
         if exact > 0:
             assert scores[approx].sum() >= 0.5 * exact
-        assert gate_cost(approx, costs) <= p_max
+        assert budget.fits(approx)
 
 
 @settings(deadline=None, max_examples=100)
@@ -531,7 +532,7 @@ def test_budget_monotonicity(n, seed):
     scores = rng.uniform(0, 1, n)
     costs = np.exp(rng.uniform(np.log(1e-4), np.log(5e-3), n))
     budgets = np.sort(rng.uniform(costs.min(), costs.sum(), 4))
-    values = [scores[final_resolve(scores, costs, b)].sum() for b in budgets]
+    values = [scores[final_resolve(scores, B(costs, b))].sum() for b in budgets]
     assert all(values[i + 1] >= values[i] - 1e-12 for i in range(3))
 
 
@@ -541,6 +542,6 @@ def test_score_scale_invariance_of_selection(n, t, seed):
     rng = np.random.default_rng(seed)
     scores = rng.uniform(0, 1, n)
     costs = np.exp(rng.uniform(np.log(1e-4), np.log(5e-3), n))
-    p_max = float(rng.uniform(costs.min(), costs.sum()))
+    budget = B(costs, float(rng.uniform(costs.min(), costs.sum())))
     for solve in (greedy_allocate, final_resolve, swap_resolve):
-        assert np.array_equal(solve(scores, costs, p_max), solve(scores * t, costs, p_max))
+        assert np.array_equal(solve(scores, budget), solve(scores * t, budget))

@@ -278,6 +278,40 @@ def test_bad_value_error_names_the_field_and_its_rule(tmp_path, capsys, field, v
     assert capsys.readouterr().err == f"error: {line}\n"
 
 
+@pytest.mark.parametrize("fields", [{"mu_inf": 5}, {"groups": [5], "gammas": [0.5]}], ids=["mu-inf", "group"])
+def test_number_for_an_oracle_list_exits_2_with_one_pinned_line(tmp_path, capsys, fields):
+    # Iterating a number raises TypeError, which `RunConfig.from_json` reports
+    # as a malformed config.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(small_with_oracle(**fields)))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: malformed run config: 'int' object is not iterable\n"
+
+
+@pytest.mark.parametrize("cost", [0.0003, 0.0003000001, 1e300], ids=["60-of-200000", "between-counts", "past-int64"])
+def test_dumped_unit_cost_must_be_a_parameter_count_over_the_backbones(tmp_path, capsys, cost):
+    # A dumped unit's parameter count is round(cost * P); its cost must be
+    # exactly that count over P, as a built unit's is.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(with_space("units", 0, "cost", value=cost)))
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"])
+    line = f"error: unit 0 cost {cost!r} is not a parameter count over param_count 200000\n"
+    assert (code, capsys.readouterr().err) == ((0, "") if cost == 0.0003 else (2, line))
+
+
+def test_run_replay_and_baseline_print_their_summary_lines(tmp_path, capsys, config_path):
+    out, trace, common = tmp_path / "out", tmp_path / "trace.jsonl", ["--config", str(config_path)]
+    assert main(["run", *common, "--out", str(out), "--record-trace", str(trace)]) == 0
+    assert main(["replay", *common, "--out", str(tmp_path / "replayed"), "--trace", str(trace)]) == 0
+    assert main(["baseline", *common, "--out", str(tmp_path / "base"), "--samples", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "final value 0.5182  budget 0.001600  t_c 2",
+        f"wrote report.json, events.jsonl, diagnostics.csv to {out}",
+        f"replayed {trace}: final value 0.5182",
+        "random baseline over 3 configurations: median 0.4999",
+    ]
+
+
 def test_space_given_as_a_path_exits_2_with_one_line(tmp_path, capsys):
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps(SMALL["space"]))

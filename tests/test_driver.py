@@ -7,6 +7,7 @@ import pytest
 
 from auditloop import (
     AllocatorParams,
+    Budget,
     FsmParams,
     LoopDriver,
     OracleSpec,
@@ -67,6 +68,36 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+@pytest.mark.parametrize("config", [tiny_config, default_run_config], ids=["exact-resolve", "swap-resolve"])
+def test_a_run_builds_one_budget(monkeypatch, config):
+    # Every cycle's greedy proposal, hysteresis and FSM commit, the final
+    # re-solve and, at 12 units, the regret curve's optimum take the driver's
+    # one Budget: none of them builds its own.
+    cfg, built, init = config(), [], Budget.__init__
+    monkeypatch.setattr(Budget, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    report = LoopDriver(cfg).run_full()
+    assert len(built) == 1
+    assert (report.regret_curve is not None) == (config is tiny_config)
+
+
+def test_a_set_at_exactly_the_budget_fits_though_its_float_cost_reads_above():
+    # 64 + 32 of 200,000 parameters is exactly p_max = 0.00048 of them, but
+    # the float costs add to 0.00048000000000000007. The integer rule admits
+    # both units on from the start, and the run keeps them and logs that sum.
+    from auditloop.space import Topology
+
+    backbone = BackboneDesc(1, (16,), 200_000)
+    templates = [Template(Family.LORA, Topology.SA, 2, Slot.ATTENTION),
+                 Template(Family.AFFINE_LN, Topology.NONE, 0, Slot.NORM)]
+    space = AuditSpace(backbone, [replace(u, gate=True) for u in AuditSpace.build(backbone, templates).units])
+    cfg = tiny_config(space=space, oracle_spec=default_oracle_spec(space, seed=3), sampler=SamplerParams(batch_size=1),
+                      allocator=AllocatorParams(p_max=0.00048), cycles=3)
+    assert space.counts == (64, 32) and cfg.budget().capacity == 96
+    report, driver = run_full(cfg)
+    assert [r["allocate"]["total_cost"] for r in driver.records[:-1]] == [0.00048000000000000007] * 3
+    assert report.final_gates.all() and report.budget_used == 0.00048000000000000007 > cfg.allocator.p_max
 
 
 def test_eval_count_is_one_plus_batch_per_cycle():

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auditloop import FsmParams, FsmStabilizer, checks, gate_cost
+from auditloop import Budget, FsmParams, FsmStabilizer, checks
 from auditloop.errors import InvalidParams, LengthMismatch
 
 
 def unbounded(n):
     """Budget arguments under which all n units fit at once: unit scores and
     costs, and a budget of n."""
-    return {"scores": np.ones(n), "costs": np.ones(n), "p_max": float(n)}
+    return {"scores": np.ones(n), "budget": Budget.from_costs(np.ones(n), float(n))}
 
 
 def run_single_unit(proposals, tau):
@@ -48,11 +48,12 @@ def test_params_validation():
         FsmStabilizer(0)
     with pytest.raises(LengthMismatch):
         FsmStabilizer(2).filter_proposals(np.array([True]), np.array([True]), **unbounded(2))
-    # A score or cost vector of another length is refused, whether or not a vote is ready.
+    # A score vector or budget of another length is refused, whether or not a vote is ready.
     for n_scores, n_costs in ((5, 3), (2, 3), (3, 2), (3, 4)):
         with pytest.raises(LengthMismatch):
             FsmStabilizer(3, 1).filter_proposals(
-                np.zeros(3, bool), np.ones(3, bool), scores=np.ones(n_scores), costs=np.ones(n_costs), p_max=5.0
+                np.zeros(3, bool), np.ones(3, bool), scores=np.ones(n_scores),
+                budget=Budget.from_costs(np.ones(n_costs), 5.0),
             )
 
 
@@ -100,8 +101,7 @@ def test_budget_recheck_trims_commits_by_density():
     fsm = FsmStabilizer(2, tau_act=1)
     gates = np.zeros(2, dtype=bool)
     scores = np.array([4.0, 3.0])
-    costs = np.array([1e-3, 1e-3])
-    out = fsm.filter_proposals(gates, np.ones(2, bool), scores=scores, costs=costs, p_max=1e-3)
+    out = fsm.filter_proposals(gates, np.ones(2, bool), scores=scores, budget=Budget.from_costs([1e-3, 1e-3], 1e-3))
     assert list(out) == [True, False]
     # rejected commit resets its counter
     assert fsm.act_counts[1] == 0 and fsm.act_pending[1] == -1
@@ -161,7 +161,8 @@ class ListFsm:
         self.flips = [0] * n_units
         self.change_cycles = 0
 
-    def filter_proposals(self, current, proposed, *, scores, costs, p_max):
+    def filter_proposals(self, current, proposed, *, scores, budget):
+        costs = budget.costs
         cur = current.tolist()
         prop = proposed.tolist()
         counts, pending = self.counts, self.pending
@@ -190,7 +191,7 @@ class ListFsm:
         for i in activations:
             trial = committed.copy()
             trial[i] = True
-            if gate_cost(trial, costs) > p_max:
+            if not budget.fits(trial):
                 counts[i] = 0
                 pending[i] = -1
                 continue
@@ -224,7 +225,7 @@ def test_array_fsm_matches_list_reference(data, n, tau, budget):
     costs = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 1.0]), min_size=n, max_size=n)))
     scores = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.1, 0.2, 0.5, 1.0]), min_size=n, max_size=n)))
     p_max = data.draw(st.sampled_from([0.3, 0.6, 1.0, 2.0]))
-    kwargs = {"scores": scores, "costs": costs, "p_max": p_max} if budget else unbounded(n)
+    kwargs = {"scores": scores, "budget": Budget.from_costs(costs, p_max)} if budget else unbounded(n)
     fsm, ref = FsmStabilizer(n, tau_act=tau), ListFsm(n, tau)
     gates = data.draw(gate_lists(n))
     for proposed in data.draw(st.lists(gate_lists(n), min_size=1, max_size=25)):

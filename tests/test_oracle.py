@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auditloop import OracleSpec, SyntheticOracle, TraceRecordingOracle, TrainingState, replay_trace
-from auditloop.allocator import gate_cost
+from auditloop.allocator import Budget, gate_cost
 from auditloop.errors import (
     InvalidParams,
     LengthMismatch,
@@ -254,11 +254,11 @@ def test_oracle_optimum_additive_reduces_to_knapsack():
     oracle = SyntheticOracle(spec)
     state = trained(oracle, np.ones(3, bool), 10_000)
     costs = np.array([1e-3, 2e-3, 1e-3])
-    gates, value = oracle.oracle_optimum(state, costs, p_max=2e-3)
+    gates, value = oracle.oracle_optimum(state, Budget.from_costs(costs, 2e-3))
     assert list(gates) == [False, True, False]
     assert math.isclose(value, 0.5 + 0.20, abs_tol=1e-9)
     # shrinking the budget below unit 1's cost flips the optimum to {0}
-    gates2, value2 = oracle.oracle_optimum(state, costs, p_max=1e-3)
+    gates2, value2 = oracle.oracle_optimum(state, Budget.from_costs(costs, 1e-3))
     assert list(gates2) == [True, False, False]
     assert math.isclose(value2, 0.5 + 0.10, abs_tol=1e-9)
 
@@ -267,7 +267,7 @@ def test_oracle_optimum_all_harmful_selects_nothing():
     spec = simple_spec(mu_inf=(-0.1, -0.2, -0.05))
     oracle = SyntheticOracle(spec)
     state = trained(oracle, np.ones(3, bool), 10_000)
-    gates, value = oracle.oracle_optimum(state, np.full(3, 1e-3), p_max=1.0)
+    gates, value = oracle.oracle_optimum(state, Budget.from_costs(np.full(3, 1e-3), 1.0))
     assert not gates.any()
     assert value == 0.5
 
@@ -285,20 +285,21 @@ def test_oracle_optimum_redundancy_prefers_outsider():
     oracle = SyntheticOracle(spec)
     state = trained(oracle, np.ones(3, bool), 10_000)
     costs = np.array([1e-3, 1e-3, 0.5e-3])
-    gates, value = oracle.oracle_optimum(state, costs, p_max=2e-3)
+    gates, value = oracle.oracle_optimum(state, Budget.from_costs(costs, 2e-3))
     assert gates[2]
     assert gates[:2].sum() == 1
     assert math.isclose(value, 0.5 + math.sqrt(0.2 * 0.1) + 0.08, abs_tol=1e-6)
 
 
 def test_oracle_optimum_decides_feasibility_by_gate_cost():
-    # as in the allocator: 8 x 0.1 sums to 0.8 > p_max under the budget check
+    # as in the allocator: 8 x 0.1 sums past p_max at their exact value, and
+    # to 0.8 > p_max in `gate_cost`
     n = 8
     spec = OracleSpec(base_score=0.0, mu_inf=(0.01,) * n, kappa=(1.0,) * n)
     oracle = SyntheticOracle(spec)
     state = trained(oracle, np.ones(n, bool), 10_000)
     costs = np.full(n, 0.1)
-    gates, _ = oracle.oracle_optimum(state, costs, p_max=0.7999999999999999)
+    gates, _ = oracle.oracle_optimum(state, Budget.from_costs(costs, 0.7999999999999999))
     assert gates.sum() == 7
     assert gate_cost(gates, costs) <= 0.7999999999999999
 
@@ -321,7 +322,8 @@ def test_oracle_optimum_value_is_the_true_value_of_its_gates():
         oracle = SyntheticOracle(spec)
         state = trained(oracle, np.ones(n, bool), int(rng.integers(1, 1000)))
         costs = rng.uniform(1e-4, 1e-3, n)
-        gates, value = oracle.oracle_optimum(state, costs, float(rng.uniform(costs.min(), costs.sum())))
+        budget = Budget.from_costs(costs, float(rng.uniform(costs.min(), costs.sum())))
+        gates, value = oracle.oracle_optimum(state, budget)
         assert value == oracle.true_value(state, gates)
 
 
@@ -330,7 +332,7 @@ def test_oracle_optimum_cap():
     spec = OracleSpec(base_score=0.5, mu_inf=(0.01,) * n, kappa=(1.0,) * n)
     oracle = SyntheticOracle(spec)
     with pytest.raises(TooLarge):
-        oracle.oracle_optimum(oracle.fresh_state(), np.full(n, 1e-3), 1.0)
+        oracle.oracle_optimum(oracle.fresh_state(), Budget.from_costs(np.full(n, 1e-3), 1.0))
 
 
 # -- trace record / replay ----------------------------------------------------

@@ -10,6 +10,7 @@ from auditloop import (
     AdapterUnit,
     AllocatorParams,
     AuditSpace,
+    Budget,
     BackboneDesc,
     Family,
     FsmParams,
@@ -25,7 +26,6 @@ from auditloop import (
     default_run_config,
     default_space,
     default_templates,
-    gate_cost,
     raw_param_count,
 )
 from auditloop.errors import EmptySpace, IncompatibleTemplate, InvalidParams
@@ -168,17 +168,20 @@ def test_malformed_schema_rejected():
 def test_generated_space_and_run_config_round_trip_through_json(dims, templates, shared, picks):
     backbone = BackboneDesc(len(dims), tuple(dims), 1_500_000)
     built = AuditSpace.build(backbone, templates, sapa_shared_weights=shared)
-    p_max = default_run_config().allocator.p_max
+    budget = Budget(built.counts, backbone.backbone_param_count, default_run_config().allocator.p_max)
     gates = np.zeros(built.n_units, dtype=bool)
     for i in picks:
         gates[i % built.n_units] = True
-        if gate_cost(gates, built.costs) > p_max:
+        if not budget.fits(gates):
             gates[i % built.n_units] = False
     space = AuditSpace(backbone, [replace(u, gate=bool(g)) for u, g in zip(built.units, gates)])
 
     loaded = AuditSpace.from_json(space.to_json())
     assert loaded.units == space.units
     assert loaded.costs.tobytes() == space.costs.tobytes()
+    # A dumped unit's count, round(cost * P), is the built unit's raw count.
+    raw = tuple(raw_param_count(u, u.hidden_dim, sapa_shared_weights=shared) for u in space.units)
+    assert loaded.counts == space.counts == raw
 
     cfg = replace(default_run_config(), space=space, oracle_spec=default_oracle_spec(space, seed=len(picks)))
     doc = json.loads(json.dumps(cfg.to_json()))

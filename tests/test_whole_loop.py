@@ -13,9 +13,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from auditloop import allocator, fsm
 from auditloop import (
     AllocatorParams,
     FsmParams,
@@ -74,7 +76,7 @@ def configs(draw):
 )
 @given(config=configs())
 def test_whole_runs_keep_budget_score_replay_and_log_invariants(config):
-    costs, p_max = config.space.costs, config.allocator.p_max
+    costs = config.space.costs
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         # The recorder must be closed, as `cmd_run` closes it, or the trace is empty.
@@ -85,10 +87,16 @@ def test_whole_runs_keep_budget_score_replay_and_log_invariants(config):
 
         cycles = [r for r in driver.records if r["kind"] == "cycle"]
         assert len(cycles) == config.cycles
-        assert all(r["allocate"]["total_cost"] <= p_max for r in cycles)
         final = report.final_gates
         assert np.all(driver.scores[final] > 0.0)
-        assert gate_cost(final, costs) <= p_max
+        # Every committed set and the final one fit the budget's integer rule,
+        # and each logged cost is the float sum of its set's costs, which can
+        # read an ulp or so above p_max (0.00016 + 0.00032 > 0.00048).
+        budget, gates = config.budget(), config.space.initial_gates()
+        for r in cycles:
+            gates[r["fsm"]["commits"]] ^= True
+            assert budget.fits(gates) and r["allocate"]["total_cost"] == gate_cost(gates, costs), r["cycle"]
+        assert budget.fits(final) and report.budget_used == gate_cost(final, costs)
 
         replayed = LoopDriver(config, oracle=replay_trace(tmp / "trace.jsonl"))
         replayed.run_full()
@@ -111,3 +119,34 @@ def test_whole_runs_keep_budget_score_replay_and_log_invariants(config):
         assert diag["final_value"] == report.final_value
         assert diag["final_on_ids"] == np.flatnonzero(report.final_gates).tolist()
         assert diag["eval_count"] == report.eval_count
+
+
+@settings(
+    deadline=None,
+    derandomize=not FUZZ,
+    max_examples=FUZZ or 40,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(config=configs())
+def test_orders_that_greedy_and_the_fsm_fill_pass_the_public_checks(config):
+    # Greedy and the FSM call the unchecked `_fill`, as their orders are valid
+    # by construction. With the checked public `fill` in its place, every
+    # order must be unit ids, off in the gates and each once, and the run
+    # must log the same records.
+    core, orders = allocator._fill, []
+
+    def checked(gates, order, budget):
+        orders.append(order.tolist())
+        with pytest.MonkeyPatch.context() as inside:
+            inside.setattr(allocator, "_fill", core)
+            return allocator.fill(gates, order, budget)
+
+    unchecked = LoopDriver(config)
+    unchecked.run_full()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(allocator, "_fill", checked)
+        m.setattr(fsm, "_fill", checked)
+        driver = LoopDriver(config)
+        driver.run_full()
+    assert len(orders) >= config.cycles  # at least the greedy proposal of each cycle
+    assert driver.records == unchecked.records
