@@ -133,10 +133,10 @@ def test_orders_that_greedy_and_the_fsm_fill_pass_the_public_checks(config):
     # by construction. With the checked public `fill` in its place, every
     # order must be unit ids, off in the gates and each once, and the run
     # must log the same records.
-    core, orders = allocator._fill, []
+    core, calls = allocator._fill, []
 
     def checked(gates, order, budget):
-        orders.append(order.tolist())
+        calls.append(len(order))
         with pytest.MonkeyPatch.context() as inside:
             inside.setattr(allocator, "_fill", core)
             return allocator.fill(gates, order, budget)
@@ -148,5 +148,5 @@ def test_orders_that_greedy_and_the_fsm_fill_pass_the_public_checks(config):
         m.setattr(fsm, "_fill", checked)
         driver = LoopDriver(config)
         driver.run_full()
-    assert len(orders) >= config.cycles  # at least the greedy proposal of each cycle
+    assert len(calls) >= config.cycles  # at least the greedy proposal of each cycle
     assert driver.records == unchecked.records
