@@ -179,29 +179,60 @@ def integer_instances(draw, max_n=12):
     return scores, budget
 
 
-@settings(deadline=None, max_examples=300)
-@given(instance=integer_instances(max_n=40), data=st.data())
-def test_fill_greedy_and_hysteresis_match_plain_integer_loops(instance, data):
-    scores, budget = instance
-    n, counts, costs, capacity = scores.size, budget.counts.tolist(), budget.costs.tolist(), budget.capacity
-    masks = st.lists(st.booleans(), min_size=n, max_size=n)
-    start, current, prop = (np.array(data.draw(masks)) for _ in range(3))
+def draw_masks(data, n, k):
+    return (np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))) for _ in range(k))
 
+
+@settings(deadline=None, max_examples=200)
+@given(instance=integer_instances(), data=st.data())
+def test_fill_is_the_plain_add_while_it_fits_loop(instance, data):
+    # `fill` adds each unit of `order` while the integer total fits, as the
+    # plain loop does, and leaves its input mask as it was.
+    scores, budget = instance
+    n = scores.size
+    (start,) = draw_masks(data, n, 1)
     order = [i for i in data.draw(st.permutations(range(n))) if not start[i]]
     before = start.copy()
     gates, rejected = fill(start, np.array(order, dtype=np.intp), budget)
     assert np.array_equal(start, before)
-    assert (gates.tolist(), rejected) == plain_fill(start, order, counts, capacity)
+    assert (gates.tolist(), rejected) == plain_fill(start, order, budget.counts.tolist(), budget.capacity)
     assert budget.fits(gates) or not budget.fits(start)
+    assert set(rejected) == set(order) - set(np.flatnonzero(gates & ~start).tolist())
 
+    # Greedy is the same loop over the positive-score units in density order.
+    costs = budget.costs.tolist()
     dens = sorted((i for i in range(n) if scores[i] > 0.0), key=lambda i: (-(scores[i] / costs[i]), costs[i], i))
     greedy = greedy_allocate(scores, budget)
-    assert greedy.tolist() == plain_fill([False] * n, dens, counts, capacity)[0]
+    assert greedy.tolist() == plain_fill([False] * n, dens, budget.counts.tolist(), budget.capacity)[0]
     assert budget.fits(greedy)
 
+
+@settings(deadline=None, max_examples=300)
+@given(instance=integer_instances(max_n=40), data=st.data())
+def test_fill_stops_early_only_where_every_later_unit_is_rejected(instance, data):
+    # Tie-heavy counts and a capacity at a drawn set's count or one either
+    # side of it, so orders whose room runs out part-way are common: `fill`
+    # stops early, and the plain loop tries every unit of `order`.
+    scores, budget = instance
+    n = scores.size
+    (start,) = draw_masks(data, n, 1)
+    order = [i for i in data.draw(st.permutations(range(n))) if not start[i]]
+    gates, rejected = fill(start, np.array(order, dtype=np.intp), budget)
+    assert (gates.tolist(), rejected) == plain_fill(start, order, budget.counts.tolist(), budget.capacity)
+
+
+@settings(deadline=None, max_examples=300)
+@given(instance=integer_instances(), data=st.data())
+def test_hysteresis_running_total_decides_as_gate_cost(instance, data):
+    # The running total of `apply_hysteresis` decides each trial as the full
+    # count of the trial set would, with trials that fit exactly or miss by
+    # one count common.
+    scores, budget = instance
+    current, prop = draw_masks(data, scores.size, 2)
     mu_eff = data.draw(st.sampled_from([0.0, 0.1, 0.5]))
     out = apply_hysteresis(current, prop, scores, budget, mu_eff)
-    assert out.tolist() == plain_hysteresis(current, prop, scores, counts, costs, capacity, mu_eff)
+    counts, costs = budget.counts.tolist(), budget.costs.tolist()
+    assert out.tolist() == plain_hysteresis(current, prop, scores, counts, costs, budget.capacity, mu_eff)
     assert budget.fits(out) or not budget.fits(current)
 
 
