@@ -17,9 +17,9 @@ start mask and unit order.
 A unit's cost is its integer parameter count over the backbone's P, so a set
 fits the budget when its counts sum to at most the capacity floor(p_max·P):
 every allocator step decides fit by this one exact integer compare. The
-driver logs `gate_cost`, the float costs summed, so a set that fits can log
-a cost an ulp or so above p_max: 0.00032 + 0.00016 reads 0.00048000000000000007,
-though 64 + 32 of 200,000 parameters is exactly 0.00048 of them.
+driver raises `BudgetViolation` when `gate_cost`, the float costs summed,
+reads above p_max, which a set that fits can do by an ulp: 64 + 32 of
+200,000 parameters is exactly 0.00048 of them, 0.00032 + 0.00016 reads more.
 """
 
 from __future__ import annotations

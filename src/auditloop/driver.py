@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -64,16 +65,17 @@ class RunConfig:
         check_window(self.window)
         if self.oracle_spec.n_units != self.space.n_units:
             raise InvalidParams("oracle spec and audit space disagree on the unit count")
-        if not self.budget().fits(gates := self.space.initial_gates()):
-            cost = gate_cost(gates, self.space.costs)
+        if not self.budget.fits(gates := self.space.initial_gates()):
+            cost = gate_cost(gates, self.budget.costs)
             raise InvalidParams(f"initial gates cost {cost}, over p_max {self.allocator.p_max}")
 
     @property
     def total_loop_steps(self) -> int:
         return self.cycles * self.steps_per_cycle
 
+    @cached_property
     def budget(self) -> Budget:
-        """The space's parameter counts under `p_max` of the backbone's."""
+        """The space's parameter counts under `p_max` of the backbone's, built once."""
         return Budget(self.space.counts, self.space.backbone.backbone_param_count, self.allocator.p_max)
 
     @classmethod
@@ -166,7 +168,7 @@ class LoopDriver:
         self.gates = self.space.initial_gates()
         self.table = UtilityTable(n, config.window)
         self.fsm = FsmStabilizer(n, config.fsm.tau_act)
-        self.budget = config.budget()
+        self.budget = config.budget
         self.training = self.oracle.fresh_state()
         self.eval_count = 0
         self.records: list[dict] = []
@@ -195,13 +197,13 @@ class LoopDriver:
         )
         self.eval_count += 1 + len(batch)
         idx, toggled = np.array(batch, dtype=np.intp), np.array(toggle_scores, dtype=float)
-        return full, np.where(self.gates[idx], full - toggled, toggled - full) / self.space.costs[idx]
+        return full, np.where(self.gates[idx], full - toggled, toggled - full) / self.budget.costs[idx]
 
     # -- protocol ----------------------------------------------------------
 
     def run_cycle(self, cycle: int) -> dict:
         cfg = self.config
-        costs, budget = self.space.costs, self.budget
+        budget, p_max = self.budget, cfg.allocator.p_max
 
         # Search: train the active set.
         self.training = self.oracle.train_step(self.training, self.gates, cfg.steps_per_cycle)
@@ -220,11 +222,9 @@ class LoopDriver:
         committed = self.fsm.filter_proposals(self.gates, guarded, scores=scores, budget=budget)
         prev = self.gates
         self.gates = committed
-        # The budget's integer rule decides; the logged float sum of a set
-        # that fits can read an ulp or so above p_max.
-        budget_used = gate_cost(committed, costs)
-        if not budget.fits(committed):
-            raise BudgetViolation(f"cycle {cycle}: committed cost {budget_used} exceeds {cfg.allocator.p_max}")
+        budget_used = gate_cost(committed, budget.costs)
+        if budget_used > p_max:
+            raise BudgetViolation(f"cycle {cycle}: committed cost {budget_used} exceeds {p_max}")
 
         record = {
             "kind": "cycle",
@@ -282,7 +282,7 @@ class LoopDriver:
             final_gates=final,
             final_value=final_value,
             final_score=float(self.scores[final].sum()),
-            budget_used=gate_cost(final, self.space.costs),
+            budget_used=gate_cost(final, self.budget.costs),
             t_c=self.fsm.change_cycles,
             max_unit_flips=int(self.fsm.unit_flips.max()),
             probe_counts=self.probe_counts.copy(),
@@ -318,7 +318,7 @@ def run_random_baseline(config: RunConfig, n_samples: int, oracle=None) -> np.nd
     """
     check_count("n_samples", n_samples, 1)
     oracle = oracle if oracle is not None else SyntheticOracle(config.oracle_spec)
-    n, budget = config.space.n_units, config.budget()
+    n, budget = config.space.n_units, config.budget
     total_steps = config.total_loop_steps + max(1, config.refinetune_steps)
     values = np.empty(n_samples)
     streams = KeyedStreams(config.run_seed, _STREAM_BASELINE)

@@ -24,7 +24,7 @@ from auditloop import (
     write_diagnostics_csv,
 )
 from auditloop.driver import DIAGNOSTIC_COLUMNS, default_oracle_spec
-from auditloop.errors import InvalidParams, MalformedLog
+from auditloop.errors import BudgetViolation, InvalidParams, MalformedLog
 from auditloop.space import AuditSpace, BackboneDesc, Family, Slot, Template
 from test_tracker import ReferenceTracker
 
@@ -72,20 +72,22 @@ def tiny_config(**overrides):
 
 @pytest.mark.parametrize("config", [tiny_config, default_run_config], ids=["exact-resolve", "swap-resolve"])
 def test_a_run_builds_one_budget(monkeypatch, config):
-    # Every cycle's greedy proposal, hysteresis and FSM commit, the final
-    # re-solve and, at 12 units, the regret curve's optimum take the driver's
-    # one Budget: none of them builds its own.
-    cfg, built, init = config(), [], Budget.__init__
+    # The config builds its Budget when it is checked. Every cycle's greedy
+    # proposal, hysteresis and FSM commit, the final re-solve and, at 12
+    # units, the regret curve's optimum take that one: none builds its own.
+    built, init = [], Budget.__init__
     monkeypatch.setattr(Budget, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    cfg = config()
     report = LoopDriver(cfg).run_full()
     assert len(built) == 1
     assert (report.regret_curve is not None) == (config is tiny_config)
 
 
-def test_a_set_at_exactly_the_budget_fits_though_its_float_cost_reads_above():
-    # 64 + 32 of 200,000 parameters is exactly p_max = 0.00048 of them, but
-    # the float costs add to 0.00048000000000000007. The integer rule admits
-    # both units on from the start, and the run keeps them and logs that sum.
+def test_a_set_at_exactly_the_budget_fits_but_its_logged_float_cost_raises():
+    # 64 + 32 of 200,000 parameters is exactly p_max = 0.00048 of them, so
+    # the integer rule admits both units on from the start. The float costs
+    # add to 0.00048000000000000007, and the driver's check on that logged
+    # cost stops the run at its first commit.
     from auditloop.space import Topology
 
     backbone = BackboneDesc(1, (16,), 200_000)
@@ -94,10 +96,9 @@ def test_a_set_at_exactly_the_budget_fits_though_its_float_cost_reads_above():
     space = AuditSpace(backbone, [replace(u, gate=True) for u in AuditSpace.build(backbone, templates).units])
     cfg = tiny_config(space=space, oracle_spec=default_oracle_spec(space, seed=3), sampler=SamplerParams(batch_size=1),
                       allocator=AllocatorParams(p_max=0.00048), cycles=3)
-    assert space.counts == (64, 32) and cfg.budget().capacity == 96
-    report, driver = run_full(cfg)
-    assert [r["allocate"]["total_cost"] for r in driver.records[:-1]] == [0.00048000000000000007] * 3
-    assert report.final_gates.all() and report.budget_used == 0.00048000000000000007 > cfg.allocator.p_max
+    assert space.counts == (64, 32) and cfg.budget.capacity == 96 and cfg.budget.fits(space.initial_gates())
+    with pytest.raises(BudgetViolation, match=r"^cycle 0: committed cost 0\.00048000000000000007 exceeds 0\.00048$"):
+        run_full(cfg)
 
 
 def test_eval_count_is_one_plus_batch_per_cycle():

@@ -76,7 +76,7 @@ def configs(draw):
 )
 @given(config=configs())
 def test_whole_runs_keep_budget_score_replay_and_log_invariants(config):
-    costs = config.space.costs
+    costs, p_max = config.space.costs, config.allocator.p_max
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         # The recorder must be closed, as `cmd_run` closes it, or the trace is empty.
@@ -87,12 +87,13 @@ def test_whole_runs_keep_budget_score_replay_and_log_invariants(config):
 
         cycles = [r for r in driver.records if r["kind"] == "cycle"]
         assert len(cycles) == config.cycles
+        assert all(r["allocate"]["total_cost"] <= p_max for r in cycles)
         final = report.final_gates
         assert np.all(driver.scores[final] > 0.0)
-        # Every committed set and the final one fit the budget's integer rule,
-        # and each logged cost is the float sum of its set's costs, which can
-        # read an ulp or so above p_max (0.00016 + 0.00032 > 0.00048).
-        budget, gates = config.budget(), config.space.initial_gates()
+        assert gate_cost(final, costs) <= p_max
+        # Every committed set and the final one also fit the budget's integer
+        # rule, and each logged cost is the float sum of its set's costs.
+        budget, gates = config.budget, config.space.initial_gates()
         for r in cycles:
             gates[r["fsm"]["commits"]] ^= True
             assert budget.fits(gates) and r["allocate"]["total_cost"] == gate_cost(gates, costs), r["cycle"]
