@@ -68,7 +68,7 @@ def _flips(tau: int, proposals: np.ndarray) -> np.ndarray:
     budget of one per unit. Every unit fits at once, so no unit's votes
     depend on another's and each column runs as it would alone."""
     n = proposals.shape[1]
-    fsm, ones, budget = FsmStabilizer(n, tau_act=tau), np.ones(n), Budget.from_costs(np.ones(n), float(n))
+    fsm, ones, budget = FsmStabilizer(n, tau_act=tau), np.ones(n), Budget([1] * n, 1, float(n))
     gates = np.zeros(n, dtype=bool)
     for proposed in proposals:
         gates = fsm.filter_proposals(gates, proposed, scores=ones, budget=budget)

@@ -126,7 +126,7 @@ def cmd_report(args) -> int:
         print(f"selected units ({len(diag['final_on_ids'])}):")
         for u in (config.space.units[i] for i in diag["final_on_ids"]):
             print(f"  {u.id:>3}  layer {u.layer}  {u.slot.value:<11} {u.family.value:<11} "
-                  f"{u.topology.value:<4} size {u.size:<3} cost {u.cost:.6f}")
+                  f"{u.topology.value:<4} size {u.size:<3} cost {config.budget.costs[u.id]:.6f}")
     return EXIT_OK
 
 

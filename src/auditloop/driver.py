@@ -66,8 +66,9 @@ class RunConfig:
         if self.oracle_spec.n_units != self.space.n_units:
             raise InvalidParams("oracle spec and audit space disagree on the unit count")
         if not self.budget.fits(gates := self.space.initial_gates()):
-            cost = gate_cost(gates, self.budget.costs)
-            raise InvalidParams(f"initial gates cost {cost}, over p_max {self.allocator.p_max}")
+            held, capacity = int(self.budget.counts[gates].sum()), self.budget.capacity
+            raise InvalidParams(f"initial gates hold {held} parameters, over the {capacity} that "
+                                f"p_max {self.allocator.p_max} allows")
 
     @property
     def total_loop_steps(self) -> int:

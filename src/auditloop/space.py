@@ -1,4 +1,4 @@
-"""Audit-space construction: unit enumeration and parameter costs.
+"""Audit-space construction: unit enumeration and parameter counts.
 
 The audit space is the fixed library of candidate adapter units (family x
 topology x size x insertion site) that the selection loop gates on and off.
@@ -14,8 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (EmptySpace, IncompatibleTemplate, InvalidParams, check_count, check_flag, check_keys,
-                     check_number, read_doc)
+from .errors import EmptySpace, IncompatibleTemplate, InvalidParams, check_count, check_flag, check_keys, read_doc
 
 
 class Family(Enum):
@@ -80,21 +79,21 @@ class Template:
 class AdapterUnit(Template):
     """One gateable candidate in the audit space: a template on one backbone layer.
 
-    `cost` is the unit's trainable-parameter count expressed as a fraction of
-    the backbone parameter count, so budgets read as parameter percentages.
+    `params` is the unit's trainable-parameter count. The run's `Budget`
+    reads it over the backbone parameter count, so budgets read as parameter
+    percentages.
     """
 
     id: int
     layer: int
     hidden_dim: int
-    cost: float
+    params: int
     gate: bool = False
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for name, minimum in (("id", 0), ("layer", 0), ("hidden_dim", 1)):
+        for name, minimum in (("id", 0), ("layer", 0), ("hidden_dim", 1), ("params", 1)):
             check_count(f"unit {name}", getattr(self, name), minimum)
-        object.__setattr__(self, "cost", check_number("unit cost", self.cost, "(0, inf)"))
         check_flag("unit gate", self.gate)
 
 
@@ -160,21 +159,14 @@ class AuditSpace:
         self.units: tuple[AdapterUnit, ...] = tuple(units)
         if not self.units:
             raise EmptySpace("audit space has no units")
-        self.costs = np.array([u.cost for u in self.units], dtype=float)
         if [u.id for u in self.units] != list(range(len(self.units))):
             raise InvalidParams("unit ids must run 0..N-1 in list order")
-        # Built and dumped units alike sit on a backbone layer, at its width,
-        # and cost a whole parameter count over the backbone's, kept in
-        # `counts` (an int64 at most, so a larger cost is refused).
-        total, counts = backbone.backbone_param_count, []
+        # Built and dumped units alike sit on a backbone layer, at its width.
         for u in self.units:
             check_count("unit layer", u.layer, 0, backbone.num_layers - 1)
             if u.hidden_dim != backbone.hidden_dims[u.layer]:
                 raise InvalidParams(f"unit {u.id} hidden_dim must be {backbone.hidden_dims[u.layer]}, layer {u.layer}'s")
-            counts.append(round(min(u.cost * total, 2.0**63)))
-            if counts[-1] / total != u.cost:
-                raise InvalidParams(f"unit {u.id} cost {u.cost!r} is not a parameter count over param_count {total}")
-        self.counts = tuple(counts)
+        self.counts = tuple(u.params for u in self.units)
 
     @property
     def n_units(self) -> int:
@@ -201,14 +193,13 @@ class AuditSpace:
         units: list[AdapterUnit] = []
         for layer, d in enumerate(backbone.hidden_dims):
             for tpl in ordered:
-                raw = raw_param_count(tpl, d, sapa_shared_weights=sapa_shared_weights)
                 units.append(
                     AdapterUnit(
                         **vars(tpl),
                         id=len(units),
                         layer=layer,
                         hidden_dim=d,
-                        cost=raw / backbone.backbone_param_count,
+                        params=raw_param_count(tpl, d, sapa_shared_weights=sapa_shared_weights),
                     )
                 )
         return cls(backbone, units)

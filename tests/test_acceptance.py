@@ -185,7 +185,7 @@ def test_c9_audit_utility_consistency():
             state = oracle.train_step(state, active, cfg.steps_per_cycle)
             for audit in rec["audit"]["audits"]:
                 unit = audit["unit_id"]
-                cost = cfg.space.costs[unit]
+                cost = cfg.budget.costs[unit]
                 with_unit, without = active.copy(), active.copy()
                 with_unit[unit], without[unit] = True, False
                 expected = (oracle.true_value(state, with_unit) - oracle.true_value(state, without)) / cost

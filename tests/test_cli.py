@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from auditloop import cli
 from auditloop.cli import main
-from auditloop.driver import DIAGNOSTIC_COLUMNS
+from auditloop.driver import DIAGNOSTIC_COLUMNS, RunConfig
 from auditloop.oracle import SyntheticOracle, TraceRecordingOracle
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,7 +74,7 @@ def test_bad_json_config_exits_2(tmp_path):
 
 BACKBONE = {"layers": 1, "hidden_dims": [16], "param_count": 200_000}
 UNIT_5 = {"id": 5, "family": "LoRA", "topology": "SA", "size": 2, "layer": 0,
-          "slot": "Attention", "hidden_dim": 16, "cost": 0.0003}
+          "slot": "Attention", "hidden_dim": 16, "params": 60}
 NAN, INF = float("nan"), float("inf")
 HUGE = 10**400  # a JSON integer too large for a float
 # A six-unit space with a synthetic oracle over it.
@@ -140,6 +140,7 @@ def with_space(*path, value):
         small_with_oracle(kappa=[INF] + [200.0] * 5),
         small_with_oracle(mu_inf=[NAN] + [0.05] * 5),
         small_with_oracle(sigma_val=INF),
+        # `cost` is no unit key, whatever its value.
         {"cycles": 2, "steps_per_cycle": 10, "space": {"backbone": BACKBONE, "units": [
             UNIT_5 | {"id": 0, "cost": NAN}]}},
         {"cycles": 2, "steps_per_cycle": 10, "smoothing": {"lambda_s": NAN}},
@@ -153,7 +154,7 @@ def with_space(*path, value):
         with_space("units", 0, "hidden_dim", value=16.9),
         with_space("sapa_shared_weights", value="false"),
         with_space("units", 0, "gate", value="false"),
-        with_space("units", 0, "cost", value="0.0003"),
+        with_space("units", 0, "cost", value="0.0003"),  # no unit key
         small_with_oracle(sigma_val=True),
         small_with_oracle(base_score="0.45"),
         small_with_oracle(mu_inf=[10**400] + [0.05] * 5),
@@ -217,8 +218,12 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, doc, samples):
         (with_space("templates", 0, "sizes", value=[4]), "unknown space template key 'sizes'"),
         ({"cycles": 2, "steps_per_cycle": 10, "oracle": {"kind": "default", "shots": 5}},
          "unknown default oracle key 'shots'"),
+        # A unit dumped before `params` replaced `cost`.
+        ({"cycles": 2, "steps_per_cycle": 10, "space": {"backbone": BACKBONE, "units": [
+            {k: v for k, v in UNIT_5.items() if k != "params"} | {"id": 0, "cost": 0.0003}]}},
+         "unknown space unit key 'cost'"),
     ],
-    ids=["template-sizes", "default-oracle-shots"],
+    ids=["template-sizes", "default-oracle-shots", "stale-unit-cost"],
 )
 def test_unknown_key_error_names_the_key_and_its_object(tmp_path, capsys, doc, line):
     bad = tmp_path / "bad.json"
@@ -235,7 +240,7 @@ def test_unknown_key_error_names_the_key_and_its_object(tmp_path, capsys, doc, l
         (SMALL | {"oracle": {"base_score": 0.5}}, "oracle key 'mu_inf' is missing"),
         (SMALL | {"oracle": {"base_score": 0.5, "mu_inf": [0.05] * 6}}, "oracle key 'kappa' is missing"),
         ({"cycles": 2, "steps_per_cycle": 10, "space": {"backbone": BACKBONE, "units": [
-            {k: v for k, v in UNIT_5.items() if k != "cost"} | {"id": 0}]}}, "space unit key 'cost' is missing"),
+            {k: v for k, v in UNIT_5.items() if k != "params"} | {"id": 0}]}}, "space unit key 'params' is missing"),
         (with_space("backbone", value={"layers": 1}), "space backbone key 'hidden_dims' is missing"),
         ({"cycles": 2, "steps_per_cycle": 10, "space": {"backbone": BACKBONE}}, "space key 'templates' is missing"),
         ({"cycles": 2, "steps_per_cycle": 10, "space": {"units": [UNIT_5 | {"id": 0}]}},
@@ -243,10 +248,18 @@ def test_unknown_key_error_names_the_key_and_its_object(tmp_path, capsys, doc, l
         (with_space("units", 0, "slot", value="Norm"), "LoRA cannot attach to the Norm slot"),
         (with_space("units", 0, "layer", value=99), "unit layer must be at most 0"),
         (with_space("units", 0, "hidden_dim", value=7), "unit 0 hidden_dim must be 16, layer 0's"),
+        (with_space("units", 0, "params", value=0), "unit params must be at least 1"),
+        (with_space("units", 0, "params", value=-1), "unit params must be at least 1"),
+        (with_space("units", 0, "params", value=1.5), "unit params must be an integer, not 1.5"),
+        (with_space("units", 0, "params", value=True), "unit params must be an integer, not True"),
+        (with_space("units", 0, "params", value="60"), "unit params must be an integer, not '60'"),
+        (with_space("units", value=[UNIT_5 | {"id": i, "params": 2**62} for i in (0, 1)]),
+         f"unit parameter counts sum to {2**63}, past an int64"),
     ],
     ids=["no-steps-per-cycle", "empty-sampler", "oracle-without-mu-inf", "oracle-without-kappa",
-         "unit-without-cost", "backbone-without-hidden-dims", "schema-without-templates", "dump-without-backbone",
-         "dumped-lora-on-norm", "unit-on-layer-99", "unit-hidden-dim-7"],
+         "unit-without-params", "backbone-without-hidden-dims", "schema-without-templates", "dump-without-backbone",
+         "dumped-lora-on-norm", "unit-on-layer-99", "unit-hidden-dim-7", "zero-unit-params", "negative-unit-params",
+         "fractional-unit-params", "bool-unit-params", "string-unit-params", "unit-params-past-int64"],
 )
 def test_missing_key_or_misplaced_unit_exits_2_with_one_pinned_line(tmp_path, capsys, doc, line):
     bad = tmp_path / "bad.json"
@@ -288,15 +301,14 @@ def test_number_for_an_oracle_list_exits_2_with_one_pinned_line(tmp_path, capsys
     assert capsys.readouterr().err == "error: malformed run config: 'int' object is not iterable\n"
 
 
-@pytest.mark.parametrize("cost", [0.0003, 0.0003000001, 1e300], ids=["60-of-200000", "between-counts", "past-int64"])
-def test_dumped_unit_cost_must_be_a_parameter_count_over_the_backbones(tmp_path, capsys, cost):
-    # A dumped unit's parameter count is round(cost * P); its cost must be
-    # exactly that count over P, as a built unit's is.
+def test_dumped_unit_params_are_its_budget_count_and_its_cost_over_the_backbones(tmp_path, capsys):
+    doc = with_space("units", 0, "params", value=61)
+    budget = RunConfig.from_json(doc).budget
+    assert (budget.counts.tolist(), budget.costs.tolist()) == ([61], [61 / 200_000])
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(with_space("units", 0, "cost", value=cost)))
-    code = main(["run", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"])
-    line = f"error: unit 0 cost {cost!r} is not a parameter count over param_count 200000\n"
-    assert (code, capsys.readouterr().err) == ((0, "") if cost == 0.0003 else (2, line))
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_run_replay_and_baseline_print_their_summary_lines(tmp_path, capsys, config_path):
@@ -329,7 +341,8 @@ def test_initial_gates_over_the_budget_exit_2_before_any_run(tmp_path, capsys, g
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"]) == code
-    assert capsys.readouterr().err == ("error: initial gates cost 0.0006, over p_max 0.0005\n" if code else "")
+    line = "error: initial gates hold 120 parameters, over the 100 that p_max 0.0005 allows\n"
+    assert capsys.readouterr().err == (line if code else "")
 
 
 def test_negative_seed_flag_exits_2_with_one_line(tmp_path, capsys, config_path):

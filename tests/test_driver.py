@@ -151,7 +151,6 @@ def test_audit_utility_sign_conventions():
     # full config 0.80, toggled 0.75, cost 0.002: utility 25.0
     cfg = tiny_config()
     driver = LoopDriver(cfg)
-    c = driver.space.costs[0]
     assert math.isclose((0.80 - 0.75) / 0.002, 25.0)
     driver.gates[:] = False
     _, utils = driver._audit_utilities([0])
@@ -257,9 +256,9 @@ def test_random_baseline_degenerate_budget():
 
 def test_random_baseline_single_feasible_unit():
     cfg = tiny_config()
-    cheapest = int(np.argmin(cfg.space.costs))
-    p_max = float(cfg.space.costs[cheapest] * 1.05)
-    if np.sort(cfg.space.costs)[1] > p_max:  # only one unit affordable
+    cheapest = int(np.argmin(cfg.budget.costs))
+    p_max = float(cfg.budget.costs[cheapest] * 1.05)
+    if np.sort(cfg.budget.costs)[1] > p_max:  # only one unit affordable
         cfg = tiny_config(allocator=AllocatorParams(p_max=p_max, mu_eff=0.0))
         vals = run_random_baseline(cfg, 6)
         assert len(set(np.round(vals, 12))) == 1

@@ -43,7 +43,7 @@ def test_single_template_single_layer():
     backbone = BackboneDesc(1, (32,), 10_000)
     units = AuditSpace.build(backbone, [Template(Family.AFFINE_LN, Topology.NONE, 0, Slot.NORM)]).units
     assert len(units) == 1
-    assert units[0].cost == 64 / 10_000
+    assert units[0].params == 64
 
 
 def test_lora_on_norm_slot_rejected():
@@ -101,11 +101,11 @@ def test_raw_param_count_monotone_in_size_and_dim():
 
 
 def test_costs_positive_and_budget_binding():
-    space = default_space()
-    assert np.all(space.costs > 0.0)
-    assert np.all(space.costs < 1.0)
+    costs = default_run_config().budget.costs
+    assert np.all(costs > 0.0)
+    assert np.all(costs < 1.0)
     # the full space costs far more than any realistic budget
-    assert space.costs.sum() > 10 * 0.002
+    assert costs.sum() > 10 * 0.002
 
 
 def test_id_order_lexicographic():
@@ -139,7 +139,7 @@ def test_json_roundtrip(tmp_path):
     path.write_text(json.dumps(doc))
     loaded = AuditSpace.from_json(json.loads(path.read_text()))
     assert loaded.n_units == space.n_units
-    assert np.allclose(loaded.costs, space.costs)
+    assert loaded.counts == space.counts
     dump = loaded.to_json()
     assert len(dump["units"]) == 74
     assert dump["units"][0]["id"] == 0
@@ -176,16 +176,20 @@ def test_generated_space_and_run_config_round_trip_through_json(dims, templates,
             gates[i % built.n_units] = False
     space = AuditSpace(backbone, [replace(u, gate=bool(g)) for u, g in zip(built.units, gates)])
 
+    # Each built unit holds its raw count, and a dump carries it unchanged.
+    raw = tuple(raw_param_count(u, u.hidden_dim, sapa_shared_weights=shared) for u in built.units)
+    assert tuple(u.params for u in built.units) == raw
     loaded = AuditSpace.from_json(space.to_json())
     assert loaded.units == space.units
-    assert loaded.costs.tobytes() == space.costs.tobytes()
-    # A dumped unit's count, round(cost * P), is the built unit's raw count.
-    raw = tuple(raw_param_count(u, u.hidden_dim, sapa_shared_weights=shared) for u in space.units)
     assert loaded.counts == space.counts == raw
 
     cfg = replace(default_run_config(), space=space, oracle_spec=default_oracle_spec(space, seed=len(picks)))
     doc = json.loads(json.dumps(cfg.to_json()))
-    assert json.loads(json.dumps(RunConfig.from_json(doc).to_json())) == doc
+    reloaded = RunConfig.from_json(doc)
+    assert json.loads(json.dumps(reloaded.to_json())) == doc
+    assert reloaded.budget.counts.tolist() == cfg.budget.counts.tolist() == list(raw)
+    assert reloaded.budget.capacity == cfg.budget.capacity
+    assert reloaded.budget.costs.tobytes() == cfg.budget.costs.tobytes()
 
 
 def field_names(cls) -> set[str]:

@@ -44,9 +44,9 @@ def configs(draw):
     templates = default_templates()
     picks = draw(st.lists(st.integers(0, len(templates) - 1), min_size=1, max_size=5, unique=True))
     space = AuditSpace.build(BackboneDesc(layers, tuple(dims), 200_000), [templates[i] for i in sorted(picks)])
-    n = space.n_units
+    n, costs = space.n_units, allocator.Budget(space.counts, 200_000, 1.0).costs
     # Below the cheapest unit nothing fits; 1.0 fits everything.
-    p_max = draw(st.sampled_from([float(space.costs.min()) / 2, float(space.costs.sum()) / 3, 1.0]))
+    p_max = draw(st.sampled_from([float(costs.min()) / 2, float(costs.sum()) / 3, 1.0]))
     shots, seed = draw(st.sampled_from([1, 5, 10])), draw(st.integers(0, 2**16))
     return RunConfig(
         space=space,
@@ -76,7 +76,7 @@ def configs(draw):
 )
 @given(config=configs())
 def test_whole_runs_keep_budget_score_replay_and_log_invariants(config):
-    costs, p_max = config.space.costs, config.allocator.p_max
+    costs, p_max = config.budget.costs, config.allocator.p_max
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         # The recorder must be closed, as `cmd_run` closes it, or the trace is empty.
