@@ -115,7 +115,7 @@ def test_recorded_trace_matches_pinned_digest_and_replays_the_golden_events(tmp_
 
 # sha256 of the `report.json` that `auditloop run` writes for the benchmark's
 # replay config (the default shots=10 run at run seed 0).
-REPORT_DIGEST = "739c323e16bebe8a492900456eb3d9881a5a1c2146710160bafe1b395c7cb355"
+REPORT_DIGEST = "ee01c953a5edd27aa9b76c7a3075d0c80824ffd4dbdf18b70c7d2728a35d08d8"
 
 
 def test_cli_run_report_matches_pinned_digest(tmp_path):
