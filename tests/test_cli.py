@@ -258,8 +258,8 @@ def test_unknown_key_error_names_the_key_and_its_object(tmp_path, capsys, doc, l
     ],
     ids=["no-steps-per-cycle", "empty-sampler", "oracle-without-mu-inf", "oracle-without-kappa",
          "unit-without-params", "backbone-without-hidden-dims", "schema-without-templates", "dump-without-backbone",
-         "dumped-lora-on-norm", "unit-on-layer-99", "unit-hidden-dim-7", "zero-unit-params", "negative-unit-params",
-         "fractional-unit-params", "bool-unit-params", "string-unit-params", "unit-params-past-int64"],
+         "dumped-lora-on-norm", "unit-on-layer-99", "unit-hidden-dim-7", "zero-params", "negative-params",
+         "fractional-params", "bool-params", "string-params", "params-past-int64"],
 )
 def test_missing_key_or_misplaced_unit_exits_2_with_one_pinned_line(tmp_path, capsys, doc, line):
     bad = tmp_path / "bad.json"
