@@ -107,33 +107,20 @@ def fill(gates, order, budget: Budget) -> tuple[np.ndarray, list[int]]:
 
 def _fill(gates: np.ndarray, order: np.ndarray, budget: Budget) -> tuple[np.ndarray, list[int]]:
     """`fill` without its checks, switching units on in `gates` itself, for
-    callers whose orders are valid by construction. Counts are positive, so
-    the running total and the least count from each position on only grow:
-    one `searchsorted` finds the prefix that fits, another the last position
-    after it at which a unit can still fit, and the loop between them stops
-    at a rejection past which none can."""
+    callers whose orders are valid by construction: one pass over `order`
+    keeps each unit whose count fits the room left and rejects the rest."""
     if not order.size:
         return gates, []
-    counts = budget.counts[order]
     room = budget.capacity - int(budget.counts[gates].sum())
-    running = np.cumsum(counts)
-    first = int(np.searchsorted(running, room, side="right"))
-    if first:
-        room -= int(running[first - 1])
-    least = np.minimum.accumulate(counts[first:][::-1])[::-1]
-    stop = first + int(np.searchsorted(least, room, side="right"))
-    kept, rejected = order[:first].tolist(), []
-    for j, (i, count) in enumerate(zip(order[first:stop].tolist(), counts[first:stop].tolist())):
+    kept, rejected = [], []
+    for i, count in zip(order.tolist(), budget.counts[order].tolist()):
         if count <= room:
             kept.append(i)
             room -= count
-            continue
-        rejected.append(i)
-        if least[j] > room:  # nor can any later unit fit
-            stop = first + j + 1
-            break
+        else:
+            rejected.append(i)
     gates[kept] = True
-    return gates, rejected + order[stop:].tolist()
+    return gates, rejected
 
 
 def _validate(scores, budget: Budget) -> np.ndarray:

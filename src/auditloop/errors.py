@@ -59,9 +59,9 @@ class BudgetViolation(AuditLoopError):
 
 
 def check_count(name: str, value, minimum: int, maximum: int | None = None) -> None:
-    """Raise InvalidParams unless `value` is an integer, not a bool, of at
-    least `minimum` and, if given, at most `maximum`."""
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+    """Raise InvalidParams unless `value` is a Python int, not a bool nor a
+    numpy integer, of at least `minimum` and, if given, at most `maximum`."""
+    if type(value) is not int:
         raise InvalidParams(f"{name} must be an integer, not {value!r}")
     if value < minimum:
         raise InvalidParams(f"{name} must be at least {minimum}")

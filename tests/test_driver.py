@@ -255,13 +255,17 @@ def test_random_baseline_degenerate_budget():
 
 
 def test_random_baseline_single_feasible_unit():
-    cfg = tiny_config()
-    cheapest = int(np.argmin(cfg.budget.costs))
-    p_max = float(cfg.budget.costs[cheapest] * 1.05)
-    if np.sort(cfg.budget.costs)[1] > p_max:  # only one unit affordable
-        cfg = tiny_config(allocator=AllocatorParams(p_max=p_max, mu_eff=0.0))
-        vals = run_random_baseline(cfg, 6)
-        assert len(set(np.round(vals, 12))) == 1
+    # Units 0 and 3 (LoRA SA and PA at rank 2) both hold 64 parameters; with
+    # unit 3 grown to 128 and a budget of 100 parameters, unit 0 is the one
+    # unit that fits, so every random order fills to it alone.
+    space = tiny_config().space
+    units = list(space.units)
+    units[3] = replace(units[3], params=128)
+    cfg = tiny_config(space=AuditSpace(space.backbone, units), allocator=AllocatorParams(p_max=0.0005, mu_eff=0.0))
+    assert cfg.budget.capacity == 100
+    assert np.flatnonzero(cfg.budget.counts <= cfg.budget.capacity).tolist() == [0]
+    vals = run_random_baseline(cfg, 6)
+    assert len(set(np.round(vals, 12))) == 1
 
 
 # -- diagnostics ---------------------------------------------------------------

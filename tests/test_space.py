@@ -152,6 +152,18 @@ def test_unit_ids_must_run_in_order(ids):
         AuditSpace(default_backbone(), units)
 
 
+@pytest.mark.parametrize("name", ["id", "layer", "hidden_dim", "params"])
+def test_a_unit_refuses_numpy_integers_that_its_dump_could_not_write(name):
+    # A numpy integer would pass every check and only fail in `json.dumps`
+    # of the space's dump, so it fails where the unit is built.
+    unit = default_space().units[0]
+    value = np.int64(getattr(unit, name))
+    with pytest.raises(InvalidParams) as exc:
+        replace(unit, **{name: value})
+    assert str(exc.value) == f"unit {name} must be an integer, not {value!r}"
+    json.dumps(AuditSpace(default_backbone(), [unit]).to_json())
+
+
 def test_malformed_schema_rejected():
     with pytest.raises(InvalidParams):
         AuditSpace.from_json({"backbone": {"layers": 1}, "templates": []})
