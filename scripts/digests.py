@@ -2,10 +2,11 @@
 """Digests of the engine's observable behaviour, for equivalence checks.
 
 Prints one line per run: the sha256 of `events.jsonl` of each default run
-(shots levels x run seeds) and of each 740-unit benchmark run (run seeds),
-and the sha256 of each random baseline's values. The last line is one
-combined digest over all of them. A change that means to keep behaviour
-prints the same combined digest as its parent:
+(shots 1, 5 and 10 x run seeds 0-9) and of each 740-unit benchmark run (run
+seeds 0-2), and the sha256 of the values of each default run's random
+baseline of 20 samples. The last line is one combined digest over all of
+them. A change that means to keep behaviour prints the same combined digest
+as its parent:
 
     python3 scripts/digests.py                      # in each checkout
 
@@ -39,7 +40,7 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_lines(shots_levels, seeds, wide_seeds, baseline_samples: int):
+def digest_lines():
     """Yield (label, digest) per run, in a fixed order."""
     workloads = load_workloads()
     from auditloop import LoopDriver, default_run_config, run_random_baseline
@@ -50,27 +51,20 @@ def digest_lines(shots_levels, seeds, wide_seeds, baseline_samples: int):
         with tempfile.TemporaryDirectory() as tmp:
             return sha256(driver.write_events(Path(tmp) / "events.jsonl").read_bytes())
 
-    for shots in shots_levels:
-        for seed in seeds:
+    for shots in (1, 5, 10):
+        for seed in range(10):
             config = default_run_config(shots=shots, run_seed=seed)
             yield f"paper-default shots={shots} seed={seed}", events(config)
-            if baseline_samples:
-                values = run_random_baseline(config, baseline_samples)
-                yield f"random-baseline shots={shots} seed={seed} samples={baseline_samples}", sha256(values.tobytes())
-    for seed in wide_seeds:
+            values = run_random_baseline(config, 20)
+            yield f"random-baseline shots={shots} seed={seed} samples=20", sha256(values.tobytes())
+    for seed in range(3):
         yield f"wide-740 shots=10 seed={seed}", events(workloads.wide_config(seed))
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--shots", type=int, nargs="+", default=[1, 5, 10], choices=(1, 5, 10))
-    parser.add_argument("--seeds", type=int, default=10, help="default runs use run seeds 0..SEEDS-1")
-    parser.add_argument("--wide-seeds", type=int, default=3, help="740-unit runs use run seeds 0..WIDE_SEEDS-1")
-    parser.add_argument("--baseline-samples", type=int, default=20, help="0 skips the random baselines")
-    args = parser.parse_args(argv)
-
+    argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter).parse_args(argv)
     combined = hashlib.sha256()
-    for label, digest in digest_lines(args.shots, range(args.seeds), range(args.wide_seeds), args.baseline_samples):
+    for label, digest in digest_lines():
         line = f"{digest}  {label}"
         combined.update((line + "\n").encode())
         print(line, flush=True)

@@ -17,28 +17,24 @@ import numpy as np
 
 from auditloop import sweep
 
-SHOTS_LEVELS = (1, 5, 10)
 COLUMNS = {"full": "full", "nofsm": "no-fsm", "noiqr": "no-iqr", "rand": "random"}
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=20)
-    parser.add_argument("--seed-offset", type=int, default=0)
-    parser.add_argument("--random-samples", type=int, default=20)
+    parser.add_argument("--seeds", type=int, default=20, help="run seeds 0..SEEDS-1")
     args = parser.parse_args()
 
-    seeds = range(args.seed_offset, args.seed_offset + args.seeds)
-    results = sweep(SHOTS_LEVELS, seeds, args.random_samples)
+    results = sweep(range(args.seeds))
 
     header = "".join(f"{label:>10}" for label in COLUMNS.values())
     print(f"{'shots':>6}{header}{'margin':>10}{'t_c(full)':>11}  seeds={args.seeds}")
     margins = []
-    for shots in SHOTS_LEVELS:
-        med = {c: float(np.median(results[shots][c])) for c in COLUMNS}
+    for shots, rows in results.items():
+        med = {c: float(np.median(rows[c])) for c in COLUMNS}
         margins.append(med["full"] - med["rand"])
         print(f"{shots:>6}" + "".join(f"{med[c]:>10.4f}" for c in COLUMNS)
-              + f"{margins[-1]:>10.4f}{np.median(results[shots]['t_c']):>11.0f}")
+              + f"{margins[-1]:>10.4f}{np.median(rows['t_c']):>11.0f}")
     widening = all(margins[i + 1] >= margins[i] for i in range(len(margins) - 1))
     print(f"margin positive everywhere: {all(m > 0 for m in margins)}; non-decreasing: {widening}")
 

@@ -109,7 +109,7 @@ def fsm_chatter_fuzz(runs: int, t_len: int) -> Verdict:
 
 def _table_ema(values, beta: float) -> float:
     """EMA after auditing `values` in order through the engine's table."""
-    params, table = SmoothingParams(beta=beta), UtilityTable(1, 5)
+    params, table = SmoothingParams(beta=beta), UtilityTable(1)
     for t, u in enumerate(values):
         table.record([0], [u], params, t)
     return float(table.ema[0])

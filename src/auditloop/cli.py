@@ -69,6 +69,7 @@ def cmd_replay(args) -> int:
     oracle = replay_trace(args.trace)
     driver = LoopDriver(config, oracle=oracle)
     report = driver.run_full()
+    oracle.check_used_up()
     _write_outputs(driver, report, out_dir)
     if not args.quiet:
         print(f"replayed {args.trace}: final value {report.final_value:.4f}")

@@ -27,7 +27,7 @@ from .fsm import FsmParams, FsmStabilizer
 from .oracle import KeyedStreams, OracleSpec, SyntheticOracle, gates_to_bits
 from .sampler import SamplerParams, sample_audit_batch
 from .space import AuditSpace, Family, default_space
-from .tracker import SmoothingParams, UtilityTable, check_window
+from .tracker import SmoothingParams, UtilityTable
 
 _STREAM_SAMPLER = 0x5A17
 _STREAM_BASELINE = 0xBA5E
@@ -51,7 +51,6 @@ class RunConfig:
     refinetune_steps: int | None = None
     shots: int = 1
     run_seed: int = 0
-    window: int = 5
 
     def __post_init__(self) -> None:
         for name, maximum in (("cycles", None), ("steps_per_cycle", MAX_STEPS), ("shots", None)):
@@ -62,7 +61,6 @@ class RunConfig:
             object.__setattr__(self, "refinetune_steps", self.total_loop_steps)
         for name, maximum in (("refinetune_steps", MAX_STEPS), ("run_seed", None)):
             check_count(name, getattr(self, name), 0, maximum)
-        check_window(self.window)
         if self.oracle_spec.n_units != self.space.n_units:
             raise InvalidParams("oracle spec and audit space disagree on the unit count")
         if not self.budget.fits(gates := self.space.initial_gates()):
@@ -167,7 +165,7 @@ class LoopDriver:
         self.oracle = oracle if oracle is not None else SyntheticOracle(config.oracle_spec)
         n = self.space.n_units
         self.gates = self.space.initial_gates()
-        self.table = UtilityTable(n, config.window)
+        self.table = UtilityTable(n)
         self.fsm = FsmStabilizer(n, config.fsm.tau_act)
         self.budget = config.budget
         self.training = self.oracle.fresh_state()
@@ -311,14 +309,14 @@ def run_full(config: RunConfig, oracle=None) -> tuple[RunReport, LoopDriver]:
     return report, driver
 
 
-def run_random_baseline(config: RunConfig, n_samples: int, oracle=None) -> np.ndarray:
+def run_random_baseline(config: RunConfig, n_samples: int) -> np.ndarray:
     """Final noise-free values of random budget-filling configurations.
 
     Each sample activates units in a random order while the budget holds and
     trains them for the engine's total step budget (loop plus re-finetune).
     """
     check_count("n_samples", n_samples, 1)
-    oracle = oracle if oracle is not None else SyntheticOracle(config.oracle_spec)
+    oracle = SyntheticOracle(config.oracle_spec)
     n, budget = config.space.n_units, config.budget
     total_steps = config.total_loop_steps + max(1, config.refinetune_steps)
     values = np.empty(n_samples)
@@ -332,14 +330,14 @@ def run_random_baseline(config: RunConfig, n_samples: int, oracle=None) -> np.nd
     return values
 
 
-def sweep(shots_levels: Sequence[int], seeds: Sequence[int], random_samples: int) -> dict:
-    """Per shots level, arrays over the default instances of `seeds`: final
-    values of the full engine ("full"), the no-FSM (tau_act = 1) and no-IQR
-    (lambda_s = 0) ablations ("nofsm", "noiqr"), the median of
-    `random_samples` random budget-filling configurations ("rand"), and the
-    full engine's committed-change count ("t_c")."""
+def sweep(seeds: Sequence[int]) -> dict:
+    """Per shots level of `SHOTS_TOTAL_STEPS`, arrays over the default
+    instances of `seeds`: final values of the full engine ("full"), the
+    no-FSM (tau_act = 1) and no-IQR (lambda_s = 0) ablations ("nofsm",
+    "noiqr"), the median of 20 random budget-filling configurations
+    ("rand"), and the full engine's committed-change count ("t_c")."""
     results = {}
-    for shots in shots_levels:
+    for shots in SHOTS_TOTAL_STEPS:
         rows: dict[str, list] = {k: [] for k in ("full", "nofsm", "noiqr", "rand", "t_c")}
         for seed in seeds:
             cfg = default_run_config(shots=shots, run_seed=seed)
@@ -349,7 +347,7 @@ def sweep(shots_levels: Sequence[int], seeds: Sequence[int], random_samples: int
             rows["nofsm"].append(run_full(replace(cfg, fsm=FsmParams(tau_act=1)))[0].final_value)
             no_iqr = replace(cfg, smoothing=replace(cfg.smoothing, lambda_s=0.0))
             rows["noiqr"].append(run_full(no_iqr)[0].final_value)
-            rows["rand"].append(float(np.median(run_random_baseline(cfg, random_samples))))
+            rows["rand"].append(float(np.median(run_random_baseline(cfg, 20))))
         results[shots] = {k: np.array(v) for k, v in rows.items()}
     return results
 
@@ -358,9 +356,9 @@ DIAGNOSTIC_COLUMNS = ("cycle", "value", "regret", "t_c", "coverage_min")
 
 
 def compute_diagnostics(records: list[dict] | str | Path, n_units: int) -> dict:
-    """Coverage, chatter count, regret curve and evaluation totals from the
-    log of a run over `n_units` units, plus the last cycle index and the final
-    record's `final_value`, `budget_used` and `final_on_ids` (each None when
+    """Coverage, chatter count and regret curve from the log of a run over
+    `n_units` units, in cycle order whatever the order of its lines, plus the
+    last cycle's index and evaluation total and the final record's `final_value`, `budget_used` and `final_on_ids` (each None when
     the log has no final record).
 
     Regret is measured against the best noise-free value seen during the run.
@@ -386,7 +384,8 @@ def compute_diagnostics(records: list[dict] | str | Path, n_units: int) -> dict:
         values: list[float] = []
         t_c_curve: list[int] = []
         coverage_min: list[int] = []
-        for r in sorted(cycles, key=lambda r: r["cycle"]):
+        cycles.sort(key=lambda r: r["cycle"])
+        for r in cycles:
             for unit in r["audit"]["batch"]:
                 if isinstance(unit, bool) or not 0 <= unit < n_units:  # numpy reads True as every unit
                     raise MalformedLog(f"cycle {r['cycle']} audits unit {unit}, not one of the {n_units} units")

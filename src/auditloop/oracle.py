@@ -502,7 +502,8 @@ class ReplayOracle:
     Each query takes the next record, which must match it on the gates and on
     `noise_seed`: the call index for an evaluation, -1 for a noise-free value
     query. A mismatch, or a query past the last record, raises
-    UnknownConfiguration naming the record. Training is not recorded, so a
+    UnknownConfiguration naming the record, as `check_used_up` does for
+    records that a finished run left unread. Training is not recorded, so a
     replay cannot tell a run that differs only in step counts.
     """
 
@@ -543,6 +544,11 @@ class ReplayOracle:
 
     def train_step(self, state, gates, k: int) -> TrainingState:
         return state  # training dynamics live behind the recorded scores
+
+    def check_used_up(self) -> None:
+        """Raise UnknownConfiguration unless every record has been served."""
+        if self._next < len(self._records):
+            raise UnknownConfiguration(f"replay used {self._next} of {len(self._records)} trace records")
 
 
 def replay_trace(path: str | Path) -> ReplayOracle:

@@ -119,20 +119,17 @@ class BackboneDesc:
 _BACKBONE_KEYS = {"layers": "num_layers", "hidden_dims": "hidden_dims", "param_count": "backbone_param_count"}
 
 
-def raw_param_count(template: Template, hidden_dim: int, *, sapa_shared_weights: bool = False) -> int:
+def raw_param_count(template: Template, hidden_dim: int) -> int:
     """Trainable-parameter count of one unit before budget normalization.
 
     SA and PA carry one down/up projection pair (2*D*size). SAPA carries an
-    independent pair per branch (4*D*size) unless `sapa_shared_weights`
-    collapses the two branches onto one pair. AffineLN is a scale and shift
+    independent pair per branch (4*D*size). AffineLN is a scale and shift
     vector (2*D).
     """
     if template.family is Family.AFFINE_LN:
         return 2 * hidden_dim
     per_pair = 2 * hidden_dim * template.size
-    if template.topology is Topology.SAPA and not sapa_shared_weights:
-        return 2 * per_pair
-    return per_pair
+    return 2 * per_pair if template.topology is Topology.SAPA else per_pair
 
 
 def default_templates() -> list[Template]:
@@ -176,13 +173,7 @@ class AuditSpace:
         return np.array([u.gate for u in self.units], dtype=bool)
 
     @classmethod
-    def build(
-        cls,
-        backbone: BackboneDesc,
-        templates: Sequence[Template],
-        *,
-        sapa_shared_weights: bool = False,
-    ) -> "AuditSpace":
+    def build(cls, backbone: BackboneDesc, templates: Sequence[Template]) -> "AuditSpace":
         """Enumerate one unit per (layer x template), id-ordered lexicographically.
 
         Ids run 0..N-1 sorted by (layer, slot, family, topology, size) and are
@@ -199,7 +190,7 @@ class AuditSpace:
                         id=len(units),
                         layer=layer,
                         hidden_dim=d,
-                        params=raw_param_count(tpl, d, sapa_shared_weights=sapa_shared_weights),
+                        params=raw_param_count(tpl, d),
                     )
                 )
         return cls(backbone, units)
@@ -210,15 +201,14 @@ class AuditSpace:
         previously dumped space {"backbone": ..., "units": [...]}.
 
         Backbone keys: `_BACKBONE_KEYS`. Template keys: family, topology,
-        size, slot. Optional schema flag: sapa_shared_weights. Unit keys:
-        `AdapterUnit`'s fields, `gate` optional. Every object rejects a key it
-        does not know and names one it needs and lacks; a dumped space takes
-        no templates.
+        size, slot. Unit keys: `AdapterUnit`'s fields, `gate` optional.
+        Every object rejects a key it does not know and names one it needs
+        and lacks; a dumped space takes no templates.
         """
         try:
             dumped = "units" in doc
-            keys = ("backbone", "units") if dumped else ("backbone", "templates", "sapa_shared_weights")
-            check_keys("space", doc, keys, required=keys[:2])
+            keys = ("backbone", "units") if dumped else ("backbone", "templates")
+            check_keys("space", doc, keys, required=keys)
             bb = check_keys("space backbone", doc["backbone"], _BACKBONE_KEYS, required=_BACKBONE_KEYS)
             backbone = BackboneDesc(**{name: bb[key] for key, name in _BACKBONE_KEYS.items()})
             if dumped:
@@ -226,9 +216,7 @@ class AuditSpace:
             templates = [read_doc(Template, "space template", t) for t in doc["templates"]]
         except (TypeError, ValueError) as exc:
             raise InvalidParams(f"malformed space schema: {exc}") from exc
-        shared = doc.get("sapa_shared_weights", False)
-        check_flag("sapa_shared_weights", shared)
-        return cls.build(backbone, templates, sapa_shared_weights=shared)
+        return cls.build(backbone, templates)
 
     def to_json(self) -> dict:
         """Dump the generated space for reproducibility: the backbone under

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, NeverAudited, NonFiniteUtility, check_count, check_number
+from .errors import InvalidParams, NeverAudited, NonFiniteUtility, check_number
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,8 @@ class SmoothingParams:
         check_number("lambda_s", self.lambda_s, "[0, inf)")
 
 
-_MAX_WINDOW = 5
-
-
-def check_window(window) -> None:
-    """Raise InvalidParams unless `window`, a history length, is an integer from 3 to `_MAX_WINDOW`."""
-    check_count("history window", window, 3, _MAX_WINDOW)
+# The robust score's history length: each unit keeps its last WINDOW EMA values.
+WINDOW = 5
 
 
 def _pick_tables(max_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -66,7 +62,7 @@ def _pick_tables(max_len: int) -> tuple[np.ndarray, np.ndarray]:
     return pos, weight
 
 
-_PICKS, _WEIGHTS = _pick_tables(_MAX_WINDOW)
+_PICKS, _WEIGHTS = _pick_tables(WINDOW)
 
 
 def robust_scores(h: np.ndarray, lambda_s: float, lengths) -> np.ndarray:
@@ -74,7 +70,7 @@ def robust_scores(h: np.ndarray, lambda_s: float, lengths) -> np.ndarray:
     linearly interpolated quartiles; a one-value history scores itself.
 
     Row i holds `lengths[i]` (1 to `h.shape[1]`) values and NaN in its other
-    slots. Rows have at most `_MAX_WINDOW` slots. Median and quartiles do not
+    slots. Rows have at most `WINDOW` slots. Median and quartiles do not
     depend on the order within a row."""
     s = np.sort(h, axis=1)
     n = np.asarray(lengths)
@@ -87,19 +83,17 @@ def robust_scores(h: np.ndarray, lambda_s: float, lengths) -> np.ndarray:
 
 class UtilityTable:
     """Smoothed utility state of N units in arrays: the EMA of raw audits,
-    then median - lambda_s * IQR over the last `window` EMA values.
+    then median - lambda_s * IQR over the last `WINDOW` EMA values.
 
-    `ema[N]` (NaN until the first audit), `hist[N, window]` a ring buffer of
-    the last `window` smoothed values, `probe_count[N]`, and `score[N]`, each
+    `ema[N]` (NaN until the first audit), `hist[N, WINDOW]` a ring buffer of
+    the last `WINDOW` smoothed values, `probe_count[N]`, and `score[N]`, each
     unit's robust score as of its latest audit. A unit's score is 0.0 until
     then, and the allocator never switches on a unit that scores 0.0.
     """
 
-    def __init__(self, n_units: int, window: int = 5):
-        check_window(window)
-        self.window = window
+    def __init__(self, n_units: int):
         self.ema = np.full(n_units, math.nan)
-        self.hist = np.full((n_units, window), math.nan)
+        self.hist = np.full((n_units, WINDOW), math.nan)
         self.probe_count = np.zeros(n_units, dtype=np.int64)
         self.score = np.zeros(n_units)
 
@@ -127,11 +121,11 @@ class UtilityTable:
         count = self.probe_count[units]
         ema = np.where(count == 0, u, (1.0 - params.beta) * u + params.beta * self.ema[units])
         self.ema[units] = ema
-        self.hist[units, count % self.window] = ema
+        self.hist[units, count % WINDOW] = ema
         count += 1
         self.probe_count[units] = count
 
-        score = robust_scores(self.hist[units], params.lambda_s, np.minimum(count, self.window))
+        score = robust_scores(self.hist[units], params.lambda_s, np.minimum(count, WINDOW))
         self.score[units] = score
         return [
             {"cycle": cycle, "unit_id": i, "u_raw": x, "ema": e, "score": r, "probe_count": c}
@@ -143,9 +137,9 @@ class UtilityTracker:
     """One unit's smoothed utility: a view of the only row of a one-unit
     `UtilityTable`, which holds all of its state."""
 
-    def __init__(self, unit_id: int, window: int = 5):
+    def __init__(self, unit_id: int):
         self.unit_id = unit_id
-        self.table = UtilityTable(1, window)
+        self.table = UtilityTable(1)
 
     def record_audit(self, u_raw: float, params: SmoothingParams, cycle: int) -> None:
         """Fold one raw audit utility into the row (errors name it unit 0)."""
@@ -156,7 +150,7 @@ class UtilityTracker:
         count = int(self.table.probe_count[0])
         if count == 0:
             raise NeverAudited(f"unit {self.unit_id} has no audits; treat as score-unknown")
-        return float(robust_scores(self.table.hist, params.lambda_s, [min(count, self.table.window)])[0])
+        return float(robust_scores(self.table.hist, params.lambda_s, [min(count, WINDOW)])[0])
 
     def event(self, u_raw: float, params: SmoothingParams, cycle: int) -> dict:
         """Log record for one audit: {cycle, unit_id, u_raw, ema, score, probe_count}."""

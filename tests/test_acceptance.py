@@ -98,7 +98,7 @@ def comparative_sweep():
     """Final values of the full engine, both ablations, and the random
     baseline on the default synthetic environment: 20 seeds per shots level."""
     t0 = time.perf_counter()
-    results = sweep(SHOTS_LEVELS, range(N_SEEDS), random_samples=20)
+    results = sweep(range(N_SEEDS))
     results["elapsed"] = time.perf_counter() - t0
     return results
 

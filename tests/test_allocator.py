@@ -221,10 +221,10 @@ def test_fill_matches_the_plain_loop_where_room_runs_out_part_way(instance, data
 
 @settings(deadline=None, max_examples=300)
 @given(instance=integer_instances(), data=st.data())
-def test_hysteresis_running_total_decides_as_gate_cost(instance, data):
-    # The running total of `apply_hysteresis` decides each trial as the full
-    # count of the trial set would, with trials that fit exactly or miss by
-    # one count common.
+def test_hysteresis_matches_the_plain_integer_loop(instance, data):
+    # `apply_hysteresis` equals `plain_hysteresis`, its loop on Python-int
+    # counts, with trials that fit exactly or miss by one count common, and
+    # keeps a set within the budget unless the current set is over it.
     scores, budget = instance
     current, prop = draw_masks(data, scores.size, 2)
     mu_eff = data.draw(st.sampled_from([0.0, 0.1, 0.5]))
@@ -269,10 +269,10 @@ def test_fill_of_an_empty_order_returns_a_copy_of_gates():
 @pytest.mark.parametrize("order", list(itertools.permutations(range(4))), ids=str)
 @pytest.mark.parametrize("costs", [[0.1, 0.2, 0.3, 0.7], [0.3, 0.2, 0.1, 0.7]], ids=["0.1-first", "0.3-first"])
 def test_fill_with_running_totals_inside_the_band(costs, order):
-    # Totals within rounding of p_max, the band in which a float running
-    # total cannot decide: 0.1 + 0.2 + 0.3 adds to 0.6000000000000001 in one
-    # order and to 0.6 in another. At the floats' exact values the three sum
-    # past 0.6, so in every order the third of them is rejected, as is the 0.7.
+    # Totals within rounding of p_max: 0.1 + 0.2 + 0.3 adds to
+    # 0.6000000000000001 in one float order and to 0.6 in another. The budget
+    # counts the floats' exact values, at which the three sum past 0.6, so in
+    # every order `fill` rejects the third of them, as it does the 0.7.
     budget = B(costs, 0.6)
     gates, rejected = fill(np.zeros(4, bool), np.array(order), budget)
     third = [i for i in order if i != 3][2]
@@ -459,10 +459,11 @@ def test_swap_resolve_matches_nested_loop_reference(instance):
     assert np.array_equal(swap_resolve(*instance), plain_swap_resolve(*instance))
 
 
-def test_exact_resolve_decides_feasibility_by_gate_cost():
+def test_exact_resolvers_keep_seven_of_eight_tenths_that_sum_past_the_budget():
     # eight costs of 0.1: float subset sums add them to 0.7999999999999999,
-    # `gate_cost` to 0.8; at their exact value they sum past this budget, as
-    # `gate_cost` says, and the exact re-solve keeps seven
+    # `gate_cost` to 0.8; at their exact values, which the budget counts,
+    # they sum past this budget, so `final_resolve` and `brute_force_optimum`
+    # both keep seven
     costs = np.full(8, 0.1)
     scores = np.linspace(1.0, 2.0, 8)
     p_max = 0.7999999999999999

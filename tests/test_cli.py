@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from auditloop import cli
 from auditloop.cli import main
-from auditloop.driver import DIAGNOSTIC_COLUMNS, RunConfig
+from auditloop.driver import DIAGNOSTIC_COLUMNS, RunConfig, default_run_config
+from auditloop.errors import check_keys
 from auditloop.oracle import SyntheticOracle, TraceRecordingOracle
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -124,6 +125,7 @@ def with_space(*path, value):
             {"family": "LoRA", "topology": "SA", "size": 2, "slot": "Norm"}]}},
         {"cycles": 2, "steps_per_cycle": 10, "space": {"backbone": BACKBONE, "templates": []}},
         {"cycles": 2, "steps_per_cycle": 10, "space": {"backbone": BACKBONE, "units": [UNIT_5]}},
+        # `window` is no run config key, whatever its value.
         {"cycles": 2, "steps_per_cycle": 10, "window": 7},
         {"cycles": 2, "steps_per_cycle": 10, "window": 2},
         {"cycles": 2, "steps_per_cycle": 10, "window": 3.5},
@@ -152,7 +154,7 @@ def with_space(*path, value):
         with_space("units", 0, "size", value=2.9),
         with_space("units", 0, "layer", value=0.5),
         with_space("units", 0, "hidden_dim", value=16.9),
-        with_space("sapa_shared_weights", value="false"),
+        with_space("sapa_shared_weights", value="false"),  # no space key
         with_space("units", 0, "gate", value="false"),
         with_space("units", 0, "cost", value="0.0003"),  # no unit key
         small_with_oracle(sigma_val=True),
@@ -216,6 +218,8 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, doc, samples):
     "doc, line",
     [
         (with_space("templates", 0, "sizes", value=[4]), "unknown space template key 'sizes'"),
+        ({"cycles": 2, "steps_per_cycle": 10, "window": 5}, "unknown run config key 'window'"),
+        (with_space("sapa_shared_weights", value=False), "unknown space key 'sapa_shared_weights'"),
         ({"cycles": 2, "steps_per_cycle": 10, "oracle": {"kind": "default", "shots": 5}},
          "unknown default oracle key 'shots'"),
         # A unit dumped before `params` replaced `cost`.
@@ -223,7 +227,7 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, doc, samples):
             {k: v for k, v in UNIT_5.items() if k != "params"} | {"id": 0, "cost": 0.0003}]}},
          "unknown space unit key 'cost'"),
     ],
-    ids=["template-sizes", "default-oracle-shots", "stale-unit-cost"],
+    ids=["template-sizes", "window", "sapa-shared-weights", "default-oracle-shots", "stale-unit-cost"],
 )
 def test_unknown_key_error_names_the_key_and_its_object(tmp_path, capsys, doc, line):
     bad = tmp_path / "bad.json"
@@ -345,8 +349,9 @@ def test_initial_gates_over_the_budget_exit_2_before_any_run(tmp_path, capsys, g
     assert capsys.readouterr().err == (line if code else "")
 
 
-def test_negative_seed_flag_exits_2_with_one_line(tmp_path, capsys, config_path):
-    # A run's seed is the config's run_seed; no command takes a --seed.
+def test_no_command_takes_a_seed_flag(tmp_path, capsys, config_path):
+    # A run's seed is the config's run_seed: `--seed -1` exits 2 with one line
+    # before any output is written.
     for command in (["run"], ["replay", "--trace", str(tmp_path / "trace.jsonl")], ["baseline"]):
         argv = command + ["--config", str(config_path), "--out", str(tmp_path / "o"), "--quiet", "--seed", "-1"]
         assert main(argv) == 2
@@ -396,7 +401,7 @@ def test_path_error_exits_2_with_one_line_before_any_run(tmp_path, capsys, monke
 
 # Any value, well-formed or not, for one field of a small valid document.
 FUZZ_FIELDS = [
-    ("cycles",), ("steps_per_cycle",), ("refinetune_steps",), ("shots",), ("run_seed",), ("window",),
+    ("cycles",), ("steps_per_cycle",), ("refinetune_steps",), ("shots",), ("run_seed",),
     ("sampler", "batch_size"), ("sampler", "active_fraction"), ("sampler", "epsilon"),
     ("smoothing", "beta"), ("smoothing", "lambda_s"),
     ("allocator", "p_max"), ("allocator", "mu_eff"),
@@ -437,7 +442,7 @@ def test_any_field_value_exits_0_or_2_with_one_line(field, value):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
-def test_ignored_tau_rank_leaves_events_unchanged(tmp_path, capsys, config_path):
+def test_tau_rank_is_an_unknown_fsm_key_and_exits_2(tmp_path, capsys, config_path):
     # The engine has no rank-change vote, so `tau_rank` is an unknown key, not an ignored one.
     config_path.write_text(json.dumps(json.loads(config_path.read_text()) | {"fsm": {"tau_act": 3, "tau_rank": 3}}))
     assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
@@ -480,7 +485,7 @@ def test_run_deterministic_checksums(tmp_path, config_path):
     assert outs[0] == outs[1]
 
 
-def test_seed_override_changes_output(tmp_path, config_path):
+def test_configs_that_differ_in_run_seed_echo_their_own_seed_and_differ_in_value(tmp_path, config_path):
     # Two config files that differ only in run_seed; each report echoes its own file.
     reports = []
     for seed in (2, 77):
@@ -499,13 +504,6 @@ def test_baseline_command(tmp_path, config_path):
     doc = json.loads((out / "baseline.json").read_text())
     assert len(doc["values"]) == 5
     assert doc["worst"] <= doc["median"] <= doc["best"]
-
-
-def test_baseline_checks_the_history_window_as_run_does(tmp_path, capsys, config_path):
-    config_path.write_text(json.dumps(json.loads(config_path.read_text()) | {"window": 9}))
-    argv = ["baseline", "--config", str(config_path), "--out", str(tmp_path / "base"), "--samples", "2", "--quiet"]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == "error: history window must be at most 5\n"
 
 
 def test_baseline_caps_the_loop_steps_as_run_does(tmp_path, capsys, config_path):
@@ -560,6 +558,18 @@ def test_replay_with_wrong_config_exits_1(tmp_path, config_path):
                  "--out", str(tmp_path / "o2"), "--quiet"]) == 1
 
 
+def test_replay_that_leaves_trace_records_unread_exits_1_writing_nothing(tmp_path, capsys, config_path):
+    # The trace written twice into one file: the run reads the first copy only.
+    trace, out = tmp_path / "trace.jsonl", tmp_path / "o2"
+    main(["run", "--config", str(config_path), "--out", str(tmp_path / "o"), "--record-trace", str(trace), "--quiet"])
+    records = len(trace.read_text().splitlines())
+    trace.write_text(trace.read_text() * 2)
+    capsys.readouterr()
+    assert main(["replay", "--config", str(config_path), "--trace", str(trace), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: replay used {records} of {2 * records} trace records\n"
+    assert list(out.iterdir()) == []
+
+
 def test_replay_with_fewer_cycles_exits_1_naming_the_record(tmp_path, capsys, config_path):
     trace = tmp_path / "trace.jsonl"
     main(["run", "--config", str(config_path), "--out", str(tmp_path / "o"),
@@ -595,7 +605,7 @@ def test_verify_bounds_quick(verify_bounds_rows, monkeypatch, capsys):
     assert "0.0900      0.0000  FAIL" in capsys.readouterr().out
 
 
-def test_bench_alloc_quick(verify_bounds_rows):
+def test_verify_bounds_pins_the_allocator_rows(verify_bounds_rows):
     # The allocator check runs inside verify-bounds: 500 instances, n <= 15, seed 0.
     assert verify_bounds_rows[1][-2:] == [
         f"{'min ratio':<38}{0.5:>12.4f}{0.8525:>12.4f}  PASS",
@@ -735,6 +745,46 @@ def test_help_and_version_exit_0_on_stdout(capsys, argv):
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert out and err == ""
+
+
+def test_config_surface_is_pinned(monkeypatch):
+    # Every key path a run config takes, from the key tables its readers
+    # check, for a schema space with the default oracle and for a dumped
+    # space with a synthetic one: a new option shows up as an edit here.
+    tables = {}
+
+    def recording_check_keys(where, doc, known, required=()):
+        tables.setdefault(where, set()).update(known)
+        return check_keys(where, doc, known, required)
+
+    for module in ("errors", "driver", "space"):
+        monkeypatch.setattr(f"auditloop.{module}.check_keys", recording_check_keys)
+    RunConfig.from_json({"cycles": 1, "steps_per_cycle": 1, "space": SMALL["space"], "oracle": {"kind": "default"}})
+    RunConfig.from_json(json.loads(json.dumps(default_run_config().to_json())))
+    places = {"run config": "", "space template": "space.templates[].", "space unit": "space.units[].",
+              "default oracle": "oracle(default).", "oracle": "oracle(synthetic)."}
+    paths = sorted(places.get(where, where.replace(" ", ".") + ".") + key for where, keys in tables.items()
+                   for key in keys)
+    assert paths == [
+        "allocator", "allocator.mu_eff", "allocator.p_max",
+        "cycles",
+        "fsm", "fsm.tau_act",
+        "oracle", "oracle(default).kind", "oracle(default).seed",
+        "oracle(synthetic).base_score", "oracle(synthetic).drift", "oracle(synthetic).gammas",
+        "oracle(synthetic).groups", "oracle(synthetic).kappa", "oracle(synthetic).kind", "oracle(synthetic).mu_inf",
+        "oracle(synthetic).seed", "oracle(synthetic).sigma_val", "oracle(synthetic).warm_floor",
+        "refinetune_steps", "run_seed",
+        "sampler", "sampler.active_fraction", "sampler.batch_size", "sampler.epsilon",
+        "shots",
+        "smoothing", "smoothing.beta", "smoothing.lambda_s",
+        "space", "space.backbone", "space.backbone.hidden_dims", "space.backbone.layers", "space.backbone.param_count",
+        "space.templates", "space.templates[].family", "space.templates[].size", "space.templates[].slot",
+        "space.templates[].topology",
+        "space.units", "space.units[].family", "space.units[].gate", "space.units[].hidden_dim", "space.units[].id",
+        "space.units[].layer", "space.units[].params", "space.units[].size", "space.units[].slot",
+        "space.units[].topology",
+        "steps_per_cycle",
+    ]
 
 
 def test_cli_surface_is_pinned():

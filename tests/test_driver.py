@@ -26,6 +26,7 @@ from auditloop import (
 from auditloop.driver import DIAGNOSTIC_COLUMNS, default_oracle_spec
 from auditloop.errors import BudgetViolation, InvalidParams, MalformedLog
 from auditloop.space import AuditSpace, BackboneDesc, Family, Slot, Template
+from auditloop.tracker import WINDOW
 from test_tracker import ReferenceTracker
 
 
@@ -136,7 +137,7 @@ def test_table_equals_per_unit_tracker_replay():
     # filter per unit must reproduce the driver's table bit for bit.
     cfg = tiny_config(cycles=15)
     driver = LoopDriver(cfg)
-    refs = [ReferenceTracker(cfg.window) for _ in range(driver.space.n_units)]
+    refs = [ReferenceTracker() for _ in range(driver.space.n_units)]
     for cycle in range(cfg.cycles):
         record = driver.run_cycle(cycle)
         for ev in record["audit"]["audits"]:
@@ -144,7 +145,7 @@ def test_table_equals_per_unit_tracker_replay():
         assert np.array_equal(driver.probe_counts, [r.probe_count for r in refs])
         assert np.array_equal(driver.scores, [r.score(cfg.smoothing.lambda_s) for r in refs])
         assert np.array_equal(driver.table.ema, [r.ema for r in refs], equal_nan=True)
-    assert driver.probe_counts.max() > cfg.window  # the ring buffer wrapped
+    assert driver.probe_counts.max() > WINDOW  # the ring buffer wrapped
 
 
 def test_audit_utility_sign_conventions():
@@ -284,6 +285,19 @@ def test_diagnostics_roundtrip(tmp_path):
     header = csv_path.read_text().splitlines()[0]
     assert header == ",".join(DIAGNOSTIC_COLUMNS)
     assert len(csv_path.read_text().splitlines()) == cfg.cycles + 1
+
+
+def test_diagnostics_of_a_log_with_its_last_cycle_first_equal_those_in_order():
+    # Curves, evaluation total and last cycle all read in cycle order,
+    # whatever the order of the log's lines.
+    cfg = tiny_config(cycles=5)
+    report, driver = run_full(cfg)
+    *cycles, final = driver.records
+    ordered = compute_diagnostics(driver.records, cfg.space.n_units)
+    moved = compute_diagnostics([cycles[-1], *cycles[:-1], final], cfg.space.n_units)
+    assert (ordered["eval_count"], ordered["last_cycle"]) == (report.eval_count, 4)
+    assert moved.pop("coverage").tolist() == ordered.pop("coverage").tolist()
+    assert moved == ordered
 
 
 def test_diagnostics_malformed_log(tmp_path):

@@ -85,13 +85,6 @@ def test_raw_param_count(kind, hidden, expected):
     assert raw_param_count(kind, hidden) == expected
 
 
-def test_sapa_shared_weight_flag_halves_cost():
-    kind = Template(Family.LORA, Topology.SAPA, 8, Slot.ATTENTION)
-    assert raw_param_count(kind, 64, sapa_shared_weights=True) == raw_param_count(
-        Template(Family.LORA, Topology.SA, 8, Slot.ATTENTION), 64
-    )
-
-
 def test_raw_param_count_monotone_in_size_and_dim():
     for topo in (Topology.SA, Topology.PA, Topology.SAPA):
         counts = [raw_param_count(Template(Family.LORA, topo, r, Slot.ATTENTION), 64) for r in (2, 4, 8, 16)]
@@ -174,12 +167,11 @@ def test_malformed_schema_rejected():
 @given(
     dims=st.lists(st.integers(8, 128), min_size=1, max_size=3),
     templates=st.lists(st.sampled_from(default_templates()), min_size=1, max_size=8, unique=True),
-    shared=st.booleans(),
     picks=st.lists(st.integers(0, 10**6), max_size=4),
 )
-def test_generated_space_and_run_config_round_trip_through_json(dims, templates, shared, picks):
+def test_generated_space_and_run_config_round_trip_through_json(dims, templates, picks):
     backbone = BackboneDesc(len(dims), tuple(dims), 1_500_000)
-    built = AuditSpace.build(backbone, templates, sapa_shared_weights=shared)
+    built = AuditSpace.build(backbone, templates)
     budget = Budget(built.counts, backbone.backbone_param_count, default_run_config().allocator.p_max)
     gates = np.zeros(built.n_units, dtype=bool)
     for i in picks:
@@ -189,7 +181,7 @@ def test_generated_space_and_run_config_round_trip_through_json(dims, templates,
     space = AuditSpace(backbone, [replace(u, gate=bool(g)) for u, g in zip(built.units, gates)])
 
     # Each built unit holds its raw count, and a dump carries it unchanged.
-    raw = tuple(raw_param_count(u, u.hidden_dim, sapa_shared_weights=shared) for u in built.units)
+    raw = tuple(raw_param_count(u, u.hidden_dim) for u in built.units)
     assert tuple(u.params for u in built.units) == raw
     loaded = AuditSpace.from_json(space.to_json())
     assert loaded.units == space.units

@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 
 from auditloop import SmoothingParams, UtilityTable, UtilityTracker, checks
 from auditloop.errors import InvalidParams, NeverAudited, NonFiniteUtility
-from auditloop.tracker import robust_scores
+from auditloop.tracker import WINDOW, robust_scores
 
 P = SmoothingParams()
 
 
 class ReferenceTracker:
     """One unit's filter in plain Python, the reference for `UtilityTable`:
-    a deque of the last `window` EMA values, scored with `np.median` and
+    a deque of the last `WINDOW` EMA values, scored with `np.median` and
     `np.quantile`."""
 
-    def __init__(self, window):
-        self.ema, self.history, self.probe_count = math.nan, deque(maxlen=window), 0
+    def __init__(self):
+        self.ema, self.history, self.probe_count = math.nan, deque(maxlen=WINDOW), 0
 
     def record(self, u, beta):
         self.ema = u if self.probe_count == 0 else (1.0 - beta) * u + beta * self.ema
@@ -34,9 +34,9 @@ class ReferenceTracker:
         return float(np.median(self.history) - lambda_s * (q75 - q25))
 
 
-def make_table(values, params=P, window=5):
+def make_table(values, params=P):
     """A one-unit table that audited `values` in order."""
-    table = UtilityTable(1, window)
+    table = UtilityTable(1)
     for t, v in enumerate(values):
         table.record([0], [v], params, t)
     return table
@@ -72,14 +72,6 @@ def test_never_audited_is_an_error_not_zero():
     tr = UtilityTracker(0)
     with pytest.raises(NeverAudited):
         tr.robust_score(P)
-
-
-def test_window_bounds():
-    for window in (2, 6):
-        with pytest.raises(InvalidParams):
-            UtilityTracker(0, window=window)
-        with pytest.raises(InvalidParams):
-            UtilityTable(4, window=window)
 
 
 def test_smoothing_param_bounds():
@@ -216,7 +208,7 @@ def table_state(table):
     ids=["non-finite", "repeated-unit", "length-mismatch", "id-too-large", "negative-id"],
 )
 def test_table_rejects_bad_batch_and_changes_nothing(units, u_raw, error):
-    table = UtilityTable(4, window=3)
+    table = UtilityTable(4)
     table.record([0, 1], [0.5, 1.0], P, 0)
     before = table_state(table)
     with pytest.raises(error, match="unit 3" if error is NonFiniteUtility else None):
@@ -227,7 +219,6 @@ def test_table_rejects_bad_batch_and_changes_nothing(units, u_raw, error):
 
 @settings(deadline=None, max_examples=200)
 @given(
-    st.integers(3, 5),
     st.floats(0.05, 0.95),
     st.floats(0.0, 5.0),
     st.lists(
@@ -235,11 +226,11 @@ def test_table_rejects_bad_batch_and_changes_nothing(units, u_raw, error):
         max_size=12,
     ),
 )
-def test_table_equals_per_unit_tracker_replays(window, beta, lambda_s, batches):
+def test_table_equals_per_unit_tracker_replays(beta, lambda_s, batches):
     # Up to 12 batches of distinct units: every history length 1..12 occurs.
     params = SmoothingParams(beta=beta, lambda_s=lambda_s)
-    table = UtilityTable(6, window)
-    refs = [ReferenceTracker(window) for _ in range(6)]
+    table = UtilityTable(6)
+    refs = [ReferenceTracker() for _ in range(6)]
     for cycle, batch in enumerate(batches):
         units = [unit for unit, _ in batch]
         u_raw = [u for _, u in batch]

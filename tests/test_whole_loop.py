@@ -64,7 +64,6 @@ def configs(draw):
         refinetune_steps=0,
         shots=shots,
         run_seed=seed,
-        window=draw(st.integers(3, 5)),
     )
 
 
