@@ -384,6 +384,8 @@ def compute_diagnostics(records: list[dict] | str | Path, n_units: int) -> dict:
         values: list[float] = []
         t_c_curve: list[int] = []
         coverage_min: list[int] = []
+        if not all(type(r["cycle"]) is int for r in cycles):
+            raise MalformedLog("event log holds a cycle number that is not an integer")
         cycles.sort(key=lambda r: r["cycle"])
         for r in cycles:
             for unit in r["audit"]["batch"]:
@@ -394,7 +396,7 @@ def compute_diagnostics(records: list[dict] | str | Path, n_units: int) -> dict:
             t_c_curve.append(int(r["fsm"]["t_c"]))
             coverage_min.append(int(coverage.min()))
         eval_count = int(cycles[-1]["eval_count"])
-        last_cycle = max(int(r["cycle"]) for r in cycles)
+        last_cycle = cycles[-1]["cycle"]
         final_value = budget_used = on_ids = None
         if finals:
             final = finals[-1]

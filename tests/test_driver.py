@@ -307,6 +307,10 @@ def test_diagnostics_malformed_log(tmp_path):
         compute_diagnostics(bad, 3)
     with pytest.raises(MalformedLog):
         compute_diagnostics([{"kind": "cycle", "cycle": 0}], 3)
+    # "10" sorts before "9": a string cycle number would put the curves out of order.
+    for number in ("9", 9.5, True):
+        with pytest.raises(MalformedLog, match="cycle number that is not an integer"):
+            compute_diagnostics([CYCLES[0] | {"cycle": number}, CYCLES[1] | {"cycle": 10}], 3)
 
 
 AUDIT = {"audit": {"batch": [0, 1]}, "value": 0.5, "fsm": {"t_c": 0}}
