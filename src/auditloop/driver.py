@@ -358,8 +358,9 @@ DIAGNOSTIC_COLUMNS = ("cycle", "value", "regret", "t_c", "coverage_min")
 def compute_diagnostics(records: list[dict] | str | Path, n_units: int) -> dict:
     """Coverage, chatter count and regret curve from the log of a run over
     `n_units` units, in cycle order whatever the order of its lines, plus the
-    last cycle's index and evaluation total and the final record's `final_value`, `budget_used` and `final_on_ids` (each None when
-    the log has no final record).
+    last cycle's index and evaluation total and the final record's
+    `final_value`, `budget_used` and `final_on_ids` (each None when the log
+    has no final record).
 
     Regret is measured against the best noise-free value seen during the run.
     A log that audits a unit outside `0..n_units-1`, or whose final record
