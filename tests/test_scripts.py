@@ -27,18 +27,27 @@ def run_script(tmp_path, argv) -> str:
     return result.stdout
 
 
-def test_digests_with_its_defaults_prints_the_combined_golden_digest(tmp_path):
-    # Every default run, random baseline and 740-unit run in one line: a
-    # change that means to keep the engine's output keeps this digest.
-    lines = [line.split("  ", 1) for line in run_script(tmp_path, ["digests.py"]).splitlines()]
-    assert lines[-1] == ["c4c8da5ede9e6b03f3f90125116dddec6b69f8694e8bd8bcba276d870947c5f1", "combined"]
+@pytest.fixture(scope="module")
+def digest_lines(tmp_path_factory):
+    # One run of `scripts/digests.py` (about 2 s), shared by the two tests below.
+    out = run_script(tmp_path_factory.mktemp("digests"), ["digests.py"])
+    return [line.split("  ", 1) for line in out.splitlines()]
+
+
+def test_digests_prints_the_golden_digest_and_a_combined_one(digest_lines):
     golden = json.loads((ROOT / "bench" / "golden.json").read_text())
-    assert lines[0] == [golden["paper-default"]["1"]["0"], "paper-default shots=1 seed=0"]
+    assert digest_lines[0] == [golden["paper-default"]["1"]["0"], "paper-default shots=1 seed=0"]
     runs = [f"shots={shots} seed={seed}" for shots in (1, 5, 10) for seed in range(10)]
-    assert [label for _, label in lines] == [
+    assert [label for _, label in digest_lines] == [
         label for run in runs for label in (f"paper-default {run}", f"random-baseline {run} samples=20")
     ] + [f"wide-740 shots=10 seed={seed}" for seed in range(3)] + ["combined"]
-    assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest, _ in lines)
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest, _ in digest_lines)
+
+
+def test_digests_with_its_defaults_prints_the_combined_golden_digest(digest_lines):
+    # Every default run, random baseline and 740-unit run in one line: a
+    # change that means to keep the engine's output keeps this digest.
+    assert digest_lines[-1] == ["c4c8da5ede9e6b03f3f90125116dddec6b69f8694e8bd8bcba276d870947c5f1", "combined"]
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
