@@ -39,7 +39,6 @@ from .oracle import (
     ReplayOracle,
     SyntheticOracle,
     TraceRecordingOracle,
-    TrainingState,
     gates_to_bits,
     replay_trace,
 )

@@ -6,9 +6,9 @@ seeds. A check returns a `Verdict` with its tolerance applied, and raises
 positive, too few EMA replicas or drift audits for its tolerance, a drift
 that is not positive, allocator instances beyond the exhaustive cap). Each
 `*_verdict` function holds one bound and its pass rule. The chatter checks
-pass on no violations of floor(T / tau) flips per unit, and their names
-count the columns or runs that can violate it: a unit flips at most once a
-step, so at tau = 1 none can.
+(the exhaustive one at each of `CHATTER_TAUS`) pass on no violations of
+floor(T / tau) flips per unit, and their names count the columns or runs
+that can violate it: a unit flips at most once a step, so at tau 1 none can.
 """
 
 from __future__ import annotations
@@ -21,8 +21,11 @@ import numpy as np
 from .allocator import ENUMERATION_MAX, Budget, brute_force_optimum, swap_resolve
 from .errors import AuditLoopError, InvalidParams, check_count
 from .fsm import FsmStabilizer
-from .sampler import SamplerParams, coverage_lower_bound, sample_audit_batch
+from .sampler import EPSILON, SamplerParams, coverage_lower_bound, sample_audit_batch
 from .tracker import SmoothingParams, UtilityTable
+
+
+CHATTER_TAUS = (1, 2, 3)
 
 
 class Verdict(NamedTuple):
@@ -49,11 +52,11 @@ def drift_bias_verdict(beta: float, delta: float, measured: float) -> Verdict:
     return Verdict(f"ema-drift-bias beta={beta} delta={delta}", bound, measured, abs(measured - bound) <= 0.05 * bound)
 
 
-def coverage_verdict(n: int, m: int, eps: float, cycles: int, measured: int) -> Verdict:
-    """Binomial lower bound on any unit's probe count, rho = eps * M / N."""
-    rho = coverage_lower_bound(n, m, eps)
+def coverage_verdict(n: int, m: int, cycles: int, measured: int) -> Verdict:
+    """Binomial lower bound on any unit's probe count, rho = EPSILON * M / N."""
+    rho = coverage_lower_bound(n, m)
     bound = rho * cycles - 4.0 * math.sqrt(rho * (1.0 - rho) * cycles)
-    return Verdict(f"coverage N={n} M={m} eps={eps}", bound, measured, measured >= bound)
+    return Verdict(f"coverage N={n} M={m} eps={EPSILON}", bound, measured, measured >= bound)
 
 
 def allocator_verdicts(ratios: np.ndarray) -> tuple[Verdict, Verdict]:
@@ -75,15 +78,15 @@ def _flips(tau: int, proposals: np.ndarray) -> np.ndarray:
     return fsm.unit_flips
 
 
-def fsm_chatter_exhaustive(t_len: int, taus=(1, 2, 3)) -> Verdict:
+def fsm_chatter_exhaustive(t_len: int) -> Verdict:
     """Chatter-bound violations (some unit flips more than floor(T / tau)
     times) over every one-unit proposal sequence of length `t_len`, for each
-    tau. Column `mask` of one stabilizer per tau proposes bit t of `mask` at
-    step t."""
+    tau of `CHATTER_TAUS`. Column `mask` of one stabilizer per tau proposes
+    bit t of `mask` at step t."""
     masks = np.arange(1 << t_len)
     proposals = (masks >> np.arange(t_len)[:, None] & 1).astype(bool)
-    violations = sum(int(np.count_nonzero(_flips(tau, proposals) > t_len // tau)) for tau in taus)
-    name = f"fsm-chatter T={t_len} {sum(tau > 1 for tau in taus) << t_len}/{len(taus) << t_len} can fail"
+    violations = sum(int(np.count_nonzero(_flips(tau, proposals) > t_len // tau)) for tau in CHATTER_TAUS)
+    name = f"fsm-chatter T={t_len} {sum(t > 1 for t in CHATTER_TAUS) << t_len}/{len(CHATTER_TAUS) << t_len} can fail"
     return Verdict(name, 0.0, violations, violations == 0)
 
 
@@ -142,10 +145,10 @@ def drift_bias(beta: float, delta: float, audits: int) -> Verdict:
     return drift_bias_verdict(beta, delta, bias)
 
 
-def coverage_probes(n: int, m: int, eps: float, cycles: int, seed: int) -> np.ndarray:
+def coverage_probes(n: int, m: int, cycles: int, seed: int) -> np.ndarray:
     """Probe counts after `cycles` batches with the gates frozen and the
     first third of the units active; cycle t draws with (seed, t)."""
-    params = SamplerParams(batch_size=m, epsilon=eps)
+    params = SamplerParams(batch_size=m)
     gates = np.arange(n) < n // 3
     probes = np.zeros(n, dtype=np.int64)
     for cycle in range(cycles):
@@ -154,14 +157,14 @@ def coverage_probes(n: int, m: int, eps: float, cycles: int, seed: int) -> np.nd
     return probes
 
 
-def coverage_min(n: int, m: int, eps: float, cycles: int, seeds: int) -> Verdict:
+def coverage_min(n: int, m: int, cycles: int, seeds: int) -> Verdict:
     """Least probe count of any unit over `seeds` runs of `coverage_probes`.
     The bound is positive, so the check can fail, only for
     T > 16 * (1 - rho) / rho."""
-    rho = coverage_lower_bound(n, m, eps)
+    rho = coverage_lower_bound(n, m)
     check_count("cycles (for a positive coverage bound)", cycles, math.floor(16.0 * (1.0 - rho) / rho) + 1)
-    worst = min(int(coverage_probes(n, m, eps, cycles, s).min()) for s in range(seeds))
-    return coverage_verdict(n, m, eps, cycles, worst)
+    worst = min(int(coverage_probes(n, m, cycles, s).min()) for s in range(seeds))
+    return coverage_verdict(n, m, cycles, worst)
 
 
 def allocator_ratios(instances: int, n_max: int, seed: int) -> np.ndarray:

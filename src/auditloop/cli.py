@@ -98,7 +98,7 @@ def cmd_verify_bounds(args) -> int:
         *(checks.ema_variance(beta, 10_000, 200, seed=0) for beta in (0.5, 0.9)),
         checks.drift_bias(0.9, 0.01, 500),
         checks.fsm_chatter_exhaustive(12),
-        checks.coverage_min(60, 6, 0.3, 2000, seeds=5),
+        checks.coverage_min(60, 6, 2000, seeds=5),
         *checks.allocator_verdicts(checks.allocator_ratios(500, 15, seed=0)),
     ]
     if not args.quiet:

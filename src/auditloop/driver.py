@@ -489,7 +489,6 @@ def default_oracle_spec(space: AuditSpace, shots: int = 1, seed: int = 0) -> Ora
         base_score=0.45,
         mu_inf=tuple(mu_inf),
         kappa=tuple(kappa),
-        drift=0.0,
         sigma_val=0.05 + 0.015 / shots,
         groups=groups,
         gammas=gammas,

@@ -30,8 +30,8 @@ unit whose gate differs from the cached gates, each as that 1-D sum through
 the same concave step, folds the base score and the terms with the same
 accumulate, and caches its own result; so the cycle's value query after a
 commit rescores only the groups the commit touched. A query on any other
-state takes the full pass. This relies on a `TrainingState`'s arrays never
-changing in place; `train_step` makes new ones.
+state takes the full pass. A state is the units' float step array, read-only
+as `fresh_state` and `train_step` return it, so a cached one cannot change.
 
 Every seeded stream in the engine comes from a `KeyedStreams`: its
 generator for key i is `np.random.default_rng([*prefix, i])`, draw for draw.
@@ -66,7 +66,6 @@ from .errors import (
 )
 
 _NOISE_TAG = 0x0E11
-_DRIFT_TAG = 0xD21F
 _NO_UNITS = np.empty(0, dtype=np.intp)
 # The keys of every trace record.
 _TRACE_KEYS = ("gates", "noise_seed", "score")
@@ -190,14 +189,12 @@ class OracleSpec:
     (63% after `kappa[i]` steps); `warm_floor` is the untrained fraction of
     the asymptote already visible at zero steps. Units inside one redundancy
     group aggregate concavely with that group's gamma; gamma = 1 is purely
-    additive. `drift` bounds an optional per-training-call random walk on the
-    asymptotes, and `sigma_val` is the evaluation noise scale.
+    additive. `sigma_val` is the evaluation noise scale.
     """
 
     base_score: float
     mu_inf: tuple[float, ...]
     kappa: tuple[float, ...]
-    drift: float = 0.0
     sigma_val: float = 0.0
     groups: tuple[tuple[int, ...], ...] = ()
     gammas: tuple[float, ...] = ()
@@ -205,7 +202,7 @@ class OracleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        intervals = {"base_score": "[0, 1]", "drift": "[0, inf)", "sigma_val": "[0, inf)", "warm_floor": "[0, 1]"}
+        intervals = {"base_score": "[0, 1]", "sigma_val": "[0, inf)", "warm_floor": "[0, 1]"}
         for name, interval in intervals.items():
             object.__setattr__(self, name, check_number(name, getattr(self, name), interval))
         for name, interval in {"mu_inf": "(-inf, inf)", "kappa": "(0, inf)", "gammas": "(0, 1]"}.items():
@@ -239,21 +236,9 @@ class OracleSpec:
         return out
 
 
-@dataclass(frozen=True)
-class TrainingState:
-    """Accumulated training steps per unit plus the drift-walk offsets."""
-
-    steps: np.ndarray
-    drift_offsets: np.ndarray
-    n_train_calls: int = 0
-
-    @classmethod
-    def fresh(cls, n_units: int) -> "TrainingState":
-        return cls(
-            steps=np.zeros(n_units, dtype=float),
-            drift_offsets=np.zeros(n_units, dtype=float),
-            n_train_calls=0,
-        )
+def _read_only(steps: np.ndarray) -> np.ndarray:
+    steps.flags.writeable = False
+    return steps
 
 
 class SyntheticOracle:
@@ -286,19 +271,17 @@ class SyntheticOracle:
         # state, gates, unit utilities, (base, *group terms) and value.
         self._cache: tuple = (None, None, None, None, None)
         self._noise = KeyedStreams(spec.seed, _NOISE_TAG)
-        self._drift = KeyedStreams(spec.seed, _DRIFT_TAG)
 
     @property
     def n_units(self) -> int:
         return self.spec.n_units
 
-    def fresh_state(self) -> TrainingState:
-        return TrainingState.fresh(self.n_units)
+    def fresh_state(self) -> np.ndarray:
+        """No unit trained: a read-only array of zero steps."""
+        return _read_only(np.zeros(self.n_units))
 
-    def _unit_utilities(self, state: TrainingState) -> np.ndarray:
-        learned = 1.0 - np.exp(-state.steps / self._kappa)
-        learned = np.maximum(learned, self.spec.warm_floor)
-        return (self._mu_inf + state.drift_offsets) * learned
+    def _unit_utilities(self, steps: np.ndarray) -> np.ndarray:
+        return self._mu_inf * np.maximum(1.0 - np.exp(-steps / self._kappa), self.spec.warm_floor)
 
     def _check_gates(self, gates) -> np.ndarray:
         gates = np.asarray(gates, dtype=bool)
@@ -332,7 +315,7 @@ class SyntheticOracle:
         terms[order] = self._shaped(by_count.tolist(), np.concatenate(sums).tolist())
         return terms
 
-    def _values(self, state: TrainingState, gates: np.ndarray, units=_NO_UNITS) -> list[float]:
+    def _values(self, state: np.ndarray, gates: np.ndarray, units=_NO_UNITS) -> list[float]:
         """Noise-free values of `gates`, then of each one-unit toggle of it in
         `units`, from one `_terms` pass folded row by row, with a toggle's
         group term in its row. Caches the full configuration's pass."""
@@ -346,7 +329,7 @@ class SyntheticOracle:
         self._cache = (state, gates.copy(), mu, rows[0].copy(), totals[0])
         return totals
 
-    def true_value(self, state: TrainingState, gates) -> float:
+    def true_value(self, state: np.ndarray, gates) -> float:
         """Noise-free score of a configuration; does not count as an evaluation.
         On the state of the latest cached pass it rescores only the groups
         that hold a unit whose gate differs from that pass's gates."""
@@ -365,7 +348,7 @@ class SyntheticOracle:
         return value
 
     def evaluate_toggles(
-        self, state: TrainingState, gates, units, first_call_index: int
+        self, state: np.ndarray, gates, units, first_call_index: int
     ) -> tuple[float, list[float]]:
         """`true_value` plus noise, clamped to [0, 1], of `gates` and of each
         one-unit toggle of it, at call indices first_call_index, +1, ...
@@ -382,19 +365,16 @@ class SyntheticOracle:
         full, *toggled = [min(1.0, max(0.0, v)) for v in totals]
         return full, toggled
 
-    def train_step(self, state: TrainingState, gates, k: int) -> TrainingState:
-        """Advance active units by k steps; inactive units are untouched."""
+    def train_step(self, state: np.ndarray, gates, k: int) -> np.ndarray:
+        """A new read-only state with the active units k steps further;
+        inactive units are untouched, and so is `state`."""
         check_count("k", k, 1)
         gates = self._check_gates(gates)
-        steps = state.steps.copy()
+        steps = state.copy()
         steps[gates] += float(k)
-        offsets = state.drift_offsets
-        if self.spec.drift > 0.0:
-            rng = self._drift(state.n_train_calls)
-            offsets = offsets + rng.uniform(-self.spec.drift, self.spec.drift, self.n_units)
-        return TrainingState(steps=steps, drift_offsets=offsets, n_train_calls=state.n_train_calls + 1)
+        return _read_only(steps)
 
-    def oracle_optimum(self, state: TrainingState, budget: Budget) -> tuple[np.ndarray, float]:
+    def oracle_optimum(self, state: np.ndarray, budget: Budget) -> tuple[np.ndarray, float]:
         """Exact budget-constrained maximizer of the noise-free value
         (N <= `ENUMERATION_MAX`) and its `true_value`, which the subset
         values here, from `np.power`, can miss in the last bit."""
@@ -460,7 +440,7 @@ class TraceRecordingOracle:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("w")
 
-    def fresh_state(self) -> TrainingState:
+    def fresh_state(self) -> np.ndarray:
         return self.inner.fresh_state()
 
     def evaluate_toggles(self, state, gates, units, first_call_index: int) -> tuple[float, list[float]]:
@@ -512,8 +492,8 @@ class ReplayOracle:
         self._n_units = n_units
         self._next = 0
 
-    def fresh_state(self) -> TrainingState:
-        return TrainingState.fresh(self._n_units)
+    def fresh_state(self) -> np.ndarray:
+        return _read_only(np.zeros(self._n_units))
 
     def _serve(self, bits: str, noise_seed: int) -> float:
         """The next record's score, if the record is this query."""
@@ -542,7 +522,7 @@ class ReplayOracle:
     def true_value(self, state, gates) -> float:
         return self._serve(gates_to_bits(gates), -1)
 
-    def train_step(self, state, gates, k: int) -> TrainingState:
+    def train_step(self, state, gates, k: int) -> np.ndarray:
         return state  # training dynamics live behind the recorded scores
 
     def check_used_up(self) -> None:

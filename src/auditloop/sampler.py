@@ -1,4 +1,5 @@
-"""Audit mini-batch selection: epsilon exploration plus active/inactive strata."""
+"""Audit mini-batch selection: exploration at rate `EPSILON`, which the coverage
+bound rests on, plus strata of `ACTIVE_FRACTION` active and the rest inactive."""
 
 from __future__ import annotations
 
@@ -6,32 +7,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, check_count, check_number
+from .errors import InvalidParams, check_count
+
+ACTIVE_FRACTION = 0.3
+EPSILON = 0.3
 
 
 @dataclass(frozen=True)
 class SamplerParams:
-    """Batch size M, active-stratum share, and exploration rate.
-
-    epsilon = 0 is rejected: without exploration, initially inactive units
-    are never audited and the coverage guarantee is void.
-    """
+    """Batch size M."""
 
     batch_size: int
-    active_fraction: float = 0.3
-    epsilon: float = 0.3
 
     def __post_init__(self) -> None:
         check_count("batch_size", self.batch_size, 1)
-        check_number("active_fraction", self.active_fraction, "[0, 1]")
-        check_number("epsilon", self.epsilon, "(0, 1]")
 
 
-def coverage_lower_bound(n_units: int, batch_size: int, epsilon: float) -> float:
-    """Guaranteed minimum per-cycle audit probability of any unit: eps*M/N."""
+def coverage_lower_bound(n_units: int, batch_size: int) -> float:
+    """Guaranteed minimum per-cycle audit probability of any unit: EPSILON*M/N."""
     check_count("batch_size", batch_size, 1, n_units)
-    check_number("epsilon", epsilon, "(0, 1]")
-    return epsilon * batch_size / n_units
+    return EPSILON * batch_size / n_units
 
 
 def least_probed_quartile(probe_counts: np.ndarray) -> np.ndarray:
@@ -42,16 +37,15 @@ def least_probed_quartile(probe_counts: np.ndarray) -> np.ndarray:
 
 def stratified_fill(
     k: int,
-    active_fraction: float,
     active_pool: np.ndarray | list[int],
     inactive_pool: np.ndarray | list[int],
     rng: np.random.Generator,
 ) -> list[int]:
-    """Draw k ids without replacement: round(active_fraction*k) from the active
+    """Draw k ids without replacement: round(ACTIVE_FRACTION*k) from the active
     pool and the rest from the inactive pool, spilling over when a stratum is
     short. Drawing positions and indexing the pool gives the same ids as
     `choice` on the pool itself, list or int array."""
-    n_active = min(len(active_pool), int(round(active_fraction * k)))
+    n_active = min(len(active_pool), int(round(ACTIVE_FRACTION * k)))
     n_inactive = min(len(inactive_pool), k - n_active)
     n_active = min(len(active_pool), k - n_inactive)
     picks: list[int] = []
@@ -70,7 +64,7 @@ def sample_audit_batch(
 ) -> tuple[list[int], list[int]]:
     """Select the audit batch for one cycle.
 
-    Each of the M slots explores with probability epsilon, drawing uniformly
+    Each of the M slots explores with probability EPSILON, drawing uniformly
     from the least-probed quartile; remaining slots are split between active
     and inactive strata. Returns (sorted batch ids, sorted exploration ids);
     the batch has no duplicates and size min(M, N).
@@ -91,7 +85,7 @@ def sample_audit_batch(
     for _ in range(params.batch_size):
         if len(chosen) >= target:
             break
-        if rng.random() < params.epsilon and pool:
+        if rng.random() < EPSILON and pool:
             chosen.append(pool.pop(int(rng.integers(len(pool)))))
     exploration = list(chosen)
 
@@ -101,6 +95,6 @@ def sample_audit_batch(
         free[chosen] = False
         active_pool = (gates & free).nonzero()[0]
         inactive_pool = (~gates & free).nonzero()[0]
-        chosen.extend(stratified_fill(k, params.active_fraction, active_pool, inactive_pool, rng))
+        chosen.extend(stratified_fill(k, active_pool, inactive_pool, rng))
 
     return sorted(chosen), sorted(exploration)

@@ -33,7 +33,7 @@ def report(name: str, ok: bool, detail: str, elapsed: float, budget: float) -> N
 
 def test_c1_fsm_chatter_bound():
     t0 = time.perf_counter()
-    verdicts = [checks.fsm_chatter_exhaustive(12, taus=(1, 2, 3)), checks.fsm_chatter_fuzz(runs=100, t_len=10_000)]
+    verdicts = [checks.fsm_chatter_exhaustive(12), checks.fsm_chatter_fuzz(runs=100, t_len=10_000)]
     report(
         "C1 fsm-chatter-bound",
         all(v.ok for v in verdicts),
@@ -71,7 +71,7 @@ def test_c3_ema_drift_bias_bound():
 
 def test_c4_coverage_bound():
     t0 = time.perf_counter()
-    v = checks.coverage_min(60, 6, 0.3, 2000, seeds=5)
+    v = checks.coverage_min(60, 6, 2000, seeds=5)
     report(
         "C4 coverage-bound",
         v.ok,

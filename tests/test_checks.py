@@ -24,7 +24,7 @@ BELOW, ABOVE = 1 - 1e-9, 1 + 1e-9
         (partial(checks.drift_bias_verdict, 0.9, 0.01), 0.09, 0.0945 * BELOW, 0.0945 * ABOVE),
         (partial(checks.drift_bias_verdict, 0.9, 0.01), 0.09, 0.0855 * ABOVE, 0.0855 * BELOW),
         # rho = 0.03: 60 - 4 * sqrt(58.2) = 29.484, with no slack
-        (partial(checks.coverage_verdict, 60, 6, 0.3, 2000), 29.484, 30, 29),
+        (partial(checks.coverage_verdict, 60, 6, 2000), 29.484, 30, 29),
         # least ratio 0.5; share of ratios >= 0.95 (0.95 counts, 0.9499999 does not) 0.9
         (lambda x: checks.allocator_verdicts(np.array([x, 1.0]))[0], 0.5, 0.5, np.nextafter(0.5, 0.0)),
         (lambda x: checks.allocator_verdicts(np.where(np.arange(100) < round(100 * x), 0.95, 0.9499999))[1], 0.9, 0.9, 0.89),
@@ -60,8 +60,8 @@ def test_drift_bias_needs_audits_for_its_tolerance():
     "check, line",
     [
         # rho = 0.03: rho * T - 4 * sqrt(rho * (1 - rho) * T) > 0 only for T > 16 * (1 - rho) / rho = 517.3
-        (lambda: checks.coverage_min(60, 6, 0.3, 517, 1), "at least 518"),
-        (lambda: checks.coverage_min(60, 6, 0.3, 0, 1), "at least 518"),
+        (lambda: checks.coverage_min(60, 6, 517, 1), "at least 518"),
+        (lambda: checks.coverage_min(60, 6, 0, 1), "at least 518"),
         (lambda: checks.ema_variance(0.5, replicas=0, audits=20, seed=0), "at least 1801"),
         (lambda: checks.allocator_ratios(0, 15, 0), "instances must be at least 1"),
         (lambda: checks.allocator_ratios(-1, 15, 0), "instances must be at least 1"),
@@ -88,7 +88,7 @@ def test_drift_bias_needs_a_positive_drift(delta):
 
 def test_chatter_checks_count_the_columns_that_can_fail():
     # A unit flips at most once a step, so at tau = 1 it cannot exceed T flips:
-    # at taus (1, 2, 3) two thirds of the 3 x 2^12 exhaustive columns can fail.
+    # at CHATTER_TAUS (1, 2, 3) two thirds of the 3 x 2^12 exhaustive columns can fail.
     assert checks.fsm_chatter_exhaustive(12).name == "fsm-chatter T=12 8192/12288 can fail"
     # Run r draws its tau first, so which runs can fail does not depend on T.
     assert checks.fsm_chatter_fuzz(100, 10).name == "fsm-chatter fuzz T=10 75/100 can fail"

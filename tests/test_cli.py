@@ -134,7 +134,7 @@ def with_space(*path, value):
         {"cycles": 2, "steps_per_cycle": 10, "oracle": {"kind": "default", "seed": -1}},
         small_with_oracle(seed=-1),
         {"cycles": 2, "steps_per_cycle": 10, "sampler": {"batch_size": 2.5}},
-        small_with_oracle(drift=INF),
+        small_with_oracle(drift=INF),  # no synthetic oracle key
         {"cycles": 2, "steps_per_cycle": 10, "allocator": {"mu_eff": NAN}},
         {"cycles": 2, "steps_per_cycle": 10, "allocator": {"mu_eff": INF}},
         {"cycles": 2, "steps_per_cycle": 10, "fsm": {"tau_act": 2.5}},
@@ -220,6 +220,11 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, doc, samples):
         (with_space("templates", 0, "sizes", value=[4]), "unknown space template key 'sizes'"),
         ({"cycles": 2, "steps_per_cycle": 10, "window": 5}, "unknown run config key 'window'"),
         (with_space("sapa_shared_weights", value=False), "unknown space key 'sapa_shared_weights'"),
+        (small_with_oracle(drift=0.0), "unknown oracle key 'drift'"),
+        ({"cycles": 2, "steps_per_cycle": 10, "sampler": {"batch_size": 3, "active_fraction": 0.3}},
+         "unknown sampler key 'active_fraction'"),
+        ({"cycles": 2, "steps_per_cycle": 10, "sampler": {"batch_size": 3, "epsilon": 0.3}},
+         "unknown sampler key 'epsilon'"),
         ({"cycles": 2, "steps_per_cycle": 10, "oracle": {"kind": "default", "shots": 5}},
          "unknown default oracle key 'shots'"),
         # A unit dumped before `params` replaced `cost`.
@@ -227,7 +232,8 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, doc, samples):
             {k: v for k, v in UNIT_5.items() if k != "params"} | {"id": 0, "cost": 0.0003}]}},
          "unknown space unit key 'cost'"),
     ],
-    ids=["template-sizes", "window", "sapa-shared-weights", "default-oracle-shots", "stale-unit-cost"],
+    ids=["template-sizes", "window", "sapa-shared-weights", "drift", "active-fraction", "epsilon",
+         "default-oracle-shots", "stale-unit-cost"],
 )
 def test_unknown_key_error_names_the_key_and_its_object(tmp_path, capsys, doc, line):
     bad = tmp_path / "bad.json"
@@ -280,13 +286,12 @@ def test_missing_key_or_misplaced_unit_exits_2_with_one_pinned_line(tmp_path, ca
         (("allocator", "mu_eff"), HUGE, "mu_eff must be a number within a float's range"),
         (("smoothing", "beta"), "0.5", "beta must be a number, not '0.5'"),
         (("smoothing", "lambda_s"), NAN, "lambda_s must lie in [0, inf)"),
-        (("sampler", "epsilon"), 0, "epsilon must lie in (0, 1]"),
         (("oracle", "kappa"), [200.0] * 5 + [INF], "kappa entry must lie in (0, inf)"),
         (("steps_per_cycle",), HUGE, "steps_per_cycle must be at most 9007199254740992"),
         (("refinetune_steps",), 2**53 + 1, "refinetune_steps must be at most 9007199254740992"),
     ],
-    ids=["bool-p-max", "p-max-above-1", "huge-integer-mu-eff", "string-beta", "nan-lambda-s", "zero-epsilon",
-         "infinite-kappa", "huge-steps-per-cycle", "refinetune-steps-above-2-53"],
+    ids=["bool-p-max", "p-max-above-1", "huge-integer-mu-eff", "string-beta", "nan-lambda-s", "infinite-kappa",
+         "huge-steps-per-cycle", "refinetune-steps-above-2-53"],
 )
 def test_bad_value_error_names_the_field_and_its_rule(tmp_path, capsys, field, value, line):
     bad = tmp_path / "bad.json"
@@ -402,7 +407,7 @@ def test_path_error_exits_2_with_one_line_before_any_run(tmp_path, capsys, monke
 # Any value, well-formed or not, for one field of a small valid document.
 FUZZ_FIELDS = [
     ("cycles",), ("steps_per_cycle",), ("refinetune_steps",), ("shots",), ("run_seed",),
-    ("sampler", "batch_size"), ("sampler", "active_fraction"), ("sampler", "epsilon"),
+    ("sampler", "batch_size"),
     ("smoothing", "beta"), ("smoothing", "lambda_s"),
     ("allocator", "p_max"), ("allocator", "mu_eff"),
     ("fsm", "tau_act"), ("oracle", "seed"),
@@ -651,11 +656,22 @@ def test_report_of_a_log_with_a_non_object_line_exits_1_with_one_line(tmp_path, 
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def readme_json_blocks() -> list[dict]:
+    return [json.loads(b) for b in re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)]
+
+
+def test_every_readme_json_block_is_a_run_config():
+    # README's full example as well as its default config file.
+    blocks = readme_json_blocks()
+    assert len(blocks) == 2
+    for doc in blocks:
+        RunConfig.from_json(doc)
+
+
 @pytest.fixture(scope="module")
 def default_run(tmp_path_factory):
     """README's default config file and the `run` of it: (config path, output directory)."""
-    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)]
-    (doc,) = [b for b in blocks if b.get("space") == "default"]
+    (doc,) = [b for b in readme_json_blocks() if b.get("space") == "default"]
     tmp = tmp_path_factory.mktemp("default")
     config = tmp / "default.json"
     config.write_text(json.dumps(doc))
@@ -770,11 +786,11 @@ def test_config_surface_is_pinned(monkeypatch):
         "cycles",
         "fsm", "fsm.tau_act",
         "oracle", "oracle(default).kind", "oracle(default).seed",
-        "oracle(synthetic).base_score", "oracle(synthetic).drift", "oracle(synthetic).gammas",
+        "oracle(synthetic).base_score", "oracle(synthetic).gammas",
         "oracle(synthetic).groups", "oracle(synthetic).kappa", "oracle(synthetic).kind", "oracle(synthetic).mu_inf",
         "oracle(synthetic).seed", "oracle(synthetic).sigma_val", "oracle(synthetic).warm_floor",
         "refinetune_steps", "run_seed",
-        "sampler", "sampler.active_fraction", "sampler.batch_size", "sampler.epsilon",
+        "sampler", "sampler.batch_size",
         "shots",
         "smoothing", "smoothing.beta", "smoothing.lambda_s",
         "space", "space.backbone", "space.backbone.hidden_dims", "space.backbone.layers", "space.backbone.param_count",

@@ -66,7 +66,7 @@ def test_stabilizer_checks_tau_and_budget_arguments():
 
 def test_chatter_bound_exhaustive_small():
     # every proposal sequence of length 8, per-unit flips <= floor(T / tau)
-    assert checks.fsm_chatter_exhaustive(8, taus=(1, 2, 3)).ok
+    assert checks.fsm_chatter_exhaustive(8).ok
 
 
 def test_consistent_pressure_always_commits():

@@ -9,7 +9,6 @@ run draws fresh ones:
 import json
 import os
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +49,8 @@ def configs(draw):
     shots, seed = draw(st.sampled_from([1, 5, 10])), draw(st.integers(0, 2**16))
     return RunConfig(
         space=space,
-        oracle_spec=replace(default_oracle_spec(space, shots, seed), drift=draw(st.sampled_from([1e-4, 0.01]))),
-        sampler=SamplerParams(
-            batch_size=draw(st.integers(1, n)),
-            active_fraction=draw(st.sampled_from([0.0, 1.0])),
-            epsilon=draw(st.sampled_from([0.3, 1.0])),
-        ),
+        oracle_spec=default_oracle_spec(space, shots, seed),
+        sampler=SamplerParams(batch_size=draw(st.integers(1, n))),
         smoothing=SmoothingParams(lambda_s=draw(st.sampled_from([0.0, 0.5]))),
         allocator=AllocatorParams(p_max=p_max, mu_eff=draw(st.sampled_from([0.0, 0.02]))),
         fsm=FsmParams(tau_act=draw(st.integers(1, 4))),
@@ -103,7 +98,7 @@ def test_whole_runs_keep_budget_score_replay_and_log_invariants(config):
         assert replayed.write_events(tmp / "replayed.jsonl").read_bytes() == events.read_bytes()
 
         # Each cycle's value from the log alone: a fresh oracle trains the
-        # cycle's active set (drift included) and scores the gates after its commits.
+        # cycle's active set and scores the gates after its commits.
         fresh = SyntheticOracle(config.oracle_spec)
         state = fresh.fresh_state()
         logged = [r for r in map(json.loads, events.read_text().splitlines()) if r["kind"] == "cycle"]
