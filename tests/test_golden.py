@@ -115,7 +115,7 @@ def test_recorded_trace_matches_pinned_digest_and_replays_the_golden_events(tmp_
 
 # sha256 of the `report.json` that `auditloop run` writes for the benchmark's
 # replay config (the default shots=10 run at run seed 0).
-REPORT_DIGEST = "99b3f7c55146ac0935c41e42271d1e179c1c6b6ca9b42481ef2ef808a818bab1"
+REPORT_DIGEST = "9b04244b474957ad3b885d8816be5e6f7536f0c435f97f25aab6300f72fb92e5"
 
 
 def test_cli_run_report_matches_pinned_digest(tmp_path):
