@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auditloop import OracleSpec, SyntheticOracle, TraceRecordingOracle, replay_trace
+from auditloop import OracleSpec, ReplayOracle, SyntheticOracle, TraceRecordingOracle, replay_trace
 from auditloop.allocator import Budget, gate_cost
 from auditloop.errors import (
     InvalidParams,
@@ -228,7 +228,7 @@ def test_noise_calibration():
     assert abs(draws.var() - 0.04**2) < 0.05 * 0.04**2
 
 
-def test_states_are_read_only_and_train_step_leaves_its_input_unchanged(tmp_path):
+def test_states_are_read_only_and_train_step_leaves_its_input_unchanged():
     # The value cache keys on the state object, so a state must not change in place.
     oracle = SyntheticOracle(simple_spec())
     fresh = oracle.fresh_state()
@@ -236,9 +236,7 @@ def test_states_are_read_only_and_train_step_leaves_its_input_unchanged(tmp_path
     assert list(fresh) == [0.0, 0.0, 0.0] and list(state) == [200.0, 0.0, 200.0]
     assert list(oracle.train_step(state, [False, True, False], 50)) == [200.0, 50.0, 200.0]
     assert list(state) == [200.0, 0.0, 200.0]
-    path = tmp_path / "trace.jsonl"
-    path.write_text(json.dumps({"gates": "010", "score": 0.8, "noise_seed": 0}) + "\n")
-    for s in (fresh, state, replay_trace(path).fresh_state()):
+    for s in (fresh, state, ReplayOracle([], 3).fresh_state()):
         with pytest.raises(ValueError, match="read-only"):
             s[0] = 1.0
 
