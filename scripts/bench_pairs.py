@@ -8,11 +8,13 @@ For every workload that the change's BENCHMARK.json lists, the script runs
 `python3 bench/run.py --trace 0` in each checkout for that file's
 `run_seconds`, the same on both sides, in alternating pairs:
 pair i uses benchmark seed 1 + i and runs the parent first when i is even.
+Before the first pair it runs `scripts/digests.py` once in each checkout.
 BENCH_<label>.json at the root of this checkout holds the claim, stated
-before the first run, both output lines of every run, and per workload and
-end-to-end metric each side's quartiles and the pairs in which the change
-reads better. The file is rewritten after each pair, so it always agrees
-with the runs it holds; an existing file is never overwritten.
+before the first run, each checkout's combined digest line, both output
+lines of every run, and per workload and end-to-end metric each side's
+quartiles and the pairs in which the change reads better. The file is
+rewritten after each pair, so it always agrees with the runs it holds; an
+existing file is never overwritten.
 """
 
 from __future__ import annotations
@@ -39,6 +41,17 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> list[
     if done.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {done.returncode}: {done.stderr.strip()}")
     return [json.loads(line) for line in done.stdout.splitlines()[-2:]]
+
+
+def combined_digest(checkout: Path) -> str:
+    """The last line of `scripts/digests.py` in the checkout: the digest of
+    every `events.jsonl` it writes, which a change that keeps the output
+    bytes leaves as it is."""
+    cmd = [sys.executable, "scripts/digests.py"]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {done.returncode}: {done.stderr.strip()}")
+    return done.stdout.splitlines()[-1]
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
@@ -112,6 +125,8 @@ def main(argv: list[str] | None = None) -> int:
         "parent_commit": git_commit(args.parent),
         "change_commit": git_commit(args.change),
         "claim": args.claim,
+        "parent_digests": None,
+        "change_digests": None,
         "summary_trace0": {},
         "runs": [],
     }
@@ -122,6 +137,11 @@ def main(argv: list[str] | None = None) -> int:
     except FileExistsError:
         print(f"error: {out} exists; it is never overwritten", file=sys.stderr)
         return 2
+
+    for side in ("parent", "change"):
+        doc[f"{side}_digests"] = combined_digest(getattr(args, side))
+    out.write_text(layout(doc))
+    print(f"digests: parent {doc['parent_digests']}, change {doc['change_digests']}", flush=True)
 
     for workload in workloads:
         for pair in range(args.pairs):

@@ -12,7 +12,9 @@ singleton, then best-improvement single swaps).
 
 `fill` is the one add-while-it-fits loop: the greedy knapsack, the FSM's
 commit of ready activations and the random baseline each pass it their own
-start mask and unit order.
+start mask and unit order. It walks the order once, and stops at the first
+kept unit that leaves less room than the budget's smallest count: no later
+unit can fit, so the rest of the order is rejected in one slice.
 
 A unit's cost is its integer parameter count over the backbone's P, so a set
 fits the budget when its counts sum to at most the capacity floor(p_max·P):
@@ -53,9 +55,9 @@ class Budget:
     """One run's budget: unit i has the integer parameter count `counts[i]`
     out of `scale`, and a set of units fits when its counts sum to at most
     `capacity`, floor(p_max·scale). `costs[i]`, the one float cost of unit
-    i, is `counts[i] / scale` and orders units by density. The counts are
-    checked here, once: each is positive, and their total, which caps the
-    capacity, fits an int64."""
+    i, is `counts[i] / scale` and orders units by density; `smallest` is the
+    least count (0 with no units). The counts are checked here, once: each is
+    positive, and their total, which caps the capacity, fits an int64."""
 
     def __init__(self, counts, scale: int, p_max: float):
         counts = [operator.index(c) for c in counts]
@@ -67,6 +69,7 @@ class Budget:
         self.counts = np.array(counts, dtype=np.int64)
         self.costs = np.array([c / scale for c in counts], dtype=float)
         self.capacity = min(num * operator.index(scale) // den, total)
+        self.smallest = min(counts, default=0)
 
     @classmethod
     def from_costs(cls, costs, p_max: float) -> "Budget":
@@ -108,15 +111,21 @@ def fill(gates, order, budget: Budget) -> tuple[np.ndarray, list[int]]:
 def _fill(gates: np.ndarray, order: np.ndarray, budget: Budget) -> tuple[np.ndarray, list[int]]:
     """`fill` without its checks, switching units on in `gates` itself, for
     callers whose orders are valid by construction: one pass over `order`
-    keeps each unit whose count fits the room left and rejects the rest."""
+    keeps each unit whose count fits the room left and rejects the rest.
+    Once a kept unit leaves less room than the budget's smallest count, no
+    later unit can fit, so the rest of the order is rejected in one slice."""
     if not order.size:
         return gates, []
     room = budget.capacity - int(budget.counts[gates].sum())
+    ids, smallest = order.tolist(), budget.smallest
     kept, rejected = [], []
-    for i, count in zip(order.tolist(), budget.counts[order].tolist()):
+    for i, count in zip(ids, budget.counts[order].tolist()):
         if count <= room:
             kept.append(i)
             room -= count
+            if room < smallest:
+                rejected += ids[len(kept) + len(rejected) :]  # the units after i
+                break
         else:
             rejected.append(i)
     gates[kept] = True

@@ -22,16 +22,21 @@ does (pairwise, not left to right). `_terms` finds the terms of every group
 and of each toggled group in one pass: the rows with k active members form
 one C-contiguous (rows, k) block, whose `sum(axis=1)` adds each row exactly
 as that 1-D sum (a test pins this for the installed numpy), so there is one
-reduction per distinct count, not per group. `true_value` and
-`evaluate_toggles` share that one noise-free computation. The oracle caches
-the latest full pass's state, gates, unit utilities and group terms. A
-`true_value` on that same state object rescores only the groups that hold a
-unit whose gate differs from the cached gates, each as that 1-D sum through
-the same concave step, folds the base score and the terms with the same
-accumulate, and caches its own result; so the cycle's value query after a
-commit rescores only the groups the commit touched. A query on any other
-state takes the full pass. A state is the units' float step array, read-only
-as `fresh_state` and `train_step` return it, so a cached one cannot change.
+reduction per distinct count, not per group; only rows with an active
+member go through the concave step, and the others take the term 0.0.
+`true_value` and `evaluate_toggles` share that one noise-free computation,
+which returns the audit's 1 + M totals as one array: `evaluate_toggles`
+adds each call index's noise and clamps them in array operations, each
+element as `min(1.0, max(0.0, v))` gives it, and returns Python floats.
+The oracle caches the latest full pass's state, gates, unit utilities and
+group terms. A `true_value` on that same state object rescores only the
+groups that hold a unit whose gate differs from the cached gates, each as
+that 1-D sum through the same concave step, folds the base score and the
+terms with the same accumulate, and caches its own result; so the cycle's
+value query after a commit rescores only the groups the commit touched. A
+query on any other state takes the full pass. A state is the units' float
+step array, read-only as `fresh_state` and `train_step` return it, so a
+cached one cannot change.
 
 Every seeded stream in the engine comes from a `KeyedStreams`: its
 generator for key i is `np.random.default_rng([*prefix, i])`, draw for draw.
@@ -298,7 +303,8 @@ class SyntheticOracle:
     def _terms(self, mu: np.ndarray, gates: np.ndarray, units=_NO_UNITS) -> np.ndarray:
         """Terms of every group under `gates`, then of each of `units`' group
         with that unit toggled. Rows sorted by active count put each count's
-        values side by side; a row with none sums to 0.0."""
+        values side by side. A row with none has the term 0.0, which is what
+        `_shaped` gives its empty sum, so only the other rows are shaped."""
         rows = np.concatenate((self._rows, self._group_of.take(units)))
         act = gates.take(self._table.take(rows, 0)) & self._valid.take(rows, 0)
         act[self._rows.size :] ^= self._slot.take(units, 0)
@@ -307,18 +313,19 @@ class SyntheticOracle:
         by_count = rows.take(order)
         flat = mu.take(self._table.take(by_count, 0))[act.take(order, 0)]
         n_rows = np.bincount(counts).tolist()
-        sums, start = [np.zeros(n_rows[0])], 0
+        sums, start = [], 0
         for k, n in enumerate(n_rows[1:], start=1):
             sums.append(flat[start : start + n * k].reshape(n, k).sum(axis=1))
             start += n * k
-        terms = np.empty(rows.size)
-        terms[order] = self._shaped(by_count.tolist(), np.concatenate(sums).tolist())
+        terms = np.zeros(rows.size)
+        if sums:
+            terms[order[n_rows[0] :]] = self._shaped(by_count[n_rows[0] :].tolist(), np.concatenate(sums).tolist())
         return terms
 
-    def _values(self, state: np.ndarray, gates: np.ndarray, units=_NO_UNITS) -> list[float]:
+    def _values(self, state: np.ndarray, gates: np.ndarray, units=_NO_UNITS) -> np.ndarray:
         """Noise-free values of `gates`, then of each one-unit toggle of it in
-        `units`, from one `_terms` pass folded row by row, with a toggle's
-        group term in its row. Caches the full configuration's pass."""
+        `units`, as an array, from one `_terms` pass folded row by row, with a
+        toggle's group term in its row. Caches the full configuration's pass."""
         mu, n_groups = self._unit_utilities(state), self._rows.size
         terms = self._terms(mu, gates, units)
         rows = np.empty((1 + units.size, 1 + n_groups))
@@ -326,7 +333,7 @@ class SyntheticOracle:
         rows[:, 1:] = terms[:n_groups]
         rows[np.arange(1, rows.shape[0]), 1 + self._group_of[units]] = terms[n_groups:]
         totals = _fold(rows)
-        self._cache = (state, gates.copy(), mu, rows[0].copy(), totals[0])
+        self._cache = (state, gates.copy(), mu, rows[0].copy(), float(totals[0]))
         return totals
 
     def true_value(self, state: np.ndarray, gates) -> float:
@@ -336,14 +343,14 @@ class SyntheticOracle:
         gates = self._check_gates(gates)
         cached_state, cached_gates, mu, row, value = self._cache
         if cached_state is not state:
-            return self._values(state, gates)[0]
+            return float(self._values(state, gates)[0])
         changed = np.flatnonzero(gates != cached_gates)
         if changed.size:
             groups = list(dict.fromkeys(self._group_of.take(changed).tolist()))
             members = [self._members[g] for g in groups]
             sums = [float(mu.take(m[gates.take(m)]).sum()) for m in members]
             row[1:][groups] = self._shaped(groups, sums)
-            value = _fold(row[None])[0]
+            value = float(_fold(row[None])[0])
             self._cache = (state, gates.copy(), mu, row, value)
         return value
 
@@ -355,14 +362,16 @@ class SyntheticOracle:
 
         Each call index's noise is drawn from a stream seeded by (spec.seed,
         call index), so a fixed call-index assignment reproduces identical
-        scores under any execution schedule.
+        scores under any execution schedule. The noise is added and the
+        totals clamped as arrays, each element as `min(1.0, max(0.0, v))`
+        would give it, and the scores return as Python floats.
         """
         gates = self._check_gates(gates)
         totals = self._values(state, gates, np.asarray(units, dtype=np.intp))
         if (sigma := self.spec.sigma_val) > 0.0:
-            streams = self._noise.generators(first_call_index, len(totals))
-            totals = [v + sigma * rng.standard_normal() for v, rng in zip(totals, streams)]
-        full, *toggled = [min(1.0, max(0.0, v)) for v in totals]
+            streams = self._noise.generators(first_call_index, totals.size)
+            totals = totals + sigma * np.array([rng.standard_normal() for rng in streams])
+        full, *toggled = _clamp(totals).tolist()
         return full, toggled
 
     def train_step(self, state: np.ndarray, gates, k: int) -> np.ndarray:
@@ -393,11 +402,21 @@ class SyntheticOracle:
         return gates, self.true_value(state, gates)
 
 
-def _fold(rows: np.ndarray) -> list[float]:
+def _fold(rows: np.ndarray) -> np.ndarray:
     """Each row of (base score, group terms) added from left to right and
     clamped to [0, 1]. One accumulate along each row adds exactly as a Python
     loop would; a row sum would add pairwise."""
-    return np.minimum(1.0, np.maximum(0.0, np.add.accumulate(rows, axis=1)[:, -1])).tolist()
+    return np.minimum(1.0, np.maximum(0.0, np.add.accumulate(rows, axis=1)[:, -1]))
+
+
+def _clamp(values: np.ndarray) -> np.ndarray:
+    """`min(1.0, max(0.0, v))` of each value, bit for bit. `np.fmax` maps NaN
+    to 0.0, where `np.maximum` and `np.clip` keep it, and adding 0.0 turns a
+    -0.0 into 0.0."""
+    out = np.fmax(values, 0.0)
+    np.fmin(out, 1.0, out=out)
+    out += 0.0
+    return out
 
 
 def _group_value_array(s: np.ndarray, shape: tuple[float, float] | None) -> np.ndarray:

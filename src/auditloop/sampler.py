@@ -82,11 +82,12 @@ def sample_audit_batch(
     # The quartile minus the ids explored so far, in quartile order.
     pool = least_probed_quartile(probe_counts).tolist()
 
+    random, integers = rng.random, rng.integers
     for _ in range(params.batch_size):
         if len(chosen) >= target:
             break
-        if rng.random() < EPSILON and pool:
-            chosen.append(pool.pop(int(rng.integers(len(pool)))))
+        if random() < EPSILON and pool:
+            chosen.append(pool.pop(int(integers(len(pool)))))
     exploration = list(chosen)
 
     k = target - len(chosen)

@@ -63,6 +63,8 @@ def _pick_tables(max_len: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _PICKS, _WEIGHTS = _pick_tables(WINDOW)
+# Whether numpy's median of n values is the mean of a middle pair, per length n.
+_EVEN = np.arange(WINDOW + 1) % 2 == 0
 
 
 def robust_scores(h: np.ndarray, lambda_s: float, lengths) -> np.ndarray:
@@ -74,10 +76,10 @@ def robust_scores(h: np.ndarray, lambda_s: float, lengths) -> np.ndarray:
     depend on the order within a row."""
     s = np.sort(h, axis=1)
     n = np.asarray(lengths)
-    v = s[np.arange(len(s))[:, None], _PICKS[n]]
-    # numpy's median of an even-length row is the mean of its middle pair.
-    med = np.where(n % 2 == 0, (v[:, 0] + v[:, 1]) / 2, v[:, 0])
-    q = v[:, 4::3] + (v[:, 3::3] - v[:, 2::3]) * _WEIGHTS[n]
+    # Each row's picks, offset by the row's start in the flat sorted array.
+    v = s.take(_PICKS.take(n, 0) + np.arange(0, s.size, s.shape[1])[:, None])
+    med = np.where(_EVEN.take(n), (v[:, 0] + v[:, 1]) / 2, v[:, 0])
+    q = v[:, 4::3] + (v[:, 3::3] - v[:, 2::3]) * _WEIGHTS.take(n, 0)
     return med - lambda_s * (q[:, 1] - q[:, 0])
 
 

@@ -15,7 +15,7 @@ from auditloop import (
     greedy_allocate,
     swap_resolve,
 )
-from auditloop.allocator import EXACT_RESOLVE_MAX, fill
+from auditloop.allocator import EXACT_RESOLVE_MAX, _fill, fill
 from auditloop.errors import InvalidParams, LengthMismatch, NonPositiveCost, TooLarge
 
 E3 = 1e-3
@@ -217,6 +217,55 @@ def test_fill_matches_the_plain_loop_where_room_runs_out_part_way(instance, data
     order = [i for i in data.draw(st.permutations(range(n))) if not start[i]]
     gates, rejected = fill(start, np.array(order, dtype=np.intp), budget)
     assert (gates.tolist(), rejected) == plain_fill(start, order, budget.counts.tolist(), budget.capacity)
+
+
+def one_pass_fill(gates, order, counts, capacity):
+    """One walk over the order that keeps each unit whose count fits the room
+    left, with no early stop; also returns whether a stop after a kept unit
+    that leaves less room than the smallest count would skip part of it."""
+    gates, rejected = list(gates), []
+    room = capacity - sum(c for c, g in zip(counts, gates) if g)
+    stops = False
+    for pos, i in enumerate(order):
+        if counts[i] <= room:
+            gates[i] = True
+            room -= counts[i]
+            stops |= room < min(counts) and pos < len(order) - 1
+        else:
+            rejected.append(i)
+    return gates, rejected, stops
+
+
+@st.composite
+def fill_instances(draw):
+    """Counts, a capacity of at most their sum, a start mask and an order of
+    the units off in it; small capacities and large smallest counts make the
+    room drop below the smallest count part-way through many orders."""
+    n = draw(st.integers(1, 30))
+    low = draw(st.integers(1, 20))
+    counts = draw(st.lists(st.integers(low, low + draw(st.integers(0, 40))), min_size=n, max_size=n))
+    capacity = draw(st.integers(0, sum(counts)))
+    start = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    order = [i for i in draw(st.permutations(range(n))) if not start[i]]
+    return counts, capacity, start, order
+
+
+def test_fill_stop_keeps_the_gates_and_rejections_of_the_one_pass_walk():
+    stops = []
+
+    @settings(deadline=None, max_examples=400)
+    @given(instance=fill_instances())
+    def check(instance):
+        counts, capacity, start, order = instance
+        budget = Budget(counts, 1 << 40, capacity / (1 << 40))
+        assert budget.capacity == capacity and budget.smallest == min(counts)
+        gates, rejected = _fill(np.array(start), np.array(order, dtype=np.intp), budget)
+        want_gates, want_rejected, stop = one_pass_fill(start, order, counts, capacity)
+        assert (gates.tolist(), rejected) == (want_gates, want_rejected)
+        stops.append(stop)
+
+    check()
+    assert any(stops) and not all(stops)
 
 
 @settings(deadline=None, max_examples=300)

@@ -17,7 +17,7 @@ from auditloop.errors import (
     UnknownConfiguration,
 )
 from auditloop.driver import default_run_config
-from auditloop.oracle import SEED_BLOCK, KeyedStreams, _seed_states
+from auditloop.oracle import SEED_BLOCK, KeyedStreams, _clamp, _seed_states
 
 
 def simple_spec(**overrides):
@@ -753,3 +753,26 @@ def test_trace_lines_are_json_dumps_for_every_score_type(tmp_path, score, call_i
         assert all(math.isnan(s) for s in served)
     else:
         assert served == [float(score)] * 5
+
+
+def test_audit_clamp_is_the_python_clamp_bit_for_bit():
+    # `evaluate_toggles` clamps its noisy totals as one array; each must equal
+    # `min(1.0, max(0.0, v))`, sign bit included: NaN and -0.0 give +0.0.
+    values = [math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
+              0.5, 0.25, 5e-324, -5e-324, math.nextafter(0.0, -1.0), 2.0, -3.0]
+    got = _clamp(np.array(values)).tolist()
+    want = [min(1.0, max(0.0, v)) for v in values]
+    assert [(g, math.copysign(1.0, g)) for g in got] == [(w, math.copysign(1.0, w)) for w in want]
+
+
+@pytest.mark.parametrize("sigma_val", [0.0, 0.05])
+def test_scores_are_python_floats(sigma_val):
+    # The trace writer takes its `repr` path only when `type(score) is float`.
+    oracle = SyntheticOracle(simple_spec(sigma_val=sigma_val))
+    state = oracle.train_step(oracle.fresh_state(), np.ones(3, bool), 300)
+    full, toggled = oracle.evaluate_toggles(state, [True, False, True], [0, 1, 2], 4)
+    assert [type(v) for v in (full, *toggled)] == [float] * 4
+    # The cached pass's gates, a value query that rescores one group, and a full pass.
+    for value in (oracle.true_value(state, [True, False, True]), oracle.true_value(state, [True, True, True]),
+                  oracle.true_value(oracle.fresh_state(), [True, True, True])):
+        assert type(value) is float

@@ -93,14 +93,22 @@ print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metri
 """
 
 
+FAKE_DIGESTS = """print("0123  paper-default shots=1 seed=0")
+print(("ab" if "change" in __file__ else "cd") + "  combined")
+"""
+
+
 def test_bench_pairs_writes_a_summary_that_recomputes_and_never_overwrites(tmp_path):
     # Fake checkouts whose benchmark prints a fixed result per seed: the
-    # change reads 10% lower on every metric.
+    # change reads 10% lower on every metric. Their digest scripts print
+    # different combined lines.
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     benchmark["workloads"], benchmark["run_seconds"] = benchmark["workloads"][:2], 7
     for side in ("parent", "change"):
-        (tmp_path / side / "bench").mkdir(parents=True)
+        for folder in ("bench", "scripts"):
+            (tmp_path / side / folder).mkdir(parents=True)
         (tmp_path / side / "bench" / "run.py").write_text(FAKE_RUN)
+        (tmp_path / side / "scripts" / "digests.py").write_text(FAKE_DIGESTS)
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(benchmark))
     (tmp_path / "scripts").mkdir()
     script = tmp_path / "scripts" / "bench_pairs.py"
@@ -112,6 +120,7 @@ def test_bench_pairs_writes_a_summary_that_recomputes_and_never_overwrites(tmp_p
     text = (tmp_path / "BENCH_t.json").read_text()
     doc = json.loads(text)
     assert doc["claim"] == "the change reads lower"
+    assert (doc["parent_digests"], doc["change_digests"]) == ("cd  combined", "ab  combined")
     assert sum(line.startswith('  {"workload": ') for line in text.splitlines()) == 6  # a line per run
     names = [w["name"] for w in benchmark["workloads"]]
     assert [(r["workload"], r["pair"], r["seed"], r["first"]) for r in doc["runs"]] == [
