@@ -14,7 +14,9 @@ singleton, then best-improvement single swaps).
 commit of ready activations and the random baseline each pass it their own
 start mask and unit order. It walks the order once, and stops at the first
 kept unit that leaves less room than the budget's smallest count: no later
-unit can fit, so the rest of the order is rejected in one slice.
+unit can fit, so the rest of the order is rejected in one slice. On the
+740-unit benchmark run the greedy fill stops after about a quarter of its
+order; on the default 74-unit space it never stops early.
 
 A unit's cost is its integer parameter count over the backbone's P, so a set
 fits the budget when its counts sum to at most the capacity floor(p_max·P):
@@ -214,7 +216,7 @@ ENUMERATION_MAX = 20
 
 # `brute_force_optimum` takes a median 3.2 ms at 16 units and 47 ms at 20
 # (15 random instances each; 2-core Xeon VM, Python 3.11, numpy 2.4). A whole
-# paper-default run takes 0.040 s (run_s_p50, BENCH_26.json).
+# paper-default run takes 0.037 s (run_s_p50, BENCH_31.json).
 EXACT_RESOLVE_MAX = 16
 
 

@@ -122,6 +122,14 @@ def padded_histories(draw):
     return np.array(rows), lengths
 
 
+@pytest.mark.parametrize("lengths", [[4, 1], [1, 4]])
+def test_robust_scores_reject_a_length_above_the_row_width(lengths):
+    # A row of 3 slots cannot hold 4 values; the picks must not run into the next row.
+    h = np.array([[0.1, 0.2, 0.3], [0.4, math.nan, math.nan]])
+    with pytest.raises(InvalidParams):
+        robust_scores(h, 0.5, lengths)
+
+
 @settings(max_examples=300, deadline=None)
 @given(padded_histories(), st.one_of(st.just(0.0), st.just(0.5), st.floats(0, 5)))
 def test_robust_scores_equal_numpy_per_length(histories, lambda_s):
