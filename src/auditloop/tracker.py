@@ -76,11 +76,11 @@ def robust_scores(h: np.ndarray, lambda_s: float, lengths) -> np.ndarray:
     depend on the order within a row."""
     s = np.sort(h, axis=1)
     n = np.asarray(lengths)
-    # The picks are read from the flat sorted array, where a length above a
-    # narrow row's width would read the next row.
+    # Each row's picks are read from the flat sorted array, offset by the
+    # row's start, where a length above a narrow row's width would read the
+    # next row.
     if s.shape[1] < WINDOW and n.max(initial=0) > s.shape[1]:
         raise InvalidParams(f"a history length exceeds the {s.shape[1]} slots of a row")
-    # Each row's picks, offset by the row's start in the flat sorted array.
     v = s.take(_PICKS.take(n, 0) + np.arange(0, s.size, s.shape[1])[:, None])
     med = np.where(_EVEN.take(n), (v[:, 0] + v[:, 1]) / 2, v[:, 0])
     q = v[:, 4::3] + (v[:, 3::3] - v[:, 2::3]) * _WEIGHTS.take(n, 0)
