@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.random import Generator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,16 @@ from auditloop.errors import (
     UnknownConfiguration,
 )
 from auditloop.driver import default_run_config
-from auditloop.oracle import SEED_BLOCK, KeyedStreams, _clamp, _seed_states
+from auditloop._ziggurat import KI, WI
+from auditloop.oracle import (
+    _NOISE_TAG,
+    SEED_BLOCK,
+    KeyedStreams,
+    _clamp,
+    _first_normals,
+    _first_tries,
+    _seed_states,
+)
 
 
 def simple_spec(**overrides):
@@ -213,10 +223,73 @@ def test_keyed_streams_out_of_order_across_blocks_and_words(prefix):
     ids=["none", "one", "across-a-block", "three-blocks", "across-a-word"],
 )
 def test_batch_of_generators_equals_one_stream_per_key(prefix, first, count):
+    # The batch is `normals`: the first draw of each key's stream, as one array.
     streams = KeyedStreams(*prefix)
     streams(3 * SEED_BLOCK)  # leaves a block cached that the batch does not use
     want = [np.random.default_rng([*prefix, key]).standard_normal() for key in range(first, first + count)]
-    assert [rng.standard_normal() for rng in streams.generators(first, count)] == want
+    assert streams.normals(first, count).tolist() == want
+
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_row_and_state_before(r: int, inc: int) -> tuple[list[int], int]:
+    """A `_seed_states` row, and the PCG64 state it seeds, whose next output
+    is `r`. A state with high half 0 outputs its low half, so the state after
+    the step is r; each step back is an inverse multiply mod 2**128."""
+    unstep = pow(_PCG_MULT, -1, 1 << 128)
+    before = (r - inc) * unstep & _MASK128
+    initstate = ((before - inc) * unstep - inc) & _MASK128
+    words = (initstate >> 64, initstate & (1 << 64) - 1, inc >> 65, inc >> 1 & (1 << 64) - 1)
+    return list(words), before
+
+
+def _numpy_draw(state: int, inc: int) -> tuple[float, int]:
+    """numpy's `standard_normal()` from a PCG64 state, and the state after it."""
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0
+    }
+    value = Generator(bit_generator).standard_normal()
+    return value, bit_generator.state["state"]["state"]
+
+
+def test_ziggurat_tables_match_every_entry_of_the_installed_numpy():
+    # For each layer and sign: the largest magnitude numpy accepts on its
+    # first try (KI - 1), the least it retries (KI), and magnitude 1, whose
+    # draw is WI itself.
+    inc = 2 * 0x9E3779B97F4A7C15F39CC0605CEDC835 + 1 & _MASK128
+    cases = []
+    for layer in range(256):
+        for sign in (0, 1):
+            for magnitude in sorted({int(KI[layer]) - 1, int(KI[layer]), 1} - {-1}):
+                cases.append((layer, sign, magnitude, layer | sign << 8 | magnitude << 9))
+    rows, befores = zip(*(_seed_row_and_state_before(r, inc) for *_, r in cases))
+    rows = np.array(rows, dtype=np.uint64)
+    values, accepted = _first_tries(rows)
+    normals = _first_normals(rows)
+    for (layer, sign, magnitude, r), before, value, first_try, normal in zip(cases, befores, values, accepted, normals):
+        want, after = _numpy_draw(before, inc)
+        one_step = after == r
+        assert normal == want, (layer, sign, magnitude)
+        if magnitude < KI[layer]:
+            assert one_step and first_try and value == want, (layer, sign, magnitude)
+            if magnitude == 1:
+                assert want == (-WI[layer] if sign else WI[layer]), layer
+        else:
+            assert not one_step and not first_try, (layer, sign, magnitude)
+
+
+def test_first_normals_fall_back_to_numpy_on_a_default_noise_block():
+    # About 1.4% of first tries fail; numpy's own draw must fill those rows.
+    seed = default_run_config().oracle_spec.seed
+    states = _seed_states([[seed, _NOISE_TAG, key] for key in range(SEED_BLOCK)])
+    retried = np.flatnonzero(~_first_tries(states)[1])
+    assert retried.size > 0
+    want = [np.random.default_rng([seed, _NOISE_TAG, key]).standard_normal() for key in retried.tolist()]
+    assert _first_normals(states)[retried].tolist() == want
+    assert KeyedStreams(seed, _NOISE_TAG).normals(0, SEED_BLOCK)[retried].tolist() == want
 
 
 def test_noise_calibration():
