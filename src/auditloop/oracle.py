@@ -51,9 +51,8 @@ as one slice: the first time an audit reaches a block, `_first_normals`
 draws all of the block's as array expressions over its seed states (PCG64's
 seeding and first output, then the ziggurat's first try, with numpy's
 tables in `_ziggurat`), and numpy itself draws the rows it would not accept
-on that try, about 1.4% of them. An audit's noise is then one copy of
-about 1 µs, and a block's draw about 105 µs once per 1,024 call indices,
-where one generator per call index took about 150 µs per audit at M = 100.
+on that try, about 1.5% of them. An audit's noise is then one copy of
+about 1 µs, and a block's draw about 105 µs once per 1,024 call indices.
 """
 
 from __future__ import annotations

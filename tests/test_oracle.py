@@ -282,7 +282,7 @@ def test_ziggurat_tables_match_every_entry_of_the_installed_numpy():
 
 
 def test_first_normals_fall_back_to_numpy_on_a_default_noise_block():
-    # About 1.4% of first tries fail; numpy's own draw must fill those rows.
+    # About 1.5% of first tries fail; numpy's own draw must fill those rows.
     seed = default_run_config().oracle_spec.seed
     states = _seed_states([[seed, _NOISE_TAG, key] for key in range(SEED_BLOCK)])
     retried = np.flatnonzero(~_first_tries(states)[1])
