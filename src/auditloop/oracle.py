@@ -409,16 +409,17 @@ class SyntheticOracle:
 
     def _values(self, state: np.ndarray, gates: np.ndarray, units=_NO_UNITS) -> np.ndarray:
         """Noise-free values of `gates`, then of each one-unit toggle of it in
-        `units`, as an array, from one `_terms` pass folded row by row, with a
-        toggle's group term in its row. Caches the full configuration's pass."""
+        `units`, as an array, from one `_terms` pass folded column by column:
+        column 0 is the full configuration's (base, group terms), and each
+        toggle's column holds its group's toggled term. Caches column 0."""
         mu, n_groups = self._unit_utilities(state), self._rows.size
         terms = self._terms(mu, gates, units)
-        rows = np.empty((1 + units.size, 1 + n_groups))
-        rows[:, 0] = self.spec.base_score
-        rows[:, 1:] = terms[:n_groups]
-        rows[np.arange(1, rows.shape[0]), 1 + self._group_of[units]] = terms[n_groups:]
-        totals = _fold(rows)
-        self._cache = (state, gates.copy(), mu, rows[0].copy(), float(totals[0]))
+        cols = np.empty((1 + n_groups, 1 + units.size))
+        cols[0] = self.spec.base_score
+        cols[1:] = terms[:n_groups, None]
+        cols[1 + self._group_of[units], np.arange(1, cols.shape[1])] = terms[n_groups:]
+        totals = _fold(cols)
+        self._cache = (state, gates.copy(), mu, cols[:, 0].copy(), float(totals[0]))
         return totals
 
     def true_value(self, state: np.ndarray, gates) -> float:
@@ -435,7 +436,7 @@ class SyntheticOracle:
             members = [self._members[g] for g in groups]
             sums = [float(mu.take(m[gates.take(m)]).sum()) for m in members]
             row[1:][groups] = self._shaped(groups, sums)
-            value = float(_fold(row[None])[0])
+            value = float(_fold(row[:, None])[0])
             self._cache = (state, gates.copy(), mu, row, value)
         return value
 
@@ -486,11 +487,17 @@ class SyntheticOracle:
         return gates, self.true_value(state, gates)
 
 
-def _fold(rows: np.ndarray) -> np.ndarray:
-    """Each row of (base score, group terms) added from left to right and
-    clamped to [0, 1]. One accumulate along each row adds exactly as a Python
-    loop would; a row sum would add pairwise."""
-    return np.minimum(1.0, np.maximum(0.0, np.add.accumulate(rows, axis=1)[:, -1]))
+def _fold(cols: np.ndarray) -> np.ndarray:
+    """Each column of (base score, group terms) added from top to bottom, as a
+    Python loop would add it, and clamped to [0, 1]. With two or more
+    columns, numpy's reduce down axis 0 adds each column in that order (a
+    test pins this); one column it would add pairwise, so that one is
+    accumulated."""
+    if cols.shape[1] > 1:
+        sums = np.add.reduce(cols, axis=0)
+    else:
+        sums = np.add.accumulate(cols[:, 0])[-1:]
+    return np.minimum(1.0, np.maximum(0.0, sums))
 
 
 def _clamp(values: np.ndarray) -> np.ndarray:

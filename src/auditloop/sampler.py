@@ -1,8 +1,23 @@
 """Audit mini-batch selection: exploration at rate `EPSILON`, which the coverage
-bound rests on, plus strata of `ACTIVE_FRACTION` active and the rest inactive."""
+bound rests on, plus strata of `ACTIVE_FRACTION` active and the rest inactive.
+
+Each exploration slot draws one `random()` and, when it explores, one
+`integers(len(pool))`. From `RAW_EXPLORE_MIN` slots up, `_explore_raw` makes
+the same draws from the generator's raw PCG64 outputs, read in chunks, and
+leaves the generator in the same state; its work and memory are bounded by
+N, not M, since one `advance` skips the uniforms of the slots left once the
+pool is empty. Below that, the scalar loop `_explore` runs: the raw path's
+fixed cost, one read of the generator's `state` and, about half the time,
+one write, outweighs its scalar calls. Exploration time per call inside
+default-space runs (shots 1, 5 and 10, six alternating runs each, median,
+2-core VM, Python 3.11.7, numpy 2.4.6), scalar against raw: 12.7 against
+16.1 µs at M = 10, 18.7 against 18.1 at 14, 18.6 against 18.4 at 16, 23.2
+against 20.6 at 20, and 61.0 against 29.7 at 60.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +26,11 @@ from .errors import InvalidParams, check_count
 
 ACTIVE_FRACTION = 0.3
 EPSILON = 0.3
+# Batch sizes from this one up explore over raw PCG64 outputs (`_explore_raw`).
+RAW_EXPLORE_MIN = 16
+# A uniform (r >> 11) * 2**-53 is below EPSILON exactly when the output r is
+# below this.
+_EXPLORE_BELOW = math.ceil(EPSILON * 2**53) << 11
 
 
 @dataclass(frozen=True)
@@ -78,16 +98,10 @@ def sample_audit_batch(
         raise InvalidParams("gates and probe_counts must have equal length")
 
     target = min(params.batch_size, n)
-    chosen: list[int] = []
     # The quartile minus the ids explored so far, in quartile order.
     pool = least_probed_quartile(probe_counts).tolist()
-
-    random, integers = rng.random, rng.integers
-    for _ in range(params.batch_size):
-        if len(chosen) >= target:
-            break
-        if random() < EPSILON and pool:
-            chosen.append(pool.pop(int(integers(len(pool)))))
+    explore = _explore_raw if params.batch_size >= RAW_EXPLORE_MIN else _explore
+    chosen = explore(pool, params.batch_size, target, rng)
     exploration = list(chosen)
 
     k = target - len(chosen)
@@ -99,3 +113,77 @@ def sample_audit_batch(
         chosen.extend(stratified_fill(k, active_pool, inactive_pool, rng))
 
     return sorted(chosen), sorted(exploration)
+
+
+def _explore(pool: list[int], slots: int, target: int, rng: np.random.Generator) -> list[int]:
+    """The exploration picks: each slot, until `target` ids are chosen,
+    draws a uniform and, below EPSILON, pops a uniform position of the
+    pool while it lasts."""
+    chosen: list[int] = []
+    random, integers = rng.random, rng.integers
+    for _ in range(slots):
+        if len(chosen) >= target:
+            break
+        if random() < EPSILON and pool:
+            chosen.append(pool.pop(int(integers(len(pool)))))
+    return chosen
+
+
+def _explore_raw(pool: list[int], slots: int, target: int, rng: np.random.Generator) -> list[int]:
+    """`_explore`'s picks from the raw outputs of its PCG64 generator,
+    leaving the generator's state, `has_uint32` and `uinteger` as `_explore`
+    leaves them.
+
+    A uniform is `(r >> 11) * 2**-53`. `integers(n)` for n >= 2 takes a
+    32-bit value, the buffered one if the generator holds one, else the low
+    half of the next output, whose high half it buffers, and applies
+    Lemire's bounded rule; `integers(1)` draws nothing. Outputs are drawn in
+    chunks that the slots left are sure to use, so none is left over at the
+    end; once the pool is empty, every slot left draws only its uniform, and
+    one `advance` skips those not yet drawn."""
+    bit_generator = rng.bit_generator
+    entry = bit_generator.state
+    has_uint32, uinteger = buffer = entry["has_uint32"], entry["uinteger"]
+    chosen: list[int] = []
+    raws: list[int] = []
+    at = 0
+
+    def draw() -> list[int]:
+        # Each slot left until the target uses at least one output.
+        return bit_generator.random_raw(min(slots - slot, target - len(chosen))).tolist()
+
+    for slot in range(slots):
+        if len(chosen) >= target:
+            break
+        if not pool:
+            bit_generator.advance(slots - slot - (len(raws) - at))
+            buffer = (0, 0)
+            break
+        if at == len(raws):
+            raws, at = draw(), 0
+        at += 1
+        if raws[at - 1] >= _EXPLORE_BELOW:
+            continue
+        n = len(pool)
+        if n == 1:
+            chosen.append(pool.pop())
+            continue
+        while True:
+            if has_uint32:
+                x, has_uint32 = uinteger, 0
+            else:
+                if at == len(raws):
+                    raws, at = draw(), 0
+                r, at = raws[at], at + 1
+                x, has_uint32, uinteger = r & 0xFFFFFFFF, 1, r >> 32
+            m = x * n
+            # Lemire's rule: draw again while the low word is below
+            # (2**32 - n) % n, which numpy checks only below n.
+            if (m & 0xFFFFFFFF) >= n or (m & 0xFFFFFFFF) >= (0x100000000 - n) % n:
+                break
+        chosen.append(pool.pop(m >> 32))
+    if (has_uint32, uinteger) != buffer:
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = has_uint32, uinteger
+        bit_generator.state = state
+    return chosen

@@ -25,6 +25,7 @@ from auditloop.oracle import (
     KeyedStreams,
     _clamp,
     _first_normals,
+    _fold,
     _first_tries,
     _seed_states,
 )
@@ -705,6 +706,37 @@ def test_row_sums_add_as_one_dimensional_sums(k):
         assert np.array_equal(x.sum(axis=1), want), (
             f"numpy {np.__version__} sums rows of {k} differently from 1-D arrays ({n_rows} rows)"
         )
+
+
+def top_to_bottom(x):
+    total = x[0].copy()
+    for row in x[1:]:
+        total = total + row
+    return total
+
+
+@pytest.mark.parametrize("n_cols", [2, 3, 11, 101, 501])
+def test_column_reduce_adds_each_column_top_to_bottom(n_cols):
+    # `_fold` sums an audit's columns with one reduce down axis 0; that is
+    # bit-identical to adding each column's terms in order only if numpy
+    # adds the rows one after another when there are two or more columns.
+    rng = np.random.default_rng(n_cols)
+    for n_rows in (2, 3, 9, 16, 81, 401, 1000):
+        x = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.uniform(-12.0, 12.0, (n_rows, n_cols))
+        assert np.array_equal(np.add.reduce(x, axis=0), top_to_bottom(x)), (
+            f"numpy {np.__version__} reduces {n_rows} x {n_cols} columns out of order"
+        )
+
+
+def test_one_column_reduce_adds_pairwise_so_fold_accumulates_it():
+    # Added in order, 0.5 absorbs each 2**-54, half its ulp; numpy's pairwise
+    # sum of one column adds some of them together first. `_fold` must add
+    # in order.
+    x = np.array([0.5] + [2.0**-54] * 15)[:, None]
+    assert top_to_bottom(x)[0] == 0.5
+    assert np.add.reduce(x, axis=0)[0] > 0.5, f"numpy {np.__version__} no longer sums one column pairwise"
+    assert _fold(x).tolist() == [0.5]
+    assert _fold(np.hstack([x, x])).tolist() == [0.5, 0.5]
 
 
 def memo_case():

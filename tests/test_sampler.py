@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,16 @@ from hypothesis import strategies as st
 
 from auditloop import SamplerParams, checks, coverage_lower_bound, sample_audit_batch
 from auditloop.errors import InvalidParams
-from auditloop.sampler import ACTIVE_FRACTION, EPSILON, least_probed_quartile, stratified_fill
+from auditloop.oracle import _PCG_MULT_HI, _PCG_MULT_LO
+from auditloop.sampler import (
+    ACTIVE_FRACTION,
+    EPSILON,
+    RAW_EXPLORE_MIN,
+    _explore,
+    _explore_raw,
+    least_probed_quartile,
+    stratified_fill,
+)
 
 
 def test_param_validation():
@@ -155,3 +165,94 @@ def test_sampler_matches_plain_python_reference(n, seed, data):
         gates, probes, params, ref_rng
     )
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def assert_matches_reference(gates, probes, m, rng, ref_rng):
+    gates, probes = np.asarray(gates, dtype=bool), np.asarray(probes)
+    params = SamplerParams(batch_size=m)
+    got = sample_audit_batch(gates, probes, params, rng)
+    assert got == reference_sample_audit_batch(gates.tolist(), probes.tolist(), params, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return got
+
+
+def test_raw_exploration_with_a_32_bit_value_buffered_at_entry():
+    # integers() leaves the high half of its output buffered; the raw path's
+    # first bounded draw must take that half.
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for g in (rng, ref_rng):
+            g.integers(7)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert_matches_reference(np.arange(200) % 3 == 0, np.arange(200) % 4, RAW_EXPLORE_MIN + seed, rng, ref_rng)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_raw_exploration_on_tiny_spaces(n):
+    # N <= 4 has a one-unit pool, where integers(1) draws nothing; at N = 1
+    # the loop stops once the one unit is explored.
+    for seed in range(30):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert_matches_reference([True] * n, [0] * n, RAW_EXPLORE_MIN + seed, rng, ref_rng)
+
+
+def _state_before_output(r: int, inc: int) -> int:
+    """A PCG64 state whose next output is `r`: the state after the step is r
+    itself, since a state with high half 0 outputs its low half."""
+    mult = _PCG_MULT_HI << 64 | _PCG_MULT_LO
+    return (r - inc) * pow(mult, -1, 1 << 128) & (1 << 128) - 1
+
+
+@pytest.mark.parametrize("buffered, draws_again", [(0, True), (0xAAAAAAAB, False)])
+def test_raw_exploration_at_lemires_threshold(buffered, draws_again):
+    # With a pool of 3, integers(3) takes the buffered value x and keeps
+    # it unless the low word of 3x is below (2**32 - 3) % 3 = 1. x = 0 gives
+    # the low word 0, so it draws again; x = 0xAAAAAAAB gives 1, kept at the
+    # threshold. The next output, 5, makes the first slot explore.
+    inc = 2 * 0x9E3779B97F4A7C15F39CC0605CEDC835 + 1 & (1 << 128) - 1
+    state = {"bit_generator": "PCG64", "state": {"state": _state_before_output(5, inc), "inc": inc},
+             "has_uint32": 1, "uinteger": buffered}
+    gates, probes = [False] * 12, [0, 0, 0] + [1] * 9
+    rngs = []
+    for _ in range(3):
+        bit_generator = np.random.PCG64()
+        bit_generator.state = state
+        rngs.append(np.random.Generator(bit_generator))
+    probe = rngs[2]
+    assert probe.random() < EPSILON
+    probe.integers(3)
+    assert probe.bit_generator.state["has_uint32"] == draws_again
+    _, exploration = assert_matches_reference(gates, probes, RAW_EXPLORE_MIN, *rngs[:2])
+    assert exploration
+
+
+@pytest.mark.parametrize("m", [32, 100])
+def test_raw_exploration_at_wide_740_sizes(m):
+    assert m >= RAW_EXPLORE_MIN
+    data = np.random.default_rng(m)
+    for seed in range(10):
+        gates, probes = data.random(740) < 0.3, data.integers(0, 4, 740)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert_matches_reference(gates, probes, m, rng, ref_rng)
+
+
+def test_raw_exploration_costs_o_n_at_a_huge_batch_size():
+    # Once the pool is empty, the scalar loop draws one uniform per slot
+    # left; the raw path skips them in one advance. Its end state is the
+    # scalar loop's at a batch size that empties the pool, advanced by the
+    # slots beyond it, with the same buffered value.
+    pool = least_probed_quartile(np.arange(74) % 5).tolist()
+    slots, m0 = 10**9, 400
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _explore(pool.copy(), m0, 74, ref_rng)
+        assert sorted(want) == sorted(pool)
+        expected = ref_rng.bit_generator.state
+        ref_rng.bit_generator.advance(slots - m0)
+        expected["state"] = ref_rng.bit_generator.state["state"]
+        start = time.perf_counter()
+        assert _explore_raw(pool.copy(), slots, 74, rng) == want
+        assert time.perf_counter() - start < 1.0
+        assert rng.bit_generator.state == expected
+        batch, exploration = sample_audit_batch(np.zeros(74, bool), np.arange(74) % 5, SamplerParams(slots), rng)
+        assert len(batch) == 74 and sorted(exploration) == sorted(pool)
