@@ -25,16 +25,24 @@ as that 1-D sum (a test pins this for the installed numpy), so there is one
 reduction per distinct count, not per group; only rows with an active
 member go through the concave step, and the others take the term 0.0.
 `true_value` and `evaluate_toggles` share that one noise-free computation,
-which returns the audit's 1 + M totals as one array: `evaluate_toggles`
-adds each call index's noise and clamps them in array operations, each
-element as `min(1.0, max(0.0, v))` gives it, and returns Python floats;
-at M = 100 that tail is about 15% cheaper than a Python loop over the
-totals, and at M = 10 about the same.
+which returns the audit's 1 + M totals as one array. It lays the base score
+and the group terms out as one column per configuration, each toggle's
+column holding its group's toggled term, and `_fold` adds every column top
+to bottom, as a Python loop would, with one reduce down the columns. Against
+a per-row accumulate of the same sums that takes 4.4 against 28.5 µs at
+M = 100, G = 80, and 48 against 673 µs at M = 500, G = 400 (timeit, best
+of 7, 2-core VM, numpy 2.4.6). numpy adds one lone column pairwise, so a
+pass without toggles, such as a value query on a fresh state, accumulates
+it instead; a test pins both orders for the installed numpy.
+`evaluate_toggles` adds each call index's noise and clamps them in array
+operations, each element as `min(1.0, max(0.0, v))` gives it, and returns
+Python floats; at M = 100 that tail is about 15% cheaper than a Python loop
+over the totals, and at M = 10 about the same.
 The oracle caches the latest full pass's state, gates, unit utilities and
 group terms. A `true_value` on that same state object rescores only the
 groups that hold a unit whose gate differs from the cached gates, each as
 that 1-D sum through the same concave step, folds the base score and the
-terms with the same accumulate, and caches its own result; so the cycle's
+terms with `_fold`, and caches its own result; so the cycle's
 value query after a commit rescores only the groups the commit touched. A
 query on any other state takes the full pass. A state is the units' float
 step array, read-only as `fresh_state` and `train_step` return it, so a

@@ -4,9 +4,9 @@ bound rests on, plus strata of `ACTIVE_FRACTION` active and the rest inactive.
 Each exploration slot draws one `random()` and, when it explores, one
 `integers(len(pool))`. From `RAW_EXPLORE_MIN` slots up, `_explore_raw` makes
 the same draws from the generator's raw PCG64 outputs, read in chunks, and
-leaves the generator in the same state; its work and memory are bounded by
-N, not M, since one `advance` skips the uniforms of the slots left once the
-pool is empty. Below that, the scalar loop `_explore` runs: the raw path's
+leaves the generator in the same state; its chunks hold at most N outputs
+and its expected work grows with N, not M, since one `advance` skips the
+uniforms of the slots left once the pool is empty. Below that, the scalar loop `_explore` runs: the raw path's
 fixed cost, one read of the generator's `state` and, about half the time,
 one write, outweighs its scalar calls. Exploration time per call inside
 default-space runs (shots 1, 5 and 10, six alternating runs each, median,

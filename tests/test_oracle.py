@@ -709,10 +709,7 @@ def test_row_sums_add_as_one_dimensional_sums(k):
 
 
 def top_to_bottom(x):
-    total = x[0].copy()
-    for row in x[1:]:
-        total = total + row
-    return total
+    return np.array([left_to_right(col) for col in x.T])
 
 
 @pytest.mark.parametrize("n_cols", [2, 3, 11, 101, 501])
