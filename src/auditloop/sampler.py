@@ -2,17 +2,11 @@
 bound rests on, plus strata of `ACTIVE_FRACTION` active and the rest inactive.
 
 Each exploration slot draws one `random()` and, when it explores, one
-`integers(len(pool))`. From `RAW_EXPLORE_MIN` slots up, `_explore_raw` makes
-the same draws from the generator's raw PCG64 outputs, read in chunks, and
-leaves the generator in the same state; its chunks hold at most N outputs
-and its expected work grows with N, not M, since one `advance` skips the
-uniforms of the slots left once the pool is empty. Below that, the scalar loop `_explore` runs: the raw path's
-fixed cost, one read of the generator's `state` and, about half the time,
-one write, outweighs its scalar calls. Exploration time per call inside
-default-space runs (shots 1, 5 and 10, six alternating runs each, median,
-2-core VM, Python 3.11.7, numpy 2.4.6), scalar against raw: 12.7 against
-16.1 µs at M = 10, 18.7 against 18.1 at 14, 18.6 against 18.4 at 16, 23.2
-against 20.6 at 20, and 61.0 against 29.7 at 60.
+`integers(len(pool))`. `_explore` makes the same draws from the generator's
+raw PCG64 outputs, read in chunks, and leaves the generator in the same
+state; its chunks hold at most N outputs and its expected work grows with N,
+not M, since one `advance` skips the uniforms of the slots left once the
+pool is empty.
 """
 
 from __future__ import annotations
@@ -26,8 +20,6 @@ from .errors import InvalidParams, check_count
 
 ACTIVE_FRACTION = 0.3
 EPSILON = 0.3
-# Batch sizes from this one up explore over raw PCG64 outputs (`_explore_raw`).
-RAW_EXPLORE_MIN = 16
 # A uniform (r >> 11) * 2**-53 is below EPSILON exactly when the output r is
 # below this.
 _EXPLORE_BELOW = math.ceil(EPSILON * 2**53) << 11
@@ -100,8 +92,7 @@ def sample_audit_batch(
     target = min(params.batch_size, n)
     # The quartile minus the ids explored so far, in quartile order.
     pool = least_probed_quartile(probe_counts).tolist()
-    explore = _explore_raw if params.batch_size >= RAW_EXPLORE_MIN else _explore
-    chosen = explore(pool, params.batch_size, target, rng)
+    chosen = _explore(pool, params.batch_size, target, rng)
     exploration = list(chosen)
 
     k = target - len(chosen)
@@ -117,22 +108,11 @@ def sample_audit_batch(
 
 def _explore(pool: list[int], slots: int, target: int, rng: np.random.Generator) -> list[int]:
     """The exploration picks: each slot, until `target` ids are chosen,
-    draws a uniform and, below EPSILON, pops a uniform position of the
-    pool while it lasts."""
-    chosen: list[int] = []
-    random, integers = rng.random, rng.integers
-    for _ in range(slots):
-        if len(chosen) >= target:
-            break
-        if random() < EPSILON and pool:
-            chosen.append(pool.pop(int(integers(len(pool)))))
-    return chosen
-
-
-def _explore_raw(pool: list[int], slots: int, target: int, rng: np.random.Generator) -> list[int]:
-    """`_explore`'s picks from the raw outputs of its PCG64 generator,
-    leaving the generator's state, `has_uint32` and `uinteger` as `_explore`
-    leaves them.
+    draws a uniform and, below EPSILON, pops a uniform position of the pool
+    while it lasts. The draws are those of `rng.random()` and
+    `rng.integers(len(pool))`, made from the raw outputs of its PCG64
+    generator, which is left with the state, `has_uint32` and `uinteger`
+    that those calls leave.
 
     A uniform is `(r >> 11) * 2**-53`. `integers(n)` for n >= 2 takes a
     32-bit value, the buffered one if the generator holds one, else the low

@@ -12,9 +12,7 @@ from auditloop.oracle import _PCG_MULT_HI, _PCG_MULT_LO
 from auditloop.sampler import (
     ACTIVE_FRACTION,
     EPSILON,
-    RAW_EXPLORE_MIN,
     _explore,
-    _explore_raw,
     least_probed_quartile,
     stratified_fill,
 )
@@ -121,18 +119,26 @@ def test_coverage_bound_quick():
     assert probes.sum() == 400 * 6
 
 
+def reference_explore(pool, slots, target, rng):
+    """`_explore` through the generator's own calls: each slot, until
+    `target` ids are chosen, draws `random()` and, below EPSILON, pops
+    position `integers(len(pool))` of the pool while it lasts."""
+    chosen = []
+    for _ in range(slots):
+        if len(chosen) >= target:
+            break
+        if rng.random() < EPSILON and pool:
+            chosen.append(pool.pop(int(rng.integers(len(pool)))))
+    return chosen
+
+
 def reference_sample_audit_batch(gates, probe_counts, params, rng):
     """`sample_audit_batch` in plain Python: the quartile sorted on (probe
     count, id), then list pools for the stratified draws."""
     n = len(gates)
     target = min(params.batch_size, n)
     pool = sorted(range(n), key=lambda i: (probe_counts[i], i))[: max(1, -(-n // 4))]
-    chosen = []
-    for _ in range(params.batch_size):
-        if len(chosen) >= target:
-            break
-        if rng.random() < EPSILON and pool:
-            chosen.append(pool.pop(int(rng.integers(len(pool)))))
+    chosen = reference_explore(pool, params.batch_size, target, rng)
     exploration = list(chosen)
     k = target - len(chosen)
     if k > 0:
@@ -184,7 +190,7 @@ def test_raw_exploration_with_a_32_bit_value_buffered_at_entry():
         for g in (rng, ref_rng):
             g.integers(7)
         assert rng.bit_generator.state["has_uint32"] == 1
-        assert_matches_reference(np.arange(200) % 3 == 0, np.arange(200) % 4, RAW_EXPLORE_MIN + seed, rng, ref_rng)
+        assert_matches_reference(np.arange(200) % 3 == 0, np.arange(200) % 4, 1 + seed, rng, ref_rng)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -193,7 +199,7 @@ def test_raw_exploration_on_tiny_spaces(n):
     # the loop stops once the one unit is explored.
     for seed in range(30):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert_matches_reference([True] * n, [0] * n, RAW_EXPLORE_MIN + seed, rng, ref_rng)
+        assert_matches_reference([True] * n, [0] * n, 1 + seed, rng, ref_rng)
 
 
 def _state_before_output(r: int, inc: int) -> int:
@@ -213,22 +219,22 @@ def test_raw_exploration_at_lemires_threshold(buffered, draws_again):
     state = {"bit_generator": "PCG64", "state": {"state": _state_before_output(5, inc), "inc": inc},
              "has_uint32": 1, "uinteger": buffered}
     gates, probes = [False] * 12, [0, 0, 0] + [1] * 9
-    rngs = []
-    for _ in range(3):
-        bit_generator = np.random.PCG64()
-        bit_generator.state = state
-        rngs.append(np.random.Generator(bit_generator))
-    probe = rngs[2]
-    assert probe.random() < EPSILON
-    probe.integers(3)
-    assert probe.bit_generator.state["has_uint32"] == draws_again
-    _, exploration = assert_matches_reference(gates, probes, RAW_EXPLORE_MIN, *rngs[:2])
-    assert exploration
+    for m in (1, 16):
+        rngs = []
+        for _ in range(3):
+            bit_generator = np.random.PCG64()
+            bit_generator.state = state
+            rngs.append(np.random.Generator(bit_generator))
+        probe = rngs[2]
+        assert probe.random() < EPSILON
+        probe.integers(3)
+        assert probe.bit_generator.state["has_uint32"] == draws_again
+        _, exploration = assert_matches_reference(gates, probes, m, *rngs[:2])
+        assert exploration
 
 
 @pytest.mark.parametrize("m", [32, 100])
 def test_raw_exploration_at_wide_740_sizes(m):
-    assert m >= RAW_EXPLORE_MIN
     data = np.random.default_rng(m)
     for seed in range(10):
         gates, probes = data.random(740) < 0.3, data.integers(0, 4, 740)
@@ -237,21 +243,21 @@ def test_raw_exploration_at_wide_740_sizes(m):
 
 
 def test_raw_exploration_costs_o_n_at_a_huge_batch_size():
-    # Once the pool is empty, the scalar loop draws one uniform per slot
-    # left; the raw path skips them in one advance. Its end state is the
-    # scalar loop's at a batch size that empties the pool, advanced by the
+    # Once the pool is empty, the reference loop draws one uniform per slot
+    # left; `_explore` skips them in one advance. Its end state is the
+    # reference's at a batch size that empties the pool, advanced by the
     # slots beyond it, with the same buffered value.
     pool = least_probed_quartile(np.arange(74) % 5).tolist()
     slots, m0 = 10**9, 400
     for seed in range(5):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = _explore(pool.copy(), m0, 74, ref_rng)
+        want = reference_explore(pool.copy(), m0, 74, ref_rng)
         assert sorted(want) == sorted(pool)
         expected = ref_rng.bit_generator.state
         ref_rng.bit_generator.advance(slots - m0)
         expected["state"] = ref_rng.bit_generator.state["state"]
         start = time.perf_counter()
-        assert _explore_raw(pool.copy(), slots, 74, rng) == want
+        assert _explore(pool.copy(), slots, 74, rng) == want
         assert time.perf_counter() - start < 1.0
         assert rng.bit_generator.state == expected
         batch, exploration = sample_audit_batch(np.zeros(74, bool), np.arange(74) % 5, SamplerParams(slots), rng)

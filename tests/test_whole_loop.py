@@ -1,9 +1,9 @@
 """One property test over whole runs of small configs at their edges.
 
 Tier-1 runs a fixed set of examples (`derandomize=True`). A long randomized
-run draws fresh ones:
+run draws fresh ones, and no stored example is replayed first:
 
-    AUDITLOOP_FUZZ=2000 python -m pytest tests/test_whole_loop.py
+    AUDITLOOP_FUZZ=3000 python -m pytest tests/test_whole_loop.py
 """
 
 import json
@@ -50,7 +50,8 @@ def configs(draw):
     return RunConfig(
         space=space,
         oracle_spec=default_oracle_spec(space, shots, seed),
-        sampler=SamplerParams(batch_size=draw(st.integers(1, n))),
+        # Past n the batch is capped at n and the exploration pool runs dry.
+        sampler=SamplerParams(batch_size=draw(st.integers(1, n + 3))),
         smoothing=SmoothingParams(lambda_s=draw(st.sampled_from([0.0, 0.5]))),
         allocator=AllocatorParams(p_max=p_max, mu_eff=draw(st.sampled_from([0.0, 0.02]))),
         fsm=FsmParams(tau_act=draw(st.integers(1, 4))),
@@ -65,6 +66,7 @@ def configs(draw):
 @settings(
     deadline=None,
     derandomize=not FUZZ,
+    database=None,
     max_examples=FUZZ or 100,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -119,6 +121,7 @@ def test_whole_runs_keep_budget_score_replay_and_log_invariants(config):
 @settings(
     deadline=None,
     derandomize=not FUZZ,
+    database=None,
     max_examples=FUZZ or 40,
     suppress_health_check=[HealthCheck.too_slow],
 )
