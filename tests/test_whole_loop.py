@@ -50,7 +50,8 @@ def configs(draw):
     return RunConfig(
         space=space,
         oracle_spec=default_oracle_spec(space, shots, seed),
-        # Past n the batch is capped at n and the exploration pool runs dry.
+        # Past n the batch is capped at n, and the exploration pool can empty
+        # before the slots run out.
         sampler=SamplerParams(batch_size=draw(st.integers(1, n + 3))),
         smoothing=SmoothingParams(lambda_s=draw(st.sampled_from([0.0, 0.5]))),
         allocator=AllocatorParams(p_max=p_max, mu_eff=draw(st.sampled_from([0.0, 0.02]))),
