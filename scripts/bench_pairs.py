@@ -14,7 +14,10 @@ before the first run, each checkout's combined digest line, both output
 lines of every run, and per workload and end-to-end metric each side's
 quartiles and the pairs in which the change reads better. The file is
 rewritten after each pair, so it always agrees with the runs it holds; an
-existing file is never overwritten.
+existing file is never overwritten. A pair in which a side's result line
+reads `correct: false` or `failed > 0` is written, and then the script
+exits 1 with one line naming the workload, the pair and the side: the
+other runs would time a program that is wrong.
 """
 
 from __future__ import annotations
@@ -153,6 +156,11 @@ def main(argv: list[str] | None = None) -> int:
             doc["runs"].append(run)
             doc["summary_trace0"] = summarize(doc["runs"], benchmark["end_to_end"])
             out.write_text(layout(doc))
+            wrong = [side for side in sides if not run[side][1]["correct"] or run[side][1]["failed"] > 0]
+            if wrong:
+                print(f"error: {workload} pair {pair}: the {' and '.join(wrong)} run failed its checks; "
+                      f"{out.name} holds it", file=sys.stderr)
+                return 1
             print(f"{workload} pair {pair}: done", flush=True)
     return 0
 

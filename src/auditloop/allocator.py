@@ -169,7 +169,8 @@ def apply_hysteresis(current, proposed, scores, budget: Budget, mu_eff: float) -
     needs budget freed by dropping active units is a replacement: it is kept
     only when the newcomer's score beats the sum of the displaced scores by
     more than mu_eff, otherwise the incumbents are retained and the newcomer
-    discarded.
+    discarded. A proposal without activations (the current gates, or fewer)
+    returns right after the harmful drops, before any eviction order is built.
     """
     scores = _validate(scores, budget)
     current = np.asarray(current, dtype=bool)
@@ -185,6 +186,8 @@ def apply_hysteresis(current, proposed, scores, budget: Budget, mu_eff: float) -
     # evicted lowest score first, ties to the lower id.
     harmful = scores[drops] <= 0.0
     gates[drops[harmful]] = False
+    if not adds.size:
+        return gates
     held = drops[~harmful]
     evictable = held[np.lexsort((held, scores[held]))].tolist()
     freed_by = dict(zip(held.tolist(), budget.counts[held].tolist()))

@@ -56,7 +56,9 @@ class FsmStabilizer:
         Consistent votes accumulate; inconsistent or agreeing proposals reset
         the counter. Ready deactivations commit, then ready activations commit
         in descending density of `scores` over costs while they fit `budget`;
-        an activation that does not fit resets its counter.
+        an activation that does not fit resets its counter. A proposal equal
+        to `current` resets every counter and returns a copy of `current`,
+        the state the full update reaches for it.
         """
         current = np.asarray(current, dtype=bool)
         proposed = np.asarray(proposed, dtype=bool)
@@ -66,6 +68,10 @@ class FsmStabilizer:
 
         counts, pending = self.act_counts, self.act_pending
         differs = proposed != current
+        if not differs.any():
+            counts[:] = 0
+            pending[:] = -1
+            return current.copy()
         # A vote that repeats the pending one adds to its count, a vote in a
         # new direction starts at one, and no vote resets the count.
         counts[(pending != proposed) | ~differs] = 0

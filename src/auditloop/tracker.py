@@ -72,15 +72,24 @@ def robust_scores(h: np.ndarray, lambda_s: float, lengths) -> np.ndarray:
     linearly interpolated quartiles; a one-value history scores itself.
 
     Row i holds `lengths[i]` (1 to `h.shape[1]`) values and NaN in its other
-    slots. Rows have at most `WINDOW` slots. Median and quartiles do not
-    depend on the order within a row."""
-    s = np.sort(h, axis=1)
-    n = np.asarray(lengths)
+    slots. Rows have at most `WINDOW` slots, and a length outside 1 to a
+    row's slots raises `InvalidParams`. Median and quartiles do not depend on
+    the order within a row."""
+    h, n = np.asarray(h), np.asarray(lengths)
     # Each row's picks are read from the flat sorted array, offset by the
-    # row's start, where a length above a narrow row's width would read the
-    # next row.
-    if s.shape[1] < WINDOW and n.max(initial=0) > s.shape[1]:
-        raise InvalidParams(f"a history length exceeds the {s.shape[1]} slots of a row")
+    # row's start: a length above a narrow row's width would read the next
+    # row, 0 would score a row of no values and -1 would wrap to the pick
+    # tables' last length.
+    most = min(h.shape[1], WINDOW)
+    if n.size and not (1 <= n.min() and n.max() <= most):
+        raise InvalidParams(f"a history length lies outside 1 to {most}, the slots of a row")
+    return _robust_scores(h, lambda_s, n)
+
+
+def _robust_scores(h: np.ndarray, lambda_s: float, n: np.ndarray) -> np.ndarray:
+    """`robust_scores` without its length check, for callers whose lengths
+    lie in 1 to `h.shape[1]` by construction."""
+    s = np.sort(h, axis=1)
     v = s.take(_PICKS.take(n, 0) + np.arange(0, s.size, s.shape[1])[:, None])
     med = np.where(_EVEN.take(n), (v[:, 0] + v[:, 1]) / 2, v[:, 0])
     q = v[:, 4::3] + (v[:, 3::3] - v[:, 2::3]) * _WEIGHTS.take(n, 0)
@@ -131,7 +140,7 @@ class UtilityTable:
         count += 1
         self.probe_count[units] = count
 
-        score = robust_scores(self.hist[units], params.lambda_s, np.minimum(count, WINDOW))
+        score = _robust_scores(self.hist[units], params.lambda_s, np.minimum(count, WINDOW))
         self.score[units] = score
         return [
             {"cycle": cycle, "unit_id": i, "u_raw": x, "ema": e, "score": r, "probe_count": c}

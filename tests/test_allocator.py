@@ -273,14 +273,22 @@ def test_fill_stop_keeps_the_gates_and_rejections_of_the_one_pass_walk():
 def test_hysteresis_matches_the_plain_integer_loop(instance, data):
     # `apply_hysteresis` equals `plain_hysteresis`, its loop on Python-int
     # counts, with trials that fit exactly or miss by one count common, and
-    # keeps a set within the budget unless the current set is over it.
+    # keeps a set within the budget unless the current set is over it. One
+    # proposal in four is the current gates or only drops of them, which take
+    # the early return for a proposal without activations.
     scores, budget = instance
     current, prop = draw_masks(data, scores.size, 2)
+    kind = data.draw(st.sampled_from(["free"] * 6 + ["same", "drops"]))
+    if kind == "same":
+        prop = current.copy()
+    elif kind == "drops":
+        prop &= current
     mu_eff = data.draw(st.sampled_from([0.0, 0.1, 0.5]))
     out = apply_hysteresis(current, prop, scores, budget, mu_eff)
     counts, costs = budget.counts.tolist(), budget.costs.tolist()
     assert out.tolist() == plain_hysteresis(current, prop, scores, counts, costs, budget.capacity, mu_eff)
     assert budget.fits(out) or not budget.fits(current)
+    assert out is not current
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Smoke tests: the example scripts run end to end and exit 0."""
 
+import importlib.util
 import json
 import os
 import re
@@ -135,3 +136,42 @@ def test_bench_pairs_writes_a_summary_that_recomputes_and_never_overwrites(tmp_p
     done = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert done.returncode == 2 and "never overwritten" in done.stderr
     assert json.loads((tmp_path / "BENCH_t.json").read_text()) == doc
+
+
+@pytest.mark.parametrize("wrong", [{"correct": False}, {"failed": 1}], ids=["incorrect", "failed"])
+def test_bench_pairs_writes_a_wrong_run_and_stops(tmp_path, monkeypatch, capsys, wrong):
+    # The script with `run_bench` stubbed, so no benchmark runs: the change
+    # side of the second workload's pair 1 (which runs the change first)
+    # reads wrong. That pair is written, and no later run starts.
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in benchmark["workloads"]]
+    calls = []
+
+    def run_bench(checkout, workload, seed, seconds):
+        calls.append((workload, seed, checkout.name))
+        metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in benchmark["end_to_end"]}
+        result = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+        if (workload, seed, checkout.name) == (names[1], 2, "change"):
+            result.update(wrong)
+        return [{"workload": workload, "seed": seed, "seconds": seconds}, result]
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(bench_pairs, "combined_digest", lambda checkout: "ab  combined")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--pairs", "3", "--label", "t", "--claim", "x"]
+    assert bench_pairs.main(argv) == 1
+
+    err = capsys.readouterr().err
+    assert err == f"error: {names[1]} pair 1: the change run failed its checks; BENCH_t.json holds it\n"
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert [(r["workload"], r["pair"]) for r in doc["runs"]] == [(names[0], i) for i in range(3)] + [
+        (names[1], 0), (names[1], 1)]
+    assert doc["runs"][-1]["change"][1] == dict(doc["runs"][-2]["change"][1], **wrong)
+    assert calls[-2:] == [(names[1], 2, "change"), (names[1], 2, "parent")]
+    assert len(calls) == 2 * len(doc["runs"])

@@ -122,12 +122,19 @@ def padded_histories(draw):
     return np.array(rows), lengths
 
 
-@pytest.mark.parametrize("lengths", [[4, 1], [1, 4]])
+@pytest.mark.parametrize("lengths", [[4, 1], [1, 4], [0, 1], [1, -1], [WINDOW + 1, 1]])
 def test_robust_scores_reject_a_length_above_the_row_width(lengths):
-    # A row of 3 slots cannot hold 4 values; the picks must not run into the next row.
-    h = np.array([[0.1, 0.2, 0.3], [0.4, math.nan, math.nan]])
-    with pytest.raises(InvalidParams):
-        robust_scores(h, 0.5, lengths)
+    # A row of 3 slots cannot hold 4 values; the picks must not run into the
+    # next row. At every width a row holds at least one value (0 would score
+    # a row of none, -1 would wrap to the longest length), and at full width
+    # at most WINDOW.
+    full = np.full((2, WINDOW), math.nan)
+    full[0], full[1, 0] = np.arange(1, WINDOW + 1) / 10, 0.6
+    widths = [w for w in (3, WINDOW) if not all(1 <= n <= w for n in lengths)]
+    assert 3 in widths
+    for h in (full[:, :w] for w in widths):
+        with pytest.raises(InvalidParams, match="outside 1 to"):
+            robust_scores(h, 0.5, lengths)
 
 
 @settings(max_examples=300, deadline=None)
