@@ -110,8 +110,9 @@ def cmd_verify_bounds(args) -> int:
 
 def cmd_report(args) -> int:
     config = RunConfig.from_json(args.config)
-    diag = compute_diagnostics(args.events, config.space.n_units)
-    write_diagnostics_csv(diag, _out_dir(args.out) / "diagnostics.csv")
+    out_dir = _out_dir(args.out)
+    diag = compute_diagnostics(args.events, config.space.n_units, p_max=config.allocator.p_max)
+    write_diagnostics_csv(diag, out_dir / "diagnostics.csv")
     if args.quiet:
         return EXIT_OK
     if diag["final_value"] is None:

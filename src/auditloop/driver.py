@@ -225,31 +225,33 @@ class LoopDriver:
         if budget_used > p_max:
             raise BudgetViolation(f"cycle {cycle}: committed cost {budget_used} exceeds {p_max}")
 
+        # Every dict of the log is built in sorted key order, so the
+        # encoder's `sort_keys` pass in `write_events` finds it sorted.
         record = {
-            "kind": "cycle",
-            "cycle": cycle,
-            "search": {"steps": cfg.steps_per_cycle, "active": active_before},
-            "audit": {
-                "batch": batch,
-                "exploration_slots": exploration,
-                "full_value": full_value,
-                "audits": audit_events,
-            },
             "allocate": {
-                "proposed_on": (proposed & ~prev).nonzero()[0].tolist(),
-                "proposed_off": (prev & ~proposed).nonzero()[0].tolist(),
-                "accepted_on": (committed & ~prev).nonzero()[0].tolist(),
                 "accepted_off": (prev & ~committed).nonzero()[0].tolist(),
+                "accepted_on": (committed & ~prev).nonzero()[0].tolist(),
+                "proposed_off": (prev & ~proposed).nonzero()[0].tolist(),
+                "proposed_on": (proposed & ~prev).nonzero()[0].tolist(),
                 "total_cost": budget_used,
                 "total_score": float(scores[committed].sum()),
             },
+            "audit": {
+                "audits": audit_events,
+                "batch": batch,
+                "exploration_slots": exploration,
+                "full_value": full_value,
+            },
+            "cycle": cycle,
+            "eval_count": self.eval_count,
             "fsm": {
-                "votes": self.fsm.vote_summary(),
                 "commits": (committed != prev).nonzero()[0].tolist(),
                 "t_c": self.fsm.change_cycles,
+                "votes": self.fsm.vote_summary(),
             },
+            "kind": "cycle",
+            "search": {"active": active_before, "steps": cfg.steps_per_cycle},
             "value": self.oracle.true_value(self.training, committed),
-            "eval_count": self.eval_count,
         }
         self.records.append(record)
         return record
@@ -290,16 +292,19 @@ class LoopDriver:
             eval_count=self.eval_count,
         )
         summary = report.to_json()
-        keys = ("final_gates", "final_on_ids", "final_value", "final_score", "budget_used", "t_c", "eval_count")
-        self.records.append({"kind": "final"} | {key: summary[key] for key in keys})
+        keys = ("budget_used", "eval_count", "final_gates", "final_on_ids", "final_score", "final_value")
+        self.records.append({key: summary[key] for key in keys} | {"kind": "final", "t_c": summary["t_c"]})
         return report
 
     def write_events(self, path: str | Path) -> Path:
+        """One line of `json.dumps(record, sort_keys=True)` per record, encoded
+        by one encoder and written in one call that streams the lines, so no
+        copy of the whole log is held."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
+        encode = json.JSONEncoder(sort_keys=True).encode
         with path.open("w") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.writelines(f"{encode(rec)}\n" for rec in self.records)
         return path
 
 
@@ -355,7 +360,7 @@ def sweep(seeds: Sequence[int]) -> dict:
 DIAGNOSTIC_COLUMNS = ("cycle", "value", "regret", "t_c", "coverage_min")
 
 
-def compute_diagnostics(records: list[dict] | str | Path, n_units: int) -> dict:
+def compute_diagnostics(records: list[dict] | str | Path, n_units: int, p_max: float | None = None) -> dict:
     """Coverage, chatter count and regret curve from the log of a run over
     `n_units` units, in cycle order whatever the order of its lines, plus the
     last cycle's index and evaluation total and the final record's
@@ -365,6 +370,9 @@ def compute_diagnostics(records: list[dict] | str | Path, n_units: int) -> dict:
     Regret is measured against the best noise-free value seen during the run.
     A log that audits a unit outside `0..n_units-1`, or whose final record
     does not hold one gate per unit, is not a log of this run: MalformedLog.
+    Given `p_max`, a log with a cycle `total_cost` above it is not a log of a
+    run under that budget, since a run raises before it logs such a cycle:
+    BudgetViolation names the first such cycle.
     """
     if not isinstance(records, list):
         # A log that cannot be read raises its OSError; one that is not UTF-8
@@ -396,6 +404,7 @@ def compute_diagnostics(records: list[dict] | str | Path, n_units: int) -> dict:
             values.append(float(r["value"]))
             t_c_curve.append(int(r["fsm"]["t_c"]))
             coverage_min.append(int(coverage.min()))
+        costs = [float(r["allocate"]["total_cost"]) for r in cycles] if p_max is not None else []
         eval_count = int(cycles[-1]["eval_count"])
         last_cycle = cycles[-1]["cycle"]
         final_value = budget_used = on_ids = None
@@ -410,6 +419,9 @@ def compute_diagnostics(records: list[dict] | str | Path, n_units: int) -> dict:
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise MalformedLog(f"event log record missing field: {exc}") from exc
 
+    for r, cost in zip(cycles, costs):
+        if cost > p_max:
+            raise BudgetViolation(f"cycle {r['cycle']} logs total_cost {cost!r}, above the config's p_max {p_max}")
     best = max(values)
     regret = [best - v for v in values]
     return {
@@ -474,12 +486,13 @@ def default_oracle_spec(space: AuditSpace, shots: int = 1, seed: int = 0) -> Ora
             site_quality[key] = rng.uniform(0.4, 1.0)
 
     max_size = {Family.LORA: 16, Family.ADAPTFORMER: 32, Family.AFFINE_LN: 1}
-    mu_inf = np.empty(n)
+    quality = np.array([site_quality[(u.layer, u.slot)] for u in space.units])
+    size_factor = np.array([(max(1, u.size) / max_size[u.family]) ** 0.3 for u in space.units])
+    # One draw per unit in id order (the space's list order), as one array
+    # draw; numpy draws it element by element as it draws scalars.
+    mu_inf = 0.05 * quality * size_factor * np.abs(rng.normal(1.0, 0.25, size=n))
     group_map: dict[tuple, list[int]] = {}
     for u in space.units:
-        size = max(1, u.size)
-        size_factor = (size / max_size[u.family]) ** 0.3
-        mu_inf[u.id] = 0.05 * site_quality[(u.layer, u.slot)] * size_factor * abs(rng.normal(1.0, 0.25))
         group_map.setdefault((u.layer, u.slot, u.family), []).append(u.id)
     kappa = rng.uniform(300.0, 900.0, size=n)
     groups = tuple(tuple(sorted(g)) for _, g in sorted(group_map.items(), key=lambda kv: kv[1][0]))

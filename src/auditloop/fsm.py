@@ -98,6 +98,6 @@ class FsmStabilizer:
         """Non-zero activity votes as log records: {unit, counter, pending}."""
         units = self.act_counts.nonzero()[0]
         return [
-            {"unit": i, "counter": n, "pending": bool(p)}
+            {"counter": n, "pending": bool(p), "unit": i}
             for i, n, p in zip(units.tolist(), self.act_counts[units].tolist(), self.act_pending[units].tolist())
         ]

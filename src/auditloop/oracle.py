@@ -654,14 +654,72 @@ def replay_trace(path: str | Path) -> ReplayOracle:
     a 0/1 string, a JSON number (NaN and infinities included) and a JSON
     integer of at least -1, and no other key. A trace that cannot be read
     raises its OSError; one that is not UTF-8, or holds any other line,
-    raises MalformedTrace naming the line."""
+    raises MalformedTrace naming the line.
+
+    The trace is read in one parse (`_records_at_once`), which drops the
+    text as it goes; only a trace that this parse does not accept is read
+    again, line by line, which names the first bad line or, for a trace with
+    an integer score, accepts it."""
     path = Path(path)
-    records: list[tuple[str, int, float]] = []
+    records = _records_at_once(_read_trace(path))
+    if records is None:
+        records = _records_by_line(path, _read_trace(path))
+    return ReplayOracle(records, len(records[0][0]))
+
+
+def _read_trace(path: Path) -> str:
     try:
-        lines = path.read_text().splitlines()
+        return path.read_text()
     except UnicodeDecodeError as exc:
         raise MalformedTrace(f"cannot decode trace {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
+
+
+def _records_at_once(text: str) -> list[tuple[str, int, float]] | None:
+    """The records of a trace's non-blank lines from one `json.loads` of the
+    lines joined into one JSON array, or None unless every line holds one
+    `{` and one `}` and the array holds one record per line that plain type
+    tests accept: an object of exactly the trace keys, a `float` score, an
+    `int` noise_seed of at least -1 and a 0/1 `str` of the first record's
+    width. A record's own braces are then the only ones on its line, so no
+    record spans two lines or shares one, and `_records_by_line` reads the
+    same records."""
+    lines = list(filter(str.strip, text.splitlines()))
+    del text  # the caller holds no other reference, so the text is freed here
+    if not lines or any(line.count("{") != 1 or line.count("}") != 1 for line in lines):
+        return None
+    count, joined = len(lines), f"[{','.join(lines)}]"
+    del lines
+    try:
+        docs = json.loads(joined)
+    except (ValueError, RecursionError):
+        return None
+    del joined
+    if len(docs) != count:
+        return None
+    records = []
+    docs.reverse()
+    while docs:
+        # Popped, each dict is freed once read: the dicts and the records
+        # are never all held at once.
+        rec = docs.pop()
+        # Three keys, each found with its type, are exactly the trace keys.
+        if type(rec) is not dict or len(rec) != 3:
+            return None
+        bits, noise_seed, score = rec.get("gates"), rec.get("noise_seed"), rec.get("score")
+        if (type(bits) is not str or records and len(bits) != len(records[0][0]) or type(score) is not float
+                or type(noise_seed) is not int or noise_seed < -1):
+            return None
+        records.append((bits, noise_seed, score))
+    # One scan of every gate string at once, in place of a `strip("01")` each.
+    gates = "".join([bits for bits, _, _ in records])
+    return records if gates.count("0") + gates.count("1") == len(gates) else None
+
+
+def _records_by_line(path: Path, text: str) -> list[tuple[str, int, float]]:
+    """The records of a trace's non-blank lines, each parsed and checked on
+    its own; MalformedTrace names the first line that is not a record."""
+    records: list[tuple[str, int, float]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -677,4 +735,4 @@ def replay_trace(path: str | Path) -> ReplayOracle:
         records.append((bits, noise_seed, score))
     if not records:
         raise MalformedTrace(f"{path}: trace contains no records")
-    return ReplayOracle(records, len(records[0][0]))
+    return records

@@ -143,7 +143,7 @@ class UtilityTable:
         score = _robust_scores(self.hist[units], params.lambda_s, np.minimum(count, WINDOW))
         self.score[units] = score
         return [
-            {"cycle": cycle, "unit_id": i, "u_raw": x, "ema": e, "score": r, "probe_count": c}
+            {"cycle": cycle, "ema": e, "probe_count": c, "score": r, "u_raw": x, "unit_id": i}
             for i, x, e, r, c in zip(units.tolist(), u.tolist(), ema.tolist(), score.tolist(), count.tolist())
         ]
 

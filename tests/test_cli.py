@@ -708,6 +708,21 @@ def test_report_of_a_log_of_another_space_exits_1_naming_the_cycle(default_run, 
     assert capsys.readouterr().err == "error: cycle 0 audits unit 90, not one of the 74 units\n"
 
 
+def test_report_of_a_log_over_the_configs_budget_exits_1_naming_the_cycle(default_run, tmp_path, capsys):
+    # A run never logs a cycle above its own p_max, so a log with a cycle
+    # above the config's was written under another budget: the default
+    # shots=1 log first goes above 0.001 at cycle 2 (its largest cost,
+    # 0.00192, it logs from cycle 21 on). No diagnostics are written.
+    config, out = default_run
+    doc = json.loads(config.read_text()) | {"cycles": 5, "allocator": {"p_max": 0.001}}
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc))
+    events = str(out / "events.jsonl")
+    assert main(["report", "--config", str(other), "--events", events, "--out", str(tmp_path), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: cycle 2 logs total_cost 0.001024, above the config's p_max 0.001\n"
+    assert not (tmp_path / "diagnostics.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

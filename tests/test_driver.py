@@ -25,7 +25,7 @@ from auditloop import (
 )
 from auditloop.driver import DIAGNOSTIC_COLUMNS, default_oracle_spec
 from auditloop.errors import BudgetViolation, InvalidParams, MalformedLog
-from auditloop.space import AuditSpace, BackboneDesc, Family, Slot, Template
+from auditloop.space import AuditSpace, BackboneDesc, Family, Slot, Template, default_space, default_templates
 from auditloop.tracker import WINDOW
 from test_tracker import ReferenceTracker
 
@@ -360,6 +360,26 @@ def test_record_and_replay_identical_event_log(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_write_events_is_one_sort_keys_dumps_line_per_record(tmp_path):
+    # The default shots=10 run logs non-empty votes and ends with a final record.
+    _, driver = run_full(default_run_config(shots=10))
+    assert driver.records[-1]["kind"] == "final"
+    assert any(r["fsm"]["votes"] for r in driver.records[:-1])
+    expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in driver.records)
+    assert driver.write_events(tmp_path / "events.jsonl").read_text() == expected
+
+    # Every dict is built in sorted key order, so the encoder's sort finds it sorted.
+    def dicts(doc):
+        if isinstance(doc, dict):
+            yield doc
+            doc = list(doc.values())
+        if isinstance(doc, list):
+            for item in doc:
+                yield from dicts(item)
+
+    assert all(list(d) == sorted(d) for d in dicts(driver.records))
+
+
 # -- config plumbing -----------------------------------------------------------
 
 
@@ -386,6 +406,32 @@ def test_config_json_roundtrip():
     r1, _ = run_full(cfg)
     r2, _ = run_full(loaded)
     assert r1.final_value == r2.final_value
+
+
+def per_unit_mu_inf_and_kappa(space, shots, seed):
+    """`default_oracle_spec`'s `mu_inf` and `kappa` with one scalar
+    `rng.normal` draw per unit, in a loop over the units."""
+    rng = np.random.default_rng([seed, 0x5EED])
+    site_keys = sorted({(u.layer, u.slot) for u in space.units}, key=lambda k: (k[0], k[1].value))
+    quality = {k: rng.uniform(-0.3, 0.15) if rng.random() < 0.6 else rng.uniform(0.4, 1.0) for k in site_keys}
+    max_size = {Family.LORA: 16, Family.ADAPTFORMER: 32, Family.AFFINE_LN: 1}
+    mu_inf = np.empty(space.n_units)
+    for u in space.units:
+        size_factor = (max(1, u.size) / max_size[u.family]) ** 0.3
+        mu_inf[u.id] = 0.05 * quality[(u.layer, u.slot)] * size_factor * abs(rng.normal(1.0, 0.25))
+    return mu_inf, rng.uniform(300.0, 900.0, size=space.n_units)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("wide", [False, True], ids=["default-space", "wide-740-space"])
+def test_default_oracle_spec_draws_as_a_per_unit_loop(seed, wide):
+    space = default_space() if not wide else AuditSpace.build(
+        BackboneDesc(num_layers=20, hidden_dims=(48, 96) * 10, backbone_param_count=15_000_000), default_templates())
+    assert space.n_units == (740 if wide else 74)
+    spec = default_oracle_spec(space, shots=10, seed=seed)
+    mu_inf, kappa = per_unit_mu_inf_and_kappa(space, 10, seed)
+    assert np.array(spec.mu_inf).tobytes() == mu_inf.tobytes()
+    assert np.array(spec.kappa).tobytes() == kappa.tobytes()
 
 
 def test_default_config_shots_mapping():

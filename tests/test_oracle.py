@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,8 @@ from auditloop.oracle import (
     KeyedStreams,
     _clamp,
     _first_normals,
+    _records_at_once,
+    _records_by_line,
     _fold,
     _first_tries,
     _seed_states,
@@ -513,6 +516,61 @@ def test_trace_line_other_than_one_record_is_malformed_naming_the_line_and_key(t
     with pytest.raises(MalformedTrace) as info:
         replay_trace(path)
     assert str(info.value) == f"{path}:2: {message}"
+
+
+# Every score `check_number` allows, keys in another order, extra spaces and
+# blank lines.
+TRICKY_TRACE = (
+    '{"gates": "010", "noise_seed": 0, "score": NaN}\n'
+    "\n"
+    '{"gates": "010", "noise_seed": 1, "score": Infinity}\n'
+    '{"gates": "011", "noise_seed": 2, "score": -Infinity}\n'
+    "   \n"
+    '{"gates": "110", "noise_seed": 3, "score": -0.0}\n'
+    '{"gates": "000", "noise_seed": -1, "score": 5e-324}\n'
+    '{"gates": "111", "noise_seed": 4, "score": 1e16}\n'
+    '{"score": 0.25, "noise_seed": 5, "gates": "101"}\n'
+    '  {  "gates" :"001",   "noise_seed":6 ,"score":  0.5 }  \n'
+)
+
+
+def exact(records):
+    """Records with each score as its type and repr, so NaN and -0.0 compare."""
+    return [(bits, seed, type(score), repr(score)) for bits, seed, score in records]
+
+
+def test_one_parse_reads_the_records_that_the_per_line_pass_reads(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(TRICKY_TRACE)
+    records = _records_at_once(TRICKY_TRACE)
+    assert exact(records) == exact(_records_by_line(path, TRICKY_TRACE))
+    assert exact(replay_trace(path)._records) == exact(records)
+    assert [r[2] for r in records][1:] == [math.inf, -math.inf, 0.0, 5e-324, 1e16, 0.25, 0.5]
+
+    # An integer score fails the one parse's type test; the per-line pass reads it as a float.
+    text = TRICKY_TRACE + '{"gates": "100", "noise_seed": 7, "score": 1}\n'
+    path.write_text(text)
+    assert _records_at_once(text) is None
+    assert exact(replay_trace(path)._records) == exact(records + [("100", 7, 1.0)])
+
+
+RECORD = '{"gates": "010", "noise_seed": 1, "score": 0.7}'
+
+
+@pytest.mark.parametrize(
+    "lines, lineno",
+    [([f"{RECORD}, {RECORD}"], 2), (["[", RECORD], 2), ([f"{RECORD},", RECORD], 2),
+     # Joined into one array these lines hold three records, one over two lines.
+     (['{"gates": "010", "noise_seed": 1', '"score": 0.7}', f"{RECORD}, {RECORD}"], 2)],
+    ids=["two-records-on-a-line", "lone-bracket", "trailing-comma", "record-split-over-two-lines"],
+)
+def test_trace_the_one_parse_does_not_accept_is_malformed_naming_its_line(tmp_path, lines, lineno):
+    text = "".join(f"{line}\n" for line in [RECORD, *lines])
+    path = tmp_path / "trace.jsonl"
+    path.write_text(text)
+    assert _records_at_once(text) is None
+    with pytest.raises(MalformedTrace, match=f"^{re.escape(str(path))}:{lineno}: "):
+        replay_trace(path)
 
 
 def test_record_then_replay_reproduces_scores(tmp_path):
