@@ -376,11 +376,18 @@ def compute_diagnostics(records: list[dict] | str | Path, n_units: int, p_max: f
     """
     if not isinstance(records, list):
         # A log that cannot be read raises its OSError; one that is not UTF-8
-        # JSON lines is malformed.
+        # JSON lines is malformed, and names its first bad line.
+        path, records = Path(records), []
         try:
-            records = [json.loads(line) for line in Path(records).read_text().splitlines() if line.strip()]
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            lines = path.read_text().splitlines()
+        except UnicodeDecodeError as exc:
             raise MalformedLog(f"cannot parse event log: {exc}") from exc
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                if line.strip():
+                    records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise MalformedLog(f"{path}:{lineno}: cannot parse event log: {exc}") from exc
 
     if not all(isinstance(r, dict) for r in records):
         raise MalformedLog("event log holds a line that is not a JSON object")

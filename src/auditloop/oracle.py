@@ -14,8 +14,13 @@ toggle of it under call indices `first_call_index, first_call_index + 1,
 ...`; only the driver assigns call indices. It matches, bit for bit, the
 per-call reference in the tests: `true_value` plus the noise draw of each
 call index. An external evaluator may parallelise the toggles behind it;
-the engine audits on one thread. The recorder forwards `oracle_optimum`
-(ground truth, for the regret curve) unrecorded; a replay has none.
+the engine audits on one thread. The recorder writes one trace record per
+query: an audit's first call index, gates, toggled units and its 1 + M
+scores, or a value query's call -1, gates and one score. A replay serves
+the records back in order and checks each query's call, gates and units;
+training is not recorded, so it cannot tell a run that differs only in
+step counts. The recorder forwards `oracle_optimum` (ground truth, for the
+regret curve) unrecorded; a replay has none.
 
 A group's term sums its active members in spec order as a 1-D numpy `.sum()`
 does (pairwise, not left to right). `_terms` finds the terms of every group
@@ -66,7 +71,6 @@ about 1 µs, and a block's draw about 105 µs once per 1,024 call indices.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,8 +93,8 @@ from .errors import (
 
 _NOISE_TAG = 0x0E11
 _NO_UNITS = np.empty(0, dtype=np.intp)
-# The keys of every trace record.
-_TRACE_KEYS = ("gates", "noise_seed", "score")
+# The keys of every trace record, in sorted order.
+_TRACE_KEYS = ("call", "gates", "scores", "units")
 
 
 # Keys per seed-state block: a `KeyedStreams` hashes the seeds of keys
@@ -530,27 +534,9 @@ def gates_to_bits(gates) -> str:
     return (np.asarray(gates, dtype=bool).view(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
-def _flip(bits: str, unit: int) -> str:
-    """`bits` with the character at `unit` toggled."""
-    return f"{bits[:unit]}{'1' if bits[unit] == '0' else '0'}{bits[unit + 1:]}"
-
-
-def _trace_line(bits: str, noise_seed: int, score) -> str:
-    """`json.dumps({"gates": bits, "score": score, "noise_seed": noise_seed},
-    sort_keys=True)` plus a newline. A finite float is written as its repr,
-    as `json` writes it; any other score goes through `json.dumps`."""
-    text = float.__repr__(score) if type(score) is float and math.isfinite(score) else json.dumps(score)
-    return f'{{"gates": "{bits}", "noise_seed": {noise_seed}, "score": {text}}}\n'
-
-
 class TraceRecordingOracle:
-    """Wraps an oracle and appends every query to a JSONL trace: one line of
-    `json.dumps({"gates", "score", "noise_seed"}, sort_keys=True)` each.
-
-    Noisy evaluations record their call index under `noise_seed`; noise-free
-    value queries record noise_seed = -1. A replay serves the records back in
-    file order and checks each query against both fields.
-    """
+    """Wraps an oracle and appends one JSONL line per query to a trace, as
+    `replay_trace` reads it: `json.dumps(record, sort_keys=True)`."""
 
     def __init__(self, inner, path: str | Path):
         self.inner = inner
@@ -561,20 +547,18 @@ class TraceRecordingOracle:
     def fresh_state(self) -> np.ndarray:
         return self.inner.fresh_state()
 
+    def _write(self, call: int, gates, scores: list, units: list[int]) -> None:
+        rec = {"call": call, "gates": gates_to_bits(gates), "scores": scores, "units": units}
+        self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
     def evaluate_toggles(self, state, gates, units, first_call_index: int) -> tuple[float, list[float]]:
-        """Records the full configuration, then each toggle, at consecutive
-        call indices, in one write."""
         full, toggled = self.inner.evaluate_toggles(state, gates, units, first_call_index)
-        bits, first = gates_to_bits(gates), int(first_call_index)
-        lines = [_trace_line(bits, first, full)]
-        for call_index, (unit, score) in enumerate(zip(units, toggled), start=first + 1):
-            lines.append(_trace_line(_flip(bits, unit), call_index, score))
-        self._fh.write("".join(lines))
+        self._write(int(first_call_index), gates, [full, *toggled], list(map(int, units)))
         return full, toggled
 
     def true_value(self, state, gates) -> float:
         score = self.inner.true_value(state, gates)
-        self._fh.write(_trace_line(gates_to_bits(gates), -1, score))
+        self._write(-1, gates, [score], [])
         return score
 
     def train_step(self, state, gates, k: int):
@@ -595,17 +579,13 @@ class TraceRecordingOracle:
 
 
 class ReplayOracle:
-    """Serves a recorded trace back as one ordered stream.
-
-    Each query takes the next record, which must match it on the gates and on
-    `noise_seed`: the call index for an evaluation, -1 for a noise-free value
-    query. A mismatch, or a query past the last record, raises
+    """Serves a recorded trace back as one ordered stream. Each query takes
+    the next record, which must match it on the call, the gates and the
+    units; a mismatch, or a query past the last record, raises
     UnknownConfiguration naming the record, as `check_used_up` does for
-    records that a finished run left unread. Training is not recorded, so a
-    replay cannot tell a run that differs only in step counts.
-    """
+    records that a finished run left unread."""
 
-    def __init__(self, records: list[tuple[str, int, float]], n_units: int):
+    def __init__(self, records: list[tuple[int, str, list[float], list[int]]], n_units: int):
         self._records = records
         self._n_units = n_units
         self._next = 0
@@ -613,32 +593,32 @@ class ReplayOracle:
     def fresh_state(self) -> np.ndarray:
         return _read_only(np.zeros(self._n_units))
 
-    def _serve(self, bits: str, noise_seed: int) -> float:
-        """The next record's score, if the record is this query."""
+    def _serve(self, call: int, gates, units: list[int]) -> list[float]:
+        """The next record's scores, if the record is this query."""
+        bits = gates_to_bits(gates)
         if len(bits) != self._n_units:
             raise LengthMismatch("gate vector length must match the trace unit count")
         number = self._next + 1
         if number > len(self._records):
             raise UnknownConfiguration(f"replay query {number} runs past the {len(self._records)} trace records")
-        rec_bits, rec_seed, score = self._records[self._next]
-        if rec_seed != noise_seed:
+        rec_call, rec_bits, scores, rec_units = self._records[self._next]
+        if rec_call != call:
             raise UnknownConfiguration(
-                f"replay diverges at trace record {number}: recorded noise_seed {rec_seed}, queried {noise_seed}"
+                f"replay diverges at trace record {number}: recorded call {rec_call}, queried {call}"
             )
         if rec_bits != bits:
             raise UnknownConfiguration(f"replay diverges at trace record {number}: the queried gates differ")
+        if rec_units != units:
+            raise UnknownConfiguration(f"replay diverges at trace record {number}: the queried units differ")
         self._next = number
-        return score
+        return scores
 
     def evaluate_toggles(self, state, gates, units, first_call_index: int) -> tuple[float, list[float]]:
-        """Serves the full configuration's score, then each toggle's."""
-        bits = gates_to_bits(gates)
-        full = self._serve(bits, first_call_index)
-        calls = enumerate(units, start=first_call_index + 1)
-        return full, [self._serve(_flip(bits, unit), call_index) for call_index, unit in calls]
+        full, *toggled = self._serve(first_call_index, gates, list(map(int, units)))
+        return full, toggled
 
     def true_value(self, state, gates) -> float:
-        return self._serve(gates_to_bits(gates), -1)
+        return self._serve(-1, gates, [])[0]
 
     def train_step(self, state, gates, k: int) -> np.ndarray:
         return state  # training dynamics live behind the recorded scores
@@ -650,89 +630,38 @@ class ReplayOracle:
 
 
 def replay_trace(path: str | Path) -> ReplayOracle:
-    """Build a replay oracle from a JSONL trace of {gates, score, noise_seed}:
-    a 0/1 string, a JSON number (NaN and infinities included) and a JSON
-    integer of at least -1, and no other key. A trace that cannot be read
-    raises its OSError; one that is not UTF-8, or holds any other line,
-    raises MalformedTrace naming the line.
-
-    The trace is read in one parse (`_records_at_once`), which drops the
-    text as it goes; only a trace that this parse does not accept is read
-    again, line by line, which names the first bad line or, for a trace with
-    an integer score, accepts it."""
+    """Build a replay oracle from a JSONL trace, read line by line. Each
+    non-blank line is one record of exactly the keys `call` (an integer of
+    at least -1), `gates` (a 0/1 string as wide as the first record's),
+    `units` (a list of unit ids below that width) and `scores` (a list of
+    one JSON number more than `units`; NaN and infinities replay, and an
+    integer comes back as a float). A trace that cannot be read raises its
+    OSError; one that is not UTF-8, is empty or holds any other line raises
+    MalformedTrace naming the line."""
     path = Path(path)
-    records = _records_at_once(_read_trace(path))
-    if records is None:
-        records = _records_by_line(path, _read_trace(path))
-    return ReplayOracle(records, len(records[0][0]))
-
-
-def _read_trace(path: Path) -> str:
     try:
-        return path.read_text()
+        lines = path.read_text().splitlines()
     except UnicodeDecodeError as exc:
         raise MalformedTrace(f"cannot decode trace {path}: {exc}") from exc
-
-
-def _records_at_once(text: str) -> list[tuple[str, int, float]] | None:
-    """The records of a trace's non-blank lines from one `json.loads` of the
-    lines joined into one JSON array, or None unless every line holds one
-    `{` and one `}` and the array holds one record per line that plain type
-    tests accept: an object of exactly the trace keys, a `float` score, an
-    `int` noise_seed of at least -1 and a 0/1 `str` of the first record's
-    width. A record's own braces are then the only ones on its line, so no
-    record spans two lines or shares one, and `_records_by_line` reads the
-    same records."""
-    lines = list(filter(str.strip, text.splitlines()))
-    del text  # the caller holds no other reference, so the text is freed here
-    if not lines or any(line.count("{") != 1 or line.count("}") != 1 for line in lines):
-        return None
-    count, joined = len(lines), f"[{','.join(lines)}]"
-    del lines
-    try:
-        docs = json.loads(joined)
-    except (ValueError, RecursionError):
-        return None
-    del joined
-    if len(docs) != count:
-        return None
-    records = []
-    docs.reverse()
-    while docs:
-        # Popped, each dict is freed once read: the dicts and the records
-        # are never all held at once.
-        rec = docs.pop()
-        # Three keys, each found with its type, are exactly the trace keys.
-        if type(rec) is not dict or len(rec) != 3:
-            return None
-        bits, noise_seed, score = rec.get("gates"), rec.get("noise_seed"), rec.get("score")
-        if (type(bits) is not str or records and len(bits) != len(records[0][0]) or type(score) is not float
-                or type(noise_seed) is not int or noise_seed < -1):
-            return None
-        records.append((bits, noise_seed, score))
-    # One scan of every gate string at once, in place of a `strip("01")` each.
-    gates = "".join([bits for bits, _, _ in records])
-    return records if gates.count("0") + gates.count("1") == len(gates) else None
-
-
-def _records_by_line(path: Path, text: str) -> list[tuple[str, int, float]]:
-    """The records of a trace's non-blank lines, each parsed and checked on
-    its own; MalformedTrace names the first line that is not a record."""
-    records: list[tuple[str, int, float]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    records: list[tuple[int, str, list[float], list[int]]] = []
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             rec = check_keys("trace record", json.loads(line), _TRACE_KEYS, required=_TRACE_KEYS)
-            bits, score, noise_seed = rec["gates"], check_number("score", rec["score"]), rec["noise_seed"]
-            check_count("noise_seed", noise_seed, -1)
-        except (ValueError, InvalidParams) as exc:
+            call, bits, scores, units = (rec[key] for key in _TRACE_KEYS)
+            check_count("call", call, -1)
+            if not isinstance(bits, str) or bits.strip("01"):
+                raise InvalidParams("gates must be a 0/1 bitstring")
+            if records and len(bits) != len(records[0][1]):
+                raise InvalidParams("inconsistent gate vector length")
+            if type(units) is not list or type(scores) is not list or len(scores) != len(units) + 1:
+                raise InvalidParams("units and scores must be lists, with one score more than units")
+            for unit in units:
+                check_count("unit", unit, 0, len(bits) - 1)
+            records.append((call, bits, [check_number("score", score) for score in scores], units))
+        except (ValueError, RecursionError, InvalidParams) as exc:
             raise MalformedTrace(f"{path}:{lineno}: {exc}") from exc
-        if not isinstance(bits, str) or bits.strip("01"):
-            raise MalformedTrace(f"{path}:{lineno}: gates must be a 0/1 bitstring")
-        if records and len(bits) != len(records[0][0]):
-            raise MalformedTrace(f"{path}:{lineno}: inconsistent gate vector length")
-        records.append((bits, noise_seed, score))
     if not records:
         raise MalformedTrace(f"{path}: trace contains no records")
-    return records
+    return ReplayOracle(records, len(records[0][1]))

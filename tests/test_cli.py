@@ -478,7 +478,7 @@ def test_run_that_raises_leaves_closed_parseable_trace(tmp_path, config_path, mo
     records = [json.loads(line) for line in trace.read_text().splitlines()]
     batch = json.loads(config_path.read_text())["sampler"]["batch_size"]
     # the first cycle's audit, then its noise-free value query
-    assert [r["noise_seed"] for r in records] == list(range(1 + batch)) + [-1]
+    assert [(r["call"], len(r["units"])) for r in records] == [(0, batch), (-1, 0)]
 
 
 def test_run_deterministic_checksums(tmp_path, config_path):
@@ -539,16 +539,16 @@ def test_record_and_replay_commands(tmp_path, config_path):
     assert json.loads((out2 / "report.json").read_text())["regret_curve"] is None
 
 
-def test_replay_of_a_trace_with_a_string_noise_seed_exits_1_naming_the_line(tmp_path, capsys, config_path):
+def test_replay_of_a_trace_with_a_string_call_exits_1_naming_the_line(tmp_path, capsys, config_path):
     trace = tmp_path / "trace.jsonl"
     main(["run", "--config", str(config_path), "--out", str(tmp_path / "o"), "--record-trace", str(trace), "--quiet"])
     lines = trace.read_text().splitlines(keepends=True)
-    lines[1] = lines[1].replace('"noise_seed": 1,', '"noise_seed": "1",')
+    lines[1] = lines[1].replace('"call": -1,', '"call": "-1",')
     trace.write_text("".join(lines))
     capsys.readouterr()
     assert main(["replay", "--config", str(config_path), "--trace", str(trace),
                  "--out", str(tmp_path / "o2"), "--quiet"]) == 1
-    assert capsys.readouterr().err == f"error: {trace}:2: noise_seed must be an integer, not '1'\n"
+    assert capsys.readouterr().err == f"error: {trace}:2: call must be an integer, not '-1'\n"
 
 
 def test_replay_with_wrong_config_exits_1(tmp_path, config_path):
@@ -587,10 +587,9 @@ def test_replay_with_fewer_cycles_exits_1_naming_the_record(tmp_path, capsys, co
     assert main(["replay", "--config", str(other), "--trace", str(trace),
                  "--out", str(tmp_path / "o2"), "--quiet"]) == 1
     err = capsys.readouterr().err
-    # Each cycle records its audit's evaluations, then one value query.
+    # Each cycle records its audit, then one value query.
     evals = 8 * (1 + doc["sampler"]["batch_size"])
-    record = evals + 8 + 1
-    assert err == f"error: replay diverges at trace record {record}: recorded noise_seed {evals}, queried -1\n"
+    assert err == f"error: replay diverges at trace record 17: recorded call {evals}, queried -1\n"
 
 
 @pytest.fixture(scope="module")
@@ -654,6 +653,19 @@ def test_report_of_a_log_with_a_non_object_line_exits_1_with_one_line(tmp_path, 
     assert main(["report", "--config", str(config_path), "--events", str(events), "--out", str(tmp_path / "rep")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_report_of_a_log_with_a_cut_line_exits_1_naming_the_line(tmp_path, capsys, config_path):
+    config_path.write_text(json.dumps(json.loads(config_path.read_text()) | {"cycles": 5}))
+    out = tmp_path / "out"
+    main(["run", "--config", str(config_path), "--out", str(out), "--quiet"])
+    lines = (out / "events.jsonl").read_text().splitlines(keepends=True)
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(lines[:3] + [lines[3][:40] + "\n"] + lines[4:]))
+    capsys.readouterr()
+    assert main(["report", "--config", str(config_path), "--events", str(cut), "--out", str(tmp_path / "rep")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cut}:4: cannot parse event log: ") and err.count("\n") == 1
 
 
 def readme_json_blocks() -> list[dict]:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from auditloop import (
@@ -46,6 +47,14 @@ sys.modules[_spec.name] = workloads  # its dataclasses look the module up here
 _spec.loader.exec_module(workloads)
 
 
+# The numpy version that every pin here, and the combined line that
+# `tests/test_scripts.py` pins, was computed under. The digests follow
+# numpy's `Generator` streams, which numpy does not freeze across releases,
+# so a mismatch names both versions; it still fails.
+PINNED_NUMPY = "2.4.6"
+NUMPY_NOTE = f"digests pinned under numpy {PINNED_NUMPY}; numpy {np.__version__} is installed"
+
+
 def events_digest(driver, tmp_path) -> str:
     return hashlib.sha256(driver.write_events(tmp_path / "events.jsonl").read_bytes()).hexdigest()
 
@@ -53,13 +62,13 @@ def events_digest(driver, tmp_path) -> str:
 @pytest.mark.parametrize("shots", [1, 5, 10])
 def test_default_run_events_match_golden_digest(tmp_path, shots):
     _, driver = run_full(default_run_config(shots=shots, run_seed=0))
-    assert events_digest(driver, tmp_path) == GOLDEN["paper-default"][str(shots)]["0"]
+    assert events_digest(driver, tmp_path) == GOLDEN["paper-default"][str(shots)]["0"], NUMPY_NOTE
 
 
 def test_wide_740_run_events_match_golden_digest(tmp_path):
     driver = LoopDriver(workloads.wide_config(0))
     driver.run_full()
-    assert events_digest(driver, tmp_path) == GOLDEN["wide-740"]["10"]["0"]
+    assert events_digest(driver, tmp_path) == GOLDEN["wide-740"]["10"]["0"], NUMPY_NOTE
 
 
 # sha256 of run_random_baseline(default_run_config(shots, 0), 20).tobytes().
@@ -73,7 +82,7 @@ BASELINE_DIGESTS = {
 @pytest.mark.parametrize("shots", [1, 5, 10])
 def test_random_baseline_values_match_pinned_digest(shots):
     values = run_random_baseline(default_run_config(shots=shots, run_seed=0), 20)
-    assert hashlib.sha256(values.tobytes()).hexdigest() == BASELINE_DIGESTS[shots]
+    assert hashlib.sha256(values.tobytes()).hexdigest() == BASELINE_DIGESTS[shots], NUMPY_NOTE
 
 
 # sha256 of `events.jsonl` of the run below. No default or 740-unit run ends
@@ -94,7 +103,7 @@ def test_small_space_exact_final_resolve_events_match_pinned_digest(tmp_path):
     )
     _, driver = run_full(config)
     assert int((driver.scores > 0.0).sum()) == EXACT_RESOLVE_MAX
-    assert events_digest(driver, tmp_path) == EXACT_RESOLVE_DIGEST
+    assert events_digest(driver, tmp_path) == EXACT_RESOLVE_DIGEST, NUMPY_NOTE
 
 
 # sha256 of the trace that `run --record-trace` writes for the default
@@ -107,10 +116,10 @@ def test_recorded_trace_matches_pinned_digest_and_replays_the_golden_events(tmp_
     trace = tmp_path / "trace.jsonl"
     with TraceRecordingOracle(SyntheticOracle(config.oracle_spec), trace) as oracle:
         LoopDriver(config, oracle=oracle).run_full()
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_DIGEST
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_DIGEST, NUMPY_NOTE
     driver = LoopDriver(config, oracle=replay_trace(trace))
     driver.run_full()
-    assert events_digest(driver, tmp_path) == GOLDEN["record-replay"]["10"]["0"]
+    assert events_digest(driver, tmp_path) == GOLDEN["record-replay"]["10"]["0"], NUMPY_NOTE
 
 
 # sha256 of the `report.json` that `auditloop run` writes for the benchmark's
@@ -122,11 +131,11 @@ def test_cli_run_report_matches_pinned_digest(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(workloads.replay_config_doc(0)))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == REPORT_DIGEST
+    assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == REPORT_DIGEST, NUMPY_NOTE
     # The config that a report echoes reproduces its run.
     echoed = tmp_path / "echoed.json"
     echoed.write_text(json.dumps(json.loads((tmp_path / "out" / "report.json").read_text())["config"]))
     assert main(["run", "--config", str(echoed), "--out", str(tmp_path / "again"), "--quiet"]) == 0
     events = (tmp_path / "again" / "events.jsonl").read_bytes()
-    assert hashlib.sha256(events).hexdigest() == GOLDEN["record-replay"]["10"]["0"]
-    assert hashlib.sha256((tmp_path / "again" / "report.json").read_bytes()).hexdigest() == REPORT_DIGEST
+    assert hashlib.sha256(events).hexdigest() == GOLDEN["record-replay"]["10"]["0"], NUMPY_NOTE
+    assert hashlib.sha256((tmp_path / "again" / "report.json").read_bytes()).hexdigest() == REPORT_DIGEST, NUMPY_NOTE

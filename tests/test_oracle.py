@@ -1,6 +1,5 @@
 import json
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +8,7 @@ from numpy.random import Generator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auditloop import OracleSpec, ReplayOracle, SyntheticOracle, TraceRecordingOracle, replay_trace
+from auditloop import LoopDriver, OracleSpec, ReplayOracle, SyntheticOracle, TraceRecordingOracle, replay_trace
 from auditloop.allocator import Budget, gate_cost
 from auditloop.errors import (
     InvalidParams,
@@ -26,8 +25,6 @@ from auditloop.oracle import (
     KeyedStreams,
     _clamp,
     _first_normals,
-    _records_at_once,
-    _records_by_line,
     _fold,
     _first_tries,
     _seed_states,
@@ -417,43 +414,45 @@ def test_oracle_optimum_cap():
 # -- trace record / replay ----------------------------------------------------
 
 
-def test_trace_lookup_and_exhaustion(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    path.write_text(json.dumps({"gates": "010", "score": 0.8, "noise_seed": 0}) + "\n")
-    oracle = replay_trace(path)
-    state = oracle.fresh_state()
-    assert oracle.evaluate_toggles(state, [False, True, False], [], 0) == (0.8, [])
-    with pytest.raises(UnknownConfiguration, match="past the 1 trace records"):
-        oracle.evaluate_toggles(state, [False, True, False], [], 0)
-    with pytest.raises(UnknownConfiguration, match="record 1: the queried gates differ"):
-        replay_trace(path).evaluate_toggles(state, [True, False, False], [], 0)
-
-
 def write_trace(path, records):
     path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
     return path
 
 
+def record(call, gates, scores, units=()):
+    return {"call": call, "gates": gates, "scores": list(scores), "units": list(units)}
+
+
+def test_trace_lookup_and_exhaustion(tmp_path):
+    path = write_trace(tmp_path / "trace.jsonl", [record(0, "010", [0.8, 0.6], [2])])
+    oracle = replay_trace(path)
+    state = oracle.fresh_state()
+    assert oracle.evaluate_toggles(state, [False, True, False], [2], 0) == (0.8, [0.6])
+    with pytest.raises(UnknownConfiguration, match="past the 1 trace records"):
+        oracle.evaluate_toggles(state, [False, True, False], [2], 0)
+    with pytest.raises(UnknownConfiguration, match="record 1: the queried gates differ"):
+        replay_trace(path).evaluate_toggles(state, [True, False, False], [2], 0)
+    with pytest.raises(UnknownConfiguration, match="record 1: the queried units differ"):
+        replay_trace(path).evaluate_toggles(state, [False, True, False], [1], 0)
+
+
 def test_replay_rejects_a_call_index_other_than_the_recorded_one(tmp_path):
-    path = write_trace(tmp_path / "trace.jsonl", [
-        {"gates": "010", "score": 0.8, "noise_seed": 0},
-        {"gates": "010", "score": 0.7, "noise_seed": 1},
-    ])
+    path = write_trace(tmp_path / "trace.jsonl", [record(0, "010", [0.8]), record(1, "010", [0.7])])
     oracle = replay_trace(path)
     state = oracle.fresh_state()
     assert oracle.evaluate_toggles(state, [False, True, False], [], 0) == (0.8, [])
-    with pytest.raises(UnknownConfiguration, match="record 2: recorded noise_seed 1, queried 5"):
+    with pytest.raises(UnknownConfiguration, match="record 2: recorded call 1, queried 5"):
         oracle.evaluate_toggles(state, [False, True, False], [], 5)
-    with pytest.raises(UnknownConfiguration, match="record 1: recorded noise_seed 0, queried -1"):
+    with pytest.raises(UnknownConfiguration, match="record 1: recorded call 0, queried -1"):
         replay_trace(path).true_value(state, [False, True, False])
 
 
 def test_replay_rejects_queries_out_of_order(tmp_path):
     # Both queries are in the trace, but the second record is asked for first.
     path = write_trace(tmp_path / "trace.jsonl", [
-        {"gates": "010", "score": 0.8, "noise_seed": 0},
-        {"gates": "110", "score": 0.6, "noise_seed": -1},
-        {"gates": "011", "score": 0.7, "noise_seed": 1},
+        record(0, "010", [0.8]),
+        record(-1, "110", [0.6]),
+        record(1, "011", [0.7]),
     ])
     oracle = replay_trace(path)
     state = oracle.fresh_state()
@@ -470,107 +469,119 @@ def test_malformed_traces(tmp_path):
     bad_json.write_text("{not json\n")
     with pytest.raises(MalformedTrace):
         replay_trace(bad_json)
-    bad_gates = tmp_path / "b.jsonl"
-    bad_gates.write_text(json.dumps({"gates": "01x", "score": 0.5, "noise_seed": 0}) + "\n")
+    bad_gates = write_trace(tmp_path / "b.jsonl", [record(0, "01x", [0.5])])
     with pytest.raises(MalformedTrace):
         replay_trace(bad_gates)
     empty = tmp_path / "c.jsonl"
-    empty.write_text("")
-    with pytest.raises(MalformedTrace):
+    empty.write_text("\n  \n")
+    with pytest.raises(MalformedTrace, match="trace contains no records"):
         replay_trace(empty)
-    inconsistent = tmp_path / "d.jsonl"
-    inconsistent.write_text(
-        json.dumps({"gates": "01", "score": 0.5, "noise_seed": 0}) + "\n"
-        + json.dumps({"gates": "011", "score": 0.5, "noise_seed": 1}) + "\n"
-    )
+    inconsistent = write_trace(tmp_path / "d.jsonl", [record(0, "01", [0.5]), record(1, "011", [0.5])])
     with pytest.raises(MalformedTrace):
         replay_trace(inconsistent)
 
 
+# `call` is the call index, which keys the query's noise stream: a seed.
 @pytest.mark.parametrize(
-    "field, value",
-    [("noise_seed", "0"), ("noise_seed", 0.7), ("noise_seed", True), ("noise_seed", -2),
-     ("score", "0.448"), ("score", True), ("score", None), ("score", 10**400)],
+    "field, value, message",
+    [("call", "0", "call must be an integer, not '0'"), ("call", 0.7, "call must be an integer, not 0.7"),
+     ("call", True, "call must be an integer, not True"), ("call", -2, "call must be at least -1"),
+     ("scores", ["0.448", 0.6], "score must be a number, not '0.448'"),
+     ("scores", [True, 0.6], "score must be a number, not True"),
+     ("scores", [0.7, None], "score must be a number, not None"),
+     ("scores", [10**400, 0.6], "score must be a number within a float's range"),
+     ("scores", [0.7], "units and scores must be lists, with one score more than units"),
+     ("scores", 0.7, "units and scores must be lists, with one score more than units"),
+     ("units", 2, "units and scores must be lists, with one score more than units"),
+     ("units", [3], "unit must be at most 2"), ("units", [-1], "unit must be at least 0"),
+     ("units", [False], "unit must be an integer, not False"),
+     ("gates", "0110", "inconsistent gate vector length"), ("gates", "01-", "gates must be a 0/1 bitstring"),
+     ("gates", 10, "gates must be a 0/1 bitstring")],
     ids=["string-seed", "fractional-seed", "bool-seed", "seed-below-minus-1",
-         "string-score", "bool-score", "null-score", "huge-integer-score"],
+         "string-score", "bool-score", "null-score", "huge-integer-score", "one-score-short", "number-for-scores",
+         "number-for-units", "unit-past-the-gates", "negative-unit", "bool-unit",
+         "wider-gates", "gates-not-0-or-1", "number-for-gates"],
 )
-def test_trace_field_of_the_wrong_type_is_malformed_naming_the_line(tmp_path, field, value):
+def test_trace_field_of_the_wrong_type_is_malformed_naming_the_line(tmp_path, field, value, message):
     path = write_trace(tmp_path / "trace.jsonl", [
-        {"gates": "010", "score": 0.8, "noise_seed": 0},
-        {"gates": "010", "score": 0.7, "noise_seed": 1} | {field: value},
+        record(0, "010", [0.8]),
+        record(1, "010", [0.7, 0.6], [2]) | {field: value},
     ])
-    with pytest.raises(MalformedTrace, match=f"trace.jsonl:2: {field} must be"):
-        replay_trace(path)
-
-
-@pytest.mark.parametrize(
-    "line, message",
-    [('{"gates": "010", "noise_seed": 1, "score": 0.7, "extra": true}', "unknown trace record key 'extra'"),
-     ('{"gates": "010", "noise_seed": 1}', "trace record key 'score' is missing"),
-     ("7", "trace record must be a JSON object, not int")],
-    ids=["extra-key", "missing-score", "non-object"],
-)
-def test_trace_line_other_than_one_record_is_malformed_naming_the_line_and_key(tmp_path, line, message):
-    path = write_trace(tmp_path / "trace.jsonl", [{"gates": "010", "score": 0.8, "noise_seed": 0}])
-    path.write_text(path.read_text() + line + "\n")
     with pytest.raises(MalformedTrace) as info:
         replay_trace(path)
     assert str(info.value) == f"{path}:2: {message}"
 
 
-# Every score `check_number` allows, keys in another order, extra spaces and
-# blank lines.
-TRICKY_TRACE = (
-    '{"gates": "010", "noise_seed": 0, "score": NaN}\n'
-    "\n"
-    '{"gates": "010", "noise_seed": 1, "score": Infinity}\n'
-    '{"gates": "011", "noise_seed": 2, "score": -Infinity}\n'
-    "   \n"
-    '{"gates": "110", "noise_seed": 3, "score": -0.0}\n'
-    '{"gates": "000", "noise_seed": -1, "score": 5e-324}\n'
-    '{"gates": "111", "noise_seed": 4, "score": 1e16}\n'
-    '{"score": 0.25, "noise_seed": 5, "gates": "101"}\n'
-    '  {  "gates" :"001",   "noise_seed":6 ,"score":  0.5 }  \n'
-)
-
-
-def exact(records):
-    """Records with each score as its type and repr, so NaN and -0.0 compare."""
-    return [(bits, seed, type(score), repr(score)) for bits, seed, score in records]
-
-
-def test_one_parse_reads_the_records_that_the_per_line_pass_reads(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    path.write_text(TRICKY_TRACE)
-    records = _records_at_once(TRICKY_TRACE)
-    assert exact(records) == exact(_records_by_line(path, TRICKY_TRACE))
-    assert exact(replay_trace(path)._records) == exact(records)
-    assert [r[2] for r in records][1:] == [math.inf, -math.inf, 0.0, 5e-324, 1e16, 0.25, 0.5]
-
-    # An integer score fails the one parse's type test; the per-line pass reads it as a float.
-    text = TRICKY_TRACE + '{"gates": "100", "noise_seed": 7, "score": 1}\n'
-    path.write_text(text)
-    assert _records_at_once(text) is None
-    assert exact(replay_trace(path)._records) == exact(records + [("100", 7, 1.0)])
-
-
-RECORD = '{"gates": "010", "noise_seed": 1, "score": 0.7}'
+RECORD = '{"call": 1, "gates": "010", "scores": [0.7], "units": []}'
 
 
 @pytest.mark.parametrize(
-    "lines, lineno",
-    [([f"{RECORD}, {RECORD}"], 2), (["[", RECORD], 2), ([f"{RECORD},", RECORD], 2),
-     # Joined into one array these lines hold three records, one over two lines.
-     (['{"gates": "010", "noise_seed": 1', '"score": 0.7}', f"{RECORD}, {RECORD}"], 2)],
-    ids=["two-records-on-a-line", "lone-bracket", "trailing-comma", "record-split-over-two-lines"],
+    "lines, message",
+    [(['{"call": 1, "extra": true, "gates": "010", "scores": [0.7], "units": []}'],
+      "unknown trace record key 'extra'"),
+     (['{"call": 1, "gates": "010", "units": []}'], "trace record key 'scores' is missing"),
+     (["7"], "trace record must be a JSON object, not int"),
+     # Lines that hold other than one JSON document.
+     ([f"{RECORD}, {RECORD}"], "Extra data: line 1 column 58 (char 57)"),
+     (["[", RECORD], "Expecting value: line 1 column 2 (char 1)"),
+     ([f"{RECORD},", RECORD], "Extra data: line 1 column 58 (char 57)"),
+     (['{"call": 1, "gates": "010",', '"scores": [0.7], "units": []}'],
+      "Expecting property name enclosed in double quotes: line 1 column 28 (char 27)")],
+    ids=["extra-key", "missing-score", "non-object",
+         "two-records-on-a-line", "lone-bracket", "trailing-comma", "record-split-over-two-lines"],
 )
-def test_trace_the_one_parse_does_not_accept_is_malformed_naming_its_line(tmp_path, lines, lineno):
-    text = "".join(f"{line}\n" for line in [RECORD, *lines])
+def test_trace_line_other_than_one_record_is_malformed_naming_the_line_and_key(tmp_path, lines, message):
     path = tmp_path / "trace.jsonl"
-    path.write_text(text)
-    assert _records_at_once(text) is None
-    with pytest.raises(MalformedTrace, match=f"^{re.escape(str(path))}:{lineno}: "):
+    path.write_text("".join(f"{line}\n" for line in [json.dumps(record(0, "010", [0.8])), *lines]))
+    with pytest.raises(MalformedTrace) as info:
         replay_trace(path)
+    assert str(info.value) == f"{path}:2: {message}"
+
+
+# Every score `check_number` allows, an integer score, keys in another
+# order, extra spaces and blank lines.
+TRICKY_TRACE = (
+    '{"call": 0, "gates": "010", "scores": [NaN, Infinity], "units": [2]}\n'
+    "\n"
+    '{"call": 2, "gates": "011", "scores": [-Infinity], "units": []}\n'
+    "   \n"
+    '{"call": 3, "gates": "110", "scores": [-0.0, 1], "units": [0]}\n'
+    '{"call": -1, "gates": "000", "scores": [5e-324], "units": []}\n'
+    '{"call": 5, "gates": "111", "scores": [1e16], "units": []}\n'
+    '{"units": [1, 0], "scores": [0.25, 0.5, 0.75], "gates": "101", "call": 6}\n'
+    '  {  "call":9 ,"gates" :"001",   "scores":[ 0.5 ] , "units" : [ ] }  \n'
+)
+
+
+def test_trace_reads_every_number_and_any_key_order_and_spacing(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(TRICKY_TRACE)
+    records = replay_trace(path)._records
+    assert [(call, bits, units) for call, bits, _, units in records] == [
+        (0, "010", [2]), (2, "011", []), (3, "110", [0]), (-1, "000", []), (5, "111", []), (6, "101", [1, 0]),
+        (9, "001", []),
+    ]
+    # Each score as its type and repr, so NaN and -0.0 compare.
+    assert [(type(s), repr(s)) for _, _, scores, _ in records for s in scores] == [
+        (float, r) for r in ("nan", "inf", "-inf", "-0.0", "1.0", "5e-324", "1e+16", "0.25", "0.5", "0.75", "0.5")
+    ]
+
+
+def test_default_recording_holds_one_record_per_oracle_call(tmp_path):
+    config = default_run_config(shots=10, run_seed=0)
+    path = tmp_path / "trace.jsonl"
+    with TraceRecordingOracle(SyntheticOracle(config.oracle_spec), path) as rec:
+        LoopDriver(config, oracle=rec).run_full()
+    lines = path.read_text().splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    assert lines == [json.dumps(r, sort_keys=True) + "\n" for r in records]
+    # Each cycle's audit and value query, then the final value query.
+    batch, cycles = config.sampler.batch_size, config.cycles
+    assert len(records) == 2 * cycles + 1 == 241
+    audits, values = records[0 : 2 * cycles : 2], records[1::2] + records[-1:]
+    assert [r["call"] for r in audits] == [cycle * (1 + batch) for cycle in range(cycles)]
+    assert all(len(r["scores"]) == 1 + len(r["units"]) == 1 + batch for r in audits)
+    assert all(r["call"] == -1 and len(r["scores"]) == 1 and r["units"] == [] for r in values)
 
 
 def test_record_then_replay_reproduces_scores(tmp_path):
@@ -856,10 +867,8 @@ def test_trace_identical_through_toggles_and_per_call(tmp_path):
     expected = []
     for first in (0, 4):
         full, toggled = per_call_toggles(spec, state, gates, units, first)
-        expected.append({"gates": "101", "score": full, "noise_seed": first})
-        for pos, (bits, score) in enumerate(zip(("100", "001", "111"), toggled)):
-            expected.append({"gates": bits, "score": score, "noise_seed": first + 1 + pos})
-        expected.append({"gates": "101", "score": oracle.true_value(state, gates), "noise_seed": -1})
+        expected.append(record(first, "101", [full, *toggled], units))
+        expected.append(record(-1, "101", [oracle.true_value(state, gates)]))
     assert path.read_bytes() == write_trace(tmp_path / "expected.jsonl", expected).read_bytes()
 
     replayed = replay_trace(path)
@@ -868,7 +877,7 @@ def test_trace_identical_through_toggles_and_per_call(tmp_path):
             spec, state, gates, units, first
         )
         assert replayed.true_value(state, gates) == oracle.true_value(state, gates)
-    with pytest.raises(UnknownConfiguration, match="past the 10 trace records"):
+    with pytest.raises(UnknownConfiguration, match="past the 4 trace records"):
         replayed.true_value(state, gates)
 
 
@@ -898,13 +907,8 @@ def test_trace_lines_are_json_dumps_for_every_score_type(tmp_path, score, call_i
     with TraceRecordingOracle(ConstantOracle(score), path) as rec:
         rec.evaluate_toggles(None, gates, units, call_index)
         rec.true_value(None, gates)
-    queries = [("1001", call_index), ("1000", call_index + 1), ("0001", call_index + 2),
-               ("1011", call_index + 3), ("1001", -1)]
-    expected = "".join(
-        json.dumps({"gates": bits, "score": score, "noise_seed": seed}, sort_keys=True) + "\n"
-        for bits, seed in queries
-    )
-    assert path.read_text() == expected
+    expected = [record(call_index, "1001", [score] * 4, units), record(-1, "1001", [score])]
+    assert path.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in expected)
 
     replayed = replay_trace(path)
     full, toggled = replayed.evaluate_toggles(None, gates, units, call_index)
@@ -927,7 +931,7 @@ def test_audit_clamp_is_the_python_clamp_bit_for_bit():
 
 @pytest.mark.parametrize("sigma_val", [0.0, 0.05])
 def test_scores_are_python_floats(sigma_val):
-    # The trace writer takes its `repr` path only when `type(score) is float`.
+    # The types that a replay serves from its trace.
     oracle = SyntheticOracle(simple_spec(sigma_val=sigma_val))
     state = oracle.train_step(oracle.fresh_state(), np.ones(3, bool), 300)
     full, toggled = oracle.evaluate_toggles(state, [True, False, True], [0, 1, 2], 4)
