@@ -108,7 +108,7 @@ def test_small_space_exact_final_resolve_events_match_pinned_digest(tmp_path):
 
 # sha256 of the trace that `run --record-trace` writes for the default
 # shots=10 config at run seed 0: one JSON object per query, keys sorted.
-TRACE_DIGEST = "af24292007e41bf0c5e529ddcd547b5a8f7586de4c762d9a0422756683e412ab"
+TRACE_DIGEST = "c12fd98305984af5973b90edc8cd76142e5f66214c026db32664dda1c9ed2c5a"
 
 
 def test_recorded_trace_matches_pinned_digest_and_replays_the_golden_events(tmp_path):
