@@ -383,9 +383,10 @@ def compute_diagnostics(records: list[dict] | str | Path, n_units: int, p_max: f
         except UnicodeDecodeError as exc:
             raise MalformedLog(f"cannot parse event log: {exc}") from exc
         for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
             try:
-                if line.strip():
-                    records.append(json.loads(line))
+                records.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise MalformedLog(f"{path}:{lineno}: cannot parse event log: {exc}") from exc
 
