@@ -24,7 +24,7 @@ from .driver import (
     run_random_baseline,
     write_diagnostics_csv,
 )
-from .errors import AuditLoopError, InvalidParams
+from .errors import AuditLoopError, InvalidParams, MalformedLog, read_json_lines
 from .oracle import SyntheticOracle, TraceRecordingOracle, replay_trace
 
 EXIT_OK = 0
@@ -111,7 +111,8 @@ def cmd_verify_bounds(args) -> int:
 def cmd_report(args) -> int:
     config = RunConfig.from_json(args.config)
     out_dir = _out_dir(args.out)
-    diag = compute_diagnostics(args.events, config.space.n_units, p_max=config.allocator.p_max)
+    records = [rec for _, rec in read_json_lines(args.events, MalformedLog, "event log")]
+    diag = compute_diagnostics(records, config.space.n_units, p_max=config.allocator.p_max)
     write_diagnostics_csv(diag, out_dir / "diagnostics.csv")
     if args.quiet:
         return EXIT_OK

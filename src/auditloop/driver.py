@@ -22,7 +22,9 @@ from .allocator import (
     gate_cost,
     greedy_allocate,
 )
-from .errors import BudgetViolation, InvalidParams, MalformedLog, check_count, check_keys, read_doc
+from .errors import (
+    BudgetViolation, InvalidParams, MalformedLog, check_bits, check_count, check_keys, check_number, read_doc
+)
 from .fsm import FsmParams, FsmStabilizer
 from .oracle import KeyedStreams, OracleSpec, SyntheticOracle, gates_to_bits
 from .sampler import SamplerParams, sample_audit_batch
@@ -360,76 +362,60 @@ def sweep(seeds: Sequence[int]) -> dict:
 DIAGNOSTIC_COLUMNS = ("cycle", "value", "regret", "t_c", "coverage_min")
 
 
-def compute_diagnostics(records: list[dict] | str | Path, n_units: int, p_max: float | None = None) -> dict:
-    """Coverage, chatter count and regret curve from the log of a run over
-    `n_units` units, in cycle order whatever the order of its lines, plus the
-    last cycle's index and evaluation total and the final record's
-    `final_value`, `budget_used` and `final_on_ids` (each None when the log
-    has no final record).
+def compute_diagnostics(records: list, n_units: int, p_max: float | None = None) -> dict:
+    """Coverage, chatter count and regret curve from the records of a run
+    over `n_units` units (`LoopDriver.records`, or its log's records as
+    `read_json_lines` reads them), plus the last cycle's index and evaluation
+    total and the final record's `final_value`, `budget_used` and
+    `final_on_ids` (each None when the log has no final record). Regret is
+    measured against the best noise-free value seen during the run.
 
-    Regret is measured against the best noise-free value seen during the run.
-    A log that audits a unit outside `0..n_units-1`, or whose final record
-    does not hold one gate per unit, is not a log of this run: MalformedLog.
-    Given `p_max`, a log with a cycle `total_cost` above it is not a log of a
-    run under that budget, since a run raises before it logs such a cycle:
-    BudgetViolation names the first such cycle.
+    A log is cycle records 0, 1, ..., k-1, then at most one final record:
+    the first record out of place raises MalformedLog naming it. So does,
+    naming its cycle or the final record, a field that fails `check_count`,
+    `check_number` or `check_bits` (one bit per unit), or an audited unit
+    outside `0..n_units-1`. Given `p_max`, a cycle `total_cost` above it,
+    which a run raises on before logging, raises BudgetViolation.
     """
-    if not isinstance(records, list):
-        # A log that cannot be read raises its OSError; one that is not UTF-8
-        # JSON lines is malformed, and names its first bad line.
-        path, records = Path(records), []
-        try:
-            lines = path.read_text().splitlines()
-        except UnicodeDecodeError as exc:
-            raise MalformedLog(f"cannot parse event log: {exc}") from exc
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise MalformedLog(f"{path}:{lineno}: cannot parse event log: {exc}") from exc
-
-    if not all(isinstance(r, dict) for r in records):
-        raise MalformedLog("event log holds a line that is not a JSON object")
-    cycles = [r for r in records if r.get("kind") == "cycle"]
-    finals = [r for r in records if r.get("kind") == "final"]
-    if not cycles:
-        raise MalformedLog("event log contains no cycle records")
+    coverage = np.zeros(n_units, dtype=np.int64)
+    values, t_c_curve, coverage_min = [], [], []
+    final = final_value = budget_used = on_ids = None
+    where = "event log"
     try:
-        coverage = np.zeros(n_units, dtype=np.int64)
-        values: list[float] = []
-        t_c_curve: list[int] = []
-        coverage_min: list[int] = []
-        if not all(type(r["cycle"]) is int for r in cycles):
-            raise MalformedLog("event log holds a cycle number that is not an integer")
-        cycles.sort(key=lambda r: r["cycle"])
-        for r in cycles:
+        for number, r in enumerate(records, start=1):
+            where, t = f"event log record {number}", len(values)
+            if final is not None or not isinstance(r, dict):
+                raise MalformedLog(f"{where} {'is not a JSON object' if final is None else 'follows the final record'}")
+            if r.get("kind") == "final" and t:
+                final = r
+                continue
+            if r.get("kind") != "cycle" or type(r.get("cycle")) is not int or r["cycle"] != t:
+                found = f"cycle {r.get('cycle')!r}" if r.get("kind") == "cycle" else f"of kind {r.get('kind')!r}"
+                raise MalformedLog(f"{where} is {found}, not cycle {t}")
+            where = f"cycle {t}"
             for unit in r["audit"]["batch"]:
-                if isinstance(unit, bool) or not 0 <= unit < n_units:  # numpy reads True as every unit
-                    raise MalformedLog(f"cycle {r['cycle']} audits unit {unit}, not one of the {n_units} units")
+                if type(unit) is not int or not 0 <= unit < n_units:  # numpy reads True as every unit
+                    raise MalformedLog(f"{where} audits unit {unit}, not one of the {n_units} units")
                 coverage[unit] += 1
-            values.append(float(r["value"]))
-            t_c_curve.append(int(r["fsm"]["t_c"]))
+            values.append(check_number("value", r["value"]))
+            t_c_curve.append(check_count("t_c", r["fsm"]["t_c"], 0))
             coverage_min.append(int(coverage.min()))
-        costs = [float(r["allocate"]["total_cost"]) for r in cycles] if p_max is not None else []
-        eval_count = int(cycles[-1]["eval_count"])
-        last_cycle = cycles[-1]["cycle"]
-        final_value = budget_used = on_ids = None
-        if finals:
-            final = finals[-1]
-            if len(gates := final["final_gates"]) != n_units:
-                raise MalformedLog(f"final record holds {len(gates)} gates for the config's {n_units} units")
-            on_ids = [int(i) for i in final["final_on_ids"]]
-            if on_ids != [i for i, g in enumerate(gates) if g == "1"]:
+            eval_count = check_count("eval_count", r["eval_count"], 0)
+            if p_max is not None and (cost := check_number("total_cost", r["allocate"]["total_cost"])) > p_max:
+                raise BudgetViolation(f"{where} logs total_cost {cost!r}, above the config's p_max {p_max}")
+        if not values:
+            raise MalformedLog("event log contains no cycle records")
+        if final is not None:
+            where = "final record"
+            gates = check_bits("final_gates", final["final_gates"], n_units)
+            on_ids = final["final_on_ids"]
+            if on_ids != [i for i, g in enumerate(gates) if g == "1"] or any(type(i) is not int for i in on_ids):
                 raise MalformedLog("final record's final_on_ids are not the units its final_gates switch on")
-            final_value, budget_used = float(final["final_value"]), float(final["budget_used"])
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise MalformedLog(f"event log record missing field: {exc}") from exc
+            final_value = check_number("final_value", final["final_value"])
+            budget_used = check_number("budget_used", final["budget_used"])
+    except (InvalidParams, KeyError, TypeError) as exc:
+        raise MalformedLog(f"{where}: {'missing field ' if isinstance(exc, KeyError) else ''}{exc}") from exc
 
-    for r, cost in zip(cycles, costs):
-        if cost > p_max:
-            raise BudgetViolation(f"cycle {r['cycle']} logs total_cost {cost!r}, above the config's p_max {p_max}")
     best = max(values)
     regret = [best - v for v in values]
     return {
@@ -440,7 +426,7 @@ def compute_diagnostics(records: list[dict] | str | Path, n_units: int, p_max: f
         "t_c_curve": t_c_curve,
         "coverage_min_curve": coverage_min,
         "eval_count": eval_count,
-        "last_cycle": last_cycle,
+        "last_cycle": len(values) - 1,
         "final_value": final_value,
         "budget_used": budget_used,
         "final_on_ids": on_ids,
@@ -453,16 +439,9 @@ def write_diagnostics_csv(diag: dict, path: str | Path) -> Path:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DIAGNOSTIC_COLUMNS)
-        for t in range(len(diag["value_curve"])):
-            writer.writerow(
-                [
-                    t,
-                    repr(diag["value_curve"][t]),
-                    repr(diag["regret_curve"][t]),
-                    diag["t_c_curve"][t],
-                    diag["coverage_min_curve"][t],
-                ]
-            )
+        values = diag["value_curve"]
+        writer.writerows(zip(range(len(values)), map(repr, values), map(repr, diag["regret_curve"]),
+                             diag["t_c_curve"], diag["coverage_min_curve"]))
     return path
 
 

@@ -1,9 +1,11 @@
-"""Exception types shared across the engine, and the value checks that
-parameter constructors and config readers share."""
+"""Exception types shared across the engine, the value checks that parameter
+constructors and config, trace and log readers share, and their line reader."""
 
 import functools
+import json
 import numbers
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 
 class AuditLoopError(Exception):
@@ -51,22 +53,32 @@ class UnknownConfiguration(AuditLoopError):
 
 
 class MalformedLog(AuditLoopError):
-    """An event log is missing required records or fields."""
+    """An event log is not a run's records in order, or a record lacks a field."""
 
 
 class BudgetViolation(AuditLoopError):
     """A committed configuration exceeded the parameter budget."""
 
 
-def check_count(name: str, value, minimum: int, maximum: int | None = None) -> None:
-    """Raise InvalidParams unless `value` is a Python int, not a bool nor a
-    numpy integer, of at least `minimum` and, if given, at most `maximum`."""
+def check_count(name: str, value, minimum: int, maximum: int | None = None) -> int:
+    """`value`; raise InvalidParams unless it is a Python int, not a bool nor
+    a numpy integer, of at least `minimum` and, if given, at most `maximum`."""
     if type(value) is not int:
         raise InvalidParams(f"{name} must be an integer, not {value!r}")
     if value < minimum:
         raise InvalidParams(f"{name} must be at least {minimum}")
     if maximum is not None and value > maximum:
         raise InvalidParams(f"{name} must be at most {maximum}")
+    return value
+
+
+def check_bits(name: str, value, width: int | None = None) -> str:
+    """`value`; raise InvalidParams unless it is a string of 0s and 1s, `width` of them if given."""
+    if not isinstance(value, str) or value.strip("01"):
+        raise InvalidParams(f"{name} must be a 0/1 bitstring")
+    if width is not None and len(value) != width:
+        raise InvalidParams(f"{name} must hold {width} bits, not {len(value)}")
+    return value
 
 
 @functools.cache
@@ -126,3 +138,20 @@ def read_doc(cls, where: str, doc, ignored=()):
     default; the ignored keys are dropped."""
     names, required = _doc_keys(cls)
     return cls(**{k: v for k, v in check_keys(where, doc, names.union(ignored), required).items() if k in names})
+
+
+def read_json_lines(path: str | Path, error: type[AuditLoopError], what: str):
+    """Yield `(line number, value)` for each non-blank line of the JSON-lines
+    file `path`. A file that cannot be read raises its OSError; one that is
+    not UTF-8 raises `error` as `cannot decode {what} {path}: …`, and a line
+    that does not parse, as `{path}:{line}: cannot parse {what}: …`."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"cannot decode {what} {path}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            if line.strip():
+                yield lineno, json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}:{lineno}: cannot parse {what}: {exc}") from exc

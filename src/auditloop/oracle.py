@@ -86,9 +86,11 @@ from .errors import (
     MalformedTrace,
     TooLarge,
     UnknownConfiguration,
+    check_bits,
     check_count,
     check_keys,
     check_number,
+    read_json_lines,
 )
 
 _NOISE_TAG = 0x0E11
@@ -630,37 +632,26 @@ class ReplayOracle:
 
 
 def replay_trace(path: str | Path) -> ReplayOracle:
-    """Build a replay oracle from a JSONL trace, read line by line. Each
-    non-blank line is one record of exactly the keys `call` (an integer of
-    at least -1), `gates` (a 0/1 string as wide as the first record's),
-    `units` (a list of unit ids below that width) and `scores` (a list of
-    one JSON number more than `units`; NaN and infinities replay, and an
-    integer comes back as a float). A trace that cannot be read raises its
-    OSError; one that is not UTF-8, is empty or holds any other line raises
-    MalformedTrace naming the line."""
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except UnicodeDecodeError as exc:
-        raise MalformedTrace(f"cannot decode trace {path}: {exc}") from exc
+    """Build a replay oracle from a JSON-lines trace, read by `read_json_lines`
+    with MalformedTrace for its errors. Each record holds exactly the keys
+    `call` (an integer of at least -1), `gates` (a 0/1 string as wide as the
+    first record's), `units` (a list of unit ids below that width) and
+    `scores` (a list of one JSON number more than `units`; NaN and
+    infinities replay, and an integer comes back as a float). An empty
+    trace, or any other record, raises MalformedTrace naming the line."""
     records: list[tuple[int, str, list[float], list[int]]] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, doc in read_json_lines(path, MalformedTrace, "trace"):
         try:
-            rec = check_keys("trace record", json.loads(line), _TRACE_KEYS, required=_TRACE_KEYS)
+            rec = check_keys("trace record", doc, _TRACE_KEYS, required=_TRACE_KEYS)
             call, bits, scores, units = (rec[key] for key in _TRACE_KEYS)
             check_count("call", call, -1)
-            if not isinstance(bits, str) or bits.strip("01"):
-                raise InvalidParams("gates must be a 0/1 bitstring")
-            if records and len(bits) != len(records[0][1]):
-                raise InvalidParams("inconsistent gate vector length")
+            check_bits("gates", bits, len(records[0][1]) if records else None)
             if type(units) is not list or type(scores) is not list or len(scores) != len(units) + 1:
                 raise InvalidParams("units and scores must be lists, with one score more than units")
             for unit in units:
                 check_count("unit", unit, 0, len(bits) - 1)
             records.append((call, bits, [check_number("score", score) for score in scores], units))
-        except (ValueError, RecursionError, InvalidParams) as exc:
+        except InvalidParams as exc:
             raise MalformedTrace(f"{path}:{lineno}: {exc}") from exc
     if not records:
         raise MalformedTrace(f"{path}: trace contains no records")

@@ -21,35 +21,37 @@ from auditloop.oracle import SyntheticOracle, TraceRecordingOracle
 ROOT = Path(__file__).resolve().parents[1]
 
 
+SMALL_CONFIG = {
+    "space": {
+        "backbone": {"layers": 1, "hidden_dims": [16], "param_count": 200_000},
+        "templates": [
+            {"family": "LoRA", "topology": t, "size": r, "slot": "Attention"}
+            for t in ("SA", "PA")
+            for r in (2, 4, 8)
+        ],
+    },
+    "oracle": {
+        "kind": "synthetic",
+        "base_score": 0.4,
+        "mu_inf": [0.05, 0.03, 0.06, -0.01, 0.04, 0.02],
+        "kappa": [200.0, 300.0, 250.0, 150.0, 220.0, 180.0],
+        "sigma_val": 0.02,
+        "warm_floor": 0.3,
+        "seed": 9,
+    },
+    "sampler": {"batch_size": 3},
+    "allocator": {"p_max": 0.002, "mu_eff": 0.02},
+    "cycles": 12,
+    "steps_per_cycle": 50,
+    "refinetune_steps": 1000,
+    "run_seed": 2,
+}
+
+
 @pytest.fixture()
 def config_path(tmp_path):
-    doc = {
-        "space": {
-            "backbone": {"layers": 1, "hidden_dims": [16], "param_count": 200_000},
-            "templates": [
-                {"family": "LoRA", "topology": t, "size": r, "slot": "Attention"}
-                for t in ("SA", "PA")
-                for r in (2, 4, 8)
-            ],
-        },
-        "oracle": {
-            "kind": "synthetic",
-            "base_score": 0.4,
-            "mu_inf": [0.05, 0.03, 0.06, -0.01, 0.04, 0.02],
-            "kappa": [200.0, 300.0, 250.0, 150.0, 220.0, 180.0],
-            "sigma_val": 0.02,
-            "warm_floor": 0.3,
-            "seed": 9,
-        },
-        "sampler": {"batch_size": 3},
-        "allocator": {"p_max": 0.002, "mu_eff": 0.02},
-        "cycles": 12,
-        "steps_per_cycle": 50,
-        "refinetune_steps": 1000,
-        "run_seed": 2,
-    }
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(SMALL_CONFIG))
     return path
 
 
@@ -648,24 +650,131 @@ def test_report_of_a_log_with_a_non_object_line_exits_1_with_one_line(tmp_path, 
     out = tmp_path / "out"
     main(["run", "--config", str(config_path), "--out", str(out), "--quiet"])
     events = out / "events.jsonl"
-    events.write_text(events.read_text() + "[1]\n")
+    lines = events.read_text().splitlines(keepends=True)
+    events.write_text("".join([*lines[:3], "[1]\n", *lines[3:]]))
     capsys.readouterr()
     assert main(["report", "--config", str(config_path), "--events", str(events), "--out", str(tmp_path / "rep")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == "error: event log record 4 is not a JSON object\n"
 
 
-def test_report_of_a_log_with_a_cut_line_exits_1_naming_the_line(tmp_path, capsys, config_path):
-    config_path.write_text(json.dumps(json.loads(config_path.read_text()) | {"cycles": 5}))
-    out = tmp_path / "out"
-    main(["run", "--config", str(config_path), "--out", str(out), "--quiet"])
-    lines = (out / "events.jsonl").read_text().splitlines(keepends=True)
-    cut = tmp_path / "cut.jsonl"
-    cut.write_text("".join(lines[:3] + [lines[3][:40] + "\n"] + lines[4:]))
+@pytest.fixture(scope="module")
+def recorded_run(tmp_path_factory):
+    """A 5-cycle `run --record-trace` of the small config: its config path,
+    and its trace and event log by the name their reader gives them."""
+    tmp = tmp_path_factory.mktemp("recorded")
+    config = tmp / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG | {"cycles": 5}))
+    trace = tmp / "trace.jsonl"
+    assert main(["run", "--config", str(config), "--out", str(tmp / "out"), "--record-trace", str(trace),
+                 "--quiet"]) == 0
+    return config, {"trace": trace, "event log": tmp / "out" / "events.jsonl"}
+
+
+@pytest.mark.parametrize("what", ["trace", "event log"])
+@pytest.mark.parametrize("case", ["not-utf8", "cut-line", "lone-bracket", "nested-too-deep", "blank-lines"])
+def test_replay_and_report_read_their_files_through_one_line_reader(recorded_run, tmp_path, capsys, what, case):
+    # `replay` reads the trace and `report` the event log with
+    # `read_json_lines`: a file that does not decode, or a line that does not
+    # parse, exits 1 with one line that names the file, and the line; blank
+    # lines are skipped.
+    config, files = recorded_run
+    command, flag = {"trace": ("replay", "--trace"), "event log": ("report", "--events")}[what]
+    lines = files[what].read_text().splitlines(keepends=True)
+    path = tmp_path / "file.jsonl"
+    if case == "not-utf8":
+        path.write_bytes(b"\xff" + files[what].read_bytes())
+    elif case == "blank-lines":
+        path.write_text("\n" + "  \n".join(lines) + "\t\n")
+    else:
+        line_2 = {"cut-line": lines[1][:40], "lone-bracket": "[", "nested-too-deep": "[" * 100_000}[case]
+        path.write_text("".join([lines[0], line_2 + "\n", *lines[2:]]))
+
+    def read(file, out):
+        return main([command, "--config", str(config), flag, str(file), "--out", str(out), "--quiet"])
+
     capsys.readouterr()
-    assert main(["report", "--config", str(config_path), "--events", str(cut), "--out", str(tmp_path / "rep")]) == 1
+    if case == "blank-lines":
+        assert read(path, tmp_path / "spaced") == read(files[what], tmp_path / "plain") == 0
+        written = [{f.name: f.read_bytes() for f in (tmp_path / out).iterdir()} for out in ("spaced", "plain")]
+        assert written[0] == written[1] and "diagnostics.csv" in written[0]
+        return
+    assert read(path, tmp_path / "out") == 1
+    assert list((tmp_path / "out").iterdir()) == []
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {cut}:4: cannot parse event log: ") and err.count("\n") == 1
+    where = f"error: cannot decode {what} {path}: " if case == "not-utf8" else f"error: {path}:2: cannot parse {what}: "
+    assert err.startswith(where) and err.count("\n") == 1
+    tail = {"lone-bracket": "Expecting value: line 1 column 2 (char 1)",
+            "nested-too-deep": "maximum recursion depth exceeded while decoding a JSON array from a unicode string"}
+    if case in tail:
+        assert err == f"{where}{tail[case]}\n"
+
+
+def set_field(index, keys, value):
+    """An edit of a log's records that sets the field at `keys` of record `index`."""
+    def edit(records):
+        *outer, last = keys
+        rec = records[index]
+        for key in outer:
+            rec = rec[key]
+        rec[last] = value
+        return records
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (lambda rs: rs * 2, "event log record 7 follows the final record"),
+        (lambda rs: [*rs[:2], rs[3], rs[2], *rs[4:]], "event log record 3 is cycle 3, not cycle 2"),
+        (lambda rs: rs[1:], "event log record 1 is cycle 1, not cycle 0"),
+        (lambda rs: [*rs[:3], rs[-1], *rs[3:-1]], "event log record 5 follows the final record"),
+        (lambda rs: rs + rs[-1:], "event log record 7 follows the final record"),
+        (lambda rs: rs[-1:] + rs[:-1], "event log record 1 is of kind 'final', not cycle 0"),
+        (set_field(4, ["eval_count"], 12.7), "cycle 4: eval_count must be an integer, not 12.7"),
+        (set_field(2, ["fsm", "t_c"], "3"), "cycle 2: t_c must be an integer, not '3'"),
+        (set_field(1, ["value"], "0.45"), "cycle 1: value must be a number, not '0.45'"),
+        (set_field(3, ["allocate", "total_cost"], None), "cycle 3: total_cost must be a number, not None"),
+        (set_field(0, ["audit"], []), "cycle 0: list indices must be integers or slices, not str"),
+        (set_field(5, ["final_value"], "0.5"), "final record: final_value must be a number, not '0.5'"),
+        (set_field(5, ["final_gates"], [True] * 6), "final record: final_gates must be a 0/1 bitstring"),
+    ],
+    ids=["written-twice", "cycles-reordered", "starts-at-cycle-1", "final-in-the-middle", "two-finals",
+         "final-first", "fractional-eval-count", "string-t_c", "string-value", "null-total-cost", "audit-list",
+         "string-final-value", "list-for-final-gates"],
+)
+def test_report_of_a_log_out_of_order_or_with_a_bad_field_exits_1_naming_the_record(recorded_run, tmp_path, capsys,
+                                                                                       edit, line):
+    # A log is cycles 0, 1, ... in order, then at most one final record,
+    # and each count and number is checked as the trace's are.
+    config, files = recorded_run
+    records = [json.loads(text) for text in files["event log"].read_text().splitlines()]
+    events = tmp_path / "events.jsonl"
+    events.write_text("".join(json.dumps(r) + "\n" for r in edit(records)))
+    capsys.readouterr()
+    assert main(["report", "--config", str(config), "--events", str(events), "--out", str(tmp_path / "rep")]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not (tmp_path / "rep" / "diagnostics.csv").exists()
+
+
+def test_report_of_a_log_cut_after_any_cycle_reads_as_the_whole_logs_first_cycles(recorded_run, tmp_path, capsys):
+    config, files = recorded_run
+    lines = files["event log"].read_text().splitlines(keepends=True)
+    report = ["report", "--config", str(config), "--out"]
+    assert main(report + [str(tmp_path / "whole"), "--events", str(files["event log"]), "--quiet"]) == 0
+    whole = (tmp_path / "whole" / "diagnostics.csv").read_text().splitlines()
+
+    def no_regret(rows):
+        """The rows without their regret, which is against the best value of the cycles read."""
+        return [row.split(",")[:2] + row.split(",")[3:] for row in rows]
+
+    for k in range(1, len(lines)):
+        cut = tmp_path / f"cut{k}.jsonl"
+        cut.write_text("".join(lines[:k]))
+        capsys.readouterr()
+        assert main(report + [str(tmp_path / f"cut{k}"), "--events", str(cut)]) == 0
+        assert capsys.readouterr().out.startswith(f"cycles {k}  no final record: log ends after cycle {k - 1}  ")
+        rows = (tmp_path / f"cut{k}" / "diagnostics.csv").read_text().splitlines()
+        assert no_regret(rows) == no_regret(whole[: k + 1])
 
 
 def readme_json_blocks() -> list[dict]:
@@ -739,14 +848,12 @@ def test_report_of_a_log_over_the_configs_budget_exits_1_naming_the_cycle(defaul
     "argv, code",
     [
         (["run", "--config", "BAD"], 2),
-        (["report", "--config", "CONFIG", "--events", "BAD"], 1),
-        (["replay", "--config", "CONFIG", "--trace", "BAD"], 1),
     ],
-    ids=["config", "events", "trace"],
+    ids=["config"],
 )
 def test_file_that_is_not_utf8_exits_with_one_line(tmp_path, capsys, config_path, argv, code):
-    # An undecodable config is a config error; an undecodable log or trace
-    # is malformed, as one that does not parse.
+    # An undecodable config is a config error; for an undecodable log or
+    # trace see `test_replay_and_report_read_their_files_through_one_line_reader`.
     bad = tmp_path / "bad"
     bad.write_bytes(b"\xff\xfe{}\n")
     paths = {"BAD": bad, "CONFIG": config_path}

@@ -24,7 +24,7 @@ from auditloop import (
     write_diagnostics_csv,
 )
 from auditloop.driver import DIAGNOSTIC_COLUMNS, default_oracle_spec
-from auditloop.errors import BudgetViolation, InvalidParams, MalformedLog
+from auditloop.errors import BudgetViolation, InvalidParams, MalformedLog, read_json_lines
 from auditloop.space import AuditSpace, BackboneDesc, Family, Slot, Template, default_space, default_templates
 from auditloop.tracker import WINDOW
 from test_tracker import ReferenceTracker
@@ -272,11 +272,15 @@ def test_random_baseline_single_feasible_unit():
 # -- diagnostics ---------------------------------------------------------------
 
 
+def read_log(path):
+    return [record for _, record in read_json_lines(path, MalformedLog, "event log")]
+
+
 def test_diagnostics_roundtrip(tmp_path):
     cfg = tiny_config()
     report, driver = run_full(cfg)
     path = driver.write_events(tmp_path / "events.jsonl")
-    diag = compute_diagnostics(path, n_units=cfg.space.n_units)
+    diag = compute_diagnostics(read_log(path), n_units=cfg.space.n_units)
     assert diag["eval_count"] == report.eval_count
     assert diag["t_c"] == report.t_c
     assert np.array_equal(diag["coverage"], report.probe_counts)
@@ -285,32 +289,33 @@ def test_diagnostics_roundtrip(tmp_path):
     header = csv_path.read_text().splitlines()[0]
     assert header == ",".join(DIAGNOSTIC_COLUMNS)
     assert len(csv_path.read_text().splitlines()) == cfg.cycles + 1
+    assert compute_diagnostics(driver.records, cfg.space.n_units).keys() == diag.keys()
 
 
-def test_diagnostics_of_a_log_with_its_last_cycle_first_equal_those_in_order():
-    # Curves, evaluation total and last cycle all read in cycle order,
-    # whatever the order of the log's lines.
+def test_diagnostics_of_a_log_with_its_last_cycle_first_are_refused():
+    # Cycles are read in the log's order, which must be the cycles' own:
+    # nothing is sorted.
     cfg = tiny_config(cycles=5)
-    report, driver = run_full(cfg)
+    _, driver = run_full(cfg)
     *cycles, final = driver.records
-    ordered = compute_diagnostics(driver.records, cfg.space.n_units)
-    moved = compute_diagnostics([cycles[-1], *cycles[:-1], final], cfg.space.n_units)
-    assert (ordered["eval_count"], ordered["last_cycle"]) == (report.eval_count, 4)
-    assert moved.pop("coverage").tolist() == ordered.pop("coverage").tolist()
-    assert moved == ordered
+    with pytest.raises(MalformedLog) as info:
+        compute_diagnostics([cycles[-1], *cycles[:-1], final], cfg.space.n_units)
+    assert str(info.value) == "event log record 1 is cycle 4, not cycle 0"
 
 
 def test_diagnostics_malformed_log(tmp_path):
     bad = tmp_path / "events.jsonl"
     bad.write_text("{}\n")
-    with pytest.raises(MalformedLog):
-        compute_diagnostics(bad, 3)
-    with pytest.raises(MalformedLog):
+    with pytest.raises(MalformedLog, match="^event log record 1 is of kind None, not cycle 0$"):
+        compute_diagnostics(read_log(bad), 3)
+    with pytest.raises(MalformedLog, match="^cycle 0: missing field 'audit'$"):
         compute_diagnostics([{"kind": "cycle", "cycle": 0}], 3)
-    # "10" sorts before "9": a string cycle number would put the curves out of order.
-    for number in ("9", 9.5, True):
-        with pytest.raises(MalformedLog, match="cycle number that is not an integer"):
-            compute_diagnostics([CYCLES[0] | {"cycle": number}, CYCLES[1] | {"cycle": 10}], 3)
+    with pytest.raises(MalformedLog, match="^event log contains no cycle records$"):
+        compute_diagnostics([], 3)
+    # A cycle number that is not the JSON integer of its place is out of place.
+    for number in ("1", 1.0, True):
+        with pytest.raises(MalformedLog, match=f"^event log record 2 is cycle {number!r}, not cycle 1$"):
+            compute_diagnostics([CYCLES[0], CYCLES[1] | {"cycle": number}], 3)
 
 
 AUDIT = {"audit": {"batch": [0, 1]}, "value": 0.5, "fsm": {"t_c": 0}}
@@ -336,12 +341,17 @@ def test_diagnostics_count_units_never_audited():
         (CYCLES + [CYCLES[0] | {"cycle": 2, "audit": {"batch": [0, 3]}}], 3, "cycle 2 audits unit 3, not one of the 3"),
         (CYCLES + [CYCLES[0] | {"cycle": 2, "audit": {"batch": [-1]}}], 3, "cycle 2 audits unit -1"),
         (CYCLES + [CYCLES[0] | {"cycle": 2, "audit": {"batch": [True]}}], 3, "cycle 2 audits unit True"),
-        (CYCLES + [FINAL], 2, "final record holds 3 gates for the config's 2 units"),
-        (CYCLES + [FINAL], 4, "final record holds 3 gates for the config's 4 units"),
+        (CYCLES + [FINAL], 2, "^final record: final_gates must hold 2 bits, not 3$"),
+        (CYCLES + [FINAL], 4, "^final record: final_gates must hold 4 bits, not 3$"),
         (CYCLES + [FINAL | {"final_on_ids": [0]}], 3, "final_on_ids are not the units its final_gates switch on"),
+        (CYCLES + [FINAL | {"final_on_ids": [1.0]}], 3, "final_on_ids are not the units its final_gates switch on"),
+        (CYCLES + [FINAL | {"final_gates": [True] * 3, "final_on_ids": []}], 3,
+         "^final record: final_gates must be a 0/1 bitstring$"),
+        (CYCLES + [FINAL | {"final_gates": "222", "final_on_ids": []}], 3,
+         "^final record: final_gates must be a 0/1 bitstring$"),
     ],
     ids=["audited-id-past-the-end", "negative-audited-id", "bool-audited-id", "fewer-units", "more-units",
-         "on-ids-disagree"],
+         "on-ids-disagree", "float-on-id", "list-of-trues-for-gates", "gates-of-2s"],
 )
 def test_diagnostics_reject_a_log_of_another_space(records, n_units, match):
     with pytest.raises(MalformedLog, match=match):

@@ -6,7 +6,6 @@ run draws fresh ones, and no stored example is replayed first:
     AUDITLOOP_FUZZ=3000 python -m pytest tests/test_whole_loop.py
 """
 
-import json
 import os
 import tempfile
 from pathlib import Path
@@ -31,6 +30,7 @@ from auditloop import (
     replay_trace,
 )
 from auditloop.driver import default_oracle_spec
+from auditloop.errors import MalformedLog, read_json_lines
 from auditloop.space import AuditSpace, BackboneDesc, default_templates
 
 FUZZ = int(os.environ.get("AUDITLOOP_FUZZ", "0"))
@@ -104,15 +104,15 @@ def test_whole_runs_keep_budget_score_replay_and_log_invariants(config):
         # cycle's active set and scores the gates after its commits.
         fresh = SyntheticOracle(config.oracle_spec)
         state = fresh.fresh_state()
-        logged = [r for r in map(json.loads, events.read_text().splitlines()) if r["kind"] == "cycle"]
-        for r in logged:
+        records = [r for _, r in read_json_lines(events, MalformedLog, "event log")]
+        for r in [r for r in records if r["kind"] == "cycle"]:
             gates = np.zeros(config.space.n_units, dtype=bool)
             gates[r["search"]["active"]] = True
             state = fresh.train_step(state, gates, r["search"]["steps"])
             gates[r["fsm"]["commits"]] ^= True
             assert fresh.true_value(state, gates) == r["value"], r["cycle"]
 
-        diag = compute_diagnostics(events, config.space.n_units)
+        diag = compute_diagnostics(records, config.space.n_units)
         assert diag["last_cycle"] == config.cycles - 1
         assert diag["final_value"] == report.final_value
         assert diag["final_on_ids"] == np.flatnonzero(report.final_gates).tolist()
