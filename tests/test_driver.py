@@ -289,7 +289,6 @@ def test_diagnostics_roundtrip(tmp_path):
     header = csv_path.read_text().splitlines()[0]
     assert header == ",".join(DIAGNOSTIC_COLUMNS)
     assert len(csv_path.read_text().splitlines()) == cfg.cycles + 1
-    assert compute_diagnostics(driver.records, cfg.space.n_units).keys() == diag.keys()
 
 
 def test_diagnostics_of_a_log_with_its_last_cycle_first_are_refused():
